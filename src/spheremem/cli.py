@@ -1,9 +1,13 @@
 """Command-line front end tying meshing, solves and flows into reproducible runs.
 
-Every config-driven run writes a plain-text manifest (config echo, code
+The config-driven subcommands share one run harness, ``run_config``: it
+loads the config, builds the mesh and the quadratic form (stages ``mesh`` and
+``assemble``), calls the subcommand's body, records ``failed: error`` when
+anything raises, and always writes a plain-text manifest (config echo, code
 version, mesh checksum, wall clock, per-stage status) to the output
-directory, also on failure with the failing stage identified.  Exit codes:
-0 success, 1 domain error, 2 usage error.
+directory.  Each subcommand in ``CONFIG_COMMANDS`` is a body that holds only
+its own compute and output code.  Exit codes: 0 success, 1 domain error,
+2 usage error.
 """
 from __future__ import annotations
 
@@ -17,12 +21,17 @@ import numpy as np
 from . import __version__
 from .config import POINT_PRESETS, RunConfig, load_config
 from .errors import ConfigError, SphereMemError
-from .mesh import build_icosphere, mesh_checksum, mesh_stats, validate_closed
-from .model import ModelParams, assemble_quadratic_form
-from .oracle import taylor_consistency
+from .mesh import (
+    TriangleMesh,
+    build_icosphere,
+    mesh_checksum,
+    mesh_stats,
+    validate_closed,
+)
+from .model import ModelParams, QuadraticForm, assemble_quadratic_form
+from .oracle import RECONSTRUCTIONS, taylor_consistency
 from .phasefield import (
     PhaseFieldParams,
-    PhaseState,
     closed_form_multipliers,
     field_correlation,
     initial_state,
@@ -40,8 +49,8 @@ from .points import (
 from .vtk_io import write_vtk
 
 
-class Manifest:
-    """Per-run record; written to <out_dir>/manifest.txt even on failure."""
+class Run:
+    """Record of one config-driven run, written to <out_dir>/manifest.txt."""
 
     def __init__(self, cfg: RunConfig, subcommand: str):
         self.cfg = cfg
@@ -53,10 +62,17 @@ class Manifest:
     def stage(self, name: str, status: str = "ok"):
         self.stages.append((name, status))
 
-    def write(self):
+    def out(self, name: str) -> str:
+        """Path of an output file, creating the output directory."""
         os.makedirs(self.cfg.out_dir, exist_ok=True)
-        path = os.path.join(self.cfg.out_dir, "manifest.txt")
-        with open(path, "w") as fh:
+        return os.path.join(self.cfg.out_dir, name)
+
+    def write_text(self, name: str, text: str):
+        with open(self.out(name), "w") as fh:
+            fh.write(text)
+
+    def write_manifest(self):
+        with open(self.out("manifest.txt"), "w") as fh:
             fh.write(f"subcommand: {self.subcommand}\n")
             fh.write(f"version: {__version__}\n")
             fh.write(f"mesh_checksum: {self.checksum}\n")
@@ -67,21 +83,28 @@ class Manifest:
             fh.write("config:\n")
             for line in self.cfg.echo().splitlines():
                 fh.write(f"  {line}\n")
-        return path
 
 
-def _out(cfg: RunConfig, name: str) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, name)
+def run_config(subcommand: str, body, config_path: str) -> int:
+    """The run harness: the one place a config-driven run's failure is caught.
 
-
-def _build_form(cfg: RunConfig, manifest: Manifest):
-    mesh = build_icosphere(cfg.R, cfg.level)
-    manifest.checksum = mesh_checksum(mesh)
-    manifest.stage("mesh")
-    form = assemble_quadratic_form(mesh, ModelParams(cfg.kappa, cfg.sigma, cfg.R))
-    manifest.stage("assemble")
-    return mesh, form
+    ``body(run, mesh, form)`` does the subcommand's compute and output.
+    """
+    cfg = load_config(config_path)
+    run = Run(cfg, subcommand)
+    try:
+        mesh = build_icosphere(cfg.R, cfg.level)
+        run.checksum = mesh_checksum(mesh)
+        run.stage("mesh")
+        form = assemble_quadratic_form(mesh, ModelParams(cfg.kappa, cfg.sigma, cfg.R))
+        run.stage("assemble")
+        body(run, mesh, form)
+    except BaseException:
+        run.stage("failed", "error")
+        raise
+    finally:
+        run.write_manifest()
+    return 0
 
 
 def _constraint_points(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -114,17 +137,15 @@ def _constraint_points(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     return pts, heights
 
 
-def _write_solution(cfg: RunConfig, mesh, u: np.ndarray, stem: str):
+def _write_solution(run: Run, mesh, u: np.ndarray, stem: str):
     """Emit the field on the sphere plus a displaced surface for viewing."""
-    write_vtk(_out(cfg, f"{stem}.vtk"), mesh, {"u": u})
-    rho = cfg.get("points", "rho_visual", 1.0, float)
-    nu = mesh.vertices / cfg.R
-    from .mesh import TriangleMesh
-
+    write_vtk(run.out(f"{stem}.vtk"), mesh, {"u": u})
+    rho = run.cfg.get("points", "rho_visual", 1.0, float)
+    nu = mesh.vertices / run.cfg.R
     displaced = TriangleMesh(
         mesh.vertices + rho * u[:, None] * nu, mesh.triangles, radius_hint=None
     )
-    write_vtk(_out(cfg, f"{stem}_displaced.vtk"), displaced, {"u": u})
+    write_vtk(run.out(f"{stem}_displaced.vtk"), displaced, {"u": u})
 
 
 def _report_csv(path: str, report, points: np.ndarray):
@@ -176,90 +197,58 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_points(args, hard: bool) -> int:
-    cfg = load_config(args.config)
-    manifest = Manifest(cfg, "points-hard" if hard else "points-penalty")
-    try:
-        mesh, form = _build_form(cfg, manifest)
-        pts, heights = _constraint_points(cfg)
-        if hard:
-            cs = ConstraintSet(points=pts, heights=heights, delta=None)
-            u, reactions, report = solve_hard(form, cs)
-        else:
-            delta = cfg.get("points", "delta", 1e-4, float)
-            cs = ConstraintSet(points=pts, heights=heights, delta=delta)
-            u, report = solve_penalty(form, cs)
-        manifest.stage("solve")
-        stem = "hard" if hard else "penalty"
-        _write_solution(cfg, mesh, u, stem)
-        _report_csv(_out(cfg, f"{stem}_report.csv"), report, pts)
-        manifest.stage("output")
-        print(f"energy: {report.energy:.10g}")
-        print(f"max point residual: {np.max(np.abs(report.point_residuals)):.3e}")
-    except Exception:
-        manifest.stage("failed", "error")
-        manifest.write()
-        raise
-    manifest.write()
-    return 0
+def cmd_points(run: Run, mesh: TriangleMesh, form: QuadraticForm):
+    pts, heights = _constraint_points(run.cfg)
+    if run.subcommand == "points-hard":
+        stem = "hard"
+        u, _, report = solve_hard(form, ConstraintSet(points=pts, heights=heights, delta=None))
+    else:
+        stem = "penalty"
+        delta = run.cfg.get("points", "delta", 1e-4, float)
+        u, report = solve_penalty(form, ConstraintSet(points=pts, heights=heights, delta=delta))
+    run.stage("solve")
+    _write_solution(run, mesh, u, stem)
+    _report_csv(run.out(f"{stem}_report.csv"), report, pts)
+    run.stage("output")
+    print(f"energy: {report.energy:.10g}")
+    print(f"max point residual: {np.max(np.abs(report.point_residuals)):.3e}")
 
 
-def cmd_penalty_study(args) -> int:
-    cfg = load_config(args.config)
-    manifest = Manifest(cfg, "penalty-study")
-    try:
-        mesh, form = _build_form(cfg, manifest)
-        pts, heights = _constraint_points(cfg)
-        deltas = cfg.floats("penalty_study", "deltas",
-                            [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
-        cs = ConstraintSet(points=pts, heights=heights, delta=deltas[0])
-        table = convergence_study(form, cs, deltas)
-        manifest.stage("study")
-        with open(_out(cfg, "penalty_rates.csv"), "w") as fh:
-            fh.write(table.to_csv())
-        manifest.stage("output")
-        print(f"fitted rate: {table.slope:.4f}")
-    except Exception:
-        manifest.stage("failed", "error")
-        manifest.write()
-        raise
-    manifest.write()
-    return 0
+def cmd_penalty_study(run: Run, mesh: TriangleMesh, form: QuadraticForm):
+    pts, heights = _constraint_points(run.cfg)
+    deltas = run.cfg.floats("penalty_study", "deltas", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    cs = ConstraintSet(points=pts, heights=heights, delta=deltas[0])
+    table = convergence_study(form, cs, deltas)
+    run.stage("study")
+    run.write_text("penalty_rates.csv", table.to_csv())
+    run.stage("output")
+    print(f"fitted rate: {table.slope:.4f}")
 
 
-def cmd_taylor(args) -> int:
-    cfg = load_config(args.config)
-    manifest = Manifest(cfg, "taylor-check")
-    try:
-        mesh, form = _build_form(cfg, manifest)
-        field = cfg.get("taylor", "field", "xy", str)
-        x = mesh.vertices / cfg.R
-        harmonics = {
-            "xy": x[:, 0] * x[:, 1],
-            "yz": x[:, 1] * x[:, 2],
-            "xz": x[:, 0] * x[:, 2],
-            "z2": x[:, 2] ** 2 - 1.0 / 3.0,
-        }
-        if field not in harmonics:
-            raise ConfigError(f"[taylor] field must be one of {sorted(harmonics)}")
-        u = harmonics[field]
-        mu = cfg.get("taylor", "mu", 0.5, float)
-        rho_list = cfg.floats("taylor", "rho_list", [0.1, 0.05, 0.025, 0.0125])
-        reconstruction = cfg.get("taylor", "reconstruction", "lumped", str)
-        report = taylor_consistency(form, u, mu, rho_list=rho_list,
-                                    reconstruction=reconstruction)
-        manifest.stage("taylor")
-        with open(_out(cfg, "taylor_residuals.csv"), "w") as fh:
-            fh.write(report.to_csv())
-        manifest.stage("output")
-        print(f"slope: {report.slope:.4f} ({report.status}); "
-              f"discretization floor {report.discretization_floor:.3e}")
-    except Exception:
-        manifest.stage("failed", "error")
-        manifest.write()
-        raise
-    manifest.write()
-    return 0
+def cmd_taylor(run: Run, mesh: TriangleMesh, form: QuadraticForm):
+    cfg = run.cfg
+    field = cfg.get("taylor", "field", "xy", str)
+    x = mesh.vertices / cfg.R
+    harmonics = {
+        "xy": x[:, 0] * x[:, 1],
+        "yz": x[:, 1] * x[:, 2],
+        "xz": x[:, 0] * x[:, 2],
+        "z2": x[:, 2] ** 2 - 1.0 / 3.0,
+    }
+    if field not in harmonics:
+        raise ConfigError(f"[taylor] field must be one of {sorted(harmonics)}")
+    reconstruction = cfg.get("taylor", "reconstruction", "lumped", str)
+    if reconstruction not in RECONSTRUCTIONS:
+        raise ConfigError(f"[taylor] reconstruction must be one of {RECONSTRUCTIONS}")
+    mu = cfg.get("taylor", "mu", 0.5, float)
+    rho_list = cfg.floats("taylor", "rho_list", [0.1, 0.05, 0.025, 0.0125])
+    report = taylor_consistency(form, harmonics[field], mu, rho_list=rho_list,
+                                reconstruction=reconstruction)
+    run.stage("taylor")
+    run.write_text("taylor_residuals.csv", report.to_csv())
+    run.stage("output")
+    print(f"slope: {report.slope:.4f} ({report.status}); "
+          f"discretization floor {report.discretization_floor:.3e}")
 
 
 def _phase_params(cfg: RunConfig, coupling: float | None = None) -> PhaseFieldParams:
@@ -280,68 +269,56 @@ def _phase_params(cfg: RunConfig, coupling: float | None = None) -> PhaseFieldPa
     )
 
 
-def cmd_phase_flow(args) -> int:
-    cfg = load_config(args.config)
-    manifest = Manifest(cfg, "phase-flow")
-    try:
-        mesh, form = _build_form(cfg, manifest)
-        pf = _phase_params(cfg)
-        state = initial_state(form, pf)
-        final, report = run_flow(state, form, pf)
-        manifest.stage("flow")
-        with open(_out(cfg, "flow_energy.csv"), "w") as fh:
-            fh.write(report.to_csv())
-        write_vtk(_out(cfg, "flow_final.vtk"), mesh,
+def cmd_phase_flow(run: Run, mesh: TriangleMesh, form: QuadraticForm):
+    pf = _phase_params(run.cfg)
+    final, report = run_flow(initial_state(form, pf), form, pf)
+    run.stage("flow")
+    run.write_text("flow_energy.csv", report.to_csv())
+    write_vtk(run.out("flow_final.vtk"), mesh, {"u": final.u, "phi": final.phi})
+    run.stage("output")
+    lam_phi, lam_u = closed_form_multipliers(final, form, pf)
+    print(f"steps: {report.accepted_steps} (rejected {report.rejected_steps}), "
+          f"converged: {report.converged}")
+    print(f"final energy: {report.energies[-1]:.10g}")
+    print(f"multipliers lambda_phi={final.lambda_phi:.6g} (closed {lam_phi:.6g}), "
+          f"lambda_u={final.lambda_u:.6g} (closed {lam_u:.6g})")
+
+
+def cmd_lambda_sweep(run: Run, mesh: TriangleMesh, form: QuadraticForm):
+    couplings = run.cfg.floats("sweep", "couplings", [-10.0, -5.0, -1.0, 0.0, 1.0, 5.0, 10.0])
+    rows = []
+    for lam in couplings:
+        pf = _phase_params(run.cfg, coupling=lam)
+        final, report = run_flow(initial_state(form, pf), form, pf)
+        corr = field_correlation(final.u, final.phi, form, pf)
+        rows.append((lam, report.energies[-1], corr,
+                     float(np.max(np.abs(final.u))), report.accepted_steps,
+                     report.converged))
+        write_vtk(run.out(f"sweep_lambda_{lam:+g}.vtk"), mesh,
                   {"u": final.u, "phi": final.phi})
-        manifest.stage("output")
-        lam_phi, lam_u = closed_form_multipliers(final, form, pf)
-        print(f"steps: {report.accepted_steps} (rejected {report.rejected_steps}), "
-              f"converged: {report.converged}")
-        print(f"final energy: {report.energies[-1]:.10g}")
-        print(f"multipliers lambda_phi={final.lambda_phi:.6g} (closed {lam_phi:.6g}), "
-              f"lambda_u={final.lambda_u:.6g} (closed {lam_u:.6g})")
-    except Exception:
-        manifest.stage("failed", "error")
-        manifest.write()
-        raise
-    manifest.write()
-    return 0
-
-
-def cmd_lambda_sweep(args) -> int:
-    cfg = load_config(args.config)
-    manifest = Manifest(cfg, "lambda-sweep")
-    try:
-        mesh, form = _build_form(cfg, manifest)
-        couplings = cfg.floats("sweep", "couplings",
-                               [-10.0, -5.0, -1.0, 0.0, 1.0, 5.0, 10.0])
-        rows = []
-        for lam in couplings:
-            pf = _phase_params(cfg, coupling=lam)
-            final, report = run_flow(initial_state(form, pf), form, pf)
-            corr = field_correlation(final.u, final.phi, form, pf)
-            rows.append((lam, report.energies[-1], corr,
-                         float(np.max(np.abs(final.u))), report.accepted_steps,
-                         report.converged))
-            write_vtk(_out(cfg, f"sweep_lambda_{lam:+g}.vtk"), mesh,
-                      {"u": final.u, "phi": final.phi})
-            manifest.stage(f"flow lambda={lam:+g}")
-        with open(_out(cfg, "lambda_sweep.csv"), "w") as fh:
-            fh.write("coupling [1/length],final_energy [energy],"
-                     "corr_u_phi [1],max_abs_u [length],steps [1],converged [bool]\n")
-            for row in rows:
-                fh.write(f"{row[0]:.17g},{row[1]:.17g},{row[2]:.17g},"
-                         f"{row[3]:.17g},{row[4]},{row[5]}\n")
-        manifest.stage("output")
+        run.write_text(f"sweep_lambda_{lam:+g}_energy.csv", report.to_csv())
+        run.stage(f"flow lambda={lam:+g}")
+    with open(run.out("lambda_sweep.csv"), "w") as fh:
+        fh.write("coupling [1/length],final_energy [energy],"
+                 "corr_u_phi [1],max_abs_u [length],steps [1],converged [bool]\n")
         for row in rows:
-            print(f"Lambda {row[0]:+g}: energy {row[1]:.6g}, corr {row[2]:+.4f}, "
-                  f"max|u| {row[3]:.3e}, steps {row[4]}")
-    except Exception:
-        manifest.stage("failed", "error")
-        manifest.write()
-        raise
-    manifest.write()
-    return 0
+            fh.write(f"{row[0]:.17g},{row[1]:.17g},{row[2]:.17g},"
+                     f"{row[3]:.17g},{row[4]},{row[5]}\n")
+    run.stage("output")
+    for row in rows:
+        print(f"Lambda {row[0]:+g}: energy {row[1]:.6g}, corr {row[2]:+.4f}, "
+              f"max|u| {row[3]:.3e}, steps {row[4]}")
+
+
+#: Config-driven subcommands: (name, help, body), all run through ``run_config``.
+CONFIG_COMMANDS = (
+    ("points-penalty", "solve the penalized point-constraint equilibrium", cmd_points),
+    ("points-hard", "solve the hard point-constraint equilibrium", cmd_points),
+    ("penalty-study", "penalty-to-hard convergence rates", cmd_penalty_study),
+    ("taylor-check", "quadratic-model Taylor consistency", cmd_taylor),
+    ("phase-flow", "run the conserved gradient flow", cmd_phase_flow),
+    ("lambda-sweep", "gradient flow over a coupling sweep", cmd_lambda_sweep),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,27 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=4)
     p.set_defaults(func=cmd_validate)
 
-    for name, hard in (("points-penalty", False), ("points-hard", True)):
-        p = sub.add_parser(name, help=f"solve the {'hard' if hard else 'penalized'} "
-                                      "point-constraint equilibrium")
+    for name, help_text, body in CONFIG_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
-        p.set_defaults(func=lambda a, hard=hard: cmd_points(a, hard))
-
-    p = sub.add_parser("penalty-study", help="penalty-to-hard convergence rates")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_penalty_study)
-
-    p = sub.add_parser("taylor-check", help="quadratic-model Taylor consistency")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_taylor)
-
-    p = sub.add_parser("phase-flow", help="run the conserved gradient flow")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_phase_flow)
-
-    p = sub.add_parser("lambda-sweep", help="gradient flow over a coupling sweep")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_lambda_sweep)
+        p.set_defaults(func=lambda a, name=name, body=body: run_config(name, body, a.config))
     return parser
 
 

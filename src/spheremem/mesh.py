@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MeshTopologyError, SizeLimitError
+from .errors import MeshTopologyError, ParameterError, SizeLimitError
 
 #: Hard cap on subdivision depth; level 8 is ~655k vertices.
 MAX_LEVEL = 8
@@ -124,13 +124,14 @@ def _subdivide(verts: np.ndarray, tris: np.ndarray, radius: float):
 def build_icosphere(radius: float, level: int) -> TriangleMesh:
     """Icosahedron projected to radius ``radius`` and subdivided ``level`` times.
 
-    Vertex count is 10*4**level + 2.  Raises :class:`SizeLimitError` above
+    Vertex count is 10*4**level + 2.  Raises :class:`ParameterError` for a
+    nonpositive radius or a negative level and :class:`SizeLimitError` above
     :data:`MAX_LEVEL`.
     """
     if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+        raise ParameterError(f"radius must be positive, got {radius}")
     if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
+        raise ParameterError(f"level must be nonnegative, got {level}")
     if level > MAX_LEVEL:
         raise SizeLimitError(f"subdivision level {level} exceeds cap {MAX_LEVEL}")
     verts, tris = _pole_icosahedron(radius)

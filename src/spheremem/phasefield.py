@@ -23,6 +23,16 @@ from .errors import ParameterError, SolverError, StepRejectedError
 from .mesh import mesh_stats
 from .model import ModelParams, QuadraticForm
 
+#: ``run_flow`` stops after this many accepted steps.
+MAX_STEPS = 200_000
+#: ``run_flow`` aborts after this many consecutive rejected steps.
+MAX_REJECTIONS = 20
+#: When running to stationarity, tau grows by TAU_GROWTH every GROW_EVERY
+#: accepted steps, up to TAU_CAP_FACTOR times the initial tau.
+TAU_GROWTH = 2.0
+GROW_EVERY = 100
+TAU_CAP_FACTOR = 1e6
+
 
 @dataclass(frozen=True)
 class PhaseFieldParams:
@@ -49,7 +59,7 @@ class PhaseFieldParams:
         if self.t_end is None and self.stat_tol is None:
             raise ParameterError("need a stopping rule: t_end or stat_tol")
 
-    def tau_max(self, model: ModelParams) -> float:
+    def tau_max(self) -> float:
         """Stability heuristic for the explicit double-well term."""
         return self.alpha1 * self.epsilon**2 / self.b
 
@@ -165,10 +175,10 @@ class FlowSolver:
         if self.tau <= 0:
             raise ParameterError("tau must be positive")
         model = form.params
-        if warn and self.tau > pf.tau_max(model):
+        if warn and self.tau > pf.tau_max():
             warnings.warn(
                 f"tau = {self.tau:.3g} above the stability heuristic "
-                f"alpha1*eps^2/b = {pf.tau_max(model):.3g}; steps may be rejected",
+                f"alpha1*eps^2/b = {pf.tau_max():.3g}; steps may be rejected",
                 stacklevel=2,
             )
         h_max = mesh_stats(form.mesh).h_max
@@ -205,7 +215,7 @@ class FlowSolver:
             raise SolverError(f"flow operator factorization failed: {exc}") from exc
         self.g = np.concatenate([[pf.alpha * form.area], np.zeros(4)])
 
-    def step(self, state: PhaseState, enforce_dissipation: bool = True) -> PhaseState:
+    def step(self, state: PhaseState) -> PhaseState:
         """One linearly-implicit step; raises StepRejectedError on energy rise."""
         pf, form = self.pf, self.form
         _, Wp, _, _ = potentials(state.phi, pf, form.params)
@@ -221,22 +231,16 @@ class FlowSolver:
         mult = sol[2 * self.n:]
         new = PhaseState(u=u_new, phi=phi_new, t=state.t + self.tau,
                          lambda_phi=float(mult[0]), lambda_u=float(mult[1]))
-        if enforce_dissipation:
-            e_old, _ = energy(state, form, pf)
-            e_new, _ = energy(new, form, pf)
-            if e_new > e_old + 1e-8 * abs(e_old):
-                raise StepRejectedError(
-                    f"energy increased {e_old:.12g} -> {e_new:.12g}; "
-                    f"retry with tau = {self.tau / 2:.3g}",
-                    energy_before=e_old, energy_after=e_new,
-                    suggested_tau=self.tau / 2,
-                )
+        e_old, _ = energy(state, form, pf)
+        e_new, _ = energy(new, form, pf)
+        if e_new > e_old + 1e-8 * abs(e_old):
+            raise StepRejectedError(
+                f"energy increased {e_old:.12g} -> {e_new:.12g}; "
+                f"retry with tau = {self.tau / 2:.3g}",
+                energy_before=e_old, energy_after=e_new,
+                suggested_tau=self.tau / 2,
+            )
         return new
-
-
-def flow_step(state: PhaseState, form: QuadraticForm, pf: PhaseFieldParams) -> PhaseState:
-    """Single step convenience wrapper (builds a fresh factorization)."""
-    return FlowSolver(form, pf, warn=False).step(state)
 
 
 @dataclass
@@ -275,24 +279,17 @@ def initial_state(form: QuadraticForm, pf: PhaseFieldParams) -> PhaseState:
 
 
 def run_flow(
-    initial: PhaseState,
-    form: QuadraticForm,
-    pf: PhaseFieldParams,
-    max_steps: int = 200_000,
-    max_rejections: int = 20,
-    log_stride: int = 1,
-    tau_growth: float = 2.0,
-    grow_every: int = 100,
-    tau_cap: float | None = None,
+    initial: PhaseState, form: QuadraticForm, pf: PhaseFieldParams
 ) -> tuple[PhaseState, FlowReport]:
     """Step until stationarity (||change||/tau < stat_tol) or t_end.
 
     The initial state is projected onto the constraint set (with a warning)
     when it violates the constraints; rejected steps halve tau.  When running
-    to stationarity, tau grows by ``tau_growth`` every ``grow_every`` accepted
-    steps (up to ``tau_cap``, default 1e6 times the initial tau): late-stage
-    coarsening is exponentially slow in physical time, and the energy check
-    keeps the enlarged steps dissipative.  Pass ``grow_every = 0`` to disable.
+    to stationarity, tau grows by :data:`TAU_GROWTH` every
+    :data:`GROW_EVERY` accepted steps (up to :data:`TAU_CAP_FACTOR` times the
+    initial tau): late-stage coarsening is exponentially slow in physical
+    time, and the energy check keeps the enlarged steps dissipative.  Every
+    accepted step is logged in the report.
     """
     pf_res = constraint_residuals(initial, form, pf)
     state = initial
@@ -310,12 +307,10 @@ def run_flow(
     accepted = 0
     since_grow = 0
     since_reject = 0
-    if tau_cap is None:
-        tau_cap = 1e6 * pf.tau
-    hard_cap = tau_cap
+    tau_cap = hard_cap = TAU_CAP_FACTOR * pf.tau
     stationarity = float("inf")
     converged = False
-    while accepted < max_steps:
+    while accepted < MAX_STEPS:
         if pf.t_end is not None and state.t >= pf.t_end - 1e-12 * pf.t_end:
             break
         try:
@@ -323,7 +318,7 @@ def run_flow(
         except StepRejectedError as exc:
             rejected += 1
             consecutive += 1
-            if consecutive > max_rejections:
+            if consecutive > MAX_REJECTIONS:
                 raise SolverError(
                     f"aborting after {consecutive} consecutive rejected steps "
                     f"(last energies {exc.energy_before!r} -> {exc.energy_after!r})"
@@ -341,24 +336,23 @@ def run_flow(
         stationarity = diff / solver.tau
         state = new
         accepted += 1
-        if accepted % log_stride == 0:
-            e, bd = energy(state, form, pf)
-            times.append(state.t); energies_log.append(e); breakdowns.append(bd)
-            residuals.append(constraint_residuals(state, form, pf))
+        e, bd = energy(state, form, pf)
+        times.append(state.t); energies_log.append(e); breakdowns.append(bd)
+        residuals.append(constraint_residuals(state, form, pf))
         if pf.stat_tol is not None and stationarity < pf.stat_tol:
             converged = True
             break
         since_grow += 1
-        if pf.t_end is None and grow_every and since_grow >= grow_every:
+        if pf.t_end is None and since_grow >= GROW_EVERY:
             if solver.tau < tau_cap:
                 solver = FlowSolver(
-                    form, pf, tau=min(tau_growth * solver.tau, tau_cap), warn=False
+                    form, pf, tau=min(TAU_GROWTH * solver.tau, tau_cap), warn=False
                 )
                 since_grow = 0
-            elif since_reject >= 10 * grow_every and tau_cap < hard_cap:
+            elif since_reject >= 10 * GROW_EVERY and tau_cap < hard_cap:
                 # A long run of accepted steps: the rejection that set the
                 # cap happened in a faster flow regime, so probe above it.
-                tau_cap = min(tau_growth * tau_cap, hard_cap)
+                tau_cap = min(TAU_GROWTH * tau_cap, hard_cap)
                 since_reject = 0
     report = FlowReport(
         times=times,

@@ -170,13 +170,9 @@ def solve_penalty(form: QuadraticForm, cs: ConstraintSet) -> tuple[np.ndarray, S
 
 
 def solve_hard(
-    form: QuadraticForm, cs: ConstraintSet, check_wellposed: bool = False
+    form: QuadraticForm, cs: ConstraintSet
 ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
     """Hard interpolation u(p_j) = Z_j with point-multiplier reactions."""
-    if check_wellposed and not cs.noncoplanar():
-        raise ParameterError(
-            "hard constraints need at least 4 non-coplanar points for guaranteed coercivity"
-        )
     P = _point_rows(form, cs)
     B = sp.vstack([form.constraints, P]).tocsr()
     labels = ["c0 (mean)", "c1 (nu_x)", "c2 (nu_y)", "c3 (nu_z)"] + [

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,3 +230,56 @@ dir = {out}
     table = (out / "lambda_sweep.csv").read_text().splitlines()
     assert len(table) == 4
     assert (out / "sweep_lambda_+0.vtk").exists() or (out / "sweep_lambda_0.vtk").exists()
+
+
+def test_cli_mesh_negative_level_is_domain_error(tmp_path, capsys):
+    assert main(["mesh", "--level", "-1", "--out", str(tmp_path / "m.vtk")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_config_negative_level_writes_failed_manifest(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    out = tmp_path / "out"
+    write(cfg, f"[mesh]\nlevel = -1\n[output]\ndir = {out}\n")
+    assert main(["points-hard", "--config", str(cfg)]) == 1
+    manifest = (out / "manifest.txt").read_text()
+    assert "failed: error" in manifest and "mesh: ok" not in manifest
+
+
+@pytest.mark.parametrize("key", ["field", "reconstruction"])
+def test_cli_taylor_bad_choice_exits_2(tmp_path, key):
+    cfg = tmp_path / "t.cfg"
+    write(cfg, f"[mesh]\nlevel = 1\n[taylor]\n{key} = foo\n[output]\ndir = {tmp_path}\n")
+    assert main(["taylor-check", "--config", str(cfg)]) == 2
+
+
+def test_shipped_configs_load():
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    assert configs
+    for path in configs:
+        load_config(str(path))
+
+
+def test_cli_lambda_sweep_writes_energy_history_per_coupling(tmp_path):
+    cfg = tmp_path / "s.cfg"
+    body = """[mesh]
+level = 2
+
+[phase]
+epsilon = 0.5
+coupling = 1
+tau = 0.05
+t_end = 0.1
+
+[sweep]
+couplings = 1
+
+[output]
+dir = {}
+"""
+    write(cfg, body.format(tmp_path / "sweep"))
+    assert main(["lambda-sweep", "--config", str(cfg)]) == 0
+    write(cfg, body.format(tmp_path / "flow"))
+    assert main(["phase-flow", "--config", str(cfg)]) == 0
+    history = (tmp_path / "sweep" / "sweep_lambda_+1_energy.csv").read_bytes()
+    assert history == (tmp_path / "flow" / "flow_energy.csv").read_bytes()
