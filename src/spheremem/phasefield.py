@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,23 +66,36 @@ class PhaseFieldParams:
 
 @dataclass
 class PhaseState:
-    """Deformation/order-parameter pair with time and cached multipliers."""
+    """Deformation/order-parameter pair with time and cached multipliers.
+
+    ``energy`` and ``breakdown`` cache :func:`energy` of this (u, phi) when
+    the flow step that produced the state has evaluated it; ``None`` means
+    not evaluated.  Anything that changes u or phi must drop them.
+    """
 
     u: np.ndarray
     phi: np.ndarray
     t: float = 0.0
     lambda_phi: float | None = None
     lambda_u: float | None = None
+    energy: float | None = field(default=None, repr=False)
+    breakdown: dict | None = field(default=None, repr=False)
+
+
+def _wells(phi: np.ndarray, pf: PhaseFieldParams, model: ModelParams):
+    """W and the shifted potential f, without the derivatives."""
+    W = 0.25 * (phi**2 - 1.0) ** 2
+    shift = pf.epsilon * model.kappa * pf.coupling**2 / pf.b
+    return W, W + 0.5 * shift * phi**2
 
 
 def potentials(phi, pf: PhaseFieldParams, model: ModelParams):
     """Double well W, its derivative, and the shifted potential f = W +
     eps*kappa*Lambda^2*phi^2/(2b) with derivative f'."""
     phi = np.asarray(phi, dtype=float)
-    W = 0.25 * (phi**2 - 1.0) ** 2
+    W, f = _wells(phi, pf, model)
     Wp = phi**3 - phi
     shift = pf.epsilon * model.kappa * pf.coupling**2 / pf.b
-    f = W + 0.5 * shift * phi**2
     fp = Wp + shift * phi
     return W, Wp, f, fp
 
@@ -97,14 +110,19 @@ def coupling_operator(form: QuadraticForm, pf: PhaseFieldParams) -> sp.csr_matri
     return (k * (-form.S + (2.0 / form.params.R**2) * form.M)).tocsr()
 
 
-def energy(state: PhaseState, form: QuadraticForm, pf: PhaseFieldParams):
-    """Total energy E(u, phi) and its per-term breakdown."""
+def energy(state: PhaseState, form: QuadraticForm, pf: PhaseFieldParams,
+           C: sp.csr_matrix | None = None):
+    """Total energy E(u, phi) and its per-term breakdown.
+
+    ``C`` is ``coupling_operator(form, pf)`` when the caller has built it.
+    """
     u, phi = state.u, state.phi
-    C = coupling_operator(form, pf)
+    if C is None:
+        C = coupling_operator(form, pf)
     bending = 0.5 * form.evaluate(u, u)
     cross = float(phi @ (C @ u))
     grad = pf.b * 0.5 * pf.epsilon * float(phi @ (form.S @ phi))
-    _, _, f, _ = potentials(phi, pf, form.params)
+    _, f = _wells(np.asarray(phi, dtype=float), pf, form.params)
     well = pf.b / pf.epsilon * float(form.m_lumped @ f)
     total = bending + cross + grad + well
     breakdown = {
@@ -139,10 +157,12 @@ def closed_form_multipliers(state: PhaseState, form: QuadraticForm,
 def constraint_residuals(state: PhaseState, form: QuadraticForm, pf: PhaseFieldParams):
     """(|mean(phi)-alpha|, |int u|/area, max_i |int u nu_i|/area)."""
     area = form.area
-    c = form.constraints
-    phi_mean = float((c[0] @ state.phi)[0]) / area - pf.alpha
-    u_mean = float((c[0] @ state.u)[0]) / area
-    u_nu = max(abs(float((c[i] @ state.u)[0])) for i in (1, 2, 3)) / area
+    # Sparse matvecs sum each row in stored order, as a row slice would.
+    c_phi = form.constraints @ state.phi
+    c_u = form.constraints @ state.u
+    phi_mean = float(c_phi[0]) / area - pf.alpha
+    u_mean = float(c_u[0]) / area
+    u_nu = max(abs(float(c_u[i])) for i in (1, 2, 3)) / area
     return abs(phi_mean), abs(u_mean), u_nu
 
 
@@ -157,14 +177,17 @@ def project_constraints(state: PhaseState, form: QuadraticForm,
     gram = np.array([[c[i] @ modes[j] for j in range(4)] for i in range(4)])
     coef = np.linalg.solve(gram, c @ state.u)
     u = state.u - modes.T @ coef
-    return replace(state, u=u, phi=phi)
+    return replace(state, u=u, phi=phi, energy=None, breakdown=None)
 
 
 class FlowSolver:
     """Reusable linearly-implicit stepper for the conserved gradient flow.
 
-    The coupled 2-field operator and its sparse factorization are built once
-    per (form, params, tau) and reused across steps.
+    The coupling operator C, the coupled 2-field operator and its sparse
+    factorization are built once per (form, params, tau) and reused across
+    steps.  A step solves once and evaluates the energy once, of the new
+    state: the energy of the state it starts from is the one cached on that
+    state by the step (or ``run_flow``) that produced it.
     """
 
     def __init__(self, form: QuadraticForm, pf: PhaseFieldParams,
@@ -175,22 +198,23 @@ class FlowSolver:
         if self.tau <= 0:
             raise ParameterError("tau must be positive")
         model = form.params
-        if warn and self.tau > pf.tau_max():
-            warnings.warn(
-                f"tau = {self.tau:.3g} above the stability heuristic "
-                f"alpha1*eps^2/b = {pf.tau_max():.3g}; steps may be rejected",
-                stacklevel=2,
-            )
-        h_max = mesh_stats(form.mesh).h_max
-        if warn and pf.epsilon < 2.0 * h_max:
-            warnings.warn(
-                f"interface width eps = {pf.epsilon:.3g} under-resolved "
-                f"(2 h_max = {2 * h_max:.3g})",
-                stacklevel=2,
-            )
+        if warn:
+            if self.tau > pf.tau_max():
+                warnings.warn(
+                    f"tau = {self.tau:.3g} above the stability heuristic "
+                    f"alpha1*eps^2/b = {pf.tau_max():.3g}; steps may be rejected",
+                    stacklevel=2,
+                )
+            h_max = mesh_stats(form.mesh).h_max
+            if pf.epsilon < 2.0 * h_max:
+                warnings.warn(
+                    f"interface width eps = {pf.epsilon:.3g} under-resolved "
+                    f"(2 h_max = {2 * h_max:.3g})",
+                    stacklevel=2,
+                )
         n = form.mesh.num_vertices
         self.n = n
-        C = coupling_operator(form, pf)
+        self.C = C = coupling_operator(form, pf)
         shift = pf.epsilon * model.kappa * pf.coupling**2 / pf.b
         # Linear part of (b/eps) f'(phi): (b/eps)*shift*phi = kappa*Lambda^2*phi,
         # lumped; kept implicit.
@@ -216,7 +240,10 @@ class FlowSolver:
         self.g = np.concatenate([[pf.alpha * form.area], np.zeros(4)])
 
     def step(self, state: PhaseState) -> PhaseState:
-        """One linearly-implicit step; raises StepRejectedError on energy rise."""
+        """One linearly-implicit step; raises StepRejectedError on energy rise.
+
+        The returned state carries its energy and breakdown.
+        """
         pf, form = self.pf, self.form
         _, Wp, _, _ = potentials(state.phi, pf, form.params)
         rhs_phi = (pf.alpha1 / self.tau) * (form.M @ state.phi) \
@@ -231,8 +258,11 @@ class FlowSolver:
         mult = sol[2 * self.n:]
         new = PhaseState(u=u_new, phi=phi_new, t=state.t + self.tau,
                          lambda_phi=float(mult[0]), lambda_u=float(mult[1]))
-        e_old, _ = energy(state, form, pf)
-        e_new, _ = energy(new, form, pf)
+        e_old = state.energy
+        if e_old is None:
+            e_old, _ = energy(state, form, pf, self.C)
+        new.energy, new.breakdown = energy(new, form, pf, self.C)
+        e_new = new.energy
         if e_new > e_old + 1e-8 * abs(e_old):
             raise StepRejectedError(
                 f"energy increased {e_old:.12g} -> {e_new:.12g}; "
@@ -251,7 +281,7 @@ class FlowReport:
     constraint_residuals: list[tuple[float, float, float]]
     accepted_steps: int
     rejected_steps: int
-    final_tau: float
+    final_tau: float             # tau of the schedule, not of a t_end landing step
     stationarity: float          # ||state_{n+1} - state_n|| / tau at the end
     converged: bool
 
@@ -288,8 +318,14 @@ def run_flow(
     to stationarity, tau grows by :data:`TAU_GROWTH` every
     :data:`GROW_EVERY` accepted steps (up to :data:`TAU_CAP_FACTOR` times the
     initial tau): late-stage coarsening is exponentially slow in physical
-    time, and the energy check keeps the enlarged steps dissipative.  Every
-    accepted step is logged in the report.
+    time, and the energy check keeps the enlarged steps dissipative.  A
+    ``t_end`` run whose next step would pass ``t_end`` shortens that step to
+    ``t_end - t`` with a one-off :class:`FlowSolver`, so it ends at ``t_end``
+    to roundoff.  Every accepted step is logged in the report.
+
+    The energy is evaluated once for the initial state and then once per
+    step by :meth:`FlowSolver.step`; the logged value of an accepted step
+    is the one the step computed for its dissipation check.
     """
     pf_res = constraint_residuals(initial, form, pf)
     state = initial
@@ -299,7 +335,8 @@ def run_flow(
     solver = FlowSolver(form, pf)
     mass = form.m_lumped
     times, energies_log, breakdowns, residuals = [], [], [], []
-    e0, bd0 = energy(state, form, pf)
+    e0, bd0 = energy(state, form, pf, solver.C)
+    state = replace(state, energy=e0, breakdown=bd0)
     times.append(state.t); energies_log.append(e0); breakdowns.append(bd0)
     residuals.append(constraint_residuals(state, form, pf))
     rejected = 0
@@ -311,10 +348,14 @@ def run_flow(
     stationarity = float("inf")
     converged = False
     while accepted < MAX_STEPS:
-        if pf.t_end is not None and state.t >= pf.t_end - 1e-12 * pf.t_end:
-            break
+        stepper = solver
+        if pf.t_end is not None:
+            if state.t >= pf.t_end - 1e-12 * pf.t_end:
+                break
+            if state.t + solver.tau > pf.t_end + 1e-12 * pf.t_end:
+                stepper = FlowSolver(form, pf, tau=pf.t_end - state.t, warn=False)
         try:
-            new = solver.step(state)
+            new = stepper.step(state)
         except StepRejectedError as exc:
             rejected += 1
             consecutive += 1
@@ -324,8 +365,8 @@ def run_flow(
                     f"(last energies {exc.energy_before!r} -> {exc.energy_after!r})"
                 ) from exc
             # Don't regrow straight back to a step size that was rejected.
-            tau_cap = min(tau_cap, solver.tau / 2.0)
-            solver = FlowSolver(form, pf, tau=solver.tau / 2.0, warn=False)
+            tau_cap = min(tau_cap, stepper.tau / 2.0)
+            solver = FlowSolver(form, pf, tau=stepper.tau / 2.0, warn=False)
             since_grow = 0
             since_reject = 0
             continue
@@ -333,11 +374,11 @@ def run_flow(
         since_reject += 1
         diff = np.sqrt(float(mass @ (new.phi - state.phi) ** 2)
                        + float(mass @ (new.u - state.u) ** 2))
-        stationarity = diff / solver.tau
+        stationarity = diff / stepper.tau
         state = new
         accepted += 1
-        e, bd = energy(state, form, pf)
-        times.append(state.t); energies_log.append(e); breakdowns.append(bd)
+        times.append(state.t); energies_log.append(state.energy)
+        breakdowns.append(state.breakdown)
         residuals.append(constraint_residuals(state, form, pf))
         if pf.stat_tol is not None and stationarity < pf.stat_tol:
             converged = True

@@ -109,13 +109,6 @@ class ConstraintSet:
     def num_points(self) -> int:
         return self.points.shape[0]
 
-    def noncoplanar(self) -> bool:
-        """True when some four points are non-coplanar (hard wellposedness)."""
-        if self.num_points < 4:
-            return False
-        centered = self.points - self.points.mean(axis=0)
-        return np.linalg.matrix_rank(centered, tol=1e-10 * np.abs(centered).max()) >= 3
-
 
 def materialize(particle: ParticleSpec, mesh: TriangleMesh,
                 delta: float | None = None) -> ConstraintSet:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spheremem import phasefield
 from spheremem.errors import ParameterError, StepRejectedError
 from spheremem.mesh import build_icosphere
 from spheremem.model import ModelParams, assemble_quadratic_form
@@ -124,6 +125,44 @@ def test_projection_restores_constraints(form2):
     assert max(constraint_residuals(fixed, form2, pf)) < 1e-12
 
 
+def test_constraint_residuals_match_row_formula(form3):
+    pf = make_params()
+    rng = np.random.default_rng(5)
+    n = form3.mesh.num_vertices
+    c, area = form3.constraints, form3.area
+    for _ in range(5):
+        state = PhaseState(u=rng.standard_normal(n), phi=rng.standard_normal(n))
+        expected = (
+            abs(float((c[0] @ state.phi)[0]) / area - pf.alpha),
+            abs(float((c[0] @ state.u)[0]) / area),
+            max(abs(float((c[i] @ state.u)[0])) for i in (1, 2, 3)) / area,
+        )
+        assert constraint_residuals(state, form3, pf) == expected
+
+
+def test_projection_and_initial_state_drop_cached_energy(form2):
+    pf = make_params()
+    rng = np.random.default_rng(2)
+    n = form2.mesh.num_vertices
+    stale = PhaseState(u=rng.standard_normal(n), phi=rng.standard_normal(n),
+                       energy=1.0, breakdown={"bending": 1.0})
+    fixed = project_constraints(stale, form2, pf)
+    assert fixed.energy is None and fixed.breakdown is None
+    start = initial_state(form2, pf)
+    assert start.energy is None and start.breakdown is None
+
+
+def test_step_caches_the_new_energy(form2):
+    pf = make_params()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        solver = FlowSolver(form2, pf)
+    new = solver.step(initial_state(form2, pf))
+    e, bd = energy(new, form2, pf)
+    assert new.energy == e
+    assert new.breakdown == bd
+
+
 def test_flow_conserves_and_dissipates(form3):
     pf = make_params(coupling=-2.0, t_end=0.2, stat_tol=None)
     with warnings.catch_warnings():
@@ -188,6 +227,41 @@ def test_run_flow_recovers_from_rejection(form2):
     assert report.final_tau < pf.tau
     E = np.array(report.energies)
     assert np.all(np.diff(E) <= 1e-8 * np.abs(E[:-1]))
+
+
+def test_rejecting_run_logs_fresh_energy_once_per_step(form2, monkeypatch):
+    # The parameters of test_run_flow_recovers_from_rejection.
+    pf = make_params(tau=5.0, stat_tol=1e-4, noise_amplitude=3.0)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return energy(*args, **kwargs)
+
+    monkeypatch.setattr(phasefield, "energy", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        final, report = run_flow(initial_state(form2, pf), form2, pf)
+    steps = report.accepted_steps + report.rejected_steps
+    assert len(calls) == steps + 1
+    e, bd = energy(final, form2, pf)
+    assert report.energies[-1] == e
+    assert report.breakdowns[-1] == bd
+    # Pinned to the bit (x86-64, NumPy 2.4.6, SciPy 1.17.1): any change to
+    # the flow's arithmetic shows here.
+    assert (report.accepted_steps, report.rejected_steps) == (622, 9)
+    assert repr(report.energies[-1]) == "9.512478194322558"
+
+
+@pytest.mark.parametrize("t_end, tau", [(0.05, 0.02), (0.1, 0.03)])
+def test_t_end_run_lands_on_t_end(form2, t_end, tau):
+    pf = make_params(t_end=t_end, tau=tau, stat_tol=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        final, report = run_flow(initial_state(form2, pf), form2, pf)
+    assert abs(final.t - t_end) <= 1e-12
+    assert report.times[-1] == final.t
+    assert report.final_tau == tau
 
 
 def test_multipliers_at_stationarity(form3):

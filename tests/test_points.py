@@ -71,13 +71,6 @@ def test_duplicate_points_rejected():
         ConstraintSet(points=pts, heights=np.array([1.0, 1.0]), delta=None)
 
 
-def test_noncoplanar_detection():
-    flat = ConstraintSet(equator_points(6), np.ones(6), delta=None)
-    assert not flat.noncoplanar()
-    solid = ConstraintSet(icosahedron_points(), np.ones(12), delta=None)
-    assert solid.noncoplanar()
-
-
 def test_hard_interpolates_exactly(form):
     cs = ConstraintSet(icosahedron_points(), np.ones(12), delta=None)
     u, reactions, report = solve_hard(form, cs)
