@@ -2,9 +2,10 @@
 hard point constraints on the coercivity subspace, and the delta-convergence
 study.
 
-Both solvers enforce the four orthogonality constraints (1, u) = 0 and
-(nu_i, u) = 0 with Lagrange multipliers so the residuals are reportable;
-hard point constraints add one multiplier row per attachment point.
+Both problems are one saddle system: the four orthogonality constraints
+(1, u) = 0, (nu_i, u) = 0 and one row per attachment point, each with a
+multiplier.  A point row is hard (u(p_j) = Z_j) or, with compliance delta, the
+penalty (u(p_j) - Z_j)^2 / (2 delta), whose delta = 0 limit is the hard one.
 """
 from __future__ import annotations
 
@@ -129,51 +130,36 @@ class SolveReport:
     point_values: np.ndarray        # u(p_j)
     point_residuals: np.ndarray     # u(p_j) - Z_j
     orthogonality_multipliers: np.ndarray   # 4 values for c0, c1, c2, c3
-    point_multipliers: np.ndarray | None    # reactions, hard mode only
+    point_multipliers: np.ndarray   # reactions; (u(p_j) - Z_j) / delta for a penalty
     delta: float | None
 
 
-def _point_rows(form: QuadraticForm, cs: ConstraintSet) -> sp.csr_matrix:
+def _check_resolved(P: sp.csr_matrix) -> None:
+    """Reject two attachment points in one triangle (rows that share a vertex and
+    together use at most three): the mesh does not resolve them."""
+    support = sp.csr_matrix((np.ones_like(P.data), P.indices, P.indptr), shape=P.shape)
+    counts = np.diff(P.indptr)
+    shared = sp.triu(support @ support.T, k=1).tocoo()
+    for i, j, k in zip(shared.row, shared.col, shared.data):
+        if counts[i] + counts[j] - k <= 3:
+            raise GeometryError(
+                f"attachment points {i} and {j} lie in one triangle; refine the mesh")
+
+
+def _solve_points(form: QuadraticForm, cs: ConstraintSet) -> tuple[np.ndarray, SolveReport]:
+    """The equilibrium [[A, B^T], [B, -diag(c)]] with B = [C; P] and compliance c
+    = 0 on the orthogonality rows, ``cs.delta`` (0 if None) on the point rows."""
     locator = PointLocator(form.mesh)
-    return sp.vstack([locator.row(p) for p in cs.points]).tocsr()
-
-
-def solve_penalty(form: QuadraticForm, cs: ConstraintSet) -> tuple[np.ndarray, SolveReport]:
-    """Penalized equilibrium: (A + (1/delta) P^T P) u = (1/delta) P^T Z on U_nu."""
-    if cs.delta is None:
-        raise ParameterError("solve_penalty needs a ConstraintSet with delta set")
-    P = _point_rows(form, cs)
-    Apen = (form.A + (1.0 / cs.delta) * (P.T @ P)).tocsr()
-    f = (1.0 / cs.delta) * (P.T @ cs.heights)
+    P = sp.vstack([locator.row(p) for p in cs.points]).tocsr()
+    _check_resolved(P)
     system = SaddleSystem(
-        A=Apen, B=form.constraints, f=f, g=np.zeros(4),
-        row_labels=["c0 (mean)", "c1 (nu_x)", "c2 (nu_y)", "c3 (nu_z)"],
+        A=form.A, B=sp.vstack([form.constraints, P]).tocsr(),
+        f=np.zeros(form.mesh.num_vertices), g=np.concatenate([np.zeros(4), cs.heights]),
+        row_labels=["c0 (mean)", "c1 (nu_x)", "c2 (nu_y)", "c3 (nu_z)"] + [
+            f"point {j} at {cs.points[j].tolist()}" for j in range(cs.num_points)
+        ],
+        compliance=np.r_[np.zeros(4), np.full(cs.num_points, cs.delta or 0.0)],
     )
-    u, lam = solve_saddle(system)
-    values = P @ u
-    report = SolveReport(
-        energy=0.5 * form.evaluate(u, u),
-        point_values=values,
-        point_residuals=values - cs.heights,
-        orthogonality_multipliers=lam,
-        point_multipliers=None,
-        delta=cs.delta,
-    )
-    return u, report
-
-
-def solve_hard(
-    form: QuadraticForm, cs: ConstraintSet
-) -> tuple[np.ndarray, np.ndarray, SolveReport]:
-    """Hard interpolation u(p_j) = Z_j with point-multiplier reactions."""
-    P = _point_rows(form, cs)
-    B = sp.vstack([form.constraints, P]).tocsr()
-    labels = ["c0 (mean)", "c1 (nu_x)", "c2 (nu_y)", "c3 (nu_z)"] + [
-        f"point {j} at {cs.points[j].tolist()}" for j in range(cs.num_points)
-    ]
-    g = np.concatenate([np.zeros(4), cs.heights])
-    system = SaddleSystem(A=form.A, B=B, f=np.zeros(form.mesh.num_vertices), g=g,
-                          row_labels=labels)
     u, lam = solve_saddle(system)
     values = P @ u
     report = SolveReport(
@@ -182,9 +168,26 @@ def solve_hard(
         point_residuals=values - cs.heights,
         orthogonality_multipliers=lam[:4],
         point_multipliers=lam[4:],
-        delta=None,
+        delta=cs.delta,
     )
-    return u, lam[4:], report
+    return u, report
+
+
+def solve_penalty(form: QuadraticForm, cs: ConstraintSet) -> tuple[np.ndarray, SolveReport]:
+    """Penalized equilibrium: minimizes 1/2 a(u,u) + |Pu - Z|^2 / (2 delta) on U_nu."""
+    if cs.delta is None:
+        raise ParameterError("solve_penalty needs a ConstraintSet with delta set")
+    return _solve_points(form, cs)
+
+
+def solve_hard(
+    form: QuadraticForm, cs: ConstraintSet
+) -> tuple[np.ndarray, np.ndarray, SolveReport]:
+    """Hard interpolation u(p_j) = Z_j with point-multiplier reactions."""
+    if cs.delta is not None:
+        raise ParameterError("solve_hard needs a ConstraintSet with delta None")
+    u, report = _solve_points(form, cs)
+    return u, report.point_multipliers, report
 
 
 @dataclass

@@ -151,6 +151,27 @@ dir = {}
     assert (out1 / "hard.vtk").read_bytes() == (out2 / "hard.vtk").read_bytes()
 
 
+def test_cli_points_hard_large_kappa(tmp_path):
+    # The fourth-order block grows with kappa; the solve must still meet the contract.
+    cfg = tmp_path / "k.cfg"
+    out = tmp_path / "out"
+    write(cfg, f"""[mesh]
+level = 3
+
+[model]
+kappa = 1000
+
+[points]
+preset = icosahedron
+heights = 1
+
+[output]
+dir = {out}
+""")
+    assert main(["points-hard", "--config", str(cfg)]) == 0
+    assert "output: ok" in (out / "manifest.txt").read_text()
+
+
 def test_cli_manifest_on_failure(tmp_path):
     cfg = tmp_path / "f.cfg"
     out = tmp_path / "out"

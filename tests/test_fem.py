@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheremem.errors import GeometryError, RankDeficiencyError
+from spheremem.errors import GeometryError, RankDeficiencyError, SolverError
 from spheremem.fem import (
+    BACKWARD_ERROR_BOUND,
     PointLocator,
     SaddleSystem,
     assemble_mass,
@@ -13,9 +15,7 @@ from spheremem.fem import (
     h2_norm,
     laplacian_apply,
     lumped_diagonal,
-    point_functional,
     solve_saddle,
-    solve_spd,
 )
 from spheremem.mesh import build_icosphere, mesh_stats
 
@@ -98,7 +98,7 @@ def test_point_functional_partition_of_unity(mesh):
     for _ in range(10):
         p = rng.standard_normal(3)
         p /= np.linalg.norm(p)
-        row = point_functional(mesh, p)
+        row = PointLocator(mesh).row(p)
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
         assert row.nnz <= 3
         assert np.all(row.data >= -1e-12)
@@ -106,17 +106,7 @@ def test_point_functional_partition_of_unity(mesh):
 
 def test_point_functional_far_point_rejected(mesh):
     with pytest.raises(GeometryError):
-        point_functional(mesh, np.array([2.0, 0.0, 0.0]))
-
-
-def test_solve_spd_residual(mesh):
-    S = assemble_stiffness(mesh)
-    M = assemble_mass(mesh)
-    A = (S + M).tocsr()
-    rng = np.random.default_rng(5)
-    b = rng.standard_normal(mesh.num_vertices)
-    x = solve_spd(A, b)
-    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+        PointLocator(mesh).row(np.array([2.0, 0.0, 0.0]))
 
 
 def test_solve_saddle_contract(mesh):
@@ -131,6 +121,36 @@ def test_solve_saddle_contract(mesh):
     assert abs(float((B @ x)[0])) < 1e-10
     res = A @ x + B.T @ lam - f
     assert np.linalg.norm(res) < 1e-9 * max(1.0, np.linalg.norm(f))
+
+
+class _OffsetLU:
+    """SuperLU stand-in whose every solve is off by the same fixed vector, an
+    error that iterative refinement cannot remove."""
+
+    def __init__(self, lu, offset):
+        self._lu, self._offset = lu, offset
+
+    def solve(self, b):
+        return self._lu.solve(b) + self._offset
+
+
+def test_solve_saddle_contract_rejects_perturbed_solution(mesh, monkeypatch):
+    S = assemble_stiffness(mesh)
+    M = assemble_mass(mesh)
+    A = (S + M).tocsr()
+    n = mesh.num_vertices
+    B = sp.csr_matrix((M @ np.ones(n)).reshape(1, n))
+    f = np.sin(mesh.vertices[:, 2] * 3)
+    system = SaddleSystem(A=A, B=B, f=f, g=np.zeros(1), row_labels=["mean"])
+    x, lam = solve_saddle(system)
+    sol = np.concatenate([x, lam])
+    # Every solve returns the solution perturbed by 1e-6 relative.
+    offset = 1e-6 * np.abs(sol) * np.random.default_rng(11).choice([-1.0, 1.0], sol.size)
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda K: _OffsetLU(splu(K), offset))
+    with pytest.raises(SolverError, match="backward error") as exc:
+        solve_saddle(system)
+    assert f"{BACKWARD_ERROR_BOUND:.3g}" in str(exc.value)
 
 
 def test_solve_saddle_rank_deficiency_names_rows(mesh):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheremem.errors import ParameterError
-from spheremem.fem import PointLocator
+from spheremem.errors import GeometryError, ParameterError
+from spheremem.fem import PointLocator, SaddleSystem, solve_saddle
 from spheremem.mesh import build_icosphere
 from spheremem.model import ModelParams, assemble_quadratic_form
 from spheremem.points import (
@@ -110,10 +111,67 @@ def test_penalty_energy_below_hard(form):
     assert rep_p.energy <= rep_h.energy + 1e-10
 
 
-def test_penalty_needs_delta(form):
-    cs = ConstraintSet(icosahedron_points(), np.ones(12), delta=None)
+@pytest.mark.parametrize("solve, delta", [(solve_penalty, None), (solve_hard, 1e-2)],
+                         ids=["penalty-without-delta", "hard-with-delta"])
+def test_penalty_needs_delta(form, solve, delta):
+    cs = ConstraintSet(icosahedron_points(), np.ones(12), delta=delta)
     with pytest.raises(ParameterError):
-        solve_penalty(form, cs)
+        solve(form, cs)
+
+
+def test_hard_large_kappa():
+    # The fourth-order block grows with kappa; the point rows must still hold
+    # to their own scale.
+    form = assemble_quadratic_form(build_icosphere(1.0, 3), ModelParams(1000.0, 1.0, 1.0))
+    u, reactions, report = solve_hard(form, ConstraintSet(icosahedron_points(), np.ones(12), None))
+    assert np.max(np.abs(report.point_residuals)) <= 1e-10
+    assert np.all(np.isfinite(reactions))
+
+
+@pytest.mark.parametrize("delta", [None, 1e-2])
+def test_unresolved_points_rejected(delta):
+    # At level 2 each polar ring has two points in one triangle.
+    form = assemble_quadratic_form(build_icosphere(1.0, 2), ModelParams(1.0, 1.0, 1.0))
+    pts, heights = polar_ring_points()
+    solve = solve_hard if delta is None else solve_penalty
+    with pytest.raises(GeometryError, match="one triangle"):
+        solve(form, ConstraintSet(pts, heights, delta))
+
+
+def test_points_on_adjacent_vertices_resolved(form):
+    a, b = form.mesh.triangles[0][:2]
+    pts = form.mesh.vertices[[a, b]]
+    u, _, report = solve_hard(form, ConstraintSet(pts, np.array([1.0, -1.0]), None))
+    np.testing.assert_allclose(report.point_values, [1.0, -1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-6])
+@pytest.mark.parametrize("preset", ["icosahedron", "equator"])
+def test_penalty_matches_schur_form(form, preset, delta):
+    pts = icosahedron_points() if preset == "icosahedron" else equator_points()
+    heights = np.ones(len(pts))
+    u, report = solve_penalty(form, ConstraintSet(pts, heights, delta))
+    # Reference: the point rows eliminated, (A + P^T P / delta) u = P^T Z / delta.
+    locator = PointLocator(form.mesh)
+    P = sp.vstack([locator.row(p) for p in pts]).tocsr()
+    ref, _ = solve_saddle(SaddleSystem(
+        A=(form.A + (P.T @ P) / delta).tocsr(), B=form.constraints,
+        f=(P.T @ heights) / delta, g=np.zeros(4),
+    ))
+    assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
+    np.testing.assert_allclose(report.point_multipliers, report.point_residuals / delta,
+                               rtol=1e-6)
+
+
+def test_penalty_reactions_approach_hard(form):
+    pts = icosahedron_points()
+    _, hard, _ = solve_hard(form, ConstraintSet(pts, np.ones(12), None))
+    gaps = []
+    for delta in (1e-2, 1e-4, 1e-6):
+        _, report = solve_penalty(form, ConstraintSet(pts, np.ones(12), delta))
+        gaps.append(np.max(np.abs(report.point_multipliers - hard)) / np.max(np.abs(hard)))
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[2] < 1e-3
 
 
 def test_convergence_rate_half_order(form):
