@@ -69,9 +69,9 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
-    def point_array(self, key: str = "points") -> np.ndarray:
+    def point_array(self) -> np.ndarray:
         """Parse explicit points: semicolon-separated 'x y z' triples."""
-        raw = self.section("points").get(key)
+        raw = self.section("points").get("points")
         if raw is None:
             raise ConfigError("[points] preset = explicit requires a 'points' key")
         try:
@@ -106,8 +106,8 @@ def _validate_keys(sections: dict[str, dict[str, str]]) -> None:
         raise ConfigError("unknown configuration entries: " + ", ".join(sorted(unknown)))
 
 
-def load_config(path: str | None, overrides: dict[str, dict[str, str]] | None = None) -> RunConfig:
-    """Load a key=value config file; command-line overrides win over the file."""
+def load_config(path: str | None) -> RunConfig:
+    """Load a key=value config file (``None``: all defaults)."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive
     if path is not None:
@@ -119,10 +119,6 @@ def load_config(path: str | None, overrides: dict[str, dict[str, str]] | None = 
         except configparser.Error as exc:
             raise ConfigError(f"malformed config {path}: {exc}") from exc
     sections = {sec: dict(parser[sec]) for sec in parser.sections()}
-    for sec, kv in (overrides or {}).items():
-        sections.setdefault(sec, {}).update(
-            {k: str(v) for k, v in kv.items() if v is not None}
-        )
     _validate_keys(sections)
     cfg = RunConfig(path=path, sections=sections)
     cfg.R = cfg.get("mesh", "R", 1.0, float)

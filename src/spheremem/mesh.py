@@ -140,13 +140,6 @@ def build_icosphere(radius: float, level: int) -> TriangleMesh:
     return TriangleMesh(verts, tris, radius_hint=radius)
 
 
-def edges_of(triangles: np.ndarray) -> np.ndarray:
-    """Unique undirected edges (e0 < e1) of a triangle list."""
-    e = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    e.sort(axis=1)
-    return np.unique(e, axis=0)
-
-
 def validate_closed(mesh: TriangleMesh) -> None:
     """Check watertightness and consistent orientation.
 
@@ -198,8 +191,9 @@ def mesh_stats(mesh: TriangleMesh) -> MeshStats:
     p = mesh.vertices[mesh.triangles]
     centroids = p.mean(axis=1)
     volume = np.sum(np.einsum("ij,ij->i", centroids, normals) * areas) / 3.0
-    e = edges_of(mesh.triangles)
-    h_max = float(np.max(np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)))
+    # Each edge of a closed mesh is a side of two triangles, once per direction;
+    # a reversed edge vector has the same norm bit for bit.
+    h_max = float(np.max(np.linalg.norm(p[:, [1, 2, 0]] - p, axis=2)))
     return MeshStats(
         num_vertices=mesh.num_vertices,
         num_triangles=mesh.num_triangles,

@@ -1,17 +1,19 @@
 """Nonlinear geometry oracle: full bending/area/volume energies on perturbed
 meshes, and the finite-difference consistency check of the quadratic model.
 
-The oracle only evaluates energies at finitely many perturbation amplitudes;
+The oracle only evaluates energies at finitely many perturbation amplitudes,
+each surface once (the base sphere, then one perturbed mesh per amplitude);
 derivative information is extracted by log-log slopes, keeping it independent
 of the assembled quadratic form it validates.
 
 Two curvature reconstructions are supported.  ``lumped`` solves the weak
 identity with the lumped mass matrix and projects onto vertex normals (the
 package default).  ``consistent`` keeps the full mean-curvature vector paired
-with the consistent mass matrix; its bending energy is structurally aligned
-with the consistent-reconstruction variant of the quadratic form and has a
-markedly smaller quadratic-order consistency mismatch, which the Taylor check
-needs to expose the cubic remainder at practical resolutions.
+with the consistent mass matrix (one M^{-1} solve, shared by the curvature and
+the energy); its bending energy is structurally aligned with the
+consistent-reconstruction variant of the quadratic form and has a markedly
+smaller quadratic-order consistency mismatch, which the Taylor check needs to
+expose the cubic remainder at practical resolutions.
 """
 from __future__ import annotations
 
@@ -28,15 +30,8 @@ from .model import ModelParams, QuadraticForm, quadratic_lagrangian
 
 RECONSTRUCTIONS = ("lumped", "consistent")
 
-
-@dataclass(frozen=True)
-class PerturbedSurface:
-    """Normal-graph deformation of a sphere mesh: x -> x + rho u(x) nu(x)."""
-
-    base: TriangleMesh
-    u: np.ndarray
-    rho: float
-    realized: TriangleMesh
+#: Log-log residual slope at or above which the Taylor check is "converged".
+SLOPE_CONTRACT = 2.7
 
 
 @dataclass(frozen=True)
@@ -48,8 +43,8 @@ class EnergyBreakdown:
     lagrangian: float
 
 
-def perturb(mesh: TriangleMesh, u: np.ndarray, rho: float) -> PerturbedSurface:
-    """Displace vertices along the exact sphere normal x/R by rho*u."""
+def perturb(mesh: TriangleMesh, u: np.ndarray, rho: float) -> TriangleMesh:
+    """Normal-graph deformation x -> x + rho u(x) x/R of a sphere mesh."""
     if mesh.radius_hint is None:
         raise ParameterError("perturb requires a sphere mesh with radius_hint")
     u = np.asarray(u, dtype=float)
@@ -59,10 +54,7 @@ def perturb(mesh: TriangleMesh, u: np.ndarray, rho: float) -> PerturbedSurface:
     if abs(rho) * float(np.max(np.abs(u))) >= R:
         raise GeometryError("perturbation amplitude reaches the origin (rho*max|u| >= R)")
     nu = mesh.vertices / R
-    realized = TriangleMesh(
-        mesh.vertices + rho * u[:, None] * nu, mesh.triangles, radius_hint=None
-    )
-    return PerturbedSurface(base=mesh, u=u, rho=rho, realized=realized)
+    return TriangleMesh(mesh.vertices + rho * u[:, None] * nu, mesh.triangles, radius_hint=None)
 
 
 def _check_reconstruction(reconstruction: str) -> None:
@@ -70,15 +62,19 @@ def _check_reconstruction(reconstruction: str) -> None:
         raise ParameterError(f"unknown reconstruction {reconstruction!r}; use one of {RECONSTRUCTIONS}")
 
 
+def _weak_identity(mesh: TriangleMesh, reconstruction: str) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the weak identity M Hvec = S X: (S X, Hvec)."""
+    _check_reconstruction(reconstruction)
+    rhs = assemble_stiffness(mesh) @ mesh.vertices
+    if reconstruction == "lumped":
+        return rhs, rhs / lumped_diagonal(mesh)[:, None]
+    lu = spla.splu(assemble_mass(mesh).tocsc())
+    return rhs, np.column_stack([lu.solve(rhs[:, k]) for k in range(3)])
+
+
 def mean_curvature_vector(mesh: TriangleMesh, reconstruction: str = "lumped") -> np.ndarray:
     """Nodal mean-curvature vector H*nu from the weak identity M Hvec = S X."""
-    _check_reconstruction(reconstruction)
-    S = assemble_stiffness(mesh)
-    rhs = S @ mesh.vertices
-    if reconstruction == "lumped":
-        return rhs / lumped_diagonal(mesh)[:, None]
-    lu = spla.splu(assemble_mass(mesh).tocsc())
-    return np.column_stack([lu.solve(rhs[:, k]) for k in range(3)])
+    return _weak_identity(mesh, reconstruction)[1]
 
 
 def discrete_mean_curvature(mesh: TriangleMesh, reconstruction: str = "lumped") -> np.ndarray:
@@ -103,10 +99,8 @@ def willmore_energy(mesh: TriangleMesh, reconstruction: str = "lumped") -> float
     if reconstruction == "lumped":
         H = discrete_mean_curvature(mesh, "lumped")
         return float(0.5 * (H * H) @ lumped_diagonal(mesh))
-    S = assemble_stiffness(mesh)
-    lu = spla.splu(assemble_mass(mesh).tocsc())
-    rhs = S @ mesh.vertices
-    return float(0.5 * sum(rhs[:, k] @ lu.solve(rhs[:, k]) for k in range(3)))
+    rhs, hvec = _weak_identity(mesh, "consistent")
+    return float(0.5 * sum(rhs[:, k] @ hvec[:, k] for k in range(3)))
 
 
 def energies(
@@ -171,7 +165,6 @@ def taylor_consistency(
     u: np.ndarray,
     mu: float,
     rho_list=(0.1, 0.05, 0.025, 0.0125),
-    slope_contract: float = 2.7,
     reconstruction: str = "lumped",
 ) -> TaylorReport:
     """Check that the nonlinear Lagrangian minus its quadratic model is O(rho^3).
@@ -179,42 +172,45 @@ def taylor_consistency(
     Evaluates r(rho) = L_full(Gamma_rho(u), lambda0 + mu*rho)
     - L_full(Gamma_0, lambda0) - rho^2 L(u, mu) on the form's mesh and fits
     the log-log slope of |r| against rho.  V0 is the discrete base volume so
-    the base volume term vanishes identically.  The quadratic value L(u, mu)
-    is evaluated with the reconstruction matching the oracle's.
+    the base volume term vanishes identically: the base Lagrangian is the base
+    Helfrich energy.  The quadratic value L(u, mu) is evaluated with the
+    reconstruction matching the oracle's.  ``rho_list`` needs at least two
+    distinct values, all positive.
     """
     _check_reconstruction(reconstruction)
+    rhos = sorted((float(r) for r in rho_list), reverse=True)
+    if len(set(rhos)) < 2 or not all(r > 0 for r in rhos):
+        raise ParameterError(
+            f"rho_list needs at least two distinct positive values, got {rhos}")
     params = form.params
     mesh = form.mesh
     u = np.asarray(u, dtype=float)
     if abs(form.c0(u)) > 1e-8 * form.area * float(np.max(np.abs(u)) + 1.0):
         raise ParameterError("taylor_consistency requires a mean-zero field (c0(u) = 0)")
-    base_stats = mesh_stats(mesh)
-    V0 = base_stats.enclosed_volume
+    base = energies(mesh, params, reconstruction=reconstruction)
+    V0 = base.volume
     lam0 = params.lambda0
-    base = energies(mesh, params, lam=lam0, V0=V0, reconstruction=reconstruction)
     if reconstruction == "lumped":
         quad = quadratic_lagrangian(u, mu, form)
     else:
         quad = 0.5 * form.evaluate_consistent(u, u) + mu * form.c0(u)
     exact_base = 8.0 * np.pi * params.kappa + params.sigma * 4.0 * np.pi * params.R**2
-    floor = abs(base.lagrangian - exact_base)
+    floor = abs(base.helfrich - exact_base)
 
-    rhos = sorted((float(r) for r in rho_list), reverse=True)
     lags, residuals, running = [], [], []
     for rho in rhos:
-        surf = perturb(mesh, u, rho)
-        e = energies(surf.realized, params, lam=lam0 + mu * rho, V0=V0,
+        e = energies(perturb(mesh, u, rho), params, lam=lam0 + mu * rho, V0=V0,
                      reconstruction=reconstruction)
         lags.append(e.lagrangian)
-        residuals.append(e.lagrangian - base.lagrangian - rho**2 * quad)
+        residuals.append(e.lagrangian - base.helfrich - rho**2 * quad)
         k = len(residuals)
         running.append(
             _loglog_slope(np.array(rhos[:k]), np.abs(np.array(residuals[:k])))
             if k >= 2 else float("nan")
         )
     slope = _loglog_slope(np.array(rhos), np.abs(np.array(residuals)))
-    res_floor = float(np.min(np.abs(residuals))) if residuals else float("nan")
-    if np.isfinite(slope) and slope >= slope_contract:
+    res_floor = float(np.min(np.abs(residuals)))
+    if np.isfinite(slope) and slope >= SLOPE_CONTRACT:
         status = "converged"
     elif res_floor <= floor:
         status = "floor-limited"
@@ -226,7 +222,7 @@ def taylor_consistency(
         residuals=residuals,
         running_slopes=running,
         slope=slope,
-        base_lagrangian=base.lagrangian,
+        base_lagrangian=base.helfrich,
         quadratic_value=quad,
         discretization_floor=floor,
         residual_floor=res_floor,

@@ -58,6 +58,10 @@ class PhaseFieldParams:
             raise ParameterError(f"alpha must lie in (-1, 1), got {self.alpha}")
         if self.t_end is None and self.stat_tol is None:
             raise ParameterError("need a stopping rule: t_end or stat_tol")
+        for name in ("t_end", "stat_tol"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ParameterError(f"{name} must be positive, got {value}")
 
     def tau_max(self) -> float:
         """Stability heuristic for the explicit double-well term."""

@@ -1,6 +1,5 @@
-"""Point-constraint equilibria: rigid particle placement, penalty (soft) and
-hard point constraints on the coercivity subspace, and the delta-convergence
-study.
+"""Point-constraint equilibria: penalty (soft) and hard point constraints on
+the coercivity subspace, and the delta-convergence study.
 
 Both problems are one saddle system: the four orthogonality constraints
 (1, u) = 0, (nu_i, u) = 0 and one row per attachment point, each with a
@@ -10,76 +9,17 @@ penalty (u(p_j) - Z_j)^2 / (2 delta), whose delta = 0 limit is the hard one.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import GeometryError, ParameterError
 from .fem import PointLocator, SaddleSystem, h2_norm, solve_saddle
-from .mesh import TriangleMesh
 from .model import QuadraticForm
 
 #: Points closer than this (relative to R) are rejected as duplicates.
 DUPLICATE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class RigidPose:
-    """Six-parameter rigid map: rotations about x, y, z then a translation."""
-
-    q: tuple[float, float, float, float, float, float]
-
-    def __post_init__(self):
-        q = tuple(float(v) for v in self.q)
-        if len(q) != 6 or not all(np.isfinite(q)):
-            raise ParameterError(f"pose needs 6 finite parameters, got {self.q}")
-        object.__setattr__(self, "q", q)
-
-    @classmethod
-    def identity(cls) -> "RigidPose":
-        return cls((0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-
-    def rotation(self) -> np.ndarray:
-        q1, q2, q3 = self.q[:3]
-        cx, sx = np.cos(q1), np.sin(q1)
-        cy, sy = np.cos(q2), np.sin(q2)
-        cz, sz = np.cos(q3), np.sin(q3)
-        Rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-        Ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-        Rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
-        return Rx @ Ry @ Rz
-
-    @property
-    def translation(self) -> np.ndarray:
-        return np.asarray(self.q[3:], dtype=float)
-
-
-def rigid_transform(pose: RigidPose, x) -> np.ndarray:
-    """Apply the rigid map R_x R_y R_z x + t to one point or an (L,3) array."""
-    x = np.asarray(x, dtype=float)
-    return x @ pose.rotation().T + pose.translation
-
-
-@dataclass(frozen=True)
-class ParticleSpec:
-    """A particle: rigidly posed reference attachment points with heights."""
-
-    pose: RigidPose
-    local_points: np.ndarray   # (L, 3)
-    heights: np.ndarray        # (L,)
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.local_points, dtype=float))
-        hts = np.atleast_1d(np.asarray(self.heights, dtype=float))
-        if pts.shape[0] == 0:
-            raise ParameterError("particle needs at least one attachment point")
-        if hts.shape[0] == 1 and pts.shape[0] > 1:
-            hts = np.full(pts.shape[0], hts[0])
-        if hts.shape[0] != pts.shape[0]:
-            raise ParameterError("heights and local_points length mismatch")
-        object.__setattr__(self, "local_points", pts)
-        object.__setattr__(self, "heights", hts)
 
 
 @dataclass(frozen=True)
@@ -97,6 +37,8 @@ class ConstraintSet:
             raise ParameterError("heights and points length mismatch")
         if self.delta is not None and self.delta <= 0:
             raise ParameterError(f"penalty delta must be positive, got {self.delta}")
+        if pts.shape[0] == 0:
+            raise ParameterError("a constraint set needs at least one attachment point")
         scale = float(np.max(np.linalg.norm(pts, axis=1)))
         for i in range(pts.shape[0]):
             d = np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
@@ -109,19 +51,6 @@ class ConstraintSet:
     @property
     def num_points(self) -> int:
         return self.points.shape[0]
-
-
-def materialize(particle: ParticleSpec, mesh: TriangleMesh,
-                delta: float | None = None) -> ConstraintSet:
-    """Pose the particle and project its points radially to the sphere."""
-    if mesh.radius_hint is None:
-        raise ParameterError("materialize requires a sphere mesh with radius_hint")
-    moved = rigid_transform(particle.pose, particle.local_points)
-    norms = np.linalg.norm(moved, axis=1)
-    if np.any(norms < 1e-12 * mesh.radius_hint):
-        raise GeometryError("a transformed point sits at the origin; cannot project")
-    projected = moved * (mesh.radius_hint / norms)[:, None]
-    return ConstraintSet(points=projected, heights=particle.heights, delta=delta)
 
 
 @dataclass

@@ -11,8 +11,7 @@ from .errors import ConfigError
 from .mesh import TriangleMesh
 
 
-def write_vtk(path, mesh: TriangleMesh, fields: dict[str, np.ndarray] | None = None,
-              title: str = "spheremem surface") -> None:
+def write_vtk(path, mesh: TriangleMesh, fields: dict[str, np.ndarray] | None = None) -> None:
     """Write the mesh and optional vertex scalar fields as legacy VTK POLYDATA."""
     fields = dict(fields or {})
     n = mesh.num_vertices
@@ -26,7 +25,7 @@ def write_vtk(path, mesh: TriangleMesh, fields: dict[str, np.ndarray] | None = N
     m = mesh.num_triangles
     lines = [
         "# vtk DataFile Version 3.0",
-        title,
+        "spheremem surface",
         "ASCII",
         "DATASET POLYDATA",
         f"POINTS {n} double",

@@ -193,6 +193,16 @@ dir = {out}
     assert "mesh: ok" in manifest
 
 
+@pytest.mark.parametrize("points", ["preset = equator\ncount = 0",
+                                    "preset = polar_rings\npoints_per_ring = 0"])
+def test_cli_empty_point_set_is_domain_error(tmp_path, points):
+    cfg = tmp_path / "e.cfg"
+    out = tmp_path / "out"
+    write(cfg, f"[mesh]\nlevel = 2\n[points]\n{points}\n[output]\ndir = {out}\n")
+    assert main(["points-hard", "--config", str(cfg)]) == 1
+    assert "failed: error" in (out / "manifest.txt").read_text()
+
+
 def test_cli_taylor_check(tmp_path):
     cfg = tmp_path / "t.cfg"
     out = tmp_path / "out"

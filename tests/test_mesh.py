@@ -53,6 +53,15 @@ def test_level_cap():
         build_icosphere(1.0, MAX_LEVEL + 1)
 
 
+@pytest.mark.parametrize("level", range(5))
+def test_h_max_is_longest_unique_edge(level):
+    mesh = build_icosphere(1.3, level)
+    t = mesh.triangles
+    edges = np.unique(np.sort(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1), axis=0)
+    lengths = np.linalg.norm(mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1)
+    assert mesh_stats(mesh).h_max == np.max(lengths)
+
+
 def test_area_volume_inscribed():
     # Chordal triangulation lies inside the sphere: both measures from below.
     for level in (2, 3, 4):

@@ -67,7 +67,7 @@ def test_perturb_moves_radially():
     mesh = build_icosphere(1.0, 2)
     u = mesh.vertices[:, 2]
     surf = perturb(mesh, u, rho=0.1)
-    radii = np.linalg.norm(surf.realized.vertices, axis=1)
+    radii = np.linalg.norm(surf.vertices, axis=1)
     np.testing.assert_allclose(radii, np.abs(1.0 + 0.1 * u), rtol=1e-12)
 
 
@@ -115,6 +115,33 @@ def test_taylor_lumped_reports_floor(params):
     report = taylor_consistency(form, u, mu=0.5, reconstruction="lumped")
     assert report.discretization_floor > 0
     assert report.status in ("converged", "floor-limited")
+
+
+@pytest.mark.parametrize("rho_list", [(0.1,), (0.1, 0.0), (0.1, 0.1), (0.1, 0.1, -0.05)])
+def test_taylor_rejects_bad_rho_list(params, rho_list):
+    mesh = build_icosphere(1.0, 1)
+    form = assemble_quadratic_form(mesh, params)
+    u = mesh.vertices[:, 0] * mesh.vertices[:, 1]
+    with pytest.raises(ParameterError, match="rho_list"):
+        taylor_consistency(form, u, mu=0.0, rho_list=rho_list)
+
+
+def test_taylor_measures_each_surface_once(params, monkeypatch):
+    import spheremem.oracle as oracle
+
+    calls = []
+
+    def counting_stats(mesh):
+        calls.append(mesh)
+        return mesh_stats(mesh)
+
+    monkeypatch.setattr(oracle, "mesh_stats", counting_stats)
+    mesh = build_icosphere(1.0, 2)
+    form = assemble_quadratic_form(mesh, params)
+    u = mesh.vertices[:, 0] * mesh.vertices[:, 1]
+    rho_list = (0.1, 0.05, 0.025)
+    taylor_consistency(form, u, mu=0.5, rho_list=rho_list, reconstruction="consistent")
+    assert len(calls) == 1 + len(rho_list)
 
 
 def test_taylor_csv_has_units_header(params):

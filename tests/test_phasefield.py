@@ -49,6 +49,10 @@ def test_params_validation():
         make_params(alpha=1.0)
     with pytest.raises(ParameterError):
         make_params(t_end=None, stat_tol=None)
+    for kw in (dict(t_end=-1.0, stat_tol=None), dict(t_end=0.0, stat_tol=None),
+               dict(stat_tol=0.0), dict(stat_tol=-1e-5)):
+        with pytest.raises(ParameterError):
+            make_params(**kw)
 
 
 @settings(max_examples=100, deadline=None)

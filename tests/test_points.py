@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from spheremem.errors import GeometryError, ParameterError
 from spheremem.fem import PointLocator, SaddleSystem, solve_saddle
@@ -10,60 +8,19 @@ from spheremem.mesh import build_icosphere
 from spheremem.model import ModelParams, assemble_quadratic_form
 from spheremem.points import (
     ConstraintSet,
-    ParticleSpec,
-    RigidPose,
     convergence_study,
     equator_points,
     icosahedron_points,
-    materialize,
     polar_ring_points,
-    rigid_transform,
     solve_hard,
     solve_penalty,
 )
-
-angles = st.floats(-np.pi, np.pi)
-shifts = st.floats(-2.0, 2.0)
 
 
 @pytest.fixture(scope="module")
 def form():
     mesh = build_icosphere(1.0, 3)
     return assemble_quadratic_form(mesh, ModelParams(1.0, 1.0, 1.0))
-
-
-@settings(max_examples=50, deadline=None)
-@given(q=st.tuples(angles, angles, angles, shifts, shifts, shifts),
-       seed=st.integers(0, 10_000))
-def test_rigid_transform_is_isometry(q, seed):
-    pose = RigidPose(q)
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((5, 3))
-    moved = rigid_transform(pose, pts)
-    d0 = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
-    d1 = np.linalg.norm(moved[:, None] - moved[None, :], axis=-1)
-    np.testing.assert_allclose(d0, d1, atol=1e-10)
-
-
-def test_identity_pose():
-    pts = np.array([[1.0, 2.0, 3.0]])
-    np.testing.assert_array_equal(rigid_transform(RigidPose.identity(), pts), pts)
-
-
-def test_particle_height_broadcast():
-    spec = ParticleSpec(RigidPose.identity(), np.eye(3), heights=np.array([2.0]))
-    assert spec.heights.shape == (3,)
-
-
-def test_materialize_projects_to_sphere():
-    mesh = build_icosphere(1.0, 1)
-    spec = ParticleSpec(
-        RigidPose((0.1, 0.2, 0.3, 0.05, 0.0, 0.0)),
-        local_points=np.array([[1.2, 0.0, 0.0], [0.0, 0.7, 0.0]]),
-        heights=np.array([1.0, -1.0]),
-    )
-    cs = materialize(spec, mesh, delta=1e-3)
-    np.testing.assert_allclose(np.linalg.norm(cs.points, axis=1), 1.0, rtol=1e-12)
 
 
 def test_duplicate_points_rejected():
