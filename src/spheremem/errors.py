@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the parameter finiteness check."""
+import numpy as np
 
 
 class SphereMemError(Exception):
@@ -6,7 +7,7 @@ class SphereMemError(Exception):
 
 
 class MeshTopologyError(SphereMemError):
-    """Mesh is not a closed, consistently oriented triangle surface."""
+    """Mesh is not a closed, consistently oriented surface of nondegenerate triangles."""
 
 
 class SizeLimitError(SphereMemError):
@@ -21,8 +22,11 @@ class ParameterError(SphereMemError):
     """Physical or numerical parameter outside its admissible range."""
 
 
-class AssemblyError(SphereMemError):
-    """Finite element assembly failed (e.g. degenerate triangle)."""
+def check_finite(**values) -> None:
+    """Raise :class:`ParameterError` for a NaN or inf in any value (None: unset)."""
+    for name, value in values.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ParameterError(f"{name} must be finite, got {value}")
 
 
 class RankDeficiencyError(SphereMemError):

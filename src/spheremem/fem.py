@@ -21,10 +21,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
-from .errors import AssemblyError, GeometryError, RankDeficiencyError, SolverError
+from .errors import GeometryError, RankDeficiencyError, SolverError
 from .mesh import TriangleMesh, triangle_areas_normals
-
-_DEGENERATE_REL_AREA = 1e-14
 
 #: The one residual tolerance: it stops the refinement and is the contract.  The
 #: point solves measure at most 5.5 eps after one refinement step at levels 2-6,
@@ -35,7 +33,6 @@ BACKWARD_ERROR_BOUND = 64.0 * np.finfo(float).eps
 def assemble_mass(mesh: TriangleMesh) -> sp.csr_matrix:
     """P1 mass matrix by exact per-triangle integration."""
     areas, _ = triangle_areas_normals(mesh)
-    _check_degenerate(areas)
     t = mesh.triangles
     n = mesh.num_vertices
     rows, cols, vals = [], [], []
@@ -53,7 +50,6 @@ def assemble_mass(mesh: TriangleMesh) -> sp.csr_matrix:
 def lumped_diagonal(mesh: TriangleMesh) -> np.ndarray:
     """Diagonal of the lumped mass matrix as a dense vector."""
     areas, _ = triangle_areas_normals(mesh)
-    _check_degenerate(areas)
     diag = np.zeros(mesh.num_vertices)
     for k in range(3):
         np.add.at(diag, mesh.triangles[:, k], areas / 3.0)
@@ -63,7 +59,6 @@ def lumped_diagonal(mesh: TriangleMesh) -> np.ndarray:
 def assemble_stiffness(mesh: TriangleMesh) -> sp.csr_matrix:
     """Cotangent stiffness: S_ij = integral of grad(chi_i) . grad(chi_j)."""
     areas, _ = triangle_areas_normals(mesh)
-    _check_degenerate(areas)
     t = mesh.triangles
     p = mesh.vertices[t]
     n = mesh.num_vertices
@@ -83,13 +78,6 @@ def assemble_stiffness(mesh: TriangleMesh) -> sp.csr_matrix:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
     return s.tocsr()
-
-
-def _check_degenerate(areas: np.ndarray) -> None:
-    if areas.size == 0:
-        raise AssemblyError("mesh has no triangles")
-    if np.min(areas) <= _DEGENERATE_REL_AREA * np.max(areas):
-        raise AssemblyError("degenerate triangle encountered during assembly")
 
 
 def _closest_point_on_triangle(p: np.ndarray, a, b, c):

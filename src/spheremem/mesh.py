@@ -18,8 +18,8 @@ from .errors import MeshTopologyError, ParameterError, SizeLimitError
 #: Hard cap on subdivision depth; level 8 is ~655k vertices.
 MAX_LEVEL = 8
 
-#: Relative tolerance for "vertex lies on the sphere" checks.
-SPHERE_TOL = 1e-12
+#: A triangle whose area is at most this fraction of the largest is degenerate.
+DEGENERATE_REL_AREA = 1e-14
 
 
 @dataclass(frozen=True)
@@ -148,6 +148,8 @@ def validate_closed(mesh: TriangleMesh) -> None:
     """
     t = mesh.triangles
     n = mesh.num_vertices
+    if t.size and (t.min() < 0 or t.max() >= n):
+        raise MeshTopologyError("a triangle refers to a vertex outside the mesh")
     directed = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
     codes = directed[:, 0] * n + directed[:, 1]
     if np.unique(codes).size != codes.size:
@@ -158,14 +160,18 @@ def validate_closed(mesh: TriangleMesh) -> None:
 
 
 def triangle_areas_normals(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Per-triangle areas and unit normals (orientation as stored)."""
+    """Per-triangle areas and unit normals (orientation as stored); raises
+    :class:`MeshTopologyError` for no triangles or a degenerate one: an area
+    not finite or at most :data:`DEGENERATE_REL_AREA` times the largest."""
     p = mesh.vertices[mesh.triangles]
     cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
     doubled = np.linalg.norm(cross, axis=1)
     areas = 0.5 * doubled
-    with np.errstate(invalid="ignore", divide="ignore"):
-        normals = cross / doubled[:, None]
-    return areas, normals
+    if areas.size == 0:
+        raise MeshTopologyError("mesh has no triangles")
+    if not np.all(np.isfinite(areas)) or areas.min() <= DEGENERATE_REL_AREA * areas.max():
+        raise MeshTopologyError("mesh contains a degenerate triangle")
+    return areas, cross / doubled[:, None]
 
 
 def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
@@ -182,12 +188,10 @@ def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
 def mesh_stats(mesh: TriangleMesh) -> MeshStats:
     """Area, enclosed volume (divergence theorem) and longest edge.
 
-    Raises :class:`MeshTopologyError` for non-watertight input.
+    The connectivity must be closed, as :func:`validate_closed` checks; it is
+    not re-checked here.  A degenerate triangle raises :class:`MeshTopologyError`.
     """
-    validate_closed(mesh)
     areas, normals = triangle_areas_normals(mesh)
-    if np.any(areas <= 0) or not np.all(np.isfinite(normals)):
-        raise MeshTopologyError("mesh contains a degenerate triangle")
     p = mesh.vertices[mesh.triangles]
     centroids = p.mean(axis=1)
     volume = np.sum(np.einsum("ij,ij->i", centroids, normals) * areas) / 3.0

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ParameterError
+from .errors import ParameterError, check_finite
 from .fem import assemble_mass, assemble_stiffness, lumped_diagonal
 from .mesh import TriangleMesh
 
@@ -31,6 +31,7 @@ class ModelParams:
     R: float
 
     def __post_init__(self):
+        check_finite(kappa=self.kappa, sigma=self.sigma, R=self.R)
         if self.kappa <= 0:
             raise ParameterError(f"kappa must be positive, got {self.kappa}")
         if self.sigma < 0:

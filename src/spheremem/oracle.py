@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .errors import GeometryError, ParameterError
+from .errors import GeometryError, ParameterError, check_finite
 from .fem import assemble_mass, assemble_stiffness, lumped_diagonal
 from .mesh import TriangleMesh, mesh_stats, vertex_normals
 from .model import ModelParams, QuadraticForm, quadratic_lagrangian
@@ -50,6 +50,7 @@ def perturb(mesh: TriangleMesh, u: np.ndarray, rho: float) -> TriangleMesh:
     u = np.asarray(u, dtype=float)
     if u.shape[0] != mesh.num_vertices:
         raise ParameterError("field length does not match mesh vertex count")
+    check_finite(u=u, rho=rho)
     R = mesh.radius_hint
     if abs(rho) * float(np.max(np.abs(u))) >= R:
         raise GeometryError("perturbation amplitude reaches the origin (rho*max|u| >= R)")
@@ -112,7 +113,8 @@ def energies(
 ) -> EnergyBreakdown:
     """Willmore, area, volume, Helfrich energy and volume-Lagrangian.
 
-    Defaults: lam = lambda0 of the params, V0 = exact sphere volume.
+    Defaults: lam = lambda0 of the params, V0 = exact sphere volume.  The
+    connectivity must be closed (:func:`~spheremem.mesh.validate_closed`).
     """
     if lam is None:
         lam = params.lambda0

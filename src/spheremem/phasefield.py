@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ParameterError, SolverError, StepRejectedError
+from .errors import ParameterError, SolverError, StepRejectedError, check_finite
 from .mesh import mesh_stats
 from .model import ModelParams, QuadraticForm
 
@@ -51,17 +51,15 @@ class PhaseFieldParams:
     noise_amplitude: float = 0.1
 
     def __post_init__(self):
-        for name in ("epsilon", "b", "alpha1", "alpha2", "tau"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
+        check_finite(**vars(self))
+        for name in ("epsilon", "b", "alpha1", "alpha2", "tau", "t_end", "stat_tol"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ParameterError(f"{name} must be positive, got {value}")
         if not -1.0 < self.alpha < 1.0:
             raise ParameterError(f"alpha must lie in (-1, 1), got {self.alpha}")
         if self.t_end is None and self.stat_tol is None:
             raise ParameterError("need a stopping rule: t_end or stat_tol")
-        for name in ("t_end", "stat_tol"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ParameterError(f"{name} must be positive, got {value}")
 
     def tau_max(self) -> float:
         """Stability heuristic for the explicit double-well term."""
@@ -86,22 +84,24 @@ class PhaseState:
     breakdown: dict | None = field(default=None, repr=False)
 
 
-def _wells(phi: np.ndarray, pf: PhaseFieldParams, model: ModelParams):
-    """W and the shifted potential f, without the derivatives."""
-    W = 0.25 * (phi**2 - 1.0) ** 2
-    shift = pf.epsilon * model.kappa * pf.coupling**2 / pf.b
-    return W, W + 0.5 * shift * phi**2
+def well_shift(pf: PhaseFieldParams, model: ModelParams) -> float:
+    """s = eps*kappa*Lambda^2/b, the shift of the potential f = W + s phi^2/2."""
+    return pf.epsilon * model.kappa * pf.coupling**2 / pf.b
 
 
-def potentials(phi, pf: PhaseFieldParams, model: ModelParams):
-    """Double well W, its derivative, and the shifted potential f = W +
-    eps*kappa*Lambda^2*phi^2/(2b) with derivative f'."""
-    phi = np.asarray(phi, dtype=float)
-    W, f = _wells(phi, pf, model)
-    Wp = phi**3 - phi
-    shift = pf.epsilon * model.kappa * pf.coupling**2 / pf.b
-    fp = Wp + shift * phi
-    return W, Wp, f, fp
+def double_well_derivative(phi: np.ndarray) -> np.ndarray:
+    """W'(phi) = phi^3 - phi, the one explicit term of the flow step."""
+    return phi**3 - phi
+
+
+def potential(phi: np.ndarray, pf: PhaseFieldParams, model: ModelParams) -> np.ndarray:
+    """f(phi) = W(phi) + s phi^2/2 with the double well W(phi) = (phi^2 - 1)^2/4."""
+    return 0.25 * (phi**2 - 1.0) ** 2 + 0.5 * well_shift(pf, model) * phi**2
+
+
+def potential_derivative(phi: np.ndarray, pf: PhaseFieldParams, model: ModelParams) -> np.ndarray:
+    """f'(phi) = W'(phi) + s phi."""
+    return double_well_derivative(phi) + well_shift(pf, model) * phi
 
 
 def coupling_operator(form: QuadraticForm, pf: PhaseFieldParams) -> sp.csr_matrix:
@@ -126,8 +126,7 @@ def energy(state: PhaseState, form: QuadraticForm, pf: PhaseFieldParams,
     bending = 0.5 * form.evaluate(u, u)
     cross = float(phi @ (C @ u))
     grad = pf.b * 0.5 * pf.epsilon * float(phi @ (form.S @ phi))
-    _, f = _wells(np.asarray(phi, dtype=float), pf, form.params)
-    well = pf.b / pf.epsilon * float(form.m_lumped @ f)
+    well = pf.b / pf.epsilon * float(form.m_lumped @ potential(phi, pf, form.params))
     total = bending + cross + grad + well
     breakdown = {
         "bending": bending,
@@ -141,7 +140,7 @@ def energy(state: PhaseState, form: QuadraticForm, pf: PhaseFieldParams,
 def energy_gradient(state: PhaseState, form: QuadraticForm, pf: PhaseFieldParams):
     """L2 gradients (dE/dphi, dE/du) as assembled by the flow step."""
     C = coupling_operator(form, pf)
-    _, _, _, fp = potentials(state.phi, pf, form.params)
+    fp = potential_derivative(state.phi, pf, form.params)
     g_phi = C @ state.u + pf.b * pf.epsilon * (form.S @ state.phi) \
         + pf.b / pf.epsilon * form.m_lumped * fp
     g_u = form.A @ state.u + C @ state.phi
@@ -152,7 +151,7 @@ def closed_form_multipliers(state: PhaseState, form: QuadraticForm,
                             pf: PhaseFieldParams) -> tuple[float, float]:
     """The multipliers that preserve the constraints in the continuum:
     lambda_phi = -(b/eps) mean(f'(phi)), lambda_u = -2 kappa Lambda alpha / R^2."""
-    _, _, _, fp = potentials(state.phi, pf, form.params)
+    fp = potential_derivative(state.phi, pf, form.params)
     lam_phi = -pf.b / pf.epsilon * float(form.m_lumped @ fp) / form.area
     lam_u = -2.0 * form.params.kappa * pf.coupling * pf.alpha / form.params.R**2
     return lam_phi, lam_u
@@ -201,7 +200,6 @@ class FlowSolver:
         self.tau = float(tau if tau is not None else pf.tau)
         if self.tau <= 0:
             raise ParameterError("tau must be positive")
-        model = form.params
         if warn:
             if self.tau > pf.tau_max():
                 warnings.warn(
@@ -219,10 +217,9 @@ class FlowSolver:
         n = form.mesh.num_vertices
         self.n = n
         self.C = C = coupling_operator(form, pf)
-        shift = pf.epsilon * model.kappa * pf.coupling**2 / pf.b
-        # Linear part of (b/eps) f'(phi): (b/eps)*shift*phi = kappa*Lambda^2*phi,
+        # Linear part of (b/eps) f'(phi): (b/eps)*s*phi = kappa*Lambda^2*phi,
         # lumped; kept implicit.
-        lin_well = (pf.b / pf.epsilon * shift) * sp.diags(form.m_lumped)
+        lin_well = (pf.b / pf.epsilon * well_shift(pf, form.params)) * sp.diags(form.m_lumped)
         Kpp = (pf.alpha1 / self.tau) * form.M + pf.b * pf.epsilon * form.S + lin_well
         Kuu = (pf.alpha2 / self.tau) * form.M + form.A
         K = sp.bmat([[Kpp, C], [C, Kuu]], format="csr")
@@ -249,9 +246,8 @@ class FlowSolver:
         The returned state carries its energy and breakdown.
         """
         pf, form = self.pf, self.form
-        _, Wp, _, _ = potentials(state.phi, pf, form.params)
         rhs_phi = (pf.alpha1 / self.tau) * (form.M @ state.phi) \
-            - (pf.b / pf.epsilon) * form.m_lumped * Wp
+            - (pf.b / pf.epsilon) * form.m_lumped * double_well_derivative(state.phi)
         rhs_u = (pf.alpha2 / self.tau) * (form.M @ state.u)
         rhs = np.concatenate([rhs_phi, rhs_u, self.g])
         sol = self.lu.solve(rhs)

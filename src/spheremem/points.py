@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GeometryError, ParameterError
+from .errors import GeometryError, ParameterError, check_finite
 from .fem import PointLocator, SaddleSystem, h2_norm, solve_saddle
 from .model import QuadraticForm
 
@@ -35,6 +35,7 @@ class ConstraintSet:
         hts = np.atleast_1d(np.asarray(self.heights, dtype=float))
         if pts.shape[0] != hts.shape[0]:
             raise ParameterError("heights and points length mismatch")
+        check_finite(points=pts, heights=hts, delta=self.delta)
         if self.delta is not None and self.delta <= 0:
             raise ParameterError(f"penalty delta must be positive, got {self.delta}")
         if pts.shape[0] == 0:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, validate_closed
 
 
 def write_vtk(path, mesh: TriangleMesh, fields: dict[str, np.ndarray] | None = None) -> None:
@@ -46,7 +46,8 @@ def write_vtk(path, mesh: TriangleMesh, fields: dict[str, np.ndarray] | None = N
 
 
 def read_vtk(path) -> tuple[TriangleMesh, dict[str, np.ndarray]]:
-    """Read a legacy VTK POLYDATA triangle mesh with vertex scalar fields."""
+    """Read a legacy VTK POLYDATA triangle mesh with vertex scalar fields;
+    :func:`validate_closed` checks the connectivity (``MeshTopologyError``)."""
     with open(path) as fh:
         tokens = fh.read().split("\n")
     # Tokenize lazily: keep a flat word stream after the 4 header lines.
@@ -101,4 +102,5 @@ def read_vtk(path) -> tuple[TriangleMesh, dict[str, np.ndarray]]:
                 raise ConfigError(f"{path}: expected LOOKUP_TABLE default for {name!r}")
             fields[name] = np.array(take(n), dtype=float)
     mesh = TriangleMesh(vertices, triangles, radius_hint=None)
+    validate_closed(mesh)
     return mesh, fields

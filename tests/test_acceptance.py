@@ -22,7 +22,7 @@ from spheremem.phasefield import (
     energy_gradient,
     field_correlation,
     initial_state,
-    potentials,
+    potential_derivative,
     run_flow,
 )
 from spheremem.points import (
@@ -333,7 +333,7 @@ def test_criterion_9_multiplier_diagnostics(form4, sweep_results):
     exact_u = True
     for lam in SWEEP:
         pf, final, rep = sweep_results[lam]
-        _, _, _, fp = potentials(final.phi, pf, PARAMS)
+        fp = potential_derivative(final.phi, pf, PARAMS)
         mean_fp = float(form4.m_lumped @ fp) / form4.area
         worst_phi = max(
             worst_phi,

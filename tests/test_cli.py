@@ -6,8 +6,8 @@ import pytest
 
 from spheremem.cli import main
 from spheremem.config import load_config
-from spheremem.errors import ConfigError
-from spheremem.mesh import build_icosphere
+from spheremem.errors import ConfigError, MeshTopologyError
+from spheremem.mesh import TriangleMesh, build_icosphere
 from spheremem.vtk_io import read_vtk, write_vtk
 
 
@@ -49,6 +49,15 @@ def test_vtk_rejects_garbage(tmp_path):
     path = tmp_path / "bad.vtk"
     write(path, "not a vtk file\n")
     with pytest.raises(ConfigError):
+        read_vtk(path)
+
+
+def test_vtk_read_rejects_open_mesh(tmp_path):
+    # A connectivity read from a file is checked once, on reading.
+    mesh = build_icosphere(1.0, 1)
+    path = tmp_path / "open.vtk"
+    write_vtk(path, TriangleMesh(mesh.vertices, mesh.triangles[:-1]))
+    with pytest.raises(MeshTopologyError):
         read_vtk(path)
 
 
@@ -97,6 +106,27 @@ def test_cli_validate(capsys):
     assert "ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["validate", "--level", "2"],
+                                  ["mesh", "--level", "2", "--out", "m.vtk"]],
+                         ids=lambda argv: argv[0])
+def test_cli_checks_closedness_once(tmp_path, monkeypatch, argv):
+    import spheremem.cli as cli
+    import spheremem.mesh as mesh_module
+
+    calls = []
+    original = mesh_module.validate_closed
+
+    def counting(mesh):
+        calls.append(mesh)
+        original(mesh)
+
+    monkeypatch.setattr(mesh_module, "validate_closed", counting)
+    monkeypatch.setattr(cli, "validate_closed", counting)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert len(calls) == 1
+
+
 def test_cli_usage_error():
     assert main(["no-such-command"]) == 2
 
@@ -131,24 +161,25 @@ dir = {out}
     assert "mesh_checksum" in manifest and "output: ok" in manifest
 
 
-def test_cli_points_hard_deterministic(tmp_path):
+@pytest.mark.parametrize("subcommand, sections", [
+    pytest.param("points-hard", "[points]\npreset = equator\nheights = 1\n", id="points-hard"),
+    pytest.param("phase-flow", "[phase]\nepsilon = 0.5\ncoupling = -2\ntau = 0.05\n"
+                 "t_end = 0.2\n", id="phase-flow"),
+    pytest.param("taylor-check", "[taylor]\nfield = z2\nreconstruction = consistent\n",
+                 id="taylor-check"),
+])
+def test_cli_outputs_deterministic(tmp_path, capsys, subcommand, sections):
+    # Every output but the manifest (wall clock, output path) is byte-identical.
     cfg = tmp_path / "f.cfg"
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    body = """[mesh]
-level = 2
-
-[points]
-preset = equator
-heights = 1
-
-[output]
-dir = {}
-"""
-    write(cfg, body.format(out1))
-    assert main(["points-hard", "--config", str(cfg)]) == 0
-    write(cfg, body.format(out2))
-    assert main(["points-hard", "--config", str(cfg)]) == 0
-    assert (out1 / "hard.vtk").read_bytes() == (out2 / "hard.vtk").read_bytes()
+    runs = []
+    for name in ("a", "b"):
+        write(cfg, f"[mesh]\nlevel = 2\n{sections}[output]\ndir = {tmp_path / name}\n")
+        capsys.readouterr()
+        assert main([subcommand, "--config", str(cfg)]) == 0
+        files = sorted((tmp_path / name).iterdir())
+        runs.append((capsys.readouterr().out,
+                     {p.name: p.read_bytes() for p in files if p.name != "manifest.txt"}))
+    assert runs[0][1] and runs[0] == runs[1]
 
 
 def test_cli_points_hard_large_kappa(tmp_path):

@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheremem.errors import GeometryError, RankDeficiencyError, SolverError
+from spheremem.errors import GeometryError, MeshTopologyError, RankDeficiencyError, SolverError
 from spheremem.fem import (
     BACKWARD_ERROR_BOUND,
     PointLocator,
@@ -17,12 +17,28 @@ from spheremem.fem import (
     lumped_diagonal,
     solve_saddle,
 )
-from spheremem.mesh import build_icosphere, mesh_stats
+from spheremem.mesh import TriangleMesh, build_icosphere, mesh_stats
 
 
 @pytest.fixture(scope="module")
 def mesh():
     return build_icosphere(1.0, 3)
+
+
+def _defective(mesh, defect):
+    """A NaN vertex, or triangle 0 collapsed to zero area."""
+    v = np.array(mesh.vertices)
+    a, _, c = mesh.triangles[0]
+    v[c] = np.nan if defect == "nan vertex" else v[a]
+    return TriangleMesh(v, mesh.triangles, radius_hint=mesh.radius_hint)
+
+
+@pytest.mark.parametrize("defect", ["nan vertex", "zero-area triangle"])
+@pytest.mark.parametrize("fn", [mesh_stats, assemble_mass, assemble_stiffness, lumped_diagonal],
+                         ids=lambda fn: fn.__name__)
+def test_degenerate_triangle_one_rule(mesh, fn, defect):
+    with pytest.raises(MeshTopologyError, match="degenerate"):
+        fn(_defective(mesh, defect))
 
 
 def test_mass_total_is_area(mesh):

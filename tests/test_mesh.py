@@ -30,7 +30,8 @@ def test_vertices_on_sphere():
 
 
 def test_closed_and_oriented():
-    for level in range(4):
+    # Every level the benchmark and the presets run: nothing downstream re-checks.
+    for level in range(7):
         validate_closed(build_icosphere(1.0, level))
 
 
@@ -46,6 +47,14 @@ def test_missing_face_detected():
     mesh = build_icosphere(1.0, 1)
     with pytest.raises(MeshTopologyError):
         validate_closed(TriangleMesh(mesh.vertices, mesh.triangles[:-1], radius_hint=1.0))
+
+
+def test_vertex_index_out_of_range_detected():
+    # A file that lists one vertex too few: index n aliases other vertex pairs
+    # in the edge codes a*n + b, and the edge test alone passes.
+    mesh = build_icosphere(1.0, 1)
+    with pytest.raises(MeshTopologyError, match="outside"):
+        validate_closed(TriangleMesh(mesh.vertices[:-1], mesh.triangles))
 
 
 def test_level_cap():

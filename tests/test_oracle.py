@@ -63,6 +63,17 @@ def test_perturb_penetration_guard():
         perturb(mesh, u, rho=1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_perturb_rejects_non_finite_field(bad):
+    # NaN slips past the penetration guard; it must not surface later as a
+    # "degenerate triangle".
+    mesh = build_icosphere(1.0, 2)
+    u = np.zeros(mesh.num_vertices)
+    u[3] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        perturb(mesh, u, rho=0.1)
+
+
 def test_perturb_moves_radially():
     mesh = build_icosphere(1.0, 2)
     u = mesh.vertices[:, 2]
@@ -142,6 +153,19 @@ def test_taylor_measures_each_surface_once(params, monkeypatch):
     rho_list = (0.1, 0.05, 0.025)
     taylor_consistency(form, u, mu=0.5, rho_list=rho_list, reconstruction="consistent")
     assert len(calls) == 1 + len(rho_list)
+
+
+def test_taylor_checks_no_connectivity(params, monkeypatch):
+    # Every perturbed surface reuses the sphere's connectivity: no closedness check.
+    import spheremem.mesh as mesh_module
+
+    calls = []
+    monkeypatch.setattr(mesh_module, "validate_closed", lambda mesh: calls.append(mesh))
+    mesh = build_icosphere(1.0, 2)
+    form = assemble_quadratic_form(mesh, params)
+    u = mesh.vertices[:, 0] * mesh.vertices[:, 1]
+    taylor_consistency(form, u, mu=0.5, rho_list=(0.1, 0.05, 0.025), reconstruction="consistent")
+    assert calls == []
 
 
 def test_taylor_csv_has_units_header(params):

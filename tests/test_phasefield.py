@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from spheremem.phasefield import (
     PhaseState,
     closed_form_multipliers,
     constraint_residuals,
+    double_well_derivative,
     energy,
     energy_gradient,
     field_correlation,
     initial_state,
-    potentials,
+    potential,
+    potential_derivative,
     project_constraints,
     run_flow,
 )
@@ -53,6 +56,12 @@ def test_params_validation():
                dict(stat_tol=0.0), dict(stat_tol=-1e-5)):
         with pytest.raises(ParameterError):
             make_params(**kw)
+    # NaN passes every "<= 0" check: a NaN stopping rule ran to the step cap.
+    for bad in (np.nan, np.inf):
+        for kw in (dict(stat_tol=bad), dict(t_end=bad, stat_tol=None), dict(epsilon=bad),
+                   dict(tau=bad), dict(coupling=bad), dict(noise_amplitude=bad)):
+            with pytest.raises(ParameterError, match="finite"):
+                make_params(**kw)
 
 
 @settings(max_examples=100, deadline=None)
@@ -60,7 +69,12 @@ def test_params_validation():
 def test_potential_identities(phi):
     pf = make_params()
     model = ModelParams(1.0, 1.0, 1.0)
-    W, Wp, f, fp = potentials(np.array([phi]), pf, model)
+    phi_arr = np.array([phi])
+    # Without coupling the shift is 0 and f is the double well W itself.
+    W = potential(phi_arr, replace(pf, coupling=0.0), model)
+    Wp = double_well_derivative(phi_arr)
+    f = potential(phi_arr, pf, model)
+    fp = potential_derivative(phi_arr, pf, model)
     # W has minima exactly at +-1 and W' is its derivative structurally.
     assert W[0] >= 0
     assert Wp[0] == pytest.approx(phi**3 - phi, rel=1e-12, abs=1e-12)
@@ -73,7 +87,9 @@ def test_double_well_minima():
     pf = make_params(coupling=0.0)
     model = ModelParams(1.0, 1.0, 1.0)
     for v in (-1.0, 1.0):
-        W, Wp, _, fp = potentials(np.array([v]), pf, model)
+        W = potential(np.array([v]), pf, model)
+        Wp = double_well_derivative(np.array([v]))
+        fp = potential_derivative(np.array([v]), pf, model)
         assert W[0] == 0.0
         assert Wp[0] == 0.0
         assert fp[0] == 0.0

@@ -29,6 +29,19 @@ def test_duplicate_points_rejected():
         ConstraintSet(points=pts, heights=np.array([1.0, 1.0]), delta=None)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["points", "heights", "delta"])
+def test_non_finite_constraint_set_rejected(where, bad):
+    kw = dict(points=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+              heights=np.array([1.0, 1.0]), delta=1e-4)
+    if where == "delta":
+        kw["delta"] = bad
+    else:
+        kw[where][-1] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        ConstraintSet(**kw)
+
+
 def test_hard_interpolates_exactly(form):
     cs = ConstraintSet(icosahedron_points(), np.ones(12), delta=None)
     u, reactions, report = solve_hard(form, cs)

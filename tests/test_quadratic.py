@@ -24,6 +24,10 @@ def test_params_validation():
         ModelParams(kappa=1.0, sigma=-1.0, R=1.0)
     with pytest.raises(ParameterError):
         ModelParams(kappa=1.0, sigma=1.0, R=0.0)
+    for bad in (np.nan, np.inf):
+        for kw in (dict(kappa=bad), dict(sigma=bad), dict(R=bad)):
+            with pytest.raises(ParameterError, match="finite"):
+                ModelParams(**{"kappa": 1.0, "sigma": 1.0, "R": 1.0, **kw})
 
 
 def test_lambda0():
