@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import POINT_PRESETS, RunConfig, load_config
-from .errors import ConfigError, SphereMemError
+from .errors import ConfigError, SphereMemError, check_finite
 from .mesh import (
     TriangleMesh,
     build_icosphere,
@@ -137,10 +137,9 @@ def _constraint_points(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     return pts, heights
 
 
-def _write_solution(run: Run, mesh, u: np.ndarray, stem: str):
-    """Emit the field on the sphere plus a displaced surface for viewing."""
+def _write_solution(run: Run, mesh, u: np.ndarray, stem: str, rho: float):
+    """Emit the field on the sphere plus its surface displaced by rho*u for viewing."""
     write_vtk(run.out(f"{stem}.vtk"), mesh, {"u": u})
-    rho = run.cfg.get("points", "rho_visual", 1.0, float)
     nu = mesh.vertices / run.cfg.R
     displaced = TriangleMesh(
         mesh.vertices + rho * u[:, None] * nu, mesh.triangles, radius_hint=None
@@ -199,6 +198,8 @@ def cmd_validate(args) -> int:
 
 def cmd_points(run: Run, mesh: TriangleMesh, form: QuadraticForm):
     pts, heights = _constraint_points(run.cfg)
+    rho_visual = run.cfg.get("points", "rho_visual", 1.0, float)
+    check_finite(rho_visual=rho_visual)
     if run.subcommand == "points-hard":
         stem = "hard"
         u, _, report = solve_hard(form, ConstraintSet(points=pts, heights=heights, delta=None))
@@ -207,7 +208,7 @@ def cmd_points(run: Run, mesh: TriangleMesh, form: QuadraticForm):
         delta = run.cfg.get("points", "delta", 1e-4, float)
         u, report = solve_penalty(form, ConstraintSet(points=pts, heights=heights, delta=delta))
     run.stage("solve")
-    _write_solution(run, mesh, u, stem)
+    _write_solution(run, mesh, u, stem, rho_visual)
     _report_csv(run.out(f"{stem}_report.csv"), report, pts)
     run.stage("output")
     print(f"energy: {report.energy:.10g}")

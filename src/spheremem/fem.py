@@ -29,6 +29,10 @@ from .mesh import TriangleMesh, triangle_areas_normals
 #: rising with the level; c_be = 64 is verified up to level 6.
 BACKWARD_ERROR_BOUND = 64.0 * np.finfo(float).eps
 
+#: A point farther than this fraction of the mesh radius from the surface
+#: cannot be located on it.
+LOCATE_TOL_REL = 0.05
+
 
 def assemble_mass(mesh: TriangleMesh) -> sp.csr_matrix:
     """P1 mass matrix by exact per-triangle integration."""
@@ -135,12 +139,12 @@ class PointLocator:
                 best = (d, int(ti), bary)
         return best
 
-    def row(self, p, tol_rel: float = 0.05) -> sp.csr_matrix:
+    def row(self, p) -> sp.csr_matrix:
         d, ti, bary = self.locate(p)
-        if d > tol_rel * self._scale:
+        if d > LOCATE_TOL_REL * self._scale:
             raise GeometryError(
                 f"point {np.asarray(p).tolist()} is {d:.3g} from the surface "
-                f"(tolerance {tol_rel * self._scale:.3g})"
+                f"(tolerance {LOCATE_TOL_REL * self._scale:.3g})"
             )
         idx = self.mesh.triangles[ti]
         keep = bary > 1e-14
@@ -186,30 +190,46 @@ def _check_constraint_rank(B: sp.spmatrix, labels, compliance: np.ndarray) -> No
         )
 
 
-def _direct_solve_refined(K: sp.spmatrix, rhs: np.ndarray, max_refine: int = 4) -> np.ndarray:
-    """Sparse LU solve, refined in K until the componentwise backward error meets
-    ``BACKWARD_ERROR_BOUND``, else :class:`SolverError` after ``max_refine`` steps."""
-    K = K.tocsc()
+#: Refinement steps a solve may take to meet ``BACKWARD_ERROR_BOUND``.
+MAX_REFINE = 4
+
+
+def factor_saddle(A: sp.spmatrix, B: sp.spmatrix, compliance: np.ndarray):
+    """Assemble K = [[A, B^T], [B, -diag(c)]] in CSC format and factor it by sparse LU.
+
+    Returns ``(K, lu)``; a failed factorization raises :class:`SolverError`.
+    """
+    r = B.shape[0]
+    soft = np.flatnonzero(compliance)
+    D = sp.csr_matrix((-compliance[soft], (soft, soft)), shape=(r, r))
+    B = B.tocsr()
+    K = sp.bmat([[A.tocsr(), B.T], [B, D]], format="csc")
     try:
-        lu = spla.splu(K)
+        return K, spla.splu(K)
     except RuntimeError as exc:
-        raise SolverError(f"sparse LU failed: {exc}") from exc
+        raise SolverError(f"sparse LU of the saddle system failed: {exc}") from exc
+
+
+def _solve_refined(K: sp.csc_matrix, lu, rhs: np.ndarray) -> np.ndarray:
+    """Solve K x = rhs with the LU of K, refined until the componentwise backward
+    error meets ``BACKWARD_ERROR_BOUND``, else :class:`SolverError` after
+    ``MAX_REFINE`` steps."""
     x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SolverError("factorization produced non-finite solution (singular system)")
     absK = sp.csc_matrix((np.abs(K.data), K.indices, K.indptr), shape=K.shape)
-    for step in range(max_refine + 1):
+    for step in range(MAX_REFINE + 1):
         r = rhs - K @ x
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero r_i counts 0, scale or not
             ratio = np.where(r == 0, 0.0, np.abs(r) / (absK @ np.abs(x) + np.abs(rhs)))
         omega = float(ratio.max())
         if omega <= BACKWARD_ERROR_BOUND:
             return x
-        if step < max_refine:
+        if step < MAX_REFINE:
             x = x + lu.solve(r)
     raise SolverError(
         f"backward error {omega:.3g} exceeds contract {BACKWARD_ERROR_BOUND:.3g} "
-        f"after {max_refine} refinement steps"
+        f"after {MAX_REFINE} refinement steps"
     )
 
 
@@ -222,16 +242,15 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, np.ndarray]:
     backward error max_i |r_i| / (|K| |(x, lam)| + |(f, g)|)_i at most
     ``BACKWARD_ERROR_BOUND``, else :class:`SolverError` reports both.
     """
-    A, B = system.A.tocsr(), system.B.tocsr()
+    B = system.B.tocsr()
     r = B.shape[0]
     c = np.zeros(r) if system.compliance is None else np.asarray(system.compliance, dtype=float)
     _check_constraint_rank(B, system.row_labels, c)
-    soft = np.flatnonzero(c)
-    D = sp.csr_matrix((-c[soft], (soft, soft)), shape=(r, r))
-    K = sp.bmat([[A, B.T], [B, D]], format="csc")
+    K, lu = factor_saddle(system.A, B, c)
     rhs = np.concatenate([np.asarray(system.f, dtype=float), np.asarray(system.g, dtype=float)])
-    sol = _direct_solve_refined(K, rhs)
-    return sol[: A.shape[0]], sol[A.shape[0]:]
+    sol = _solve_refined(K, lu, rhs)
+    n = system.A.shape[0]
+    return sol[:n], sol[n:]
 
 
 def laplacian_apply(S: sp.spmatrix, m_lumped: np.ndarray, u: np.ndarray) -> np.ndarray:

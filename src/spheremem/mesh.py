@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MeshTopologyError, ParameterError, SizeLimitError
+from .errors import MeshTopologyError, ParameterError, SizeLimitError, check_finite
 
 #: Hard cap on subdivision depth; level 8 is ~655k vertices.
 MAX_LEVEL = 8
@@ -125,9 +125,10 @@ def build_icosphere(radius: float, level: int) -> TriangleMesh:
     """Icosahedron projected to radius ``radius`` and subdivided ``level`` times.
 
     Vertex count is 10*4**level + 2.  Raises :class:`ParameterError` for a
-    nonpositive radius or a negative level and :class:`SizeLimitError` above
-    :data:`MAX_LEVEL`.
+    non-finite or nonpositive radius or a negative level and
+    :class:`SizeLimitError` above :data:`MAX_LEVEL`.
     """
+    check_finite(radius=radius)
     if radius <= 0:
         raise ParameterError(f"radius must be positive, got {radius}")
     if level < 0:

@@ -73,18 +73,13 @@ def _weak_identity(mesh: TriangleMesh, reconstruction: str) -> tuple[np.ndarray,
     return rhs, np.column_stack([lu.solve(rhs[:, k]) for k in range(3)])
 
 
-def mean_curvature_vector(mesh: TriangleMesh, reconstruction: str = "lumped") -> np.ndarray:
-    """Nodal mean-curvature vector H*nu from the weak identity M Hvec = S X."""
-    return _weak_identity(mesh, reconstruction)[1]
-
-
 def discrete_mean_curvature(mesh: TriangleMesh, reconstruction: str = "lumped") -> np.ndarray:
     """Nodal mean curvature (sum of principal curvatures convention).
 
     Weak identity: M_L Hvec = S X per coordinate, then H = Hvec . nu with nu
     the area-weighted vertex normal; H = 2/R > 0 on the sphere.
     """
-    hvec = mean_curvature_vector(mesh, reconstruction)
+    hvec = _weak_identity(mesh, reconstruction)[1]
     nu = vertex_normals(mesh)
     return np.einsum("ij,ij->i", hvec, nu)
 
@@ -180,6 +175,7 @@ def taylor_consistency(
     distinct values, all positive.
     """
     _check_reconstruction(reconstruction)
+    check_finite(mu=mu)
     rhos = sorted((float(r) for r in rho_list), reverse=True)
     if len(set(rhos)) < 2 or not all(r > 0 for r in rhos):
         raise ParameterError(

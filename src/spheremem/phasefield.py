@@ -7,19 +7,21 @@ implicit: every linear spatial operator, including the cross coupling and
 the linear part of f', is implicit in one 2-field saddle solve; only the
 double-well derivative W' is explicit.  The mean constraints for phi and u
 and the three translation-mode constraints for u are enforced per step by
-multiplier rows, so conservation holds algebraically.
+multiplier rows, so conservation holds algebraically.  The step size is
+safeguarded by the energy check alone: a step that raises the energy is
+rejected and retried with half the step.
 """
 from __future__ import annotations
 
 import io
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, SolverError, StepRejectedError, check_finite
+from .fem import factor_saddle
 from .mesh import mesh_stats
 from .model import ModelParams, QuadraticForm
 
@@ -61,27 +63,16 @@ class PhaseFieldParams:
         if self.t_end is None and self.stat_tol is None:
             raise ParameterError("need a stopping rule: t_end or stat_tol")
 
-    def tau_max(self) -> float:
-        """Stability heuristic for the explicit double-well term."""
-        return self.alpha1 * self.epsilon**2 / self.b
-
 
 @dataclass
 class PhaseState:
-    """Deformation/order-parameter pair with time and cached multipliers.
-
-    ``energy`` and ``breakdown`` cache :func:`energy` of this (u, phi) when
-    the flow step that produced the state has evaluated it; ``None`` means
-    not evaluated.  Anything that changes u or phi must drop them.
-    """
+    """Deformation/order-parameter pair with time and the step's multipliers."""
 
     u: np.ndarray
     phi: np.ndarray
     t: float = 0.0
     lambda_phi: float | None = None
     lambda_u: float | None = None
-    energy: float | None = field(default=None, repr=False)
-    breakdown: dict | None = field(default=None, repr=False)
 
 
 def well_shift(pf: PhaseFieldParams, model: ModelParams) -> float:
@@ -180,70 +171,43 @@ def project_constraints(state: PhaseState, form: QuadraticForm,
     gram = np.array([[c[i] @ modes[j] for j in range(4)] for i in range(4)])
     coef = np.linalg.solve(gram, c @ state.u)
     u = state.u - modes.T @ coef
-    return replace(state, u=u, phi=phi, energy=None, breakdown=None)
+    return replace(state, u=u, phi=phi)
 
 
 class FlowSolver:
     """Reusable linearly-implicit stepper for the conserved gradient flow.
 
     The coupling operator C, the coupled 2-field operator and its sparse
-    factorization are built once per (form, params, tau) and reused across
-    steps.  A step solves once and evaluates the energy once, of the new
-    state: the energy of the state it starts from is the one cached on that
-    state by the step (or ``run_flow``) that produced it.
+    factorization depend on tau and are built once per (form, params, tau),
+    then reused across steps.  A step solves once and evaluates the energy
+    once, of the new state; the caller passes the energy of the state the
+    step starts from.
     """
 
-    def __init__(self, form: QuadraticForm, pf: PhaseFieldParams,
-                 tau: float | None = None, warn: bool = True):
+    def __init__(self, form: QuadraticForm, pf: PhaseFieldParams, tau: float | None = None):
         self.form = form
         self.pf = pf
         self.tau = float(tau if tau is not None else pf.tau)
         if self.tau <= 0:
             raise ParameterError("tau must be positive")
-        if warn:
-            if self.tau > pf.tau_max():
-                warnings.warn(
-                    f"tau = {self.tau:.3g} above the stability heuristic "
-                    f"alpha1*eps^2/b = {pf.tau_max():.3g}; steps may be rejected",
-                    stacklevel=2,
-                )
-            h_max = mesh_stats(form.mesh).h_max
-            if pf.epsilon < 2.0 * h_max:
-                warnings.warn(
-                    f"interface width eps = {pf.epsilon:.3g} under-resolved "
-                    f"(2 h_max = {2 * h_max:.3g})",
-                    stacklevel=2,
-                )
-        n = form.mesh.num_vertices
-        self.n = n
+        self.n = form.mesh.num_vertices
         self.C = C = coupling_operator(form, pf)
         # Linear part of (b/eps) f'(phi): (b/eps)*s*phi = kappa*Lambda^2*phi,
         # lumped; kept implicit.
         lin_well = (pf.b / pf.epsilon * well_shift(pf, form.params)) * sp.diags(form.m_lumped)
         Kpp = (pf.alpha1 / self.tau) * form.M + pf.b * pf.epsilon * form.S + lin_well
         Kuu = (pf.alpha2 / self.tau) * form.M + form.A
-        K = sp.bmat([[Kpp, C], [C, Kuu]], format="csr")
         c = form.constraints
-        zero = sp.csr_matrix((1, n))
-        B = sp.vstack([
-            sp.hstack([c[0], zero]),          # phi mean
-            sp.hstack([zero, c[0]]),          # u mean
-            sp.hstack([zero, c[1]]),
-            sp.hstack([zero, c[2]]),
-            sp.hstack([zero, c[3]]),
-        ]).tocsr()
-        self.B = B
-        self.K = sp.bmat([[K, B.T], [B, None]], format="csc")
-        try:
-            self.lu = spla.splu(self.K)
-        except RuntimeError as exc:
-            raise SolverError(f"flow operator factorization failed: {exc}") from exc
+        # Hard rows: the phi mean, then the u mean and the three u translation modes.
+        B = sp.block_diag([c[:1], c])
+        _, self.lu = factor_saddle(sp.bmat([[Kpp, C], [C, Kuu]]), B, np.zeros(5))
         self.g = np.concatenate([[pf.alpha * form.area], np.zeros(4)])
 
-    def step(self, state: PhaseState) -> PhaseState:
-        """One linearly-implicit step; raises StepRejectedError on energy rise.
+    def step(self, state: PhaseState, e_old: float) -> tuple[PhaseState, float, dict]:
+        """One linearly-implicit step from ``state``, whose energy is ``e_old``.
 
-        The returned state carries its energy and breakdown.
+        Returns the new state with its energy and breakdown; raises
+        :class:`StepRejectedError` when the energy rises.
         """
         pf, form = self.pf, self.form
         rhs_phi = (pf.alpha1 / self.tau) * (form.M @ state.phi) \
@@ -258,11 +222,7 @@ class FlowSolver:
         mult = sol[2 * self.n:]
         new = PhaseState(u=u_new, phi=phi_new, t=state.t + self.tau,
                          lambda_phi=float(mult[0]), lambda_u=float(mult[1]))
-        e_old = state.energy
-        if e_old is None:
-            e_old, _ = energy(state, form, pf, self.C)
-        new.energy, new.breakdown = energy(new, form, pf, self.C)
-        e_new = new.energy
+        e_new, breakdown = energy(new, form, pf, self.C)
         if e_new > e_old + 1e-8 * abs(e_old):
             raise StepRejectedError(
                 f"energy increased {e_old:.12g} -> {e_new:.12g}; "
@@ -270,7 +230,7 @@ class FlowSolver:
                 energy_before=e_old, energy_after=e_new,
                 suggested_tau=self.tau / 2,
             )
-        return new
+        return new, e_new, breakdown
 
 
 @dataclass
@@ -314,30 +274,40 @@ def run_flow(
     """Step until stationarity (||change||/tau < stat_tol) or t_end.
 
     The initial state is projected onto the constraint set (with a warning)
-    when it violates the constraints; rejected steps halve tau.  When running
-    to stationarity, tau grows by :data:`TAU_GROWTH` every
-    :data:`GROW_EVERY` accepted steps (up to :data:`TAU_CAP_FACTOR` times the
-    initial tau): late-stage coarsening is exponentially slow in physical
-    time, and the energy check keeps the enlarged steps dissipative.  A
+    when it violates the constraints, and the flow warns once when the
+    interface width epsilon is below 2 h_max of the mesh.  A step that raises
+    the energy is rejected and tau halved: this energy check is the flow's
+    only step-size safeguard.  When running to stationarity, tau grows by
+    :data:`TAU_GROWTH` every :data:`GROW_EVERY` accepted steps (up to
+    :data:`TAU_CAP_FACTOR` times the initial tau): late-stage coarsening is
+    exponentially slow in physical time, and the energy check keeps the
+    enlarged steps dissipative.  A
     ``t_end`` run whose next step would pass ``t_end`` shortens that step to
     ``t_end - t`` with a one-off :class:`FlowSolver`, so it ends at ``t_end``
     to roundoff.  Every accepted step is logged in the report.
 
     The energy is evaluated once for the initial state and then once per
     step by :meth:`FlowSolver.step`; the logged value of an accepted step
-    is the one the step computed for its dissipation check.
+    is the one the step computed for its dissipation check, and it is the
+    ``e_old`` of the next step.
     """
     pf_res = constraint_residuals(initial, form, pf)
     state = initial
     if max(pf_res) > 1e-10:
         warnings.warn("initial state violates constraints; projecting", stacklevel=2)
         state = project_constraints(state, form, pf)
+    h_max = mesh_stats(form.mesh).h_max
+    if pf.epsilon < 2.0 * h_max:
+        warnings.warn(
+            f"interface width eps = {pf.epsilon:.3g} under-resolved "
+            f"(2 h_max = {2 * h_max:.3g})",
+            stacklevel=2,
+        )
     solver = FlowSolver(form, pf)
     mass = form.m_lumped
     times, energies_log, breakdowns, residuals = [], [], [], []
-    e0, bd0 = energy(state, form, pf, solver.C)
-    state = replace(state, energy=e0, breakdown=bd0)
-    times.append(state.t); energies_log.append(e0); breakdowns.append(bd0)
+    e, bd = energy(state, form, pf, solver.C)
+    times.append(state.t); energies_log.append(e); breakdowns.append(bd)
     residuals.append(constraint_residuals(state, form, pf))
     rejected = 0
     consecutive = 0
@@ -353,9 +323,9 @@ def run_flow(
             if state.t >= pf.t_end - 1e-12 * pf.t_end:
                 break
             if state.t + solver.tau > pf.t_end + 1e-12 * pf.t_end:
-                stepper = FlowSolver(form, pf, tau=pf.t_end - state.t, warn=False)
+                stepper = FlowSolver(form, pf, tau=pf.t_end - state.t)
         try:
-            new = stepper.step(state)
+            new, e_new, bd = stepper.step(state, e)
         except StepRejectedError as exc:
             rejected += 1
             consecutive += 1
@@ -366,7 +336,7 @@ def run_flow(
                 ) from exc
             # Don't regrow straight back to a step size that was rejected.
             tau_cap = min(tau_cap, stepper.tau / 2.0)
-            solver = FlowSolver(form, pf, tau=stepper.tau / 2.0, warn=False)
+            solver = FlowSolver(form, pf, tau=stepper.tau / 2.0)
             since_grow = 0
             since_reject = 0
             continue
@@ -375,10 +345,9 @@ def run_flow(
         diff = np.sqrt(float(mass @ (new.phi - state.phi) ** 2)
                        + float(mass @ (new.u - state.u) ** 2))
         stationarity = diff / stepper.tau
-        state = new
+        state, e = new, e_new
         accepted += 1
-        times.append(state.t); energies_log.append(state.energy)
-        breakdowns.append(state.breakdown)
+        times.append(state.t); energies_log.append(e); breakdowns.append(bd)
         residuals.append(constraint_residuals(state, form, pf))
         if pf.stat_tol is not None and stationarity < pf.stat_tol:
             converged = True
@@ -386,9 +355,7 @@ def run_flow(
         since_grow += 1
         if pf.t_end is None and since_grow >= GROW_EVERY:
             if solver.tau < tau_cap:
-                solver = FlowSolver(
-                    form, pf, tau=min(TAU_GROWTH * solver.tau, tau_cap), warn=False
-                )
+                solver = FlowSolver(form, pf, tau=min(TAU_GROWTH * solver.tau, tau_cap))
                 since_grow = 0
             elif since_reject >= 10 * GROW_EVERY and tau_cap < hard_cap:
                 # A long run of accepted steps: the rejection that set the

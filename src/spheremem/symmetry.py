@@ -13,6 +13,10 @@ from scipy.spatial import cKDTree
 from .errors import GeometryError
 from .mesh import TriangleMesh
 
+#: A vertex map is a mesh symmetry when every image lies within this fraction
+#: of the mesh radius of a vertex.
+SYMMETRY_TOL_REL = 1e-9
+
 
 def rotation_z(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
@@ -26,7 +30,7 @@ def s10_matrix() -> np.ndarray:
     return m
 
 
-def vertex_permutation(mesh: TriangleMesh, matrix: np.ndarray, tol_rel: float = 1e-9) -> np.ndarray:
+def vertex_permutation(mesh: TriangleMesh, matrix: np.ndarray) -> np.ndarray:
     """Permutation p with vertices[p[i]] = matrix @ vertices[i].
 
     Raises :class:`GeometryError` if the map is not a symmetry of the mesh.
@@ -35,7 +39,7 @@ def vertex_permutation(mesh: TriangleMesh, matrix: np.ndarray, tol_rel: float = 
     tree = cKDTree(mesh.vertices)
     d, idx = tree.query(mapped)
     scale = float(np.max(np.linalg.norm(mesh.vertices, axis=1)))
-    if np.max(d) > tol_rel * scale:
+    if np.max(d) > SYMMETRY_TOL_REL * scale:
         raise GeometryError(
             f"transform is not a mesh symmetry (max vertex mismatch {np.max(d):.3g})"
         )

@@ -258,7 +258,7 @@ def sweep_results(form4):
             tau=0.01, stat_tol=1e-5, seed=7,
         )
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.filterwarnings("ignore", "interface width .* under-resolved")
             final, rep = run_flow(initial_state(form4, pf), form4, pf)
         results[lam] = (pf, final, rep)
     results["elapsed"] = time.perf_counter() - t0

@@ -299,6 +299,24 @@ def test_cli_mesh_negative_level_is_domain_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_cli_mesh_non_finite_radius_writes_nothing(tmp_path, capsys, radius):
+    out = tmp_path / "m.vtk"
+    assert main(["mesh", "--R", radius, "--level", "1", "--out", str(out)]) == 1
+    assert "radius must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_points_non_finite_rho_visual_fails_before_solving(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    out = tmp_path / "out"
+    write(cfg, f"[mesh]\nlevel = 2\n[points]\nrho_visual = nan\n[output]\ndir = {out}\n")
+    assert main(["points-hard", "--config", str(cfg)]) == 1
+    manifest = (out / "manifest.txt").read_text()
+    assert "failed: error" in manifest and "solve: ok" not in manifest
+    assert not (out / "hard_displaced.vtk").exists()
+
+
 def test_cli_config_negative_level_writes_failed_manifest(tmp_path):
     cfg = tmp_path / "c.cfg"
     out = tmp_path / "out"

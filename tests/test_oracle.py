@@ -137,6 +137,16 @@ def test_taylor_rejects_bad_rho_list(params, rho_list):
         taylor_consistency(form, u, mu=0.0, rho_list=rho_list)
 
 
+@pytest.mark.parametrize("mu", [np.nan, np.inf])
+def test_taylor_rejects_non_finite_mu(params, mu):
+    # A NaN mu made every residual NaN and reported status "failed".
+    mesh = build_icosphere(1.0, 2)
+    form = assemble_quadratic_form(mesh, params)
+    u = mesh.vertices[:, 0] * mesh.vertices[:, 1]
+    with pytest.raises(ParameterError, match="mu must be finite"):
+        taylor_consistency(form, u, mu=mu)
+
+
 def test_taylor_measures_each_surface_once(params, monkeypatch):
     import spheremem.oracle as oracle
 
