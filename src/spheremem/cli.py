@@ -200,13 +200,13 @@ def cmd_points(run: Run, mesh: TriangleMesh, form: QuadraticForm):
     pts, heights = _constraint_points(run.cfg)
     rho_visual = run.cfg.get("points", "rho_visual", 1.0, float)
     check_finite(rho_visual=rho_visual)
+    cs = ConstraintSet(pts, heights)
     if run.subcommand == "points-hard":
         stem = "hard"
-        u, _, report = solve_hard(form, ConstraintSet(points=pts, heights=heights, delta=None))
+        u, report = solve_hard(form, cs)
     else:
         stem = "penalty"
-        delta = run.cfg.get("points", "delta", 1e-4, float)
-        u, report = solve_penalty(form, ConstraintSet(points=pts, heights=heights, delta=delta))
+        u, report = solve_penalty(form, cs, run.cfg.get("points", "delta", 1e-4, float))
     run.stage("solve")
     _write_solution(run, mesh, u, stem, rho_visual)
     _report_csv(run.out(f"{stem}_report.csv"), report, pts)
@@ -218,8 +218,7 @@ def cmd_points(run: Run, mesh: TriangleMesh, form: QuadraticForm):
 def cmd_penalty_study(run: Run, mesh: TriangleMesh, form: QuadraticForm):
     pts, heights = _constraint_points(run.cfg)
     deltas = run.cfg.floats("penalty_study", "deltas", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
-    cs = ConstraintSet(points=pts, heights=heights, delta=deltas[0])
-    table = convergence_study(form, cs, deltas)
+    table = convergence_study(form, ConstraintSet(pts, heights), deltas)
     run.stage("study")
     run.write_text("penalty_rates.csv", table.to_csv())
     run.stage("output")
@@ -287,6 +286,8 @@ def cmd_phase_flow(run: Run, mesh: TriangleMesh, form: QuadraticForm):
 
 def cmd_lambda_sweep(run: Run, mesh: TriangleMesh, form: QuadraticForm):
     couplings = run.cfg.floats("sweep", "couplings", [-10.0, -5.0, -1.0, 0.0, 1.0, 5.0, 10.0])
+    if not couplings:
+        raise ConfigError("[sweep] couplings needs at least one value")
     rows = []
     for lam in couplings:
         pf = _phase_params(run.cfg, coupling=lam)

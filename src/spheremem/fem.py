@@ -13,8 +13,6 @@ scale however large the fourth-order block grows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -154,23 +152,6 @@ class PointLocator:
         )
 
 
-@dataclass
-class SaddleSystem:
-    """Symmetric block system [[A, B^T], [B, -diag(c)]] [x; lam] = [f; g].
-
-    The compliance c (``None``: all zero) makes row i of B a hard constraint
-    (B x)_i = g_i where c_i = 0, and a penalty |(B x - g)_i|^2 / (2 c_i) where
-    c_i > 0, whose multiplier is the reaction lam_i = (B x - g)_i / c_i.
-    """
-
-    A: sp.spmatrix
-    B: sp.spmatrix
-    f: np.ndarray
-    g: np.ndarray
-    row_labels: list[str] | None = None
-    compliance: np.ndarray | None = None
-
-
 def _check_constraint_rank(B: sp.spmatrix, labels, compliance: np.ndarray) -> None:
     """Verify the hard rows of B (zero compliance) have full row rank; name the dependent ones."""
     rows = np.flatnonzero(compliance == 0)
@@ -184,7 +165,7 @@ def _check_constraint_rank(B: sp.spmatrix, labels, compliance: np.ndarray) -> No
     tol = max(dense.shape) * np.finfo(float).eps * (diag[0] if diag.size else 1.0)
     bad = [int(rows[piv[i]]) for i in range(r) if i >= diag.size or diag[i] <= tol]
     if bad:
-        names = [labels[i] if labels else f"row {i}" for i in bad]
+        names = [labels[i] for i in bad]
         raise RankDeficiencyError(
             f"constraint block is rank deficient; dependent rows: {names}", dependent_rows=bad
         )
@@ -233,8 +214,17 @@ def _solve_refined(K: sp.csc_matrix, lu, rhs: np.ndarray) -> np.ndarray:
     )
 
 
-def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the saddle system by one sparse direct factorization.
+def solve_saddle(
+    A: sp.spmatrix, B: sp.spmatrix, f: np.ndarray, g: np.ndarray,
+    compliance: np.ndarray, labels: list[str],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve [[A, B^T], [B, -diag(c)]] [x; lam] = [f; g] by one sparse direct
+    factorization.
+
+    The compliance c makes row i of B a hard constraint (B x)_i = g_i where
+    c_i = 0, and a penalty |(B x - g)_i|^2 / (2 c_i) where c_i > 0, whose
+    multiplier is the reaction lam_i = (B x - g)_i / c_i; ``labels`` names the
+    rows of B.
 
     Returns ``(x, lam)``.  The hard rows of B must have full row rank
     (:class:`RankDeficiencyError` names the dependent ones), and the solution
@@ -242,14 +232,13 @@ def solve_saddle(system: SaddleSystem) -> tuple[np.ndarray, np.ndarray]:
     backward error max_i |r_i| / (|K| |(x, lam)| + |(f, g)|)_i at most
     ``BACKWARD_ERROR_BOUND``, else :class:`SolverError` reports both.
     """
-    B = system.B.tocsr()
-    r = B.shape[0]
-    c = np.zeros(r) if system.compliance is None else np.asarray(system.compliance, dtype=float)
-    _check_constraint_rank(B, system.row_labels, c)
-    K, lu = factor_saddle(system.A, B, c)
-    rhs = np.concatenate([np.asarray(system.f, dtype=float), np.asarray(system.g, dtype=float)])
+    B = B.tocsr()
+    c = np.asarray(compliance, dtype=float)
+    _check_constraint_rank(B, labels, c)
+    K, lu = factor_saddle(A, B, c)
+    rhs = np.concatenate([np.asarray(f, dtype=float), np.asarray(g, dtype=float)])
     sol = _solve_refined(K, lu, rhs)
-    n = system.A.shape[0]
+    n = A.shape[0]
     return sol[:n], sol[n:]
 
 

@@ -65,7 +65,6 @@ def _check_reconstruction(reconstruction: str) -> None:
 
 def _weak_identity(mesh: TriangleMesh, reconstruction: str) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the weak identity M Hvec = S X: (S X, Hvec)."""
-    _check_reconstruction(reconstruction)
     rhs = assemble_stiffness(mesh) @ mesh.vertices
     if reconstruction == "lumped":
         return rhs, rhs / lumped_diagonal(mesh)[:, None]
@@ -73,13 +72,13 @@ def _weak_identity(mesh: TriangleMesh, reconstruction: str) -> tuple[np.ndarray,
     return rhs, np.column_stack([lu.solve(rhs[:, k]) for k in range(3)])
 
 
-def discrete_mean_curvature(mesh: TriangleMesh, reconstruction: str = "lumped") -> np.ndarray:
+def discrete_mean_curvature(mesh: TriangleMesh) -> np.ndarray:
     """Nodal mean curvature (sum of principal curvatures convention).
 
     Weak identity: M_L Hvec = S X per coordinate, then H = Hvec . nu with nu
     the area-weighted vertex normal; H = 2/R > 0 on the sphere.
     """
-    hvec = _weak_identity(mesh, reconstruction)[1]
+    hvec = _weak_identity(mesh, "lumped")[1]
     nu = vertex_normals(mesh)
     return np.einsum("ij,ij->i", hvec, nu)
 
@@ -93,7 +92,7 @@ def willmore_energy(mesh: TriangleMesh, reconstruction: str = "lumped") -> float
     """
     _check_reconstruction(reconstruction)
     if reconstruction == "lumped":
-        H = discrete_mean_curvature(mesh, "lumped")
+        H = discrete_mean_curvature(mesh)
         return float(0.5 * (H * H) @ lumped_diagonal(mesh))
     rhs, hvec = _weak_identity(mesh, "consistent")
     return float(0.5 * sum(rhs[:, k] @ hvec[:, k] for k in range(3)))

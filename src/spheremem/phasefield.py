@@ -62,6 +62,8 @@ class PhaseFieldParams:
             raise ParameterError(f"alpha must lie in (-1, 1), got {self.alpha}")
         if self.t_end is None and self.stat_tol is None:
             raise ParameterError("need a stopping rule: t_end or stat_tol")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -188,6 +190,7 @@ class FlowSolver:
         self.form = form
         self.pf = pf
         self.tau = float(tau if tau is not None else pf.tau)
+        check_finite(tau=self.tau)
         if self.tau <= 0:
             raise ParameterError("tau must be positive")
         self.n = form.mesh.num_vertices

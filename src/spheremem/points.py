@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GeometryError, ParameterError, check_finite
-from .fem import PointLocator, SaddleSystem, h2_norm, solve_saddle
+from .fem import PointLocator, h2_norm, solve_saddle
 from .model import QuadraticForm
 
 #: Points closer than this (relative to R) are rejected as duplicates.
@@ -28,16 +28,13 @@ class ConstraintSet:
 
     points: np.ndarray     # (L, 3), on the sphere
     heights: np.ndarray    # (L,)
-    delta: float | None    # penalty parameter; None = hard constraints
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         hts = np.atleast_1d(np.asarray(self.heights, dtype=float))
         if pts.shape[0] != hts.shape[0]:
             raise ParameterError("heights and points length mismatch")
-        check_finite(points=pts, heights=hts, delta=self.delta)
-        if self.delta is not None and self.delta <= 0:
-            raise ParameterError(f"penalty delta must be positive, got {self.delta}")
+        check_finite(points=pts, heights=hts)
         if pts.shape[0] == 0:
             raise ParameterError("a constraint set needs at least one attachment point")
         scale = float(np.max(np.linalg.norm(pts, axis=1)))
@@ -59,9 +56,13 @@ class SolveReport:
     energy: float                   # 1/2 a(u,u)
     point_values: np.ndarray        # u(p_j)
     point_residuals: np.ndarray     # u(p_j) - Z_j
-    orthogonality_multipliers: np.ndarray   # 4 values for c0, c1, c2, c3
     point_multipliers: np.ndarray   # reactions; (u(p_j) - Z_j) / delta for a penalty
-    delta: float | None
+
+
+def _check_delta(delta: float) -> None:
+    check_finite(delta=delta)
+    if delta <= 0:
+        raise ParameterError(f"penalty delta must be positive, got {delta}")
 
 
 def _check_resolved(P: sp.csr_matrix) -> None:
@@ -76,48 +77,43 @@ def _check_resolved(P: sp.csr_matrix) -> None:
                 f"attachment points {i} and {j} lie in one triangle; refine the mesh")
 
 
-def _solve_points(form: QuadraticForm, cs: ConstraintSet) -> tuple[np.ndarray, SolveReport]:
+def _solve_points(
+    form: QuadraticForm, cs: ConstraintSet, delta: float
+) -> tuple[np.ndarray, SolveReport]:
     """The equilibrium [[A, B^T], [B, -diag(c)]] with B = [C; P] and compliance c
-    = 0 on the orthogonality rows, ``cs.delta`` (0 if None) on the point rows."""
+    = 0 on the orthogonality rows, ``delta`` (0 for the hard problem) on the point rows."""
     locator = PointLocator(form.mesh)
     P = sp.vstack([locator.row(p) for p in cs.points]).tocsr()
     _check_resolved(P)
-    system = SaddleSystem(
-        A=form.A, B=sp.vstack([form.constraints, P]).tocsr(),
-        f=np.zeros(form.mesh.num_vertices), g=np.concatenate([np.zeros(4), cs.heights]),
-        row_labels=["c0 (mean)", "c1 (nu_x)", "c2 (nu_y)", "c3 (nu_z)"] + [
+    u, lam = solve_saddle(
+        form.A, sp.vstack([form.constraints, P]).tocsr(),
+        np.zeros(form.mesh.num_vertices), np.concatenate([np.zeros(4), cs.heights]),
+        np.r_[np.zeros(4), np.full(cs.num_points, delta)],
+        ["c0 (mean)", "c1 (nu_x)", "c2 (nu_y)", "c3 (nu_z)"] + [
             f"point {j} at {cs.points[j].tolist()}" for j in range(cs.num_points)
         ],
-        compliance=np.r_[np.zeros(4), np.full(cs.num_points, cs.delta or 0.0)],
     )
-    u, lam = solve_saddle(system)
     values = P @ u
     report = SolveReport(
         energy=0.5 * form.evaluate(u, u),
         point_values=values,
         point_residuals=values - cs.heights,
-        orthogonality_multipliers=lam[:4],
         point_multipliers=lam[4:],
-        delta=cs.delta,
     )
     return u, report
 
 
-def solve_penalty(form: QuadraticForm, cs: ConstraintSet) -> tuple[np.ndarray, SolveReport]:
+def solve_penalty(
+    form: QuadraticForm, cs: ConstraintSet, delta: float
+) -> tuple[np.ndarray, SolveReport]:
     """Penalized equilibrium: minimizes 1/2 a(u,u) + |Pu - Z|^2 / (2 delta) on U_nu."""
-    if cs.delta is None:
-        raise ParameterError("solve_penalty needs a ConstraintSet with delta set")
-    return _solve_points(form, cs)
+    _check_delta(delta)
+    return _solve_points(form, cs, delta)
 
 
-def solve_hard(
-    form: QuadraticForm, cs: ConstraintSet
-) -> tuple[np.ndarray, np.ndarray, SolveReport]:
-    """Hard interpolation u(p_j) = Z_j with point-multiplier reactions."""
-    if cs.delta is not None:
-        raise ParameterError("solve_hard needs a ConstraintSet with delta None")
-    u, report = _solve_points(form, cs)
-    return u, report.point_multipliers, report
+def solve_hard(form: QuadraticForm, cs: ConstraintSet) -> tuple[np.ndarray, SolveReport]:
+    """Hard interpolation u(p_j) = Z_j; the reactions are ``report.point_multipliers``."""
+    return _solve_points(form, cs, 0.0)
 
 
 @dataclass
@@ -136,19 +132,21 @@ class RateTable:
         return buf.getvalue()
 
 
-def convergence_study(form: QuadraticForm, cs: ConstraintSet, delta_list) -> RateTable:
+def convergence_study(form: QuadraticForm, cs: ConstraintSet, deltas) -> RateTable:
     """Penalty-to-hard convergence: fits the rate of ||u - u_delta||_{H2} in delta.
 
-    The hard solution on the same mesh is the delta -> 0 reference.
+    The hard solution on the same mesh is the delta -> 0 reference.  Every
+    delta is checked before the first solve.
     """
-    deltas = [float(d) for d in delta_list]
+    deltas = [float(d) for d in deltas]
+    for d in deltas:
+        _check_delta(d)
     if len(deltas) < 2 or any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
-        raise ParameterError("delta_list must be strictly decreasing with >= 2 values")
-    hard_cs = ConstraintSet(points=cs.points, heights=cs.heights, delta=None)
-    u_hard, _, _ = solve_hard(form, hard_cs)
+        raise ParameterError("deltas must be strictly decreasing with >= 2 values")
+    u_hard, _ = solve_hard(form, cs)
     errors, energies = [], []
     for d in deltas:
-        u_d, rep = solve_penalty(form, ConstraintSet(cs.points, cs.heights, d))
+        u_d, rep = solve_penalty(form, cs, d)
         errors.append(h2_norm(form.M, form.S, form.m_lumped, u_hard - u_d))
         energies.append(rep.energy)
     slope = float(np.polyfit(np.log(deltas), np.log(errors), 1)[0])

@@ -200,7 +200,7 @@ def test_criterion_4_taylor_consistency(form5):
 
 def test_criterion_5_penalty_convergence(form4):
     t0 = time.perf_counter()
-    cs = ConstraintSet(icosahedron_points(), np.ones(12), delta=1e-2)
+    cs = ConstraintSet(icosahedron_points(), np.ones(12))
     table = convergence_study(form4, cs, [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
     elapsed = time.perf_counter() - t0
     monotone = all(a > b for a, b in zip(table.errors, table.errors[1:]))
@@ -216,17 +216,17 @@ def test_criterion_5_penalty_convergence(form4):
 def test_criterion_6_hard_constraints(form4):
     mesh = form4.mesh
     # Twelve icosahedral points, all heights 1.
-    cs1 = ConstraintSet(icosahedron_points(), np.ones(12), delta=None)
-    u1, _, rep1 = solve_hard(form4, cs1)
+    cs1 = ConstraintSet(icosahedron_points(), np.ones(12))
+    u1, rep1 = solve_hard(form4, cs1)
     res1 = float(np.max(np.abs(rep1.point_residuals)))
 
     # Ten equally spaced equator points, all heights 1.
-    cs3 = ConstraintSet(equator_points(10), np.ones(10), delta=None)
-    u3, _, rep3 = solve_hard(form4, cs3)
+    cs3 = ConstraintSet(equator_points(10), np.ones(10))
+    u3, rep3 = solve_hard(form4, cs3)
     res3 = float(np.max(np.abs(rep3.point_residuals)))
 
     # Zero targets force the zero solution.
-    u0, _, _ = solve_hard(form4, ConstraintSet(icosahedron_points(), np.zeros(12), delta=None))
+    u0, _ = solve_hard(form4, ConstraintSet(icosahedron_points(), np.zeros(12)))
     norm0 = float(np.linalg.norm(u0))
 
     # Exact mesh symmetries of the solutions.

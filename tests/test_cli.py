@@ -294,6 +294,26 @@ dir = {out}
     assert (out / "sweep_lambda_+0.vtk").exists() or (out / "sweep_lambda_0.vtk").exists()
 
 
+def test_cli_lambda_sweep_empty_couplings_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    out = tmp_path / "out"
+    write(cfg, f"[mesh]\nlevel = 1\n[sweep]\ncouplings =\n[output]\ndir = {out}\n")
+    assert main(["lambda-sweep", "--config", str(cfg)]) == 2
+    assert "couplings" in capsys.readouterr().err
+    assert not (out / "lambda_sweep.csv").exists()
+    assert "failed: error" in (out / "manifest.txt").read_text()
+
+
+def test_cli_negative_seed_is_domain_error(tmp_path, capsys):
+    cfg = tmp_path / "p.cfg"
+    out = tmp_path / "out"
+    write(cfg, f"[mesh]\nlevel = 2\n[phase]\nepsilon = 0.5\nt_end = 0.1\n"
+               f"[run]\nseed = -1\n[output]\ndir = {out}\n")
+    assert main(["phase-flow", "--config", str(cfg)]) == 1
+    assert "error: seed must be non-negative" in capsys.readouterr().err
+    assert "failed: error" in (out / "manifest.txt").read_text()
+
+
 def test_cli_mesh_negative_level_is_domain_error(tmp_path, capsys):
     assert main(["mesh", "--level", "-1", "--out", str(tmp_path / "m.vtk")]) == 1
     assert "error:" in capsys.readouterr().err

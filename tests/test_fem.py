@@ -9,7 +9,6 @@ from spheremem.errors import GeometryError, MeshTopologyError, RankDeficiencyErr
 from spheremem.fem import (
     BACKWARD_ERROR_BOUND,
     PointLocator,
-    SaddleSystem,
     assemble_mass,
     assemble_stiffness,
     h2_norm,
@@ -132,8 +131,7 @@ def test_solve_saddle_contract(mesh):
     n = mesh.num_vertices
     B = sp.csr_matrix((M @ np.ones(n)).reshape(1, n))
     f = np.sin(mesh.vertices[:, 2] * 3)
-    system = SaddleSystem(A=A, B=B, f=f, g=np.zeros(1), row_labels=["mean"])
-    x, lam = solve_saddle(system)
+    x, lam = solve_saddle(A, B, f, np.zeros(1), np.zeros(1), ["mean"])
     assert abs(float((B @ x)[0])) < 1e-10
     res = A @ x + B.T @ lam - f
     assert np.linalg.norm(res) < 1e-9 * max(1.0, np.linalg.norm(f))
@@ -157,15 +155,15 @@ def test_solve_saddle_contract_rejects_perturbed_solution(mesh, monkeypatch):
     n = mesh.num_vertices
     B = sp.csr_matrix((M @ np.ones(n)).reshape(1, n))
     f = np.sin(mesh.vertices[:, 2] * 3)
-    system = SaddleSystem(A=A, B=B, f=f, g=np.zeros(1), row_labels=["mean"])
-    x, lam = solve_saddle(system)
+    system = (A, B, f, np.zeros(1), np.zeros(1), ["mean"])
+    x, lam = solve_saddle(*system)
     sol = np.concatenate([x, lam])
     # Every solve returns the solution perturbed by 1e-6 relative.
     offset = 1e-6 * np.abs(sol) * np.random.default_rng(11).choice([-1.0, 1.0], sol.size)
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda K: _OffsetLU(splu(K), offset))
     with pytest.raises(SolverError, match="backward error") as exc:
-        solve_saddle(system)
+        solve_saddle(*system)
     assert f"{BACKWARD_ERROR_BOUND:.3g}" in str(exc.value)
 
 
@@ -176,11 +174,8 @@ def test_solve_saddle_rank_deficiency_names_rows(mesh):
     n = mesh.num_vertices
     row = sp.csr_matrix((M @ np.ones(n)).reshape(1, n))
     B = sp.vstack([row, 2.0 * row]).tocsr()
-    system = SaddleSystem(
-        A=A, B=B, f=np.zeros(n), g=np.zeros(2), row_labels=["mean", "mean again"]
-    )
     with pytest.raises(RankDeficiencyError) as exc:
-        solve_saddle(system)
+        solve_saddle(A, B, np.zeros(n), np.zeros(2), np.zeros(2), ["mean", "mean again"])
     assert exc.value.dependent_rows
 
 

@@ -66,6 +66,13 @@ def test_params_validation():
                 make_params(**kw)
 
 
+@pytest.mark.parametrize("tau, match", [(np.nan, "finite"), (np.inf, "finite"),
+                                        (0.0, "positive"), (-0.01, "positive")])
+def test_flow_solver_rejects_bad_tau(form2, tau, match):
+    with pytest.raises(ParameterError, match=match):
+        FlowSolver(form2, make_params(), tau=tau)
+
+
 @settings(max_examples=100, deadline=None)
 @given(phi=st.floats(-3, 3))
 def test_potential_identities(phi):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from spheremem import points
 from spheremem.errors import GeometryError, ParameterError
-from spheremem.fem import PointLocator, SaddleSystem, solve_saddle
+from spheremem.fem import PointLocator, solve_saddle
 from spheremem.mesh import build_icosphere
 from spheremem.model import ModelParams, assemble_quadratic_form
 from spheremem.points import (
@@ -26,48 +27,61 @@ def form():
 def test_duplicate_points_rejected():
     pts = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(ParameterError):
-        ConstraintSet(points=pts, heights=np.array([1.0, 1.0]), delta=None)
+        ConstraintSet(points=pts, heights=np.array([1.0, 1.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("where", ["points", "heights", "delta"])
+@pytest.mark.parametrize("where", ["points", "heights"])
 def test_non_finite_constraint_set_rejected(where, bad):
     kw = dict(points=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-              heights=np.array([1.0, 1.0]), delta=1e-4)
-    if where == "delta":
-        kw["delta"] = bad
-    else:
-        kw[where][-1] = bad
+              heights=np.array([1.0, 1.0]))
+    kw[where][-1] = bad
     with pytest.raises(ParameterError, match="finite"):
         ConstraintSet(**kw)
 
 
+def _study_last(form, cs, delta):
+    return convergence_study(form, cs, [1e-2, delta])
+
+
+@pytest.mark.parametrize("bad, match", [(np.nan, "finite"), (np.inf, "finite"),
+                                        (0.0, "positive"), (-1e-4, "positive")])
+@pytest.mark.parametrize("solve", [solve_penalty, _study_last],
+                         ids=["solve_penalty", "convergence_study"])
+def test_bad_delta_rejected_before_solving(form, monkeypatch, solve, bad, match):
+    # The study checks every delta before its hard solve.
+    monkeypatch.setattr(points, "_solve_points", lambda *a: pytest.fail("solved"))
+    cs = ConstraintSet(icosahedron_points(), np.ones(12))
+    with pytest.raises(ParameterError, match=match):
+        solve(form, cs, bad)
+
+
 def test_hard_interpolates_exactly(form):
-    cs = ConstraintSet(icosahedron_points(), np.ones(12), delta=None)
-    u, reactions, report = solve_hard(form, cs)
+    cs = ConstraintSet(icosahedron_points(), np.ones(12))
+    u, report = solve_hard(form, cs)
     assert np.max(np.abs(report.point_residuals)) < 1e-9
-    assert reactions.shape == (12,)
+    assert report.point_multipliers.shape == (12,)
 
 
 def test_hard_zero_targets_zero_solution(form):
-    cs = ConstraintSet(icosahedron_points(), np.zeros(12), delta=None)
-    u, _, _ = solve_hard(form, cs)
+    cs = ConstraintSet(icosahedron_points(), np.zeros(12))
+    u, _ = solve_hard(form, cs)
     assert np.linalg.norm(u) < 1e-10
 
 
 def test_hard_orthogonality_enforced(form):
-    cs = ConstraintSet(icosahedron_points(), np.ones(12), delta=None)
-    u, _, _ = solve_hard(form, cs)
+    cs = ConstraintSet(icosahedron_points(), np.ones(12))
+    u, _ = solve_hard(form, cs)
     for i in range(4):
         assert abs(float((form.constraints[i] @ u)[0])) < 1e-9
 
 
 def test_penalty_approaches_targets(form):
     pts = icosahedron_points()
+    cs = ConstraintSet(pts, np.ones(12))
     res = []
     for delta in (1e-2, 1e-4, 1e-6):
-        cs = ConstraintSet(pts, np.ones(12), delta=delta)
-        u, report = solve_penalty(form, cs)
+        u, report = solve_penalty(form, cs, delta)
         res.append(np.max(np.abs(report.point_residuals)))
     assert res[0] > res[1] > res[2]
 
@@ -76,26 +90,19 @@ def test_penalty_energy_below_hard(form):
     # The penalized minimizer relaxes the constraint, so its bending energy
     # cannot exceed the hard-constrained one.
     pts = icosahedron_points()
-    _, rep_p = solve_penalty(form, ConstraintSet(pts, np.ones(12), delta=1e-4))
-    _, _, rep_h = solve_hard(form, ConstraintSet(pts, np.ones(12), delta=None))
+    cs = ConstraintSet(pts, np.ones(12))
+    _, rep_p = solve_penalty(form, cs, 1e-4)
+    _, rep_h = solve_hard(form, cs)
     assert rep_p.energy <= rep_h.energy + 1e-10
-
-
-@pytest.mark.parametrize("solve, delta", [(solve_penalty, None), (solve_hard, 1e-2)],
-                         ids=["penalty-without-delta", "hard-with-delta"])
-def test_penalty_needs_delta(form, solve, delta):
-    cs = ConstraintSet(icosahedron_points(), np.ones(12), delta=delta)
-    with pytest.raises(ParameterError):
-        solve(form, cs)
 
 
 def test_hard_large_kappa():
     # The fourth-order block grows with kappa; the point rows must still hold
     # to their own scale.
     form = assemble_quadratic_form(build_icosphere(1.0, 3), ModelParams(1000.0, 1.0, 1.0))
-    u, reactions, report = solve_hard(form, ConstraintSet(icosahedron_points(), np.ones(12), None))
+    u, report = solve_hard(form, ConstraintSet(icosahedron_points(), np.ones(12)))
     assert np.max(np.abs(report.point_residuals)) <= 1e-10
-    assert np.all(np.isfinite(reactions))
+    assert np.all(np.isfinite(report.point_multipliers))
 
 
 @pytest.mark.parametrize("delta", [None, 1e-2])
@@ -103,15 +110,15 @@ def test_unresolved_points_rejected(delta):
     # At level 2 each polar ring has two points in one triangle.
     form = assemble_quadratic_form(build_icosphere(1.0, 2), ModelParams(1.0, 1.0, 1.0))
     pts, heights = polar_ring_points()
-    solve = solve_hard if delta is None else solve_penalty
+    cs = ConstraintSet(pts, heights)
     with pytest.raises(GeometryError, match="one triangle"):
-        solve(form, ConstraintSet(pts, heights, delta))
+        solve_hard(form, cs) if delta is None else solve_penalty(form, cs, delta)
 
 
 def test_points_on_adjacent_vertices_resolved(form):
     a, b = form.mesh.triangles[0][:2]
     pts = form.mesh.vertices[[a, b]]
-    u, _, report = solve_hard(form, ConstraintSet(pts, np.array([1.0, -1.0]), None))
+    u, report = solve_hard(form, ConstraintSet(pts, np.array([1.0, -1.0])))
     np.testing.assert_allclose(report.point_values, [1.0, -1.0], atol=1e-12)
 
 
@@ -120,14 +127,13 @@ def test_points_on_adjacent_vertices_resolved(form):
 def test_penalty_matches_schur_form(form, preset, delta):
     pts = icosahedron_points() if preset == "icosahedron" else equator_points()
     heights = np.ones(len(pts))
-    u, report = solve_penalty(form, ConstraintSet(pts, heights, delta))
+    u, report = solve_penalty(form, ConstraintSet(pts, heights), delta)
     # Reference: the point rows eliminated, (A + P^T P / delta) u = P^T Z / delta.
     locator = PointLocator(form.mesh)
     P = sp.vstack([locator.row(p) for p in pts]).tocsr()
-    ref, _ = solve_saddle(SaddleSystem(
-        A=(form.A + (P.T @ P) / delta).tocsr(), B=form.constraints,
-        f=(P.T @ heights) / delta, g=np.zeros(4),
-    ))
+    ref, _ = solve_saddle((form.A + (P.T @ P) / delta).tocsr(), form.constraints,
+                          (P.T @ heights) / delta, np.zeros(4), np.zeros(4),
+                          ["c0", "c1", "c2", "c3"])
     assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
     np.testing.assert_allclose(report.point_multipliers, report.point_residuals / delta,
                                rtol=1e-6)
@@ -135,17 +141,18 @@ def test_penalty_matches_schur_form(form, preset, delta):
 
 def test_penalty_reactions_approach_hard(form):
     pts = icosahedron_points()
-    _, hard, _ = solve_hard(form, ConstraintSet(pts, np.ones(12), None))
+    cs = ConstraintSet(pts, np.ones(12))
+    hard = solve_hard(form, cs)[1].point_multipliers
     gaps = []
     for delta in (1e-2, 1e-4, 1e-6):
-        _, report = solve_penalty(form, ConstraintSet(pts, np.ones(12), delta))
+        _, report = solve_penalty(form, cs, delta)
         gaps.append(np.max(np.abs(report.point_multipliers - hard)) / np.max(np.abs(hard)))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-3
 
 
 def test_convergence_rate_half_order(form):
-    cs = ConstraintSet(icosahedron_points(), np.ones(12), delta=1e-2)
+    cs = ConstraintSet(icosahedron_points(), np.ones(12))
     table = convergence_study(form, cs, [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
     assert 0.45 <= table.slope <= 1.1
     assert all(e1 > e2 for e1, e2 in zip(table.errors, table.errors[1:]))
@@ -171,3 +178,39 @@ def test_presets_hit_mesh_vertices():
     for p in icosahedron_points():
         dist, _, bary = locator.locate(p)
         assert np.max(bary) > 1.0 - 1e-9
+
+
+def _exact_single_point_energy(l_max: int = 2000) -> tuple[float, float]:
+    """Continuum energy E = 1/2 / g(0) of one hard point with Z = 1 and
+    kappa = sigma = R = 1, and a bound on its relative truncation error.
+
+    g(0) = sum_{l>=2} (2l+1) / (4 pi (x_l - 2)(x_l + 1)), x_l = l(l+1), is the
+    Green's function of the quadratic form on {1, nu}^perp at the point itself.
+    Because (2l+1) / x_l^2 = 1/l^2 - 1/(l+1)^2, the tail beyond ``l_max`` lies
+    between t = 1 / (4 pi (l_max+1)^2) and t / (1 - 1/x - 2/x^2) with
+    x = x_{l_max+1}; the sum adds t, so its error is at most t times the gap.
+    """
+    l = np.arange(2, l_max + 1, dtype=float)
+    x = l * (l + 1)
+    t = 1.0 / (4.0 * np.pi * (l_max + 1) ** 2)
+    x1 = (l_max + 1.0) * (l_max + 2.0)
+    g0 = float(np.sum((2 * l + 1) / (4.0 * np.pi * (x - 2) * (x + 1)))) + t
+    return 0.5 / g0, t * (1.0 / (1.0 - 1.0 / x1 - 2.0 / x1**2) - 1.0) / g0
+
+
+def test_single_point_energy_converges_to_exact_at_second_order():
+    exact, truncation = _exact_single_point_energy()
+    assert truncation < 1e-12
+    assert exact == pytest.approx(21.1496933844599, rel=1e-12)
+    cs = ConstraintSet(np.array([[0.0, 0.0, 1.0]]), np.array([1.0]))
+    errors = []
+    for level in range(2, 6):
+        form = assemble_quadratic_form(build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
+        _, report = solve_hard(form, cs)
+        errors.append(abs(report.energy - exact) / exact)
+    # Measured: 1.01e-1, 2.85e-2, 7.07e-3, 1.59e-3 (ratios 3.54, 4.03, 4.46).  O(h^2)
+    # with h halving per level is a ratio of 4; each ratio must reach 3.2 (local
+    # order 1.68), and level 5 must stay within 2e-3 (measured + 26%).
+    ratios = [e1 / e2 for e1, e2 in zip(errors, errors[1:])]
+    assert min(ratios) >= 3.2, (errors, ratios)
+    assert errors[-1] <= 2e-3, errors
