@@ -288,6 +288,13 @@ def cmd_lambda_sweep(run: Run, mesh: TriangleMesh, form: QuadraticForm):
     couplings = run.cfg.floats("sweep", "couplings", [-10.0, -5.0, -1.0, 0.0, 1.0, 5.0, 10.0])
     if not couplings:
         raise ConfigError("[sweep] couplings needs at least one value")
+    named = {}
+    for lam in couplings:
+        name = f"sweep_lambda_{lam:+g}"
+        if name in named:
+            raise ConfigError(f"[sweep] couplings {named[name]!r} and {lam!r} clash: "
+                              f"both write {name}.*")
+        named[name] = lam
     rows = []
     for lam in couplings:
         pf = _phase_params(run.cfg, coupling=lam)

@@ -5,6 +5,12 @@ Both problems are one saddle system: the four orthogonality constraints
 (1, u) = 0, (nu_i, u) = 0 and one row per attachment point, each with a
 multiplier.  A point row is hard (u(p_j) = Z_j) or, with compliance delta, the
 penalty (u(p_j) - Z_j)^2 / (2 delta), whose delta = 0 limit is the hard one.
+
+The systems of one form and constraint set differ only in the L x L point
+block -delta I, so they share one sparse factorization of the orthogonality
+block A_C = [[A, C^T], [C, 0]]; each delta is solved through the L x L Schur
+complement PG + delta I and refined against its whole saddle system.  A study
+of the hard problem and k penalties factors once.
 """
 from __future__ import annotations
 
@@ -15,7 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GeometryError, ParameterError, check_finite
-from .fem import PointLocator, h2_norm, solve_saddle
+from .fem import (PointLocator, _check_constraint_rank, _solve_refined, factor_saddle,
+                  h2_norm)
 from .model import QuadraticForm
 
 #: Points closer than this (relative to R) are rejected as duplicates.
@@ -77,30 +84,65 @@ def _check_resolved(P: sp.csr_matrix) -> None:
                 f"attachment points {i} and {j} lie in one triangle; refine the mesh")
 
 
-def _solve_points(
-    form: QuadraticForm, cs: ConstraintSet, delta: float
-) -> tuple[np.ndarray, SolveReport]:
-    """The equilibrium [[A, B^T], [B, -diag(c)]] with B = [C; P] and compliance c
-    = 0 on the orthogonality rows, ``delta`` (0 for the hard problem) on the point rows."""
-    locator = PointLocator(form.mesh)
-    P = sp.vstack([locator.row(p) for p in cs.points]).tocsr()
-    _check_resolved(P)
-    u, lam = solve_saddle(
-        form.A, sp.vstack([form.constraints, P]).tocsr(),
-        np.zeros(form.mesh.num_vertices), np.concatenate([np.zeros(4), cs.heights]),
-        np.r_[np.zeros(4), np.full(cs.num_points, delta)],
-        ["c0 (mean)", "c1 (nu_x)", "c2 (nu_y)", "c3 (nu_z)"] + [
+class _PointSystem:
+    """The saddle systems K(delta) = [[A, B^T], [B, -diag(c)]] of one form and
+    constraint set, with B = [C; P] and compliance c = 0 on the four
+    orthogonality rows C and ``delta`` (0 for the hard problem) on the point rows P.
+
+    Every K(delta) shares the block A_C = [[A, C^T], [C, 0]], which is factored
+    once here; G = A_C^{-1} [P^T; 0] takes one multi-column back-solve and
+    PG = P G_u is L x L.  A solve then eliminates the point rows: y = A_C^{-1} r1,
+    lam = (PG + delta I)^{-1} (P y_u - r2), x = y - G lam.
+    """
+
+    def __init__(self, form: QuadraticForm, cs: ConstraintSet):
+        locator = PointLocator(form.mesh)
+        P = sp.vstack([locator.row(p) for p in cs.points]).tocsr()
+        _check_resolved(P)
+        self.form, self.cs, self.P = form, cs, P
+        self.B = sp.vstack([form.constraints, P]).tocsr()
+        self.absA, self.absB = abs(form.A), abs(self.B)
+        self.labels = ["c0 (mean)", "c1 (nu_x)", "c2 (nu_y)", "c3 (nu_z)"] + [
             f"point {j} at {cs.points[j].tolist()}" for j in range(cs.num_points)
-        ],
-    )
-    values = P @ u
-    report = SolveReport(
-        energy=0.5 * form.evaluate(u, u),
-        point_values=values,
-        point_residuals=values - cs.heights,
-        point_multipliers=lam[4:],
-    )
-    return u, report
+        ]
+        _, self.lu = factor_saddle(form.A, form.constraints, np.zeros(4))
+        n = form.mesh.num_vertices
+        self.G = self.lu.solve(np.vstack([P.T.toarray(), np.zeros((4, cs.num_points))]))
+        self.PG = P @ self.G[:n]
+
+    def solve(self, delta: float) -> tuple[np.ndarray, SolveReport]:
+        """The equilibrium at compliance ``delta``, refined against the whole
+        K(delta) to the contract of :func:`fem.solve_saddle`."""
+        form, cs, P, B, absA, absB = self.form, self.cs, self.P, self.B, self.absA, self.absB
+        n, L = form.mesh.num_vertices, cs.num_points
+        c = np.r_[np.zeros(4), np.full(L, delta)]
+        _check_constraint_rank(B, self.labels, c)
+        schur = self.PG + delta * np.eye(L)
+
+        def apply(x):
+            u, w = x[:n], x[n:]
+            return np.concatenate([form.A @ u + B.T @ w, B @ u - c * w])
+
+        def apply_abs(x):
+            u, w = x[:n], x[n:]
+            return np.concatenate([absA @ u + absB.T @ w, absB @ u + c * w])
+
+        def inner(r):
+            y = self.lu.solve(r[:n + 4])
+            lam = np.linalg.solve(schur, P @ y[:n] - r[n + 4:])
+            return np.concatenate([y - self.G @ lam, lam])
+
+        sol = _solve_refined(apply, apply_abs, inner,
+                             np.concatenate([np.zeros(n + 4), cs.heights]))
+        u = sol[:n]
+        values = P @ u
+        report = SolveReport(
+            energy=0.5 * form.evaluate(u, u),
+            point_values=values,
+            point_residuals=values - cs.heights,
+            point_multipliers=sol[n + 4:],
+        )
+        return u, report
 
 
 def solve_penalty(
@@ -108,12 +150,12 @@ def solve_penalty(
 ) -> tuple[np.ndarray, SolveReport]:
     """Penalized equilibrium: minimizes 1/2 a(u,u) + |Pu - Z|^2 / (2 delta) on U_nu."""
     _check_delta(delta)
-    return _solve_points(form, cs, delta)
+    return _PointSystem(form, cs).solve(delta)
 
 
 def solve_hard(form: QuadraticForm, cs: ConstraintSet) -> tuple[np.ndarray, SolveReport]:
     """Hard interpolation u(p_j) = Z_j; the reactions are ``report.point_multipliers``."""
-    return _solve_points(form, cs, 0.0)
+    return _PointSystem(form, cs).solve(0.0)
 
 
 @dataclass
@@ -143,10 +185,11 @@ def convergence_study(form: QuadraticForm, cs: ConstraintSet, deltas) -> RateTab
         _check_delta(d)
     if len(deltas) < 2 or any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ParameterError("deltas must be strictly decreasing with >= 2 values")
-    u_hard, _ = solve_hard(form, cs)
+    system = _PointSystem(form, cs)
+    u_hard, _ = system.solve(0.0)
     errors, energies = [], []
     for d in deltas:
-        u_d, rep = solve_penalty(form, cs, d)
+        u_d, rep = system.solve(d)
         errors.append(h2_norm(form.M, form.S, form.m_lumped, u_hard - u_d))
         energies.append(rep.energy)
     slope = float(np.polyfit(np.log(deltas), np.log(errors), 1)[0])

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spheremem import cli
 from spheremem.cli import main
 from spheremem.config import load_config
 from spheremem.errors import ConfigError, MeshTopologyError
@@ -300,6 +301,20 @@ def test_cli_lambda_sweep_empty_couplings_exits_2(tmp_path, capsys):
     write(cfg, f"[mesh]\nlevel = 1\n[sweep]\ncouplings =\n[output]\ndir = {out}\n")
     assert main(["lambda-sweep", "--config", str(cfg)]) == 2
     assert "couplings" in capsys.readouterr().err
+    assert not (out / "lambda_sweep.csv").exists()
+    assert "failed: error" in (out / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("couplings", ["1 1", "1 1.000001"])
+def test_cli_lambda_sweep_clashing_couplings_exit_2(tmp_path, capsys, monkeypatch, couplings):
+    # Both couplings would write sweep_lambda_+1.*; neither flow may run.
+    monkeypatch.setattr(cli, "run_flow", lambda *a, **k: pytest.fail("flow ran"))
+    cfg = tmp_path / "s.cfg"
+    out = tmp_path / "out"
+    write(cfg, f"[mesh]\nlevel = 1\n[sweep]\ncouplings = {couplings}\n[output]\ndir = {out}\n")
+    assert main(["lambda-sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "clash" in err and couplings.split()[1] in err
     assert not (out / "lambda_sweep.csv").exists()
     assert "failed: error" in (out / "manifest.txt").read_text()
 

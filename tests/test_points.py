@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.special import eval_legendre
 
 from spheremem import points
 from spheremem.errors import GeometryError, ParameterError
@@ -49,11 +51,26 @@ def _study_last(form, cs, delta):
 @pytest.mark.parametrize("solve", [solve_penalty, _study_last],
                          ids=["solve_penalty", "convergence_study"])
 def test_bad_delta_rejected_before_solving(form, monkeypatch, solve, bad, match):
-    # The study checks every delta before its hard solve.
-    monkeypatch.setattr(points, "_solve_points", lambda *a: pytest.fail("solved"))
+    # The study checks every delta before it factors anything.
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: pytest.fail("solved"))
     cs = ConstraintSet(icosahedron_points(), np.ones(12))
     with pytest.raises(ParameterError, match=match):
         solve(form, cs, bad)
+
+
+@pytest.mark.parametrize("run", [
+    solve_hard,
+    lambda form, cs: solve_penalty(form, cs, 1e-4),
+    lambda form, cs: convergence_study(form, cs, [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]),
+], ids=["solve_hard", "solve_penalty", "convergence_study"])
+def test_one_factorization_per_constraint_set(form, monkeypatch, run):
+    # The hard problem and every delta share one factorization of [[A, C^T], [C, 0]];
+    # splu is counted where fem looks it up.
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    run(form, ConstraintSet(icosahedron_points(), np.ones(12)))
+    assert len(calls) == 1
 
 
 def test_hard_interpolates_exactly(form):
@@ -211,6 +228,45 @@ def test_single_point_energy_converges_to_exact_at_second_order():
     # Measured: 1.01e-1, 2.85e-2, 7.07e-3, 1.59e-3 (ratios 3.54, 4.03, 4.46).  O(h^2)
     # with h halving per level is a ratio of 4; each ratio must reach 3.2 (local
     # order 1.68), and level 5 must stay within 2e-3 (measured + 26%).
+    ratios = [e1 / e2 for e1, e2 in zip(errors, errors[1:])]
+    assert min(ratios) >= 3.2, (errors, ratios)
+    assert errors[-1] <= 2e-3, errors
+
+
+def _exact_green_matrix(pts: np.ndarray, l_max: int = 20000) -> tuple[np.ndarray, float]:
+    """Continuum Green's function G_ij = g(p_i . p_j) of the quadratic form on
+    {1, nu}^perp for kappa = sigma = R = 1, and a bound on its truncation error.
+
+    g(cos gamma) = sum_{l>=2} (2l+1) P_l(cos gamma) / (4 pi (x_l - 2)(x_l + 1)),
+    x_l = l(l+1).  Since |P_l| <= 1 and (2l+1) / x_l^2 = 1/l^2 - 1/(l+1)^2, the
+    terms beyond ``l_max`` sum to at most t / (1 - 1/x - 2/x^2) in absolute
+    value, with t = 1 / (4 pi (l_max+1)^2) and x = x_{l_max+1}.
+    """
+    l = np.arange(2, l_max + 1)
+    x = l * (l + 1.0)
+    weights = (2 * l + 1) / (4.0 * np.pi * (x - 2) * (x + 1))
+    cosines, inverse = np.unique(np.clip(pts @ pts.T, -1.0, 1.0), return_inverse=True)
+    g = weights @ eval_legendre(l[:, None], cosines[None, :])
+    t = 1.0 / (4.0 * np.pi * (l_max + 1) ** 2)
+    x1 = (l_max + 1.0) * (l_max + 2.0)
+    return g[inverse].reshape(len(pts), len(pts)), t / (1.0 - 1.0 / x1 - 2.0 / x1**2)
+
+
+def test_point_green_matrix_converges_to_exact_at_second_order():
+    # PG = P A_C^{-1} P^T is the discrete Green's function at the attachment
+    # points; the hard reactions solve PG lam = Z as the continuum ones solve
+    # G lam = Z.
+    pts = icosahedron_points()
+    exact, truncation = _exact_green_matrix(pts)
+    assert truncation < 1e-5 * np.min(np.abs(exact))
+    cs = ConstraintSet(pts, np.ones(12))
+    errors = []
+    for level in range(2, 6):
+        form = assemble_quadratic_form(build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
+        PG = points._PointSystem(form, cs).PG
+        errors.append(float(np.max(np.abs(PG - exact) / np.abs(exact))))
+    # Measured: 1.12e-1, 2.94e-2, 7.13e-3, 1.59e-3 (ratios 3.82, 4.12, 4.48).  As
+    # for the single point, each ratio must reach 3.2 and level 5 stay within 2e-3.
     ratios = [e1 / e2 for e1, e2 in zip(errors, errors[1:])]
     assert min(ratios) >= 3.2, (errors, ratios)
     assert errors[-1] <= 2e-3, errors
