@@ -1,5 +1,5 @@
 """Piecewise-linear surface FEM: mass/stiffness assembly, point evaluation,
-norms, and the direct saddle-point solver.
+norms, the direct saddle-point solver and the consistent-mass solve.
 
 All operators are assembled triangle-wise on the polyhedral surface.  The
 discrete Laplacian used for fourth-order terms is the lumped-mass
@@ -9,7 +9,10 @@ Solver contract: x solving K x = b is accepted when its componentwise backward
 error max_i |b - K x|_i / (|K| |x| + |b|)_i is at most ``BACKWARD_ERROR_BOUND``
 (Oettli-Prager; Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
 ed., Thm. 7.3): every row, hard constraint rows included, holds to its own
-scale however large the fourth-order block grows.
+scale however large the fourth-order block grows.  The saddle systems meet it
+by sparse LU and refinement; the mass matrix M, whose lumped diagonal
+preconditions it to condition number 4 at every h, by conjugate gradients
+without a factorization (``solve_mass``).
 """
 from __future__ import annotations
 
@@ -25,8 +28,11 @@ from .mesh import TriangleMesh, triangle_areas_normals
 #: The one residual tolerance: it stops the refinement and is the contract.  The
 #: point solves of the three presets (hard and delta = 1e-2 ... 1e-6) take one
 #: refinement step to at most 5.5 eps at levels 3-6, rising with the level; at
-#: level 2 the equator solves pass unrefined at 28.8 eps.  c_be = 64 is verified
-#: up to level 6.
+#: level 2 the equator solves pass unrefined at 28.8 eps.  The mass solves of a
+#: consistent Taylor check (z^2 - 1/3, rho = 0.1 ... 0.0125) stop CG after
+#: 19-25 iterations at level 3 and 27-30 at levels 4-6, at 4-61 eps (level 3),
+#: 10-61 (4), 23-35 (5) and 22-49 eps (6), without a refinement step.
+#: c_be = 64 is verified up to level 6.
 BACKWARD_ERROR_BOUND = 64.0 * np.finfo(float).eps
 
 #: A point farther than this fraction of the mesh radius from the surface
@@ -193,23 +199,27 @@ def factor_saddle(A: sp.spmatrix, B: sp.spmatrix, compliance: np.ndarray):
         raise SolverError(f"sparse LU of the saddle system failed: {exc}") from exc
 
 
+def _backward_error(r: np.ndarray, scale: np.ndarray) -> float:
+    """max_i |r_i| / scale_i, where a zero r_i counts 0 whatever its scale."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.where(r == 0, 0.0, np.abs(r) / scale).max())
+
+
 def _solve_refined(apply, apply_abs, solve, rhs: np.ndarray) -> np.ndarray:
-    """Solve K x = rhs by the inner direct solve ``solve`` (r -> K^{-1} r up to
-    roundoff), refined until the componentwise backward error meets
-    ``BACKWARD_ERROR_BOUND``, else :class:`SolverError` after ``MAX_REFINE``
-    steps.
+    """Solve K x = rhs by the inner solve ``solve`` (r -> K^{-1} r up to
+    roundoff, by a factorization or by CG), refined until the componentwise
+    backward error meets ``BACKWARD_ERROR_BOUND``, else :class:`SolverError`
+    after ``MAX_REFINE`` steps.
 
     K enters only through ``apply`` (x -> K x) and ``apply_abs`` (x -> |K| x),
     so the contract holds on the whole system K however ``solve`` works.
     """
     x = solve(rhs)
     if not np.all(np.isfinite(x)):
-        raise SolverError("factorization produced non-finite solution (singular system)")
+        raise SolverError("inner solve produced a non-finite solution (singular system)")
     for step in range(MAX_REFINE + 1):
         r = rhs - apply(x)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero r_i counts 0, scale or not
-            ratio = np.where(r == 0, 0.0, np.abs(r) / (apply_abs(np.abs(x)) + np.abs(rhs)))
-        omega = float(ratio.max())
+        omega = _backward_error(r, apply_abs(np.abs(x)) + np.abs(rhs))
         if omega <= BACKWARD_ERROR_BOUND:
             return x
         if step < MAX_REFINE:
@@ -247,6 +257,50 @@ def solve_saddle(
     sol = _solve_refined(K.dot, absK.dot, lu.solve, rhs)
     n = A.shape[0]
     return sol[:n], sol[n:]
+
+
+#: CG iterations one mass solve may take.  Preconditioned by its row sums (the
+#: lumped mass M_L), a P1 mass matrix has its spectrum in [1/4, 1] on any
+#: triangle mesh (Wathen, IMA J. Numer. Anal. 7 (1987) 449): condition number
+#: at most 4, so CG shrinks the M-norm error by 1/3 a step whatever h is, and
+#: 2 * 3^-k falls below eps at k = 34.
+MASS_CG_MAXITER = 40
+
+
+def solve_mass(M: sp.spmatrix, b: np.ndarray) -> np.ndarray:
+    """Solve M x = b for a P1 mass matrix M (b one column or several) by
+    conjugate gradients preconditioned with the row sums of M.
+
+    CG stops as soon as its iterate meets ``BACKWARD_ERROR_BOUND``
+    componentwise, and ``_solve_refined`` holds every column to that contract
+    on its true residual, else :class:`SolverError`.  The entries of M are
+    positive multiples of triangle areas, so |M| = M.
+    """
+    M = M.tocsr()
+    d = np.asarray(M.sum(axis=1)).ravel()
+
+    def cg(rhs):
+        x = np.zeros_like(rhs)
+        r = rhs
+        scale = np.abs(rhs)
+        p = z = r / d
+        rz = r @ z
+        for _ in range(MASS_CG_MAXITER):
+            if _backward_error(r, M @ np.abs(x) + scale) <= BACKWARD_ERROR_BOUND:
+                break
+            q = M @ p
+            alpha = rz / (p @ q)
+            x = x + alpha * p
+            r = r - alpha * q
+            z = r / d
+            rz, rz_prev = r @ z, rz
+            p = z + (rz / rz_prev) * p
+        return x
+
+    b = np.asarray(b, dtype=float)
+    if b.ndim == 1:
+        return _solve_refined(M.dot, M.dot, cg, b)
+    return np.column_stack([_solve_refined(M.dot, M.dot, cg, col) for col in b.T])
 
 
 def laplacian_apply(S: sp.spmatrix, m_lumped: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -96,29 +96,30 @@ def _pole_icosahedron(radius: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _subdivide(verts: np.ndarray, tris: np.ndarray, radius: float):
-    """Split every triangle in four; midpoints are reprojected to the sphere."""
-    verts = list(map(tuple, verts))
-    cache: dict[tuple[int, int], int] = {}
+    """Split every triangle in four; midpoints are reprojected to the sphere.
 
-    def midpoint(i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        idx = cache.get(key)
-        if idx is not None:
-            return idx
-        m = 0.5 * (np.asarray(verts[i]) + np.asarray(verts[j]))
-        m *= radius / np.linalg.norm(m)
-        verts.append(tuple(m))
-        idx = len(verts) - 1
-        cache[key] = idx
-        return idx
-
-    out = []
-    for a, b, c in tris:
-        ab = midpoint(a, b)
-        bc = midpoint(b, c)
-        ca = midpoint(c, a)
-        out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-    return np.array(verts), np.array(out, dtype=np.int64)
+    The edges (a,b), (b,c), (c,a) of each triangle, in triangle order, number
+    the new midpoints by first encounter: the vertex order of a triangle-by-
+    triangle walk.
+    """
+    n = verts.shape[0]
+    edges = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    keys = np.minimum(edges[:, 0], edges[:, 1]) * n + np.maximum(edges[:, 0], edges[:, 1])
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    mid = (n + rank[inverse]).reshape(-1, 3)
+    ends = edges[first[order]]
+    m = 0.5 * (verts[ends[:, 0]] + verts[ends[:, 1]])
+    # A stacked matmul takes each |m|^2 by the same dot product as
+    # np.linalg.norm of one vector, so the vertices are those of a
+    # per-midpoint loop bit for bit; norm(axis=1) and einsum are not.
+    m *= radius / np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
+    a, b, c = tris.T
+    ab, bc, ca = mid.T
+    out = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1)
+    return np.vstack([verts, m]), out.reshape(-1, 3)
 
 
 def build_icosphere(radius: float, level: int) -> TriangleMesh:

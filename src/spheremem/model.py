@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError, check_finite
-from .fem import assemble_mass, assemble_stiffness, lumped_diagonal
+from .fem import assemble_mass, assemble_stiffness, lumped_diagonal, solve_mass
 from .mesh import TriangleMesh
 
 
@@ -81,11 +81,9 @@ class QuadraticForm:
         Evaluation-only alternative for convergence comparisons; the sparse
         operator ``A`` always uses the lumped reconstruction.
         """
-        from scipy.sparse.linalg import spsolve
-
         p = self.params
         R2 = p.R**2
-        bih = float((self.S @ u) @ spsolve(self.M.tocsc(), self.S @ v))
+        bih = float((self.S @ u) @ solve_mass(self.M, self.S @ v))
         return (
             p.kappa * bih
             + (p.sigma - 2.0 * p.kappa / R2) * float(u @ (self.S @ v))

@@ -9,11 +9,12 @@ of the assembled quadratic form it validates.
 Two curvature reconstructions are supported.  ``lumped`` solves the weak
 identity with the lumped mass matrix and projects onto vertex normals (the
 package default).  ``consistent`` keeps the full mean-curvature vector paired
-with the consistent mass matrix (one M^{-1} solve, shared by the curvature and
-the energy); its bending energy is structurally aligned with the
-consistent-reconstruction variant of the quadratic form and has a markedly
-smaller quadratic-order consistency mismatch, which the Taylor check needs to
-expose the cubic remainder at practical resolutions.
+with the consistent mass matrix (one M^{-1} solve per coordinate, shared by
+the curvature and the energy, by ``fem.solve_mass``: preconditioned CG held to
+the solver contract, no factorization); its bending energy is structurally
+aligned with the consistent-reconstruction variant of the quadratic form and
+has a markedly smaller quadratic-order consistency mismatch, which the Taylor
+check needs to expose the cubic remainder at practical resolutions.
 """
 from __future__ import annotations
 
@@ -21,10 +22,9 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import GeometryError, ParameterError, check_finite
-from .fem import assemble_mass, assemble_stiffness, lumped_diagonal
+from .fem import assemble_mass, assemble_stiffness, lumped_diagonal, solve_mass
 from .mesh import TriangleMesh, mesh_stats, vertex_normals
 from .model import ModelParams, QuadraticForm, quadratic_lagrangian
 
@@ -68,8 +68,7 @@ def _weak_identity(mesh: TriangleMesh, reconstruction: str) -> tuple[np.ndarray,
     rhs = assemble_stiffness(mesh) @ mesh.vertices
     if reconstruction == "lumped":
         return rhs, rhs / lumped_diagonal(mesh)[:, None]
-    lu = spla.splu(assemble_mass(mesh).tocsc())
-    return rhs, np.column_stack([lu.solve(rhs[:, k]) for k in range(3)])
+    return rhs, solve_mass(assemble_mass(mesh), rhs)
 
 
 def discrete_mean_curvature(mesh: TriangleMesh) -> np.ndarray:

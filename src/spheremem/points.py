@@ -110,11 +110,12 @@ class _PointSystem:
         self.G = self.lu.solve(np.vstack([P.T.toarray(), np.zeros((4, cs.num_points))]))
         self.PG = P @ self.G[:n]
 
-    def solve(self, delta: float) -> tuple[np.ndarray, SolveReport]:
-        """The equilibrium at compliance ``delta``, refined against the whole
-        K(delta) to the contract of :func:`fem.solve_saddle`."""
-        form, cs, P, B, absA, absB = self.form, self.cs, self.P, self.B, self.absA, self.absB
-        n, L = form.mesh.num_vertices, cs.num_points
+    def solve(self, delta: float, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u, lam) with K(delta) [u; mu; lam] = [0; 0; g], refined against the
+        whole K(delta) to the contract of :func:`fem.solve_saddle`; lam holds
+        the point multipliers."""
+        form, P, B, absA, absB = self.form, self.P, self.B, self.absA, self.absB
+        n, L = form.mesh.num_vertices, self.cs.num_points
         c = np.r_[np.zeros(4), np.full(L, delta)]
         _check_constraint_rank(B, self.labels, c)
         schur = self.PG + delta * np.eye(L)
@@ -132,15 +133,18 @@ class _PointSystem:
             lam = np.linalg.solve(schur, P @ y[:n] - r[n + 4:])
             return np.concatenate([y - self.G @ lam, lam])
 
-        sol = _solve_refined(apply, apply_abs, inner,
-                             np.concatenate([np.zeros(n + 4), cs.heights]))
-        u = sol[:n]
-        values = P @ u
+        sol = _solve_refined(apply, apply_abs, inner, np.concatenate([np.zeros(n + 4), g]))
+        return sol[:n], sol[n + 4:]
+
+    def equilibrium(self, delta: float) -> tuple[np.ndarray, SolveReport]:
+        """The equilibrium at compliance ``delta`` and its report."""
+        u, lam = self.solve(delta, self.cs.heights)
+        values = self.P @ u
         report = SolveReport(
-            energy=0.5 * form.evaluate(u, u),
+            energy=0.5 * self.form.evaluate(u, u),
             point_values=values,
-            point_residuals=values - cs.heights,
-            point_multipliers=sol[n + 4:],
+            point_residuals=values - self.cs.heights,
+            point_multipliers=lam,
         )
         return u, report
 
@@ -150,12 +154,12 @@ def solve_penalty(
 ) -> tuple[np.ndarray, SolveReport]:
     """Penalized equilibrium: minimizes 1/2 a(u,u) + |Pu - Z|^2 / (2 delta) on U_nu."""
     _check_delta(delta)
-    return _PointSystem(form, cs).solve(delta)
+    return _PointSystem(form, cs).equilibrium(delta)
 
 
 def solve_hard(form: QuadraticForm, cs: ConstraintSet) -> tuple[np.ndarray, SolveReport]:
     """Hard interpolation u(p_j) = Z_j; the reactions are ``report.point_multipliers``."""
-    return _PointSystem(form, cs).solve(0.0)
+    return _PointSystem(form, cs).equilibrium(0.0)
 
 
 @dataclass
@@ -177,8 +181,12 @@ class RateTable:
 def convergence_study(form: QuadraticForm, cs: ConstraintSet, deltas) -> RateTable:
     """Penalty-to-hard convergence: fits the rate of ||u - u_delta||_{H2} in delta.
 
-    The hard solution on the same mesh is the delta -> 0 reference.  Every
-    delta is checked before the first solve.
+    The hard solution (u0, lam0) on the same mesh is the delta -> 0
+    reference.  Since K(delta) [u0; lam0] = [0; 0; Z - delta lam0], the
+    difference d = u0 - u_delta solves K(delta) [d; .] = [0; 0; -delta lam0]
+    directly, without the cancellation of subtracting two O(1) solutions; the
+    penalty energy is that of u_delta = u0 - d.  Every delta is checked before
+    the first solve.
     """
     deltas = [float(d) for d in deltas]
     for d in deltas:
@@ -186,12 +194,13 @@ def convergence_study(form: QuadraticForm, cs: ConstraintSet, deltas) -> RateTab
     if len(deltas) < 2 or any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ParameterError("deltas must be strictly decreasing with >= 2 values")
     system = _PointSystem(form, cs)
-    u_hard, _ = system.solve(0.0)
+    u_hard, lam_hard = system.solve(0.0, cs.heights)
     errors, energies = [], []
     for d in deltas:
-        u_d, rep = system.solve(d)
-        errors.append(h2_norm(form.M, form.S, form.m_lumped, u_hard - u_d))
-        energies.append(rep.energy)
+        diff, _ = system.solve(d, -d * lam_hard)
+        errors.append(h2_norm(form.M, form.S, form.m_lumped, diff))
+        u_d = u_hard - diff
+        energies.append(0.5 * form.evaluate(u_d, u_d))
     slope = float(np.polyfit(np.log(deltas), np.log(errors), 1)[0])
     return RateTable(deltas=deltas, errors=errors, energies=energies, slope=slope)
 

@@ -14,9 +14,12 @@ from spheremem.fem import (
     h2_norm,
     laplacian_apply,
     lumped_diagonal,
+    solve_mass,
     solve_saddle,
 )
+from spheremem import fem
 from spheremem.mesh import TriangleMesh, build_icosphere, mesh_stats
+from spheremem.oracle import perturb
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +180,42 @@ def test_solve_saddle_rank_deficiency_names_rows(mesh):
     with pytest.raises(RankDeficiencyError) as exc:
         solve_saddle(A, B, np.zeros(n), np.zeros(2), np.zeros(2), ["mean", "mean again"])
     assert exc.value.dependent_rows
+
+
+def _perturbed_mass_system(level):
+    """Mass matrix and the weak-identity right-hand sides S X (three columns)
+    of a sphere perturbed by 0.1 (z^2 - 1/3)."""
+    sphere = build_icosphere(1.0, level)
+    surface = perturb(sphere, sphere.vertices[:, 2] ** 2 - 1.0 / 3.0, 0.1)
+    return assemble_mass(surface), assemble_stiffness(surface) @ surface.vertices
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_mass_solve_meets_contract_and_matches_lu(level):
+    M, rhs = _perturbed_mass_system(level)
+    x = solve_mass(M, rhs)
+    assert x.shape == rhs.shape
+    for k in range(3):
+        r = rhs[:, k] - M @ x[:, k]
+        omega = np.max(np.abs(r) / (M @ np.abs(x[:, k]) + np.abs(rhs[:, k])))
+        assert omega <= BACKWARD_ERROR_BOUND
+    ref = spla.splu(M.tocsc()).solve(rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+    np.testing.assert_array_equal(solve_mass(M, rhs[:, 1]), x[:, 1])
+
+
+def test_mass_solve_of_zero_is_zero(mesh):
+    M = assemble_mass(mesh)
+    assert not np.any(solve_mass(M, np.zeros(mesh.num_vertices)))
+
+
+def test_mass_solve_contract_miss_raises(monkeypatch):
+    # Two CG steps per solve, even with every refinement step, stay far from 64 eps.
+    M, rhs = _perturbed_mass_system(3)
+    monkeypatch.setattr(fem, "MASS_CG_MAXITER", 2)
+    with pytest.raises(SolverError, match="backward error") as exc:
+        solve_mass(M, rhs[:, 0])
+    assert f"{BACKWARD_ERROR_BOUND:.3g}" in str(exc.value)
 
 
 def test_laplacian_of_coordinate():

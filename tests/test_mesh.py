@@ -7,6 +7,7 @@ from spheremem.errors import GeometryError, MeshTopologyError, SizeLimitError
 from spheremem.mesh import (
     MAX_LEVEL,
     TriangleMesh,
+    _pole_icosahedron,
     build_icosphere,
     mesh_checksum,
     mesh_stats,
@@ -27,6 +28,39 @@ def test_vertices_on_sphere():
     mesh = build_icosphere(2.5, 3)
     radii = np.linalg.norm(mesh.vertices, axis=1)
     np.testing.assert_allclose(radii, 2.5, rtol=1e-14)
+
+
+def _subdivide_reference(verts, tris, radius):
+    """Subdivision as a walk over the triangles with a dict of edge midpoints,
+    one np.linalg.norm per new vertex: the numbering and rounding every mesh
+    output is pinned to."""
+    verts = list(map(tuple, verts))
+    cache = {}
+
+    def midpoint(i, j):
+        key = (i, j) if i < j else (j, i)
+        if key not in cache:
+            m = 0.5 * (np.asarray(verts[i]) + np.asarray(verts[j]))
+            m *= radius / np.linalg.norm(m)
+            verts.append(tuple(m))
+            cache[key] = len(verts) - 1
+        return cache[key]
+
+    out = []
+    for a, b, c in tris:
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+    return np.array(verts), np.array(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize("radius", [1.0, 1.3])
+def test_icosphere_bit_identical_to_reference_walk(radius):
+    verts, tris = _pole_icosahedron(radius)
+    for level in range(7):
+        mesh = build_icosphere(radius, level)
+        assert np.array_equal(mesh.vertices, verts), level
+        assert np.array_equal(mesh.triangles, tris), level
+        verts, tris = _subdivide_reference(verts, tris, radius)
 
 
 def test_closed_and_oriented():

@@ -116,6 +116,22 @@ def test_taylor_residual_cubic_consistent(params):
     assert report.rhos == sorted(report.rhos, reverse=True)
 
 
+def test_consistent_reconstruction_needs_no_sparse_lu(params, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def no_lu(*args, **kwargs):
+        raise AssertionError("a consistent-mass solve used sparse LU")
+
+    monkeypatch.setattr(spla, "splu", no_lu)
+    monkeypatch.setattr(spla, "spsolve", no_lu)
+    mesh = build_icosphere(1.0, 3)
+    form = assemble_quadratic_form(mesh, params)
+    u = mesh.vertices[:, 2] ** 2 - 1.0 / 3.0
+    assert np.isfinite(form.evaluate_consistent(u, u))
+    report = taylor_consistency(form, u, mu=0.5, reconstruction="consistent")
+    assert np.all(np.isfinite(report.lagrangians))
+
+
 def test_taylor_lumped_reports_floor(params):
     # The lumped pairing has a larger quadratic-order mismatch; the report
     # must say so (floor-limited) rather than silently passing.

@@ -6,7 +6,7 @@ from scipy.special import eval_legendre
 
 from spheremem import points
 from spheremem.errors import GeometryError, ParameterError
-from spheremem.fem import PointLocator, solve_saddle
+from spheremem.fem import PointLocator, h2_norm, solve_saddle
 from spheremem.mesh import build_icosphere
 from spheremem.model import ModelParams, assemble_quadratic_form
 from spheremem.points import (
@@ -174,6 +174,24 @@ def test_convergence_rate_half_order(form):
     assert 0.45 <= table.slope <= 1.1
     assert all(e1 > e2 for e1, e2 in zip(table.errors, table.errors[1:]))
     assert "delta" in table.to_csv().splitlines()[0]
+
+
+def test_study_error_is_the_difference_solve(form):
+    # u0 - u_delta solves K(delta) [d; .] = [0; 0; -delta lam0]; here it is solved
+    # through one LU of the whole K(delta).  Subtracting two solutions instead
+    # misses this reference by 7e-13 relative at delta = 1e-6.
+    pts = equator_points()
+    cs = ConstraintSet(pts, np.where(np.arange(10) % 2 == 0, 1.0, -1.0))
+    deltas = [1e-2, 1e-6]
+    table = convergence_study(form, cs, deltas)
+    lam0 = solve_hard(form, cs)[1].point_multipliers
+    locator = PointLocator(form.mesh)
+    B = sp.vstack([form.constraints] + [locator.row(p) for p in pts]).tocsr()
+    n = form.mesh.num_vertices
+    for delta, error in zip(deltas, table.errors):
+        d, _ = solve_saddle(form.A, B, np.zeros(n), np.r_[np.zeros(4), -delta * lam0],
+                            np.r_[np.zeros(4), np.full(10, delta)], [str(k) for k in range(14)])
+        assert error == pytest.approx(h2_norm(form.M, form.S, form.m_lumped, d), rel=1e-13, abs=0)
 
 
 def test_preset_points_on_sphere():
