@@ -20,19 +20,18 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.spatial import cKDTree
 
 from .errors import GeometryError, RankDeficiencyError, SolverError
-from .mesh import TriangleMesh, triangle_areas_normals
+from .mesh import TriangleMesh
 
 #: The one residual tolerance: it stops the refinement and is the contract.  The
 #: point solves of the three presets (hard and delta = 1e-2 ... 1e-6) take one
-#: refinement step to at most 5.5 eps at levels 3-6, rising with the level; at
-#: level 2 the equator solves pass unrefined at 28.8 eps.  The mass solves of a
-#: consistent Taylor check (z^2 - 1/3, rho = 0.1 ... 0.0125) stop CG after
-#: 19-25 iterations at level 3 and 27-30 at levels 4-6, at 4-61 eps (level 3),
-#: 10-61 (4), 23-35 (5) and 22-49 eps (6), without a refinement step.
-#: c_be = 64 is verified up to level 6.
+#: refinement step to at most 5.5 eps at levels 3-6 and end at 1.6-17.3 eps at
+#: level 7; at level 2 the equator solves pass unrefined at 28.8 eps.  The mass
+#: solves of a consistent Taylor check (z^2 - 1/3, rho = 0.1 ... 0.0125) stop CG
+#: after 19-25 iterations at level 3 and 27-30 at levels 4-6, at 4-61 eps (level
+#: 3), 10-61 (4), 23-35 (5) and 22-49 eps (6), without a refinement step.
+#: c_be = 64 is verified up to level 7.
 BACKWARD_ERROR_BOUND = 64.0 * np.finfo(float).eps
 
 #: A point farther than this fraction of the mesh radius from the surface
@@ -42,7 +41,6 @@ LOCATE_TOL_REL = 0.05
 
 def assemble_mass(mesh: TriangleMesh) -> sp.csr_matrix:
     """P1 mass matrix by exact per-triangle integration."""
-    areas, _ = triangle_areas_normals(mesh)
     t = mesh.triangles
     n = mesh.num_vertices
     rows, cols, vals = [], [], []
@@ -50,7 +48,7 @@ def assemble_mass(mesh: TriangleMesh) -> sp.csr_matrix:
         for j in range(3):
             rows.append(t[:, i])
             cols.append(t[:, j])
-            vals.append(areas * ((2.0 if i == j else 1.0) / 12.0))
+            vals.append(mesh.areas * ((2.0 if i == j else 1.0) / 12.0))
     m = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
@@ -59,16 +57,14 @@ def assemble_mass(mesh: TriangleMesh) -> sp.csr_matrix:
 
 def lumped_diagonal(mesh: TriangleMesh) -> np.ndarray:
     """Diagonal of the lumped mass matrix as a dense vector."""
-    areas, _ = triangle_areas_normals(mesh)
     diag = np.zeros(mesh.num_vertices)
     for k in range(3):
-        np.add.at(diag, mesh.triangles[:, k], areas / 3.0)
+        np.add.at(diag, mesh.triangles[:, k], mesh.areas / 3.0)
     return diag
 
 
 def assemble_stiffness(mesh: TriangleMesh) -> sp.csr_matrix:
     """Cotangent stiffness: S_ij = integral of grad(chi_i) . grad(chi_j)."""
-    areas, _ = triangle_areas_normals(mesh)
     t = mesh.triangles
     p = mesh.vertices[t]
     n = mesh.num_vertices
@@ -79,7 +75,7 @@ def assemble_stiffness(mesh: TriangleMesh) -> sp.csr_matrix:
         i, j = (k + 1) % 3, (k + 2) % 3
         e1 = p[:, i] - p[:, k]
         e2 = p[:, j] - p[:, k]
-        cot = np.einsum("ij,ij->i", e1, e2) / (2.0 * areas)
+        cot = np.einsum("ij,ij->i", e1, e2) / (2.0 * mesh.areas)
         w = 0.5 * cot
         rows.extend([t[:, i], t[:, j], t[:, i], t[:, j]])
         cols.extend([t[:, j], t[:, i], t[:, i], t[:, j]])
@@ -123,21 +119,22 @@ def _closest_point_on_triangle(p: np.ndarray, a, b, c):
 
 
 class PointLocator:
-    """Closest-point queries against a fixed mesh, KD-tree accelerated."""
+    """Closest-point queries against a fixed mesh, trying the 32 triangles with
+    the nearest centroids in order of distance, then of index."""
 
     def __init__(self, mesh: TriangleMesh):
         self.mesh = mesh
         self._centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-        self._tree = cKDTree(self._centroids)
         self._scale = mesh.radius_hint or float(np.max(np.linalg.norm(mesh.vertices, axis=1)))
 
     def locate(self, p) -> tuple[float, int, np.ndarray]:
         """Distance, triangle index and barycentric weights of the closest point."""
         p = np.asarray(p, dtype=float)
         k = min(32, self.mesh.num_triangles)
-        _, cand = self._tree.query(p, k=k)
+        d2 = np.sum((self._centroids - p) ** 2, axis=1)
+        cand = np.argpartition(d2, k - 1)[:k]
         best = None
-        for ti in np.atleast_1d(cand):
+        for ti in cand[np.lexsort((cand, d2[cand]))]:
             a, b, c = self.mesh.vertices[self.mesh.triangles[ti]]
             q, bary = _closest_point_on_triangle(p, a, b, c)
             d = np.linalg.norm(p - q)

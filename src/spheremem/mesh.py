@@ -1,4 +1,4 @@
-"""Icosphere generation and geometric statistics for triangulated spheres.
+"""Icosphere generation, the triangle measures a mesh keeps, and statistics.
 
 The reference surface is the sphere of radius ``R`` triangulated by recursive
 subdivision of a regular icosahedron, with new vertices reprojected to the
@@ -9,7 +9,8 @@ constraint experiments exploit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,8 @@ class TriangleMesh:
     """Closed oriented triangle surface.
 
     ``radius_hint`` is set when the vertices sample a sphere of that radius
-    (the reference configuration); perturbed meshes carry ``None``.
+    (the reference configuration); perturbed meshes carry ``None``.  The
+    triangle ``areas`` and ``normals`` are measured on first use and kept.
     """
 
     vertices: np.ndarray       # (n, 3) float64
@@ -49,6 +51,18 @@ class TriangleMesh:
     @property
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
+
+    @cached_property
+    def _geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        return _measure_triangles(self)
+
+    @property
+    def areas(self) -> np.ndarray:
+        return self._geometry[0]
+
+    @property
+    def normals(self) -> np.ndarray:
+        return self._geometry[1]
 
 
 @dataclass(frozen=True)
@@ -161,8 +175,8 @@ def validate_closed(mesh: TriangleMesh) -> None:
         raise MeshTopologyError("an edge has no opposite partner; surface not closed")
 
 
-def triangle_areas_normals(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Per-triangle areas and unit normals (orientation as stored); raises
+def _measure_triangles(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only triangle areas and unit normals (orientation as stored); raises
     :class:`MeshTopologyError` for no triangles or a degenerate one: an area
     not finite or at most :data:`DEGENERATE_REL_AREA` times the largest."""
     p = mesh.vertices[mesh.triangles]
@@ -173,14 +187,16 @@ def triangle_areas_normals(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
         raise MeshTopologyError("mesh has no triangles")
     if not np.all(np.isfinite(areas)) or areas.min() <= DEGENERATE_REL_AREA * areas.max():
         raise MeshTopologyError("mesh contains a degenerate triangle")
-    return areas, cross / doubled[:, None]
+    normals = cross / doubled[:, None]
+    areas.setflags(write=False)
+    normals.setflags(write=False)
+    return areas, normals
 
 
 def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
     """Area-weighted vertex normals, unit length."""
-    areas, normals = triangle_areas_normals(mesh)
     acc = np.zeros_like(mesh.vertices)
-    w = normals * areas[:, None]
+    w = mesh.normals * mesh.areas[:, None]
     for k in range(3):
         np.add.at(acc, mesh.triangles[:, k], w)
     acc /= np.linalg.norm(acc, axis=1)[:, None]
@@ -193,10 +209,9 @@ def mesh_stats(mesh: TriangleMesh) -> MeshStats:
     The connectivity must be closed, as :func:`validate_closed` checks; it is
     not re-checked here.  A degenerate triangle raises :class:`MeshTopologyError`.
     """
-    areas, normals = triangle_areas_normals(mesh)
     p = mesh.vertices[mesh.triangles]
     centroids = p.mean(axis=1)
-    volume = np.sum(np.einsum("ij,ij->i", centroids, normals) * areas) / 3.0
+    volume = np.sum(np.einsum("ij,ij->i", centroids, mesh.normals) * mesh.areas) / 3.0
     # Each edge of a closed mesh is a side of two triangles, once per direction;
     # a reversed edge vector has the same norm bit for bit.
     h_max = float(np.max(np.linalg.norm(p[:, [1, 2, 0]] - p, axis=2)))
@@ -204,7 +219,7 @@ def mesh_stats(mesh: TriangleMesh) -> MeshStats:
         num_vertices=mesh.num_vertices,
         num_triangles=mesh.num_triangles,
         h_max=h_max,
-        total_area=float(np.sum(areas)),
+        total_area=float(np.sum(mesh.areas)),
         enclosed_volume=float(volume),
     )
 

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +128,17 @@ def test_cli_checks_closedness_once(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
     assert len(calls) == 1
+
+
+def test_cli_import_loads_no_kd_tree():
+    # Point location needs no scipy.spatial, whose import adds to every CLI start.
+    code = "import sys, spheremem.cli; print('scipy.spatial' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_usage_error():

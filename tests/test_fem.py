@@ -122,6 +122,34 @@ def test_point_functional_partition_of_unity(mesh):
         assert np.all(row.data >= -1e-12)
 
 
+@pytest.mark.parametrize("level, count", [(2, 8), (3, 8), (4, 4), (5, 1)])
+def test_point_row_matches_brute_force(level, count):
+    # The 32 nearest centroids hold a closest triangle: distance and row are those
+    # of a search over all triangles.  An edge midpoint is as close to both
+    # triangles of its edge, whose weights may differ in the last bit.
+    mesh = build_icosphere(1.0, level)
+    rng = np.random.default_rng(level)
+    t = mesh.triangles[rng.choice(mesh.num_triangles, count, replace=False)]
+    random = rng.standard_normal((count, 3))
+    queries = np.vstack([mesh.vertices[t[:, 0]],
+                         0.5 * (mesh.vertices[t[:, 0]] + mesh.vertices[t[:, 1]]),
+                         random / np.linalg.norm(random, axis=1)[:, None]])
+    locator = PointLocator(mesh)
+    for p in queries:
+        best = None
+        for ti, (a, b, c) in enumerate(mesh.vertices[mesh.triangles]):
+            q, bary = fem._closest_point_on_triangle(p, a, b, c)
+            d = np.linalg.norm(p - q)
+            if best is None or d < best[0]:
+                best = (d, ti, bary)
+        d, ti, bary = best
+        expected = np.zeros(mesh.num_vertices)
+        expected[mesh.triangles[ti]] = np.where(bary > 1e-14, bary, 0.0)
+        assert locator.locate(p)[0] == d
+        np.testing.assert_allclose(locator.row(p).toarray().ravel(), expected,
+                                   rtol=0, atol=2 * np.finfo(float).eps)
+
+
 def test_point_functional_far_point_rejected(mesh):
     with pytest.raises(GeometryError):
         PointLocator(mesh).row(np.array([2.0, 0.0, 0.0]))

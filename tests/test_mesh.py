@@ -146,6 +146,15 @@ def test_vertex_normals_outward():
     assert np.all(np.einsum("ij,ij->i", nu, mesh.vertices) > 0.9)
 
 
+def test_triangle_geometry_is_read_only():
+    mesh = build_icosphere(1.0, 2)
+    for arr in (mesh.areas, mesh.normals):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    np.testing.assert_allclose(np.linalg.norm(mesh.normals, axis=1), 1.0, rtol=1e-15)
+    assert mesh_stats(mesh).total_area == float(np.sum(mesh.areas))
+
+
 def test_checksum_deterministic():
     a = mesh_checksum(build_icosphere(1.0, 2))
     b = mesh_checksum(build_icosphere(1.0, 2))

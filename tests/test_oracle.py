@@ -181,6 +181,25 @@ def test_taylor_measures_each_surface_once(params, monkeypatch):
     assert len(calls) == 1 + len(rho_list)
 
 
+@pytest.mark.parametrize("reconstruction", ["lumped", "consistent"])
+def test_taylor_computes_each_triangle_geometry_once(params, monkeypatch, reconstruction):
+    # One measurement per surface, the sphere's by the assembly: no operator or
+    # energy recomputes the areas and normals its mesh keeps.
+    import spheremem.mesh as mesh_module
+
+    calls = []
+    measure = mesh_module._measure_triangles
+    monkeypatch.setattr(mesh_module, "_measure_triangles",
+                        lambda mesh: calls.append(mesh) or measure(mesh))
+    mesh = build_icosphere(1.0, 2)
+    form = assemble_quadratic_form(mesh, params)
+    u = mesh.vertices[:, 0] * mesh.vertices[:, 1]
+    rho_list = (0.1, 0.05, 0.025, 0.0125)
+    taylor_consistency(form, u, mu=0.5, rho_list=rho_list, reconstruction=reconstruction)
+    assert len(calls) == 1 + len(rho_list)
+    assert len({id(m) for m in calls}) == len(calls)
+
+
 def test_taylor_checks_no_connectivity(params, monkeypatch):
     # Every perturbed surface reuses the sphere's connectivity: no closedness check.
     import spheremem.mesh as mesh_module

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.special import eval_legendre
 
 from spheremem import points
 from spheremem.errors import GeometryError, ParameterError
@@ -215,26 +214,36 @@ def test_presets_hit_mesh_vertices():
         assert np.max(bary) > 1.0 - 1e-9
 
 
-def _exact_single_point_energy(l_max: int = 2000) -> tuple[float, float]:
-    """Continuum energy E = 1/2 / g(0) of one hard point with Z = 1 and
-    kappa = sigma = R = 1, and a bound on its relative truncation error.
+def _exact_green(cosines, l_max: int = 20000) -> tuple[np.ndarray, float]:
+    """Continuum Green's function g(cos gamma) of the quadratic form on
+    {1, nu}^perp for kappa = sigma = R = 1, and a bound on its truncation error.
 
-    g(0) = sum_{l>=2} (2l+1) / (4 pi (x_l - 2)(x_l + 1)), x_l = l(l+1), is the
-    Green's function of the quadratic form on {1, nu}^perp at the point itself.
-    Because (2l+1) / x_l^2 = 1/l^2 - 1/(l+1)^2, the tail beyond ``l_max`` lies
-    between t = 1 / (4 pi (l_max+1)^2) and t / (1 - 1/x - 2/x^2) with
-    x = x_{l_max+1}; the sum adds t, so its error is at most t times the gap.
+    g(c) = sum_{l>=2} (2l+1) P_l(c) / (4 pi (x_l - 2)(x_l + 1)), x_l = l(l+1),
+    with P_l from the recurrence (l+1) P_{l+1} = (2l+1) c P_l - l P_{l-1}.  Since
+    |P_l| <= 1 and (2l+1) / x_l^2 = 1/l^2 - 1/(l+1)^2 telescopes, the terms beyond
+    ``l_max`` sum to at most t / (1 - 1/x - 2/x^2) in absolute value, with
+    t = 1 / (4 pi (l_max+1)^2) and x = x_{l_max+1}; at c = 1 they sum to at least t.
     """
-    l = np.arange(2, l_max + 1, dtype=float)
-    x = l * (l + 1)
+    c, inverse = np.unique(np.asarray(cosines, dtype=float), return_inverse=True)
+    P = np.empty((l_max + 1, c.size))
+    P[0], P[1] = 1.0, c
+    for l in range(1, l_max):
+        P[l + 1] = ((2 * l + 1) * c * P[l] - l * P[l - 1]) / (l + 1)
+    l = np.arange(2, l_max + 1)
+    x = l * (l + 1.0)
+    g = (2 * l + 1) / (4.0 * np.pi * (x - 2) * (x + 1)) @ P[2:]
     t = 1.0 / (4.0 * np.pi * (l_max + 1) ** 2)
     x1 = (l_max + 1.0) * (l_max + 2.0)
-    g0 = float(np.sum((2 * l + 1) / (4.0 * np.pi * (x - 2) * (x + 1)))) + t
-    return 0.5 / g0, t * (1.0 / (1.0 - 1.0 / x1 - 2.0 / x1**2) - 1.0) / g0
+    return g[inverse].reshape(np.shape(cosines)), t / (1.0 - 1.0 / x1 - 2.0 / x1**2)
 
 
 def test_single_point_energy_converges_to_exact_at_second_order():
-    exact, truncation = _exact_single_point_energy()
+    # One hard point with Z = 1 has the energy 1/2 / g(1).  At c = 1 every P_l is
+    # 1, so the tail lies between t = tail (1 - 1/x - 2/x^2) and tail, x = x_{l_max+1};
+    # adding the upper end leaves a relative error of at most tail (1/x + 2/x^2) / g(1).
+    g1, tail = _exact_green(1.0)
+    x1 = 20001.0 * 20002.0
+    exact, truncation = 0.5 / (g1 + tail), tail * (1.0 / x1 + 2.0 / x1**2) / g1
     assert truncation < 1e-12
     assert exact == pytest.approx(21.1496933844599, rel=1e-12)
     cs = ConstraintSet(np.array([[0.0, 0.0, 1.0]]), np.array([1.0]))
@@ -251,31 +260,12 @@ def test_single_point_energy_converges_to_exact_at_second_order():
     assert errors[-1] <= 2e-3, errors
 
 
-def _exact_green_matrix(pts: np.ndarray, l_max: int = 20000) -> tuple[np.ndarray, float]:
-    """Continuum Green's function G_ij = g(p_i . p_j) of the quadratic form on
-    {1, nu}^perp for kappa = sigma = R = 1, and a bound on its truncation error.
-
-    g(cos gamma) = sum_{l>=2} (2l+1) P_l(cos gamma) / (4 pi (x_l - 2)(x_l + 1)),
-    x_l = l(l+1).  Since |P_l| <= 1 and (2l+1) / x_l^2 = 1/l^2 - 1/(l+1)^2, the
-    terms beyond ``l_max`` sum to at most t / (1 - 1/x - 2/x^2) in absolute
-    value, with t = 1 / (4 pi (l_max+1)^2) and x = x_{l_max+1}.
-    """
-    l = np.arange(2, l_max + 1)
-    x = l * (l + 1.0)
-    weights = (2 * l + 1) / (4.0 * np.pi * (x - 2) * (x + 1))
-    cosines, inverse = np.unique(np.clip(pts @ pts.T, -1.0, 1.0), return_inverse=True)
-    g = weights @ eval_legendre(l[:, None], cosines[None, :])
-    t = 1.0 / (4.0 * np.pi * (l_max + 1) ** 2)
-    x1 = (l_max + 1.0) * (l_max + 2.0)
-    return g[inverse].reshape(len(pts), len(pts)), t / (1.0 - 1.0 / x1 - 2.0 / x1**2)
-
-
 def test_point_green_matrix_converges_to_exact_at_second_order():
     # PG = P A_C^{-1} P^T is the discrete Green's function at the attachment
     # points; the hard reactions solve PG lam = Z as the continuum ones solve
     # G lam = Z.
     pts = icosahedron_points()
-    exact, truncation = _exact_green_matrix(pts)
+    exact, truncation = _exact_green(np.clip(pts @ pts.T, -1.0, 1.0))
     assert truncation < 1e-5 * np.min(np.abs(exact))
     cs = ConstraintSet(pts, np.ones(12))
     errors = []
@@ -288,3 +278,34 @@ def test_point_green_matrix_converges_to_exact_at_second_order():
     ratios = [e1 / e2 for e1, e2 in zip(errors, errors[1:])]
     assert min(ratios) >= 3.2, (errors, ratios)
     assert errors[-1] <= 2e-3, errors
+
+
+def test_particle_interaction_curve_converges_to_exact_at_second_order():
+    # Two unit heights at the pole and at angle gamma (Elliott, Graeser, Hobbs,
+    # Kornhuber & Wolf, ARMA 222 (2016) 1011): E(gamma) = 1 / (g(1) + g(cos gamma)).
+    # The attachments are level-3 vertices, so nodes at every level tested; with
+    # Z = (1, 1) the hard energy 1/2 Z^T PG^{-1} Z of a pair takes its 2 x 2 block of PG.
+    pts = build_icosphere(1.0, 3).vertices[[0, 166, 178, 198, 215, 204, 69, 11]]
+    gammas = np.degrees(np.arccos(np.clip(pts[1:, 2], -1.0, 1.0)))
+    np.testing.assert_allclose(gammas, [20.32, 45.06, 66.04, 81.95, 96.74, 132.42, 180.0],
+                               atol=5e-3)
+    g1, tail = _exact_green(1.0)
+    g, _ = _exact_green(pts[1:, 2])
+    exact = 1.0 / (g1 + g)
+    assert 2 * tail < 1e-7 * np.min(g1 + g)
+    # Level 2 is left out: the attachments are not its nodes (error 1.21e-1, ratio 2.05
+    # to level 3, pair by pair), and it puts the 66 and 82 degree points in one triangle.
+    errors = []
+    for level in range(3, 6):
+        form = assemble_quadratic_form(build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
+        PG = points._PointSystem(form, ConstraintSet(pts, np.ones(len(pts)))).PG
+        energy = np.array([0.5 * np.sum(np.linalg.solve(PG[np.ix_([0, j], [0, j])], np.ones(2)))
+                           for j in range(1, len(pts))])
+        assert np.argmax(energy) == np.argmax(exact) == 3
+        errors.append(float(np.max(np.abs(energy - exact) / exact)))
+    # Measured: 5.89e-2, 1.80e-2, 5.14e-3 (ratios 3.27, 3.51; level 6: 1.41e-3, 3.65).
+    # Each ratio must reach 3.0 (local order 1.58), and level 5 stay within 6.5e-3
+    # (measured + 26%).
+    ratios = [e1 / e2 for e1, e2 in zip(errors, errors[1:])]
+    assert min(ratios) >= 3.0, (errors, ratios)
+    assert errors[-1] <= 6.5e-3, errors

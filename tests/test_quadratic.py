@@ -40,6 +40,18 @@ def test_radius_mismatch_rejected():
         assemble_quadratic_form(mesh, ModelParams(1.0, 1.0, 2.0))
 
 
+def test_assembly_measures_the_mesh_once(monkeypatch):
+    # Mass, stiffness and lumped diagonal read the areas the mesh keeps.
+    import spheremem.mesh as mesh_module
+
+    calls = []
+    measure = mesh_module._measure_triangles
+    monkeypatch.setattr(mesh_module, "_measure_triangles",
+                        lambda mesh: calls.append(mesh) or measure(mesh))
+    assemble_quadratic_form(build_icosphere(1.0, 2), ModelParams(1.0, 1.0, 1.0))
+    assert len(calls) == 1
+
+
 def test_operator_exactly_symmetric(form):
     assert abs(form.A - form.A.T).max() == 0.0
 
