@@ -9,10 +9,11 @@ Solver contract: x solving K x = b is accepted when its componentwise backward
 error max_i |b - K x|_i / (|K| |x| + |b|)_i is at most ``BACKWARD_ERROR_BOUND``
 (Oettli-Prager; Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
 ed., Thm. 7.3): every row, hard constraint rows included, holds to its own
-scale however large the fourth-order block grows.  The saddle systems meet it
-by sparse LU and refinement; the mass matrix M, whose lumped diagonal
-preconditions it to condition number 4 at every h, by conjugate gradients
-without a factorization (``solve_mass``).
+scale however large the fourth-order block grows.  The saddle systems, all
+symmetric, meet it by sparse LU in SuperLU's symmetric mode, which prefers
+diagonal pivots (``factor_saddle``), and refinement; the mass matrix M, whose
+lumped diagonal preconditions it to condition number 4 at every h, by
+conjugate gradients without a factorization (``solve_mass``).
 """
 from __future__ import annotations
 
@@ -25,9 +26,10 @@ from .errors import GeometryError, RankDeficiencyError, SolverError
 from .mesh import TriangleMesh
 
 #: The one residual tolerance: it stops the refinement and is the contract.  The
-#: point solves of the three presets (hard and delta = 1e-2 ... 1e-6) take one
-#: refinement step to at most 5.5 eps at levels 3-6 and end at 1.6-17.3 eps at
-#: level 7; at level 2 the equator solves pass unrefined at 28.8 eps.  The mass
+#: point solves of the penalty studies of the three presets (hard and delta =
+#: 1e-2 ... 1e-6) take one refinement step to at most 6.9 eps at levels 2-6 and
+#: to 1.6-16.4 eps at level 7; at level 4 the equator solves pass unrefined at
+#: 25.6-26.3 eps (polar_rings is a domain error at level 2).  The mass
 #: solves of a consistent Taylor check (z^2 - 1/3, rho = 0.1 ... 0.0125) stop CG
 #: after 19-25 iterations at level 3 and 27-30 at levels 4-6, at 4-61 eps (level
 #: 3), 10-61 (4), 23-35 (5) and 22-49 eps (6), without a refinement step.
@@ -181,7 +183,18 @@ MAX_REFINE = 4
 
 
 def factor_saddle(A: sp.spmatrix, B: sp.spmatrix, compliance: np.ndarray):
-    """Assemble K = [[A, B^T], [B, -diag(c)]] in CSC format and factor it by sparse LU.
+    """Assemble K = [[A, B^T], [B, -diag(c)]] in CSC format and factor it by
+    sparse LU in SuperLU's symmetric mode.
+
+    A is symmetric in every caller, so K is.  Symmetric mode orders the
+    columns of K by COLAMD and takes the diagonal entry of each permuted
+    column as its pivot while that entry is at least 0.1 times the column's
+    largest (Li, ACM TOMS 31 (2005) 302); a zero diagonal entry (a hard
+    constraint row) falls back to an off-diagonal pivot.  Partial pivoting
+    took off-diagonal pivots that added fill: the flow operator at
+    epsilon = 0.15, Lambda = 1, tau = 0.01, now pivoted on its diagonal
+    throughout, has 12% fewer L+U entries at levels 4 and 5 and an unrefined
+    backward error of ~1e-15 instead of ~1e-13.
 
     Returns ``(K, lu)``; a failed factorization raises :class:`SolverError`.
     """
@@ -191,7 +204,8 @@ def factor_saddle(A: sp.spmatrix, B: sp.spmatrix, compliance: np.ndarray):
     B = B.tocsr()
     K = sp.bmat([[A.tocsr(), B.T], [B, D]], format="csc")
     try:
-        return K, spla.splu(K)
+        return K, spla.splu(K, permc_spec="COLAMD", diag_pivot_thresh=0.1,
+                            options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"sparse LU of the saddle system failed: {exc}") from exc
 

@@ -203,15 +203,22 @@ def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
     return acc
 
 
-def mesh_stats(mesh: TriangleMesh) -> MeshStats:
-    """Area, enclosed volume (divergence theorem) and longest edge.
+def area_and_volume(mesh: TriangleMesh) -> tuple[float, float]:
+    """Total area and enclosed volume (divergence theorem).
 
     The connectivity must be closed, as :func:`validate_closed` checks; it is
     not re-checked here.  A degenerate triangle raises :class:`MeshTopologyError`.
     """
-    p = mesh.vertices[mesh.triangles]
-    centroids = p.mean(axis=1)
+    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
     volume = np.sum(np.einsum("ij,ij->i", centroids, mesh.normals) * mesh.areas) / 3.0
+    return float(np.sum(mesh.areas)), float(volume)
+
+
+def mesh_stats(mesh: TriangleMesh) -> MeshStats:
+    """Area, enclosed volume and longest edge, under the conditions of
+    :func:`area_and_volume`."""
+    area, volume = area_and_volume(mesh)
+    p = mesh.vertices[mesh.triangles]
     # Each edge of a closed mesh is a side of two triangles, once per direction;
     # a reversed edge vector has the same norm bit for bit.
     h_max = float(np.max(np.linalg.norm(p[:, [1, 2, 0]] - p, axis=2)))
@@ -219,8 +226,8 @@ def mesh_stats(mesh: TriangleMesh) -> MeshStats:
         num_vertices=mesh.num_vertices,
         num_triangles=mesh.num_triangles,
         h_max=h_max,
-        total_area=float(np.sum(mesh.areas)),
-        enclosed_volume=float(volume),
+        total_area=area,
+        enclosed_volume=volume,
     )
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import GeometryError, ParameterError, check_finite
 from .fem import assemble_mass, assemble_stiffness, lumped_diagonal, solve_mass
-from .mesh import TriangleMesh, mesh_stats, vertex_normals
+from .mesh import TriangleMesh, area_and_volume, vertex_normals
 from .model import ModelParams, QuadraticForm, quadratic_lagrangian
 
 RECONSTRUCTIONS = ("lumped", "consistent")
@@ -113,14 +113,14 @@ def energies(
         lam = params.lambda0
     if V0 is None:
         V0 = 4.0 / 3.0 * np.pi * params.R**3
-    stats = mesh_stats(mesh)
+    area, volume = area_and_volume(mesh)
     willmore = willmore_energy(mesh, reconstruction)
-    helfrich = params.kappa * willmore + params.sigma * stats.total_area
-    lagrangian = helfrich + lam * (stats.enclosed_volume - V0)
+    helfrich = params.kappa * willmore + params.sigma * area
+    lagrangian = helfrich + lam * (volume - V0)
     return EnergyBreakdown(
         willmore=willmore,
-        area=stats.total_area,
-        volume=stats.enclosed_volume,
+        area=area,
+        volume=volume,
         helfrich=helfrich,
         lagrangian=lagrangian,
     )

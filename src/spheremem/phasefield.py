@@ -84,7 +84,7 @@ def well_shift(pf: PhaseFieldParams, model: ModelParams) -> float:
 
 def double_well_derivative(phi: np.ndarray) -> np.ndarray:
     """W'(phi) = phi^3 - phi, the one explicit term of the flow step."""
-    return phi**3 - phi
+    return phi * phi * phi - phi
 
 
 def potential(phi: np.ndarray, pf: PhaseFieldParams, model: ModelParams) -> np.ndarray:
@@ -181,9 +181,10 @@ class FlowSolver:
 
     The coupling operator C, the coupled 2-field operator and its sparse
     factorization depend on tau and are built once per (form, params, tau),
-    then reused across steps.  A step solves once and evaluates the energy
-    once, of the new state; the caller passes the energy of the state the
-    step starts from.
+    then reused across steps; :func:`run_flow` keeps the solvers of its two
+    most recently used tau values.  A step solves once and evaluates the
+    energy once, of the new state; the caller passes the energy of the state
+    the step starts from.
     """
 
     def __init__(self, form: QuadraticForm, pf: PhaseFieldParams, tau: float | None = None):
@@ -284,10 +285,15 @@ def run_flow(
     :data:`TAU_GROWTH` every :data:`GROW_EVERY` accepted steps (up to
     :data:`TAU_CAP_FACTOR` times the initial tau): late-stage coarsening is
     exponentially slow in physical time, and the energy check keeps the
-    enlarged steps dissipative.  A
-    ``t_end`` run whose next step would pass ``t_end`` shortens that step to
-    ``t_end - t`` with a one-off :class:`FlowSolver`, so it ends at ``t_end``
-    to roundoff.  Every accepted step is logged in the report.
+    enlarged steps dissipative.  A ``t_end`` run whose next step would pass
+    ``t_end`` shortens that step to ``t_end - t``, so it ends at ``t_end`` to
+    roundoff.  Every accepted step is logged in the report.
+
+    Each tau has its own :class:`FlowSolver`, and the solvers of the two most
+    recently used tau values are kept: a step at a kept tau (the tau a
+    rejection falls back to, or the enlarged tau probed again after it)
+    factors nothing.  The older kept solver is released before a new one is
+    factored, so no more than two factorizations are alive at a time.
 
     The energy is evaluated once for the initial state and then once per
     step by :meth:`FlowSolver.step`; the logged value of an accepted step
@@ -306,10 +312,23 @@ def run_flow(
             f"(2 h_max = {2 * h_max:.3g})",
             stacklevel=2,
         )
-    solver = FlowSolver(form, pf)
+    kept: dict[float, FlowSolver] = {}
+
+    def solver_for(tau: float) -> FlowSolver:
+        # Most recently used last; the older one goes before a third is built.
+        solver = kept.pop(tau, None)
+        if solver is None:
+            if len(kept) == 2:
+                del kept[next(iter(kept))]
+            solver = FlowSolver(form, pf, tau=tau)
+        kept[tau] = solver
+        return solver
+
+    tau = pf.tau
+    stepper = solver_for(tau)
     mass = form.m_lumped
     times, energies_log, breakdowns, residuals = [], [], [], []
-    e, bd = energy(state, form, pf, solver.C)
+    e, bd = energy(state, form, pf, stepper.C)
     times.append(state.t); energies_log.append(e); breakdowns.append(bd)
     residuals.append(constraint_residuals(state, form, pf))
     rejected = 0
@@ -321,12 +340,13 @@ def run_flow(
     stationarity = float("inf")
     converged = False
     while accepted < MAX_STEPS:
-        stepper = solver
+        step_tau = tau
         if pf.t_end is not None:
             if state.t >= pf.t_end - 1e-12 * pf.t_end:
                 break
-            if state.t + solver.tau > pf.t_end + 1e-12 * pf.t_end:
-                stepper = FlowSolver(form, pf, tau=pf.t_end - state.t)
+            if state.t + tau > pf.t_end + 1e-12 * pf.t_end:
+                step_tau = pf.t_end - state.t
+        stepper = solver_for(step_tau)
         try:
             new, e_new, bd = stepper.step(state, e)
         except StepRejectedError as exc:
@@ -338,8 +358,8 @@ def run_flow(
                     f"(last energies {exc.energy_before!r} -> {exc.energy_after!r})"
                 ) from exc
             # Don't regrow straight back to a step size that was rejected.
-            tau_cap = min(tau_cap, stepper.tau / 2.0)
-            solver = FlowSolver(form, pf, tau=stepper.tau / 2.0)
+            tau = step_tau / 2.0
+            tau_cap = min(tau_cap, tau)
             since_grow = 0
             since_reject = 0
             continue
@@ -347,7 +367,7 @@ def run_flow(
         since_reject += 1
         diff = np.sqrt(float(mass @ (new.phi - state.phi) ** 2)
                        + float(mass @ (new.u - state.u) ** 2))
-        stationarity = diff / stepper.tau
+        stationarity = diff / step_tau
         state, e = new, e_new
         accepted += 1
         times.append(state.t); energies_log.append(e); breakdowns.append(bd)
@@ -357,8 +377,8 @@ def run_flow(
             break
         since_grow += 1
         if pf.t_end is None and since_grow >= GROW_EVERY:
-            if solver.tau < tau_cap:
-                solver = FlowSolver(form, pf, tau=min(TAU_GROWTH * solver.tau, tau_cap))
+            if tau < tau_cap:
+                tau = min(TAU_GROWTH * tau, tau_cap)
                 since_grow = 0
             elif since_reject >= 10 * GROW_EVERY and tau_cap < hard_cap:
                 # A long run of accepted steps: the rejection that set the
@@ -372,7 +392,7 @@ def run_flow(
         constraint_residuals=residuals,
         accepted_steps=accepted,
         rejected_steps=rejected,
-        final_tau=solver.tau,
+        final_tau=tau,
         stationarity=stationarity,
         converged=converged,
     )

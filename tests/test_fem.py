@@ -192,7 +192,7 @@ def test_solve_saddle_contract_rejects_perturbed_solution(mesh, monkeypatch):
     # Every solve returns the solution perturbed by 1e-6 relative.
     offset = 1e-6 * np.abs(sol) * np.random.default_rng(11).choice([-1.0, 1.0], sol.size)
     splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda K: _OffsetLU(splu(K), offset))
+    monkeypatch.setattr(spla, "splu", lambda K, **kwargs: _OffsetLU(splu(K, **kwargs), offset))
     with pytest.raises(SolverError, match="backward error") as exc:
         solve_saddle(*system)
     assert f"{BACKWARD_ERROR_BOUND:.3g}" in str(exc.value)

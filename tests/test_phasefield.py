@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -290,3 +291,55 @@ def test_flow_report_csv(form2):
     lines = report.to_csv().splitlines()
     assert "energy" in lines[0] and "[" in lines[0]
     assert len(lines) == 1 + len(report.times)
+
+
+def coarsen_params(seed):
+    """The phase-flow parameters of the benchmark's flow-coarsen workload."""
+    return PhaseFieldParams(epsilon=0.15, b=1.0, coupling=1.0, alpha=-0.3, tau=0.01,
+                            stat_tol=1e-5, seed=seed)
+
+
+@pytest.mark.parametrize("seed, accepted, rejected, final_energy", [
+    # FLOW_REFERENCES of perfbench/workloads.py at level 3: x86-64, one BLAS
+    # thread, NumPy 2.4.6, SciPy 1.17.1.
+    (0, 4059, 4, 9.5168622280339),
+    (2, 1946, 2, 9.516862228036347),
+])
+def test_flow_reproduces_recorded_trajectory(form3, seed, accepted, rejected, final_energy):
+    pf = coarsen_params(seed)
+    _, report = run_flow(initial_state(form3, pf), form3, pf)
+    assert report.converged
+    assert (report.accepted_steps, report.rejected_steps) == (accepted, rejected)
+    assert report.energies[-1] == pytest.approx(final_energy, rel=1e-8)
+
+
+def test_flow_factors_once_per_distinct_tau(form3, monkeypatch):
+    alive = weakref.WeakSet()
+    built_with_alive = []
+    step_taus = []
+    init, factor, step = FlowSolver.__init__, phasefield.factor_saddle, FlowSolver.step
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        alive.add(self)
+
+    def counted_factor(*args):
+        built_with_alive.append(len(alive) + 1)  # the solver being built counts too
+        return factor(*args)
+
+    def recorded_step(self, *args):
+        step_taus.append(self.tau)
+        return step(self, *args)
+
+    monkeypatch.setattr(FlowSolver, "__init__", tracked_init)
+    monkeypatch.setattr(FlowSolver, "step", recorded_step)
+    monkeypatch.setattr(phasefield, "factor_saddle", counted_factor)
+    pf = coarsen_params(0)
+    _, report = run_flow(initial_state(form3, pf), form3, pf)
+    assert report.rejected_steps > 0
+    # Each tau the flow steps with is factored once, however often it returns.
+    assert len(built_with_alive) == len(set(step_taus))
+    # A solver rebuilt at every change of tau would factor 1 + switches times.
+    switches = sum(a != b for a, b in zip(step_taus, step_taus[1:]))
+    assert len(built_with_alive) < 1 + switches
+    assert max(built_with_alive) <= 2
