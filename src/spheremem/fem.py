@@ -1,9 +1,12 @@
 """Piecewise-linear surface FEM: mass/stiffness assembly, point evaluation,
 norms, the direct saddle-point solver and the consistent-mass solve.
 
-All operators are assembled triangle-wise on the polyhedral surface.  The
-discrete Laplacian used for fourth-order terms is the lumped-mass
-reconstruction ``lap(u) = -M_L^{-1} S u``.
+All operators are assembled triangle-wise on the polyhedral surface: each
+triangle's 3x3 local matrix is summed by ``np.bincount`` straight into the CSR
+pattern its connectivity owns (``TriangleMesh.pattern``, derived once per
+connectivity and shared by every displaced surface), with no COO triplets,
+sort or duplicate sum per assembly.  The discrete Laplacian used for
+fourth-order terms is the lumped-mass reconstruction ``lap(u) = -M_L^{-1} S u``.
 
 Solver contract: x solving K x = b is accepted when its componentwise backward
 error max_i |b - K x|_i / (|K| |x| + |b|)_i is at most ``BACKWARD_ERROR_BOUND``
@@ -13,7 +16,8 @@ scale however large the fourth-order block grows.  The saddle systems, all
 symmetric, meet it by sparse LU in SuperLU's symmetric mode, which prefers
 diagonal pivots (``factor_saddle``), and refinement; the mass matrix M, whose
 lumped diagonal preconditions it to condition number 4 at every h, by
-conjugate gradients without a factorization (``solve_mass``).
+conjugate gradients without a factorization (``solve_mass``), whose exact
+stop test is screened by a bound that needs no product with M.
 """
 from __future__ import annotations
 
@@ -29,11 +33,12 @@ from .mesh import TriangleMesh
 #: point solves of the penalty studies of the three presets (hard and delta =
 #: 1e-2 ... 1e-6) take one refinement step to at most 6.9 eps at levels 2-6 and
 #: to 1.6-16.4 eps at level 7; at level 4 the equator solves pass unrefined at
-#: 25.6-26.3 eps (polar_rings is a domain error at level 2).  The mass
+#: 25.6-26.3 eps (polar_rings is a domain error at level 2).  The 16 mass
 #: solves of a consistent Taylor check (z^2 - 1/3, rho = 0.1 ... 0.0125) stop CG
-#: after 19-25 iterations at level 3 and 27-30 at levels 4-6, at 4-61 eps (level
-#: 3), 10-61 (4), 23-35 (5) and 22-49 eps (6), without a refinement step.
-#: c_be = 64 is verified up to level 7.
+#: after 19-25 iterations at level 3, 27-30 at level 4, 28-29 at level 5 and
+#: 27-29 at level 6, at 4.3-60.9 eps (level 3), 10.5-60.1 (4), 23.0-34.4 (5) and
+#: 21.7-48.8 eps (6), without a refinement step.  c_be = 64 is verified up to
+#: level 7.
 BACKWARD_ERROR_BOUND = 64.0 * np.finfo(float).eps
 
 #: A point farther than this fraction of the mesh radius from the surface
@@ -41,20 +46,22 @@ BACKWARD_ERROR_BOUND = 64.0 * np.finfo(float).eps
 LOCATE_TOL_REL = 0.05
 
 
-def assemble_mass(mesh: TriangleMesh) -> sp.csr_matrix:
-    """P1 mass matrix by exact per-triangle integration."""
-    t = mesh.triangles
+def _scatter(mesh: TriangleMesh, local: np.ndarray) -> sp.csr_matrix:
+    """Sum the triangles' local entries (m, 9), in the pair order of the slots
+    of ``mesh.pattern``, into its CSR pattern.  Each entry sums its triangles'
+    terms in triangle order, so (i, j) and (j, i) of a symmetric local matrix
+    agree bit for bit."""
+    indptr, indices, slots = mesh.pattern
+    data = np.bincount(slots.ravel(), weights=local.ravel(), minlength=indices.size)
     n = mesh.num_vertices
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(t[:, i])
-            cols.append(t[:, j])
-            vals.append(mesh.areas * ((2.0 if i == j else 1.0) / 12.0))
-    m = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    return m.tocsr()
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def assemble_mass(mesh: TriangleMesh) -> sp.csr_matrix:
+    """P1 mass matrix by exact per-triangle integration, scattered into the
+    mesh's CSR pattern."""
+    # area/6 on the three diagonal pairs, area/12 on the six others
+    return _scatter(mesh, np.multiply.outer(mesh.areas, np.repeat([2.0, 1.0, 1.0], 3) / 12.0))
 
 
 def lumped_diagonal(mesh: TriangleMesh) -> np.ndarray:
@@ -66,26 +73,21 @@ def lumped_diagonal(mesh: TriangleMesh) -> np.ndarray:
 
 
 def assemble_stiffness(mesh: TriangleMesh) -> sp.csr_matrix:
-    """Cotangent stiffness: S_ij = integral of grad(chi_i) . grad(chi_j)."""
-    t = mesh.triangles
-    p = mesh.vertices[t]
-    n = mesh.num_vertices
-    rows, cols, vals = [], [], []
-    # Edge opposite local vertex k connects the other two vertices; the
-    # off-diagonal weight is -cot(angle at k)/2.
+    """Cotangent stiffness: S_ij = integral of grad(chi_i) . grad(chi_j),
+    scattered into the mesh's CSR pattern."""
+    areas = mesh.areas
+    p = mesh.vertices[mesh.triangles]
+    e = (p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2])   # e_k runs from k to k + 1
+    local = np.empty((mesh.num_triangles, 9))
+    # Edge k, the pair (k, k + 1), faces the angle at vertex k + 2, whose cotangent
+    # is -e_{k+1} . e_{k+2} / (2 area); its off-diagonal weight is -cot/2, and
+    # a diagonal entry is minus the weights of the two edges at its vertex.
     for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        e1 = p[:, i] - p[:, k]
-        e2 = p[:, j] - p[:, k]
-        cot = np.einsum("ij,ij->i", e1, e2) / (2.0 * mesh.areas)
-        w = 0.5 * cot
-        rows.extend([t[:, i], t[:, j], t[:, i], t[:, j]])
-        cols.extend([t[:, j], t[:, i], t[:, i], t[:, j]])
-        vals.extend([-w, -w, w, w])
-    s = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    return s.tocsr()
+        local[:, 3 + k] = np.einsum("ij,ij->i", e[(k + 1) % 3], e[(k + 2) % 3]) / (4.0 * areas)
+    local[:, 6:] = local[:, 3:6]
+    for k in range(3):
+        local[:, k] = -(local[:, 3 + k] + local[:, 3 + (k + 2) % 3])
+    return _scatter(mesh, local)
 
 
 def _closest_point_on_triangle(p: np.ndarray, a, b, c):
@@ -274,7 +276,9 @@ def solve_saddle(
 #: lumped mass M_L), a P1 mass matrix has its spectrum in [1/4, 1] on any
 #: triangle mesh (Wathen, IMA J. Numer. Anal. 7 (1987) 449): condition number
 #: at most 4, so CG shrinks the M-norm error by 1/3 a step whatever h is, and
-#: 2 * 3^-k falls below eps at k = 34.
+#: 2 * 3^-k falls below eps at k = 34.  Each step makes one product with M;
+#: the exact stop test makes a second only once the screen of ``solve_mass``
+#: lets the iterate near the contract.
 MASS_CG_MAXITER = 40
 
 
@@ -286,26 +290,45 @@ def solve_mass(M: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     componentwise, and ``_solve_refined`` holds every column to that contract
     on its true residual, else :class:`SolverError`.  The entries of M are
     positive multiples of triangle areas, so |M| = M.
+
+    The stop test is exact but screened.  M is nonnegative and d holds its row
+    sums, so (M |x|)_i <= d_i max|x|, and max_i |r_i| / (d_i max|x| + |b_i|) is a
+    lower bound on the backward error omega.  The exact omega, one product with
+    M, is taken only where that bound is at most 2 ``BACKWARD_ERROR_BOUND`` (the
+    factor covers its rounding), so the stop decision, the iterates and the
+    iteration count are those of the unscreened test.  Each column's x, r, z, p
+    and one work vector are updated in place, to the same bits.
     """
     M = M.tocsr()
     d = np.asarray(M.sum(axis=1)).ravel()
 
     def cg(rhs):
         x = np.zeros_like(rhs)
-        r = rhs
+        r = rhs.copy()
         scale = np.abs(rhs)
-        p = z = r / d
-        rz = r @ z
+        z = r / d
+        p = z.copy()
+        w = np.empty_like(z)
+        rz = rhs @ z    # not r @ z: a strided column's BLAS dot sums in its own order
         for _ in range(MASS_CG_MAXITER):
-            if _backward_error(r, M @ np.abs(x) + scale) <= BACKWARD_ERROR_BOUND:
+            # (M |x|)_i <= d_i max|x|: a lower bound on omega screens the exact one.
+            np.multiply(d, max(x.max(), -x.min()), out=w)
+            w += scale
+            with np.errstate(invalid="ignore"):     # 0/0 where x = 0 and b_i = 0
+                np.divide(r, w, out=w)
+            if (not np.abs(w, out=w).max() > 2.0 * BACKWARD_ERROR_BOUND
+                    and _backward_error(r, M @ np.abs(x) + scale) <= BACKWARD_ERROR_BOUND):
                 break
             q = M @ p
             alpha = rz / (p @ q)
-            x = x + alpha * p
-            r = r - alpha * q
-            z = r / d
+            np.multiply(p, alpha, out=z)    # z is free until it takes r / d again
+            x += z
+            q *= alpha
+            r -= q
+            np.divide(r, d, out=z)
             rz, rz_prev = r @ z, rz
-            p = z + (rz / rz_prev) * p
+            p *= rz / rz_prev
+            p += z
         return x
 
     b = np.asarray(b, dtype=float)

@@ -1,4 +1,5 @@
-"""Icosphere generation, the triangle measures a mesh keeps, and statistics.
+"""Icosphere generation, the triangle measures and P1 pattern a mesh keeps,
+and statistics.
 
 The reference surface is the sphere of radius ``R`` triangulated by recursive
 subdivision of a regular icosahedron, with new vertices reprojected to the
@@ -29,7 +30,9 @@ class TriangleMesh:
 
     ``radius_hint`` is set when the vertices sample a sphere of that radius
     (the reference configuration); perturbed meshes carry ``None``.  The
-    triangle ``areas`` and ``normals`` are measured on first use and kept.
+    triangle ``areas`` and ``normals`` are measured on first use and kept, and
+    so is the CSR ``pattern`` of the P1 matrices, which belongs to the
+    connectivity: a surface made by :meth:`moved` shares its mesh's.
     """
 
     vertices: np.ndarray       # (n, 3) float64
@@ -63,6 +66,19 @@ class TriangleMesh:
     @property
     def normals(self) -> np.ndarray:
         return self._geometry[1]
+
+    @cached_property
+    def pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR ``(indptr, indices)`` of the P1 matrices on this connectivity and
+        each triangle's ``slots`` in their data, from :func:`_csr_pattern`."""
+        return _csr_pattern(self.triangles, self.num_vertices)
+
+    def moved(self, vertices: np.ndarray) -> TriangleMesh:
+        """This connectivity at new vertex positions (``radius_hint`` None),
+        sharing this mesh's pattern."""
+        mesh = TriangleMesh(vertices, self.triangles)
+        mesh.__dict__["pattern"] = self.pattern
+        return mesh
 
 
 @dataclass(frozen=True)
@@ -191,6 +207,47 @@ def _measure_triangles(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
     areas.setflags(write=False)
     normals.setflags(write=False)
     return areas, normals
+
+
+def _csr_pattern(triangles: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only int32 CSR ``(indptr, indices)`` of the P1 matrices on n
+    vertices, and the (m, 9) int32 ``slots`` in their data of each triangle's
+    local pairs (0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2).
+
+    Row i holds the vertices sharing an edge with i and, if a triangle uses it,
+    i itself, in increasing order: the lower ends of the edges whose upper end
+    is i, then i, then the upper ends of the edges whose lower end is i.  Any
+    triangle list will do, closed or not, whose triangles have three distinct
+    vertices (a repeated one has zero area, which the measurement rejects).
+    """
+    a, b = triangles, triangles[:, [1, 2, 0]]      # local pairs (0, 1), (1, 2), (2, 0)
+    edges, edge = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+    lo, hi = np.divmod(edges, n)                   # sorted by (lo, hi)
+    below = np.bincount(hi, minlength=n)
+    above = np.bincount(lo, minlength=n)
+    used = below + above > 0
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(below + used + above, out=indptr[1:])
+    diag = indptr[:-1] + below
+    # The slots of (lo, hi) and (hi, lo) of each edge.  The edges of one lo fill
+    # its row right of the diagonal in order; those of one hi, taken in a
+    # stable order by hi, fill its row left of the diagonal.
+    rank = np.arange(edges.size)
+    pair_slot = np.empty((edges.size, 2), dtype=np.int64)
+    pair_slot[:, 0] = (diag + 1 - (np.cumsum(above) - above))[lo] + rank
+    by_hi = np.argsort(hi, kind="stable")
+    pair_slot[by_hi, 1] = (indptr[:-1] - (np.cumsum(below) - below))[hi[by_hi]] + rank
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[pair_slot[:, 0]] = hi
+    indices[pair_slot[:, 1]] = lo
+    indices[diag[used]] = np.flatnonzero(used)
+    pair_slot = pair_slot.ravel()
+    forward = 2 * edge.reshape(a.shape) + (a > b)  # where pair_slot holds (a, b)
+    slots = np.hstack((diag[triangles], pair_slot[forward], pair_slot[forward ^ 1]))
+    pattern = indptr.astype(np.int32), indices, slots.astype(np.int32)
+    for arr in pattern:
+        arr.setflags(write=False)
+    return pattern
 
 
 def vertex_normals(mesh: TriangleMesh) -> np.ndarray:

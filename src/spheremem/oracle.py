@@ -55,7 +55,7 @@ def perturb(mesh: TriangleMesh, u: np.ndarray, rho: float) -> TriangleMesh:
     if abs(rho) * float(np.max(np.abs(u))) >= R:
         raise GeometryError("perturbation amplitude reaches the origin (rho*max|u| >= R)")
     nu = mesh.vertices / R
-    return TriangleMesh(mesh.vertices + rho * u[:, None] * nu, mesh.triangles, radius_hint=None)
+    return mesh.moved(mesh.vertices + rho * u[:, None] * nu)
 
 
 def _check_reconstruction(reconstruction: str) -> None:

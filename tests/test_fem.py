@@ -210,11 +210,16 @@ def test_solve_saddle_rank_deficiency_names_rows(mesh):
     assert exc.value.dependent_rows
 
 
+def _perturbed_surface(level):
+    """A level-``level`` sphere perturbed by 0.1 (z^2 - 1/3)."""
+    sphere = build_icosphere(1.0, level)
+    return perturb(sphere, sphere.vertices[:, 2] ** 2 - 1.0 / 3.0, 0.1)
+
+
 def _perturbed_mass_system(level):
     """Mass matrix and the weak-identity right-hand sides S X (three columns)
-    of a sphere perturbed by 0.1 (z^2 - 1/3)."""
-    sphere = build_icosphere(1.0, level)
-    surface = perturb(sphere, sphere.vertices[:, 2] ** 2 - 1.0 / 3.0, 0.1)
+    of the perturbed surface."""
+    surface = _perturbed_surface(level)
     return assemble_mass(surface), assemble_stiffness(surface) @ surface.vertices
 
 
@@ -244,6 +249,122 @@ def test_mass_solve_contract_miss_raises(monkeypatch):
     with pytest.raises(SolverError, match="backward error") as exc:
         solve_mass(M, rhs[:, 0])
     assert f"{BACKWARD_ERROR_BOUND:.3g}" in str(exc.value)
+
+
+class _CountingCSR(sp.csr_matrix):
+    """CSR matrix that counts its products, ``M.dot`` included."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
+
+
+def _unscreened_mass_solve(M, b):
+    """``solve_mass`` with the CG loop it had before its stop test was
+    screened: the exact backward error, one product with M, at every step."""
+    M = M.tocsr()
+    d = np.asarray(M.sum(axis=1)).ravel()
+
+    def cg(rhs):
+        x = np.zeros_like(rhs)
+        r = rhs
+        scale = np.abs(rhs)
+        p = z = r / d
+        rz = r @ z
+        for _ in range(fem.MASS_CG_MAXITER):
+            if fem._backward_error(r, M @ np.abs(x) + scale) <= BACKWARD_ERROR_BOUND:
+                break
+            q = M @ p
+            alpha = rz / (p @ q)
+            x = x + alpha * p
+            r = r - alpha * q
+            z = r / d
+            rz, rz_prev = r @ z, rz
+            p = z + (rz / rz_prev) * p
+        return x
+
+    if b.ndim == 1:
+        return fem._solve_refined(M.dot, M.dot, cg, b)
+    return np.column_stack([fem._solve_refined(M.dot, M.dot, cg, col) for col in b.T])
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_screened_mass_solve_is_the_unscreened_one(level, columns):
+    # Same bits, same stop, with at most 3/4 of the products with M.
+    M, rhs = _perturbed_mass_system(level)
+    b = rhs if columns == 3 else rhs[:, 1]
+    screened, unscreened = _CountingCSR(M), _CountingCSR(M)
+    x = solve_mass(screened, b)
+    np.testing.assert_array_equal(x, _unscreened_mass_solve(unscreened, b))
+    assert screened.products <= 0.75 * unscreened.products
+
+
+def _coo_assembly(mesh, which):
+    """Mass or stiffness matrix by COO triplets and ``tocsr``, the assembly
+    before it scattered into the mesh's pattern."""
+    t = mesh.triangles
+    n = mesh.num_vertices
+    rows, cols, vals = [], [], []
+    if which == "mass":
+        for i in range(3):
+            for j in range(3):
+                rows.append(t[:, i])
+                cols.append(t[:, j])
+                vals.append(mesh.areas * ((2.0 if i == j else 1.0) / 12.0))
+    else:
+        p = mesh.vertices[t]
+        for k in range(3):
+            i, j = (k + 1) % 3, (k + 2) % 3
+            e1 = p[:, i] - p[:, k]
+            e2 = p[:, j] - p[:, k]
+            w = 0.5 * (np.einsum("ij,ij->i", e1, e2) / (2.0 * mesh.areas))
+            rows.extend([t[:, i], t[:, j], t[:, i], t[:, j]])
+            cols.extend([t[:, j], t[:, i], t[:, i], t[:, j]])
+            vals.extend([-w, -w, w, w])
+    coo = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    return coo.tocsr()
+
+
+def _octahedron_shuffled():
+    v = np.vstack([np.eye(3), -np.eye(3)])
+    t = np.array([[0, 1, 2], [1, 3, 2], [3, 4, 2], [4, 0, 2],
+                  [1, 0, 5], [3, 1, 5], [4, 3, 5], [0, 4, 5]])
+    rng = np.random.default_rng(5)
+    t = np.roll(t[rng.permutation(len(t))], 1, axis=1)
+    return TriangleMesh(v, t)
+
+
+def _open_cap():
+    # The triangles of a level-2 sphere above z = 0.2: a boundary, and vertices
+    # no triangle uses.
+    sphere = build_icosphere(1.0, 2)
+    cap = sphere.triangles[sphere.vertices[sphere.triangles].mean(axis=1)[:, 2] > 0.2]
+    return TriangleMesh(sphere.vertices, cap)
+
+
+_SCATTER_MESHES = {
+    **{f"L{level}": (lambda level=level: build_icosphere(1.0, level)) for level in range(6)},
+    "perturbed-L4": lambda: _perturbed_surface(4),
+    "octahedron-shuffled": _octahedron_shuffled,
+    "open-cap": _open_cap,
+}
+
+
+@pytest.mark.parametrize("name", list(_SCATTER_MESHES))
+@pytest.mark.parametrize("which", ["mass", "stiffness"])
+def test_scatter_assembly_matches_coo(name, which):
+    mesh = _SCATTER_MESHES[name]()
+    assemble = assemble_mass if which == "mass" else assemble_stiffness
+    A, ref = assemble(mesh), _coo_assembly(mesh, which)
+    np.testing.assert_array_equal(A.indptr, ref.indptr)
+    np.testing.assert_array_equal(A.indices, ref.indices)
+    tol = 4 * np.finfo(float).eps * np.max(np.abs(ref.data))
+    np.testing.assert_allclose(A.data, ref.data, rtol=0, atol=tol)
+    assert (A != A.T).nnz == 0
 
 
 def test_laplacian_of_coordinate():

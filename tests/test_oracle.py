@@ -200,6 +200,23 @@ def test_taylor_computes_each_triangle_geometry_once(params, monkeypatch, recons
     assert len({id(m) for m in calls}) == len(calls)
 
 
+def test_taylor_derives_one_pattern_per_connectivity(params, monkeypatch):
+    # The form's M and S and every perturbed surface's operators scatter into
+    # the one CSR pattern of the sphere's connectivity.
+    import spheremem.mesh as mesh_module
+
+    calls = []
+    derive = mesh_module._csr_pattern
+    monkeypatch.setattr(mesh_module, "_csr_pattern",
+                        lambda triangles, n: calls.append(n) or derive(triangles, n))
+    mesh = build_icosphere(1.0, 2)
+    form = assemble_quadratic_form(mesh, params)
+    u = mesh.vertices[:, 0] * mesh.vertices[:, 1]
+    taylor_consistency(form, u, mu=0.5, rho_list=(0.1, 0.05, 0.025, 0.0125),
+                       reconstruction="consistent")
+    assert calls == [mesh.num_vertices]
+
+
 def test_taylor_checks_no_connectivity(params, monkeypatch):
     # Every perturbed surface reuses the sphere's connectivity: no closedness check.
     import spheremem.mesh as mesh_module
