@@ -3,17 +3,17 @@
 The semidiscrete system couples the deformation u (driven by the quadratic
 bending form) to the order parameter phi (Ginzburg-Landau energy with a
 double well and a curvature-coupling term).  Time stepping is linearly
-implicit: every linear spatial operator, including the cross coupling and
-the linear part of f', is implicit in one 2-field saddle solve; only the
-double-well derivative W' is explicit.  The mean constraints for phi and u
-and the three translation-mode constraints for u are enforced per step by
-multiplier rows, so conservation holds algebraically.  The step size is
-safeguarded by the energy check alone: a step that raises the energy is
-rejected and retried with half the step.
+implicit: a step solves for its increment against :func:`energy_gradient`,
+with every linear operator, the cross coupling and the linear part of f'
+included, implicit in one 2-field saddle solve; only W' is explicit.  The
+means of phi and u and the three translation modes of u are held per step
+by multiplier rows, so conservation holds algebraically.  A step that
+raises the energy is rejected and retried with half the step.
 """
 from __future__ import annotations
 
 import io
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -30,10 +30,9 @@ MAX_STEPS = 200_000
 #: ``run_flow`` aborts after this many consecutive rejected steps.
 MAX_REJECTIONS = 20
 #: When running to stationarity, tau grows by TAU_GROWTH every GROW_EVERY
-#: accepted steps, up to TAU_CAP_FACTOR times the initial tau.
+#: accepted steps.
 TAU_GROWTH = 2.0
 GROW_EVERY = 100
-TAU_CAP_FACTOR = 1e6
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ def well_shift(pf: PhaseFieldParams, model: ModelParams) -> float:
 
 
 def double_well_derivative(phi: np.ndarray) -> np.ndarray:
-    """W'(phi) = phi^3 - phi, the one explicit term of the flow step."""
+    """W'(phi) = phi^3 - phi, the one gradient term the flow step keeps explicit."""
     return phi * phi * phi - phi
 
 
@@ -130,9 +129,10 @@ def energy(state: PhaseState, form: QuadraticForm, pf: PhaseFieldParams,
     return total, breakdown
 
 
-def energy_gradient(state: PhaseState, form: QuadraticForm, pf: PhaseFieldParams):
-    """L2 gradients (dE/dphi, dE/du) as assembled by the flow step."""
-    C = coupling_operator(form, pf)
+def energy_gradient(state: PhaseState, form: QuadraticForm, pf: PhaseFieldParams,
+                    C: sp.csr_matrix | None = None):
+    """Gradients (dE/dphi, dE/du), the flow step's right-hand side; ``C`` as in :func:`energy`."""
+    C = coupling_operator(form, pf) if C is None else C
     fp = potential_derivative(state.phi, pf, form.params)
     g_phi = C @ state.u + pf.b * pf.epsilon * (form.S @ state.phi) \
         + pf.b / pf.epsilon * form.m_lumped * fp
@@ -179,12 +179,13 @@ def project_constraints(state: PhaseState, form: QuadraticForm,
 class FlowSolver:
     """Reusable linearly-implicit stepper for the conserved gradient flow.
 
-    The coupling operator C, the coupled 2-field operator and its sparse
-    factorization depend on tau and are built once per (form, params, tau),
-    then reused across steps; :func:`run_flow` keeps the solvers of its two
-    most recently used tau values.  A step solves once and evaluates the
-    energy once, of the new state; the caller passes the energy of the state
-    the step starts from.
+    It factors K = D/tau + H once per (form, params, tau), with D =
+    blockdiag(alpha1 M, alpha2 M) and H the Hessian of the energy's quadratic
+    part (the s phi of f' included).  A step solves K d + B^T lambda =
+    -grad E(x), B d = g - B x and moves to x + d: the scheme K x_new =
+    (D/tau) x - (b/eps) M_L W'(phi) in increment form, with the same
+    multipliers.  It evaluates the energy once, of the new state; the caller
+    passes the energy it starts from.  :func:`run_flow` keeps two solvers.
     """
 
     def __init__(self, form: QuadraticForm, pf: PhaseFieldParams, tau: float | None = None):
@@ -213,19 +214,17 @@ class FlowSolver:
         Returns the new state with its energy and breakdown; raises
         :class:`StepRejectedError` when the energy rises.
         """
-        pf, form = self.pf, self.form
-        rhs_phi = (pf.alpha1 / self.tau) * (form.M @ state.phi) \
-            - (pf.b / pf.epsilon) * form.m_lumped * double_well_derivative(state.phi)
-        rhs_u = (pf.alpha2 / self.tau) * (form.M @ state.u)
-        rhs = np.concatenate([rhs_phi, rhs_u, self.g])
-        sol = self.lu.solve(rhs)
+        pf, form, n = self.pf, self.form, self.n
+        g_phi, g_u = energy_gradient(state, form, pf, self.C)
+        c = form.constraints
+        # The constraint defect g - B x: the phi mean row, then the four u rows.
+        defect = self.g - np.concatenate([(c @ state.phi)[:1], c @ state.u])
+        sol = self.lu.solve(np.concatenate([-g_phi, -g_u, defect]))
         if not np.all(np.isfinite(sol)):
             raise SolverError("flow step produced a non-finite solution")
-        phi_new = sol[: self.n]
-        u_new = sol[self.n: 2 * self.n]
-        mult = sol[2 * self.n:]
-        new = PhaseState(u=u_new, phi=phi_new, t=state.t + self.tau,
-                         lambda_phi=float(mult[0]), lambda_u=float(mult[1]))
+        new = PhaseState(u=state.u + sol[n: 2 * n], phi=state.phi + sol[:n],
+                         t=state.t + self.tau,
+                         lambda_phi=float(sol[2 * n]), lambda_u=float(sol[2 * n + 1]))
         e_new, breakdown = energy(new, form, pf, self.C)
         if e_new > e_old + 1e-8 * abs(e_old):
             raise StepRejectedError(
@@ -282,12 +281,13 @@ def run_flow(
     interface width epsilon is below 2 h_max of the mesh.  A step that raises
     the energy is rejected and tau halved: this energy check is the flow's
     only step-size safeguard.  When running to stationarity, tau grows by
-    :data:`TAU_GROWTH` every :data:`GROW_EVERY` accepted steps (up to
-    :data:`TAU_CAP_FACTOR` times the initial tau): late-stage coarsening is
-    exponentially slow in physical time, and the energy check keeps the
-    enlarged steps dissipative.  A ``t_end`` run whose next step would pass
-    ``t_end`` shortens that step to ``t_end - t``, so it ends at ``t_end`` to
-    roundoff.  Every accepted step is logged in the report.
+    :data:`TAU_GROWTH` every :data:`GROW_EVERY` accepted steps, up to half the
+    last rejected tau, a cap that doubles after ten growth periods without a
+    rejection: late-stage coarsening is exponentially slow in physical time,
+    and the energy check keeps the enlarged steps dissipative.  A ``t_end``
+    run whose next step would pass ``t_end`` shortens that step to
+    ``t_end - t``, so it ends at ``t_end`` to roundoff.  Every accepted step
+    is logged in the report.
 
     Each tau has its own :class:`FlowSolver`, and the solvers of the two most
     recently used tau values are kept: a step at a kept tau (the tau a
@@ -336,8 +336,8 @@ def run_flow(
     accepted = 0
     since_grow = 0
     since_reject = 0
-    tau_cap = hard_cap = TAU_CAP_FACTOR * pf.tau
-    stationarity = float("inf")
+    tau_cap = math.inf
+    stationarity = math.inf
     converged = False
     while accepted < MAX_STEPS:
         step_tau = tau
@@ -380,10 +380,10 @@ def run_flow(
             if tau < tau_cap:
                 tau = min(TAU_GROWTH * tau, tau_cap)
                 since_grow = 0
-            elif since_reject >= 10 * GROW_EVERY and tau_cap < hard_cap:
+            elif since_reject >= 10 * GROW_EVERY:
                 # A long run of accepted steps: the rejection that set the
                 # cap happened in a faster flow regime, so probe above it.
-                tau_cap = min(TAU_GROWTH * tau_cap, hard_cap)
+                tau_cap = TAU_GROWTH * tau_cap
                 since_reject = 0
     report = FlowReport(
         times=times,

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from spheremem.phasefield import (
     PhaseState,
     closed_form_multipliers,
     constraint_residuals,
+    coupling_operator,
     double_well_derivative,
     energy,
     energy_gradient,
@@ -25,6 +28,7 @@ from spheremem.phasefield import (
     potential_derivative,
     project_constraints,
     run_flow,
+    well_shift,
 )
 
 # Flows at level 2 warn that eps = 0.35 is under-resolved; any other warning still shows.
@@ -256,7 +260,7 @@ def test_rejecting_run_logs_fresh_energy_once_per_step(form2, monkeypatch):
     # Pinned to the bit (x86-64, NumPy 2.4.6, SciPy 1.17.1): any change to
     # the flow's arithmetic shows here.
     assert (report.accepted_steps, report.rejected_steps) == (622, 9)
-    assert repr(report.energies[-1]) == "9.512478194322558"
+    assert repr(report.energies[-1]) == "9.51247819432256"
 
 
 @pytest.mark.parametrize("t_end, tau", [(0.05, 0.02), (0.1, 0.03)])
@@ -304,6 +308,7 @@ def coarsen_params(seed):
     # thread, NumPy 2.4.6, SciPy 1.17.1.
     (0, 4059, 4, 9.5168622280339),
     (2, 1946, 2, 9.516862228036347),
+    (4, 3539, 3, 9.525204379408217),
 ])
 def test_flow_reproduces_recorded_trajectory(form3, seed, accepted, rejected, final_energy):
     pf = coarsen_params(seed)
@@ -343,3 +348,113 @@ def test_flow_factors_once_per_distinct_tau(form3, monkeypatch):
     switches = sum(a != b for a, b in zip(step_taus, step_taus[1:]))
     assert len(built_with_alive) < 1 + switches
     assert max(built_with_alive) <= 2
+
+
+def position_form_step(solver, state):
+    """The step as K x_new = (D/tau) x - (b/eps) M_L W'(phi): (phi, u, lambda_phi, lambda_u)."""
+    pf, form, n = solver.pf, solver.form, solver.n
+    rhs_phi = (pf.alpha1 / solver.tau) * (form.M @ state.phi) \
+        - (pf.b / pf.epsilon) * form.m_lumped * double_well_derivative(state.phi)
+    rhs_u = (pf.alpha2 / solver.tau) * (form.M @ state.u)
+    sol = solver.lu.solve(np.concatenate([rhs_phi, rhs_u, solver.g]))
+    return sol[:n], sol[n: 2 * n], sol[2 * n], sol[2 * n + 1]
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.16, 0.32])
+@pytest.mark.parametrize("level", [2, 3])
+def test_increment_step_is_the_position_form_step(form2, form3, monkeypatch, level, tau):
+    form = {2: form2, 3: form3}[level]
+    pf = replace(coarsen_params(0), tau=tau)
+    solver = FlowSolver(form, pf)
+    start = initial_state(form, pf)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return energy_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(phasefield, "energy_gradient", counting)
+    # e_old = inf: the energy check is not under test here.
+    new, _, _ = solver.step(start, np.inf)
+    assert len(calls) == 1
+    phi, u, lam_phi, lam_u = position_form_step(solver, start)
+    scale = max(np.abs(phi).max(), np.abs(u).max())
+    assert np.abs(new.phi - phi).max() <= 1e-13 * scale
+    assert np.abs(new.u - u).max() <= 1e-13 * scale
+    assert new.lambda_phi == pytest.approx(lam_phi, rel=1e-12)
+    assert new.lambda_u == pytest.approx(lam_u, rel=1e-12)
+
+
+def continuum_growth_rate(l, pf, model):
+    """Growth rate of degree l about (phi, u) = (alpha, 0) in the continuum.
+
+    Linearizing the flow of the near-spherical phase-separation model
+    (Elliott & Hatcher, Eur. J. Appl. Math. 2021) about the uniform state
+    decouples the spherical-harmonic degrees; each gives a 2x2 growth matrix
+    whose largest eigenvalue is the rate.
+    """
+    lam = l * (l + 1) / model.R**2
+    c = model.kappa * pf.coupling * (2.0 / model.R**2 - lam)
+    hess = [[pf.b * pf.epsilon * lam
+             + pf.b / pf.epsilon * (3.0 * pf.alpha**2 - 1.0 + well_shift(pf, model)), c],
+            [c, (lam - 2.0 / model.R**2) * (model.kappa * lam + model.sigma)]]
+    return max(np.linalg.eigvals(-np.diag([1 / pf.alpha1, 1 / pf.alpha2]) @ hess).real)
+
+
+def discrete_growth_rates(form, pf):
+    """Growth rates, descending, of the flow linearized about (alpha, 0).
+
+    The Jacobian J of ``energy_gradient`` is built by central differences;
+    the rates are -eig(Z^T J Z, Z^T D Z) with Z a basis of the null space of
+    the constraint rows B and D = blockdiag(alpha1 M, alpha2 M).
+    """
+    n = form.mesh.num_vertices
+    C = coupling_operator(form, pf)
+    x0 = np.concatenate([np.full(n, pf.alpha), np.zeros(n)])
+
+    def gradient(x):
+        return np.concatenate(energy_gradient(PhaseState(u=x[n:], phi=x[:n]), form, pf, C))
+
+    h = 1e-4
+    J = np.empty((2 * n, 2 * n))
+    for j in range(2 * n):
+        step = np.zeros(2 * n)
+        step[j] = h
+        J[:, j] = (gradient(x0 + step) - gradient(x0 - step)) / (2 * h)
+    # The Jacobian of a gradient is a Hessian.
+    assert np.abs(J - J.T).max() <= 1e-12 * np.abs(J).max()
+    D = sp.block_diag([pf.alpha1 * form.M, pf.alpha2 * form.M]).toarray()
+    B = sp.block_diag([form.constraints[:1], form.constraints]).toarray()
+    Z = sla.null_space(B)
+    return -sla.eigh(Z.T @ J @ Z, Z.T @ D @ Z, eigvals_only=True)
+
+
+def leading_cluster(rates, size):
+    """Value of the first run of `size` equal rates (equal to 1e-8 relative)."""
+    start = 0
+    for i in range(1, len(rates) + 1):
+        if i == len(rates) or rates[i - 1] - rates[i] > 1e-8 * abs(rates[i]):
+            if i - start == size:
+                return float(np.mean(rates[start:i]))
+            start = i
+    raise AssertionError(f"no cluster of {size} rates")
+
+
+def test_linearized_flow_matches_continuum_dispersion(form2, form3):
+    pf = coarsen_params(0)
+    model = form3.params
+    # The icosahedral symmetry keeps l = 1 (3 modes) and l = 2 (5 modes)
+    # degenerate, so each degree is the leading cluster of its multiplicity.
+    exact = {1: continuum_growth_rate(1, pf, model), 2: continuum_growth_rate(2, pf, model)}
+    assert exact[1] == pytest.approx(3.566667, abs=1e-6)
+    assert exact[2] == pytest.approx(3.475007, abs=1e-6)
+    errors = {}
+    for level, form in ((2, form2), (3, form3)):
+        rates = discrete_growth_rates(form, pf)
+        for l, size in ((1, 3), (2, 5)):
+            errors[level, l] = abs(leading_cluster(rates, size) - exact[l]) / exact[l]
+    # O(h^2): the error falls about fourfold per refinement.
+    for l in (1, 2):
+        assert errors[2, l] / errors[3, l] >= 3.5
+    assert errors[3, 1] == pytest.approx(5.78e-3, rel=0.01)
+    assert errors[3, 2] == pytest.approx(2.05e-2, rel=0.01)
