@@ -14,10 +14,11 @@ error max_i |b - K x|_i / (|K| |x| + |b|)_i is at most ``BACKWARD_ERROR_BOUND``
 ed., Thm. 7.3): every row, hard constraint rows included, holds to its own
 scale however large the fourth-order block grows.  The saddle systems, all
 symmetric, meet it by sparse LU in SuperLU's symmetric mode, which prefers
-diagonal pivots (``factor_saddle``), and refinement; the mass matrix M, whose
-lumped diagonal preconditions it to condition number 4 at every h, by
-conjugate gradients without a factorization (``solve_mass``), whose exact
-stop test is screened by a bound that needs no product with M.
+diagonal pivots, in a nested-dissection order of the mesh graph
+(``nested_dissection``, ``factor_saddle``), and refinement; the mass
+matrix M, whose lumped diagonal preconditions it to condition number 4 at
+every h, by conjugate gradients without a factorization (``solve_mass``),
+whose exact stop test is screened by a bound that needs no product with M.
 """
 from __future__ import annotations
 
@@ -25,20 +26,21 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from .errors import GeometryError, RankDeficiencyError, SolverError
 from .mesh import TriangleMesh
 
 #: The one residual tolerance: it stops the refinement and is the contract.  The
 #: point solves of the penalty studies of the three presets (hard and delta =
-#: 1e-2 ... 1e-6) take one refinement step to at most 6.9 eps at levels 2-6 and
-#: to 1.6-16.4 eps at level 7; at level 4 the equator solves pass unrefined at
-#: 25.6-26.3 eps (polar_rings is a domain error at level 2).  The 16 mass
-#: solves of a consistent Taylor check (z^2 - 1/3, rho = 0.1 ... 0.0125) stop CG
-#: after 19-25 iterations at level 3, 27-30 at level 4, 28-29 at level 5 and
-#: 27-29 at level 6, at 4.3-60.9 eps (level 3), 10.5-60.1 (4), 23.0-34.4 (5) and
-#: 21.7-48.8 eps (6), without a refinement step.  c_be = 64 is verified up to
-#: level 7.
+#: 1e-2 ... 1e-6), factored in nested-dissection order, take one refinement step
+#: to at most 6.6 eps at levels 2-6 and to 1.5-13.3 eps at level 7; at level 4
+#: the equator solves pass unrefined at 48.6-50.7 eps (polar_rings is a domain
+#: error at level 2).  The 16 mass solves of a consistent Taylor check (z^2 -
+#: 1/3, rho = 0.1 ... 0.0125) stop CG after 19-25 iterations at level 3, 27-30
+#: at level 4, 28-29 at level 5 and 27-29 at level 6, at 4.3-60.9 eps (level 3),
+#: 10.5-60.1 (4), 23.0-34.4 (5) and 21.7-48.8 eps (6), without a refinement
+#: step.  c_be = 64 is verified up to level 7.
 BACKWARD_ERROR_BOUND = 64.0 * np.finfo(float).eps
 
 #: A point farther than this fraction of the mesh radius from the surface
@@ -180,36 +182,108 @@ def _check_constraint_rank(B: sp.spmatrix, labels, compliance: np.ndarray) -> No
         )
 
 
-#: Refinement steps a solve may take to meet ``BACKWARD_ERROR_BOUND``.
-MAX_REFINE = 4
+#: A part of at most this many vertices is a leaf of the dissection: it is
+#: numbered as it comes, not cut further.
+ND_LEAF_SIZE = 32
+
+
+def nested_dissection(A: sp.spmatrix) -> np.ndarray:
+    """A nested-dissection order of the graph of the sparse matrix A + A^T
+    (George, SIAM J. Numer. Anal. 10 (1973) 345; George & Liu, *Computer
+    Solution of Large Sparse Positive Definite Systems*, 1981, ch. 8).
+
+    Each connected part of more than ``ND_LEAF_SIZE`` vertices is cut at a
+    level of its breadth-first level structure, rooted at the last vertex a
+    search from the part's first vertex reaches.  The cut level holds the
+    part's median vertex (but is never its last level), and the separator
+    keeps only those of its vertices with a neighbour beyond it.  The parts
+    of one dissection level are cut together: each search runs over their
+    disjoint union.  The order numbers every part contiguously, the parts of
+    deeper levels first, so each separator follows the parts it separates.
+    It depends only on the pattern of A.
+    """
+    n = A.shape[0]
+    A = sp.csr_matrix(A)
+    graph = sp.csr_matrix((np.ones(A.indices.size), A.indices, A.indptr), shape=(n, n))
+    graph = (graph + graph.T).tocsr()
+    part = np.empty(n, dtype=np.intp)    # the part or separator a vertex is numbered in
+    depth = np.empty(n, dtype=np.intp)   # the dissection level that numbers it
+    active = np.arange(n)
+    parts = level = 0
+    while active.size:
+        sub = graph[active][:, active]
+        count, comp = csgraph.connected_components(sub, directed=False)
+        _, first, size = np.unique(comp, return_index=True, return_counts=True)
+        part[active] = parts + comp
+        depth[active] = level
+        parts += count
+        start = np.cumsum(size) - size
+        # Sorted by part, then by level; the last vertex of a part is its farthest.
+        dist = csgraph.dijkstra(sub, indices=first, unweighted=True, min_only=True)
+        root = np.lexsort((dist, comp))[start + size - 1]
+        dist = csgraph.dijkstra(sub, indices=root, unweighted=True, min_only=True)
+        by_level = np.lexsort((dist, comp))
+        cut = np.clip(dist[by_level[start + size // 2]], 0, dist[by_level[start + size - 1]] - 1)
+        beyond = dist - cut[comp]
+        cuts = size[comp] > ND_LEAF_SIZE
+        separator = cuts & (beyond == 0) & (sub @ (beyond == 1).astype(float) > 0)
+        active = active[cuts & ~separator]
+        level += 1
+    return np.lexsort((part, -depth))
+
+
+class _PermutedLU:
+    """The sparse LU ``lu`` of P K P^T, whose ``solve`` solves K x = b (b one
+    column or several)."""
+
+    def __init__(self, lu, perm: np.ndarray):
+        self.lu, self.perm = lu, perm
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        y = self.lu.solve(np.asarray(b)[self.perm])
+        x = np.empty_like(y)
+        x[self.perm] = y
+        return x
 
 
 def factor_saddle(A: sp.spmatrix, B: sp.spmatrix, compliance: np.ndarray):
     """Assemble K = [[A, B^T], [B, -diag(c)]] in CSC format and factor it by
-    sparse LU in SuperLU's symmetric mode.
+    sparse LU in SuperLU's symmetric mode, in nested-dissection order.
 
-    A is symmetric in every caller, so K is.  Symmetric mode orders the
-    columns of K by COLAMD and takes the diagonal entry of each permuted
-    column as its pivot while that entry is at least 0.1 times the column's
-    largest (Li, ACM TOMS 31 (2005) 302); a zero diagonal entry (a hard
-    constraint row) falls back to an off-diagonal pivot.  Partial pivoting
-    took off-diagonal pivots that added fill: the flow operator at
-    epsilon = 0.15, Lambda = 1, tau = 0.01, now pivoted on its diagonal
-    throughout, has 12% fewer L+U entries at levels 4 and 5 and an unrefined
-    backward error of ~1e-15 instead of ~1e-13.
+    A is symmetric in every caller, so K is.  K is permuted symmetrically,
+    the unknowns of A in the order of :func:`nested_dissection` of A and the
+    rows of B last, and SuperLU factors it in that order, taking the diagonal
+    entry of each column as its pivot while that entry is at least 0.1 times
+    the column's largest (Li, ACM TOMS 31 (2005) 302), and an off-diagonal
+    pivot otherwise (5 columns of the points' A_C at level 3, 6 at level 4).
+    Partial pivoting took off-diagonal pivots that added fill: the flow
+    operator at epsilon = 0.15, Lambda = 1, tau = 0.01 is pivoted on its
+    diagonal throughout, with an unrefined backward error of ~1e-15 instead
+    of ~1e-13.  Nested dissection suits K, the symmetric matrix of a surface
+    mesh: A_C = [[A, C^T], [C, 0]] has 0.49 M L+U entries at level 4, 2.6 M
+    at level 5 and 12.9 M at level 6, against 0.71 M, 3.76 M and 22.0 M
+    ordered by COLAMD, which minimizes the fill of K^T K instead.
 
-    Returns ``(K, lu)``; a failed factorization raises :class:`SolverError`.
+    Returns ``(K, lu)``, where ``lu.solve`` solves with K itself; a failed
+    factorization raises :class:`SolverError`.
     """
     r = B.shape[0]
     soft = np.flatnonzero(compliance)
     D = sp.csr_matrix((-compliance[soft], (soft, soft)), shape=(r, r))
     B = B.tocsr()
     K = sp.bmat([[A.tocsr(), B.T], [B, D]], format="csc")
+    n = A.shape[0]
+    perm = np.concatenate([nested_dissection(A), n + np.arange(r)])
     try:
-        return K, spla.splu(K, permc_spec="COLAMD", diag_pivot_thresh=0.1,
-                            options=dict(SymmetricMode=True))
+        lu = spla.splu(K[perm][:, perm], permc_spec="NATURAL", diag_pivot_thresh=0.1,
+                       options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"sparse LU of the saddle system failed: {exc}") from exc
+    return K, _PermutedLU(lu, perm)
+
+
+#: Refinement steps a solve may take to meet ``BACKWARD_ERROR_BOUND``.
+MAX_REFINE = 4
 
 
 def _backward_error(r: np.ndarray, scale: np.ndarray) -> float:

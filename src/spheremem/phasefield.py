@@ -106,18 +106,37 @@ def coupling_operator(form: QuadraticForm, pf: PhaseFieldParams) -> sp.csr_matri
     return (k * (-form.S + (2.0 / form.params.R**2) * form.M)).tocsr()
 
 
+@dataclass(frozen=True)
+class StateProducts:
+    """The sparse products of one state that its energy, its gradient and its
+    constraint rows share, so that a flow forms each once per state."""
+
+    Au: np.ndarray       # A u
+    Cu: np.ndarray       # C u, C the coupling operator
+    Sphi: np.ndarray     # S phi
+    c_phi: np.ndarray    # the constraint rows times phi
+    c_u: np.ndarray      # the constraint rows times u
+
+
+def state_products(state: PhaseState, form: QuadraticForm, C: sp.csr_matrix) -> StateProducts:
+    """The :class:`StateProducts` of ``state``; ``C`` is ``coupling_operator(form, pf)``."""
+    return StateProducts(Au=form.A @ state.u, Cu=C @ state.u, Sphi=form.S @ state.phi,
+                         c_phi=form.constraints @ state.phi, c_u=form.constraints @ state.u)
+
+
 def energy(state: PhaseState, form: QuadraticForm, pf: PhaseFieldParams,
-           C: sp.csr_matrix | None = None):
+           products: StateProducts | None = None):
     """Total energy E(u, phi) and its per-term breakdown.
 
-    ``C`` is ``coupling_operator(form, pf)`` when the caller has built it.
+    ``products`` are the state's :class:`StateProducts` when the caller has
+    formed them.
     """
     u, phi = state.u, state.phi
-    if C is None:
-        C = coupling_operator(form, pf)
-    bending = 0.5 * form.evaluate(u, u)
-    cross = float(phi @ (C @ u))
-    grad = pf.b * 0.5 * pf.epsilon * float(phi @ (form.S @ phi))
+    if products is None:
+        products = state_products(state, form, coupling_operator(form, pf))
+    bending = 0.5 * float(u @ products.Au)
+    cross = float(phi @ products.Cu)
+    grad = pf.b * 0.5 * pf.epsilon * float(phi @ products.Sphi)
     well = pf.b / pf.epsilon * float(form.m_lumped @ potential(phi, pf, form.params))
     total = bending + cross + grad + well
     breakdown = {
@@ -130,13 +149,19 @@ def energy(state: PhaseState, form: QuadraticForm, pf: PhaseFieldParams,
 
 
 def energy_gradient(state: PhaseState, form: QuadraticForm, pf: PhaseFieldParams,
-                    C: sp.csr_matrix | None = None):
-    """Gradients (dE/dphi, dE/du), the flow step's right-hand side; ``C`` as in :func:`energy`."""
+                    C: sp.csr_matrix | None = None, products: StateProducts | None = None):
+    """Gradients (dE/dphi, dE/du), the flow step's right-hand side.
+
+    ``C`` is ``coupling_operator(form, pf)`` when the caller has built it, and
+    ``products`` as in :func:`energy`.
+    """
     C = coupling_operator(form, pf) if C is None else C
+    if products is None:
+        products = state_products(state, form, C)
     fp = potential_derivative(state.phi, pf, form.params)
-    g_phi = C @ state.u + pf.b * pf.epsilon * (form.S @ state.phi) \
+    g_phi = products.Cu + pf.b * pf.epsilon * products.Sphi \
         + pf.b / pf.epsilon * form.m_lumped * fp
-    g_u = form.A @ state.u + C @ state.phi
+    g_u = products.Au + C @ state.phi
     return g_phi, g_u
 
 
@@ -150,12 +175,16 @@ def closed_form_multipliers(state: PhaseState, form: QuadraticForm,
     return lam_phi, lam_u
 
 
-def constraint_residuals(state: PhaseState, form: QuadraticForm, pf: PhaseFieldParams):
-    """(|mean(phi)-alpha|, |int u|/area, max_i |int u nu_i|/area)."""
+def constraint_residuals(state: PhaseState, form: QuadraticForm, pf: PhaseFieldParams,
+                         products: StateProducts | None = None):
+    """(|mean(phi)-alpha|, |int u|/area, max_i |int u nu_i|/area); ``products``
+    as in :func:`energy`."""
     area = form.area
     # Sparse matvecs sum each row in stored order, as a row slice would.
-    c_phi = form.constraints @ state.phi
-    c_u = form.constraints @ state.u
+    if products is None:
+        c_phi, c_u = form.constraints @ state.phi, form.constraints @ state.u
+    else:
+        c_phi, c_u = products.c_phi, products.c_u
     phi_mean = float(c_phi[0]) / area - pf.alpha
     u_mean = float(c_u[0]) / area
     u_nu = max(abs(float(c_u[i])) for i in (1, 2, 3)) / area
@@ -185,7 +214,8 @@ class FlowSolver:
     -grad E(x), B d = g - B x and moves to x + d: the scheme K x_new =
     (D/tau) x - (b/eps) M_L W'(phi) in increment form, with the same
     multipliers.  It evaluates the energy once, of the new state; the caller
-    passes the energy it starts from.  :func:`run_flow` keeps two solvers.
+    passes the energy it starts from, and may pass its products.
+    :func:`run_flow` keeps two solvers.
     """
 
     def __init__(self, form: QuadraticForm, pf: PhaseFieldParams, tau: float | None = None):
@@ -207,25 +237,32 @@ class FlowSolver:
         B = sp.block_diag([c[:1], c])
         _, self.lu = factor_saddle(sp.bmat([[Kpp, C], [C, Kuu]]), B, np.zeros(5))
         self.g = np.concatenate([[pf.alpha * form.area], np.zeros(4)])
+        self.products: StateProducts | None = None   # of the state the last step returned
 
-    def step(self, state: PhaseState, e_old: float) -> tuple[PhaseState, float, dict]:
-        """One linearly-implicit step from ``state``, whose energy is ``e_old``.
+    def step(self, state: PhaseState, e_old: float,
+             products: StateProducts | None = None) -> tuple[PhaseState, float, dict]:
+        """One linearly-implicit step from ``state``, whose energy is ``e_old``
+        and whose :class:`StateProducts` are ``products`` when the caller has
+        formed them.
 
-        Returns the new state with its energy and breakdown; raises
+        Returns the new state with its energy and breakdown, and keeps the new
+        state's products as ``self.products``; raises
         :class:`StepRejectedError` when the energy rises.
         """
         pf, form, n = self.pf, self.form, self.n
-        g_phi, g_u = energy_gradient(state, form, pf, self.C)
-        c = form.constraints
+        if products is None:
+            products = state_products(state, form, self.C)
+        g_phi, g_u = energy_gradient(state, form, pf, self.C, products)
         # The constraint defect g - B x: the phi mean row, then the four u rows.
-        defect = self.g - np.concatenate([(c @ state.phi)[:1], c @ state.u])
+        defect = self.g - np.concatenate([products.c_phi[:1], products.c_u])
         sol = self.lu.solve(np.concatenate([-g_phi, -g_u, defect]))
         if not np.all(np.isfinite(sol)):
             raise SolverError("flow step produced a non-finite solution")
         new = PhaseState(u=state.u + sol[n: 2 * n], phi=state.phi + sol[:n],
                          t=state.t + self.tau,
                          lambda_phi=float(sol[2 * n]), lambda_u=float(sol[2 * n + 1]))
-        e_new, breakdown = energy(new, form, pf, self.C)
+        new_products = state_products(new, form, self.C)
+        e_new, breakdown = energy(new, form, pf, new_products)
         if e_new > e_old + 1e-8 * abs(e_old):
             raise StepRejectedError(
                 f"energy increased {e_old:.12g} -> {e_new:.12g}; "
@@ -233,6 +270,7 @@ class FlowSolver:
                 energy_before=e_old, energy_after=e_new,
                 suggested_tau=self.tau / 2,
             )
+        self.products = new_products
         return new, e_new, breakdown
 
 
@@ -298,7 +336,10 @@ def run_flow(
     The energy is evaluated once for the initial state and then once per
     step by :meth:`FlowSolver.step`; the logged value of an accepted step
     is the one the step computed for its dissipation check, and it is the
-    ``e_old`` of the next step.
+    ``e_old`` of the next step.  Likewise each state's :class:`StateProducts`
+    are formed once: the step that makes the state forms them for its energy,
+    and the logged constraint residuals and the next step's gradient and
+    constraint defect reuse them.
     """
     pf_res = constraint_residuals(initial, form, pf)
     state = initial
@@ -328,9 +369,10 @@ def run_flow(
     stepper = solver_for(tau)
     mass = form.m_lumped
     times, energies_log, breakdowns, residuals = [], [], [], []
-    e, bd = energy(state, form, pf, stepper.C)
+    products = state_products(state, form, stepper.C)
+    e, bd = energy(state, form, pf, products)
     times.append(state.t); energies_log.append(e); breakdowns.append(bd)
-    residuals.append(constraint_residuals(state, form, pf))
+    residuals.append(constraint_residuals(state, form, pf, products))
     rejected = 0
     consecutive = 0
     accepted = 0
@@ -348,7 +390,7 @@ def run_flow(
                 step_tau = pf.t_end - state.t
         stepper = solver_for(step_tau)
         try:
-            new, e_new, bd = stepper.step(state, e)
+            new, e_new, bd = stepper.step(state, e, products)
         except StepRejectedError as exc:
             rejected += 1
             consecutive += 1
@@ -368,10 +410,10 @@ def run_flow(
         diff = np.sqrt(float(mass @ (new.phi - state.phi) ** 2)
                        + float(mass @ (new.u - state.u) ** 2))
         stationarity = diff / step_tau
-        state, e = new, e_new
+        state, e, products = new, e_new, stepper.products
         accepted += 1
         times.append(state.t); energies_log.append(e); breakdowns.append(bd)
-        residuals.append(constraint_residuals(state, form, pf))
+        residuals.append(constraint_residuals(state, form, pf, products))
         if pf.stat_tol is not None and stationarity < pf.stat_tol:
             converged = True
             break

@@ -11,14 +11,17 @@ from spheremem.fem import (
     PointLocator,
     assemble_mass,
     assemble_stiffness,
+    factor_saddle,
     h2_norm,
     laplacian_apply,
     lumped_diagonal,
+    nested_dissection,
     solve_mass,
     solve_saddle,
 )
 from spheremem import fem
 from spheremem.mesh import TriangleMesh, build_icosphere, mesh_stats
+from spheremem.model import ModelParams, assemble_quadratic_form
 from spheremem.oracle import perturb
 
 
@@ -208,6 +211,74 @@ def test_solve_saddle_rank_deficiency_names_rows(mesh):
     with pytest.raises(RankDeficiencyError) as exc:
         solve_saddle(A, B, np.zeros(n), np.zeros(2), np.zeros(2), ["mean", "mean again"])
     assert exc.value.dependent_rows
+
+
+def _mesh_operator(level):
+    """S + M on a level-``level`` sphere: symmetric positive definite, with the
+    mesh's graph."""
+    sphere = build_icosphere(1.0, level)
+    return (assemble_stiffness(sphere) + assemble_mass(sphere)).tocsr()
+
+
+def test_nested_dissection_is_a_permutation_fixed_by_the_pattern():
+    A = _mesh_operator(3)
+    perm = nested_dissection(A)
+    np.testing.assert_array_equal(np.sort(perm), np.arange(A.shape[0]))
+    # Other values on the same pattern, and a second call: the same order.
+    other = A.copy()
+    other.data = np.random.default_rng(3).uniform(-1.0, 1.0, other.nnz)
+    np.testing.assert_array_equal(nested_dissection(other), perm)
+    np.testing.assert_array_equal(nested_dissection(A), perm)
+
+
+def _unit_mean_row(n):
+    return sp.csr_matrix(np.ones((1, n)))
+
+
+_ORDER_GRAPHS = {
+    # 12 vertices, fewer than one leaf: numbered as they come.
+    "below one leaf": lambda: _mesh_operator(0),
+    # Two spheres: two parts from the start.
+    "disconnected": lambda: sp.block_diag([_mesh_operator(2), _mesh_operator(3)]).tocsr(),
+    # A vertex with no neighbour, inside and after the numbering of a mesh.
+    "isolated vertex": lambda: sp.block_diag([_mesh_operator(2), sp.identity(1),
+                                              _mesh_operator(2)]).tocsr(),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORDER_GRAPHS))
+def test_factor_saddle_orders_and_solves_any_graph(name):
+    A = _ORDER_GRAPHS[name]()
+    n = A.shape[0]
+    perm = nested_dissection(A)
+    np.testing.assert_array_equal(np.sort(perm), np.arange(n))
+    B = _unit_mean_row(n)
+    K, lu = factor_saddle(A, B, np.zeros(1))
+    rhs = np.random.default_rng(4).standard_normal(n + 1)
+    x = lu.solve(rhs)
+    np.testing.assert_allclose(K @ x, rhs, rtol=0, atol=1e-12 * np.abs(rhs).max())
+
+
+def test_permuted_solve_takes_several_right_hand_sides():
+    A = _mesh_operator(3)
+    n = A.shape[0]
+    K, lu = factor_saddle(A, _unit_mean_row(n), np.zeros(1))
+    rhs = np.random.default_rng(5).standard_normal((n + 1, 3))
+    X = lu.solve(rhs)
+    assert X.shape == rhs.shape
+    np.testing.assert_allclose(K @ X, rhs, rtol=0, atol=1e-12 * np.abs(rhs).max())
+    for k in range(3):
+        np.testing.assert_allclose(X[:, k], lu.solve(rhs[:, k]), rtol=0,
+                                   atol=1e-14 * np.abs(X).max())
+
+
+def test_nested_dissection_fills_less_than_colamd():
+    # The points' orthogonality block A_C = [[A, C^T], [C, 0]] at level 4.
+    form = assemble_quadratic_form(build_icosphere(1.0, 4), ModelParams(kappa=1.0, sigma=1.0, R=1.0))
+    K, lu = factor_saddle(form.A, form.constraints, np.zeros(4))
+    colamd = spla.splu(K, permc_spec="COLAMD", diag_pivot_thresh=0.1,
+                       options=dict(SymmetricMode=True))
+    assert lu.lu.nnz <= 0.8 * colamd.nnz
 
 
 def _perturbed_surface(level):
