@@ -228,12 +228,11 @@ def cmd_penalty_study(run: Run, mesh: TriangleMesh, form: QuadraticForm):
 def cmd_taylor(run: Run, mesh: TriangleMesh, form: QuadraticForm):
     cfg = run.cfg
     field = cfg.get("taylor", "field", "xy", str)
-    x = mesh.vertices / cfg.R
     harmonics = {
-        "xy": x[:, 0] * x[:, 1],
-        "yz": x[:, 1] * x[:, 2],
-        "xz": x[:, 0] * x[:, 2],
-        "z2": x[:, 2] ** 2 - 1.0 / 3.0,
+        "xy": lambda x: x[:, 0] * x[:, 1],
+        "yz": lambda x: x[:, 1] * x[:, 2],
+        "xz": lambda x: x[:, 0] * x[:, 2],
+        "z2": lambda x: x[:, 2] ** 2 - 1.0 / 3.0,
     }
     if field not in harmonics:
         raise ConfigError(f"[taylor] field must be one of {sorted(harmonics)}")
@@ -242,7 +241,8 @@ def cmd_taylor(run: Run, mesh: TriangleMesh, form: QuadraticForm):
         raise ConfigError(f"[taylor] reconstruction must be one of {RECONSTRUCTIONS}")
     mu = cfg.get("taylor", "mu", 0.5, float)
     rho_list = cfg.floats("taylor", "rho_list", [0.1, 0.05, 0.025, 0.0125])
-    report = taylor_consistency(form, harmonics[field], mu, rho_list=rho_list,
+    report = taylor_consistency(form, harmonics[field](mesh.vertices / cfg.R), mu,
+                                rho_list=rho_list,
                                 reconstruction=reconstruction)
     run.stage("taylor")
     run.write_text("taylor_residuals.csv", report.to_csv())

@@ -1,11 +1,13 @@
 """Piecewise-linear surface FEM: mass/stiffness assembly, point evaluation,
 norms, the direct saddle-point solver and the consistent-mass solve.
 
-All operators are assembled triangle-wise on the polyhedral surface: each
-triangle's 3x3 local matrix is summed by ``np.bincount`` straight into the CSR
-pattern its connectivity owns (``TriangleMesh.pattern``, derived once per
-connectivity and shared by every displaced surface), with no COO triplets,
-sort or duplicate sum per assembly.  The discrete Laplacian used for
+All operators are assembled triangle-wise on the polyhedral surface: the
+diagonal and upper entries of each triangle's symmetric 3x3 local matrix are
+summed by ``np.bincount`` straight into the CSR pattern its connectivity owns
+(``TriangleMesh.pattern``, derived once per connectivity and shared by every
+displaced surface), and each lower entry copies its upper one, with no COO
+triplets, sort or duplicate sum per assembly and no (m, 3, 3) or (m, 9)
+temporary.  The discrete Laplacian used for
 fourth-order terms is the lumped-mass reconstruction ``lap(u) = -M_L^{-1} S u``.
 
 Solver contract: x solving K x = b is accepted when its componentwise backward
@@ -29,7 +31,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from .errors import GeometryError, RankDeficiencyError, SolverError
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, _sides, triangle_centroids
 
 #: The one residual tolerance: it stops the refinement and is the contract.  The
 #: point solves of the penalty studies of the three presets (hard and delta =
@@ -49,12 +51,27 @@ LOCATE_TOL_REL = 0.05
 
 
 def _scatter(mesh: TriangleMesh, local: np.ndarray) -> sp.csr_matrix:
-    """Sum the triangles' local entries (m, 9), in the pair order of the slots
-    of ``mesh.pattern``, into its CSR pattern.  Each entry sums its triangles'
-    terms in triangle order, so (i, j) and (j, i) of a symmetric local matrix
-    agree bit for bit."""
+    """Sum the triangles' symmetric local matrices into the CSR pattern of
+    ``mesh.pattern``.  ``local`` (m, 6) holds each triangle's local pairs
+    (0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0).
+
+    One bincount sums each diagonal entry and each edge's upper entry (i, j),
+    i < j, over its triangles in triangle order; the lower entry (j, i) then
+    takes the upper one's value, so the two agree bit for bit.
+    """
     indptr, indices, slots = mesh.pattern
-    data = np.bincount(slots.ravel(), weights=local.ravel(), minlength=indices.size)
+    keys = np.empty(local.shape, dtype=np.intp)
+    for k in range(3):      # column by column: a strided (m, 3) view is slow to iterate
+        keys[:, k] = slots[:, k]
+        # An edge's (i, j) slot, in row i, precedes its (j, i) slot in row j > i.
+        np.minimum(slots[:, 3 + k], slots[:, 6 + k], out=keys[:, 3 + k])
+    data = np.bincount(keys.ravel(), weights=local.ravel(), minlength=indices.size)
+    del keys
+    upper, lower = np.empty(slots.shape[0], dtype=np.intp), np.empty(slots.shape[0], dtype=np.intp)
+    for k in range(3):
+        np.minimum(slots[:, 3 + k], slots[:, 6 + k], out=upper)
+        np.maximum(slots[:, 3 + k], slots[:, 6 + k], out=lower)
+        data[lower] = data[upper]
     n = mesh.num_vertices
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
@@ -62,8 +79,8 @@ def _scatter(mesh: TriangleMesh, local: np.ndarray) -> sp.csr_matrix:
 def assemble_mass(mesh: TriangleMesh) -> sp.csr_matrix:
     """P1 mass matrix by exact per-triangle integration, scattered into the
     mesh's CSR pattern."""
-    # area/6 on the three diagonal pairs, area/12 on the six others
-    return _scatter(mesh, np.multiply.outer(mesh.areas, np.repeat([2.0, 1.0, 1.0], 3) / 12.0))
+    # area/6 on the three diagonal pairs, area/12 on the three edges
+    return _scatter(mesh, np.multiply.outer(mesh.areas, np.repeat([2.0, 1.0], 3) / 12.0))
 
 
 def lumped_diagonal(mesh: TriangleMesh) -> np.ndarray:
@@ -77,16 +94,15 @@ def lumped_diagonal(mesh: TriangleMesh) -> np.ndarray:
 def assemble_stiffness(mesh: TriangleMesh) -> sp.csr_matrix:
     """Cotangent stiffness: S_ij = integral of grad(chi_i) . grad(chi_j),
     scattered into the mesh's CSR pattern."""
-    areas = mesh.areas
-    p = mesh.vertices[mesh.triangles]
-    e = (p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2])   # e_k runs from k to k + 1
-    local = np.empty((mesh.num_triangles, 9))
+    quarter = 4.0 * mesh.areas
+    e = tuple(_sides(mesh, ((0, 1), (1, 2), (2, 0))))   # e_k runs from k to k + 1
+    local = np.empty((mesh.num_triangles, 6))
     # Edge k, the pair (k, k + 1), faces the angle at vertex k + 2, whose cotangent
     # is -e_{k+1} . e_{k+2} / (2 area); its off-diagonal weight is -cot/2, and
     # a diagonal entry is minus the weights of the two edges at its vertex.
     for k in range(3):
-        local[:, 3 + k] = np.einsum("ij,ij->i", e[(k + 1) % 3], e[(k + 2) % 3]) / (4.0 * areas)
-    local[:, 6:] = local[:, 3:6]
+        local[:, 3 + k] = np.einsum("ij,ij->i", e[(k + 1) % 3], e[(k + 2) % 3]) / quarter
+    del e, quarter
     for k in range(3):
         local[:, k] = -(local[:, 3 + k] + local[:, 3 + (k + 2) % 3])
     return _scatter(mesh, local)
@@ -130,7 +146,7 @@ class PointLocator:
 
     def __init__(self, mesh: TriangleMesh):
         self.mesh = mesh
-        self._centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+        self._centroids = triangle_centroids(mesh)
         self._scale = mesh.radius_hint or float(np.max(np.linalg.norm(mesh.vertices, axis=1)))
 
     def locate(self, p) -> tuple[float, int, np.ndarray]:
@@ -246,16 +262,19 @@ class _PermutedLU:
         return x
 
 
-def factor_saddle(A: sp.spmatrix, B: sp.spmatrix, compliance: np.ndarray):
+def factor_saddle(A: sp.spmatrix, B: sp.spmatrix, compliance: np.ndarray,
+                  order: np.ndarray | None = None):
     """Assemble K = [[A, B^T], [B, -diag(c)]] in CSC format and factor it by
     sparse LU in SuperLU's symmetric mode, in nested-dissection order.
 
     A is symmetric in every caller, so K is.  K is permuted symmetrically,
-    the unknowns of A in the order of :func:`nested_dissection` of A and the
-    rows of B last, and SuperLU factors it in that order, taking the diagonal
-    entry of each column as its pivot while that entry is at least 0.1 times
-    the column's largest (Li, ACM TOMS 31 (2005) 302), and an off-diagonal
-    pivot otherwise (5 columns of the points' A_C at level 3, 6 at level 4).
+    the unknowns of A in the order ``order`` (:func:`nested_dissection` of A
+    when None; a caller that factors several matrices of one pattern orders
+    it once) and the rows of B last, and SuperLU factors it in that order,
+    taking the diagonal entry of each column as its pivot while that entry
+    is at least 0.1 times the column's largest (Li, ACM TOMS 31 (2005) 302),
+    and an off-diagonal pivot otherwise (5 columns of the points' A_C at
+    level 3, 6 at level 4).
     Partial pivoting took off-diagonal pivots that added fill: the flow
     operator at epsilon = 0.15, Lambda = 1, tau = 0.01 is pivoted on its
     diagonal throughout, with an unrefined backward error of ~1e-15 instead
@@ -271,15 +290,19 @@ def factor_saddle(A: sp.spmatrix, B: sp.spmatrix, compliance: np.ndarray):
     soft = np.flatnonzero(compliance)
     D = sp.csr_matrix((-compliance[soft], (soft, soft)), shape=(r, r))
     B = B.tocsr()
-    K = sp.bmat([[A.tocsr(), B.T], [B, D]], format="csc")
+    blocks = [[A.tocsr(), B.T], [B, D]]
     n = A.shape[0]
-    perm = np.concatenate([nested_dissection(A), n + np.arange(r)])
+    if order is None:
+        order = nested_dissection(A)
+    perm = np.concatenate([order, n + np.arange(r)])
+    # K is assembled again for the caller once the factorization is done, so
+    # that SuperLU works next to the permuted copy alone.
     try:
-        lu = spla.splu(K[perm][:, perm], permc_spec="NATURAL", diag_pivot_thresh=0.1,
-                       options=dict(SymmetricMode=True))
+        lu = spla.splu(sp.bmat(blocks, format="csc")[perm][:, perm], permc_spec="NATURAL",
+                       diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"sparse LU of the saddle system failed: {exc}") from exc
-    return K, _PermutedLU(lu, perm)
+    return sp.bmat(blocks, format="csc"), _PermutedLU(lu, perm)
 
 
 #: Refinement steps a solve may take to meet ``BACKWARD_ERROR_BOUND``.

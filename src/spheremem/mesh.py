@@ -191,19 +191,31 @@ def validate_closed(mesh: TriangleMesh) -> None:
         raise MeshTopologyError("an edge has no opposite partner; surface not closed")
 
 
+def _sides(mesh: TriangleMesh, pairs):
+    """Yield the side vectors p_j - p_i, one (m, 3) array per pair (i, j) of
+    local vertices, gathered per corner: the (m, 3, 3) array ``p =
+    vertices[triangles]`` is never formed.  Each equals ``p[:, j] - p[:, i]``
+    bit for bit."""
+    v, t = mesh.vertices, mesh.triangles
+    for i, j in pairs:
+        e = v[t[:, j]]
+        e -= v[t[:, i]]
+        yield e
+
+
 def _measure_triangles(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
     """Read-only triangle areas and unit normals (orientation as stored); raises
     :class:`MeshTopologyError` for no triangles or a degenerate one: an area
     not finite or at most :data:`DEGENERATE_REL_AREA` times the largest."""
-    p = mesh.vertices[mesh.triangles]
-    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    cross = np.cross(*_sides(mesh, ((0, 1), (0, 2))))
     doubled = np.linalg.norm(cross, axis=1)
     areas = 0.5 * doubled
     if areas.size == 0:
         raise MeshTopologyError("mesh has no triangles")
     if not np.all(np.isfinite(areas)) or areas.min() <= DEGENERATE_REL_AREA * areas.max():
         raise MeshTopologyError("mesh contains a degenerate triangle")
-    normals = cross / doubled[:, None]
+    normals = cross
+    normals /= doubled[:, None]
     areas.setflags(write=False)
     normals.setflags(write=False)
     return areas, normals
@@ -220,9 +232,16 @@ def _csr_pattern(triangles: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray,
     triangle list will do, closed or not, whose triangles have three distinct
     vertices (a repeated one has zero area, which the measurement rejects).
     """
-    a, b = triangles, triangles[:, [1, 2, 0]]      # local pairs (0, 1), (1, 2), (2, 0)
-    edges, edge = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+    b = triangles[:, [1, 2, 0]]            # (triangles, b): the local pairs (0, 1), (1, 2), (2, 0)
+    flip = triangles > b                           # the pair runs from its edge's upper end
+    keys = np.minimum(triangles, b)
+    keys *= n
+    keys += np.maximum(triangles, b, out=b)
+    del b
+    edges, edge = np.unique(keys, return_inverse=True)
+    del keys
     lo, hi = np.divmod(edges, n)                   # sorted by (lo, hi)
+    del edges
     below = np.bincount(hi, minlength=n)
     above = np.bincount(lo, minlength=n)
     used = below + above > 0
@@ -232,19 +251,27 @@ def _csr_pattern(triangles: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray,
     # The slots of (lo, hi) and (hi, lo) of each edge.  The edges of one lo fill
     # its row right of the diagonal in order; those of one hi, taken in a
     # stable order by hi, fill its row left of the diagonal.
-    rank = np.arange(edges.size)
-    pair_slot = np.empty((edges.size, 2), dtype=np.int64)
+    rank = np.arange(lo.size)
+    pair_slot = np.empty((lo.size, 2), dtype=np.int32)
     pair_slot[:, 0] = (diag + 1 - (np.cumsum(above) - above))[lo] + rank
     by_hi = np.argsort(hi, kind="stable")
     pair_slot[by_hi, 1] = (indptr[:-1] - (np.cumsum(below) - below))[hi[by_hi]] + rank
+    del rank, by_hi
     indices = np.empty(indptr[-1], dtype=np.int32)
     indices[pair_slot[:, 0]] = hi
     indices[pair_slot[:, 1]] = lo
     indices[diag[used]] = np.flatnonzero(used)
+    del lo, hi
+    slots = np.empty((triangles.shape[0], 9), dtype=np.int32)
+    slots[:, :3] = diag.astype(np.int32)[triangles]
+    forward = edge.reshape(triangles.shape)        # where pair_slot holds (a, b)
+    forward *= 2
+    forward += flip
     pair_slot = pair_slot.ravel()
-    forward = 2 * edge.reshape(a.shape) + (a > b)  # where pair_slot holds (a, b)
-    slots = np.hstack((diag[triangles], pair_slot[forward], pair_slot[forward ^ 1]))
-    pattern = indptr.astype(np.int32), indices, slots.astype(np.int32)
+    slots[:, 3:6] = pair_slot[forward]
+    forward ^= 1
+    slots[:, 6:] = pair_slot[forward]
+    pattern = indptr.astype(np.int32), indices, slots
     for arr in pattern:
         arr.setflags(write=False)
     return pattern
@@ -260,13 +287,25 @@ def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
     return acc
 
 
+def triangle_centroids(mesh: TriangleMesh) -> np.ndarray:
+    """Triangle centroids (m, 3), bit for bit ``vertices[triangles].mean(axis=1)``
+    (the corners summed in order, then divided by 3) without the (m, 3, 3)
+    array."""
+    v, t = mesh.vertices, mesh.triangles
+    centroids = v[t[:, 0]]
+    centroids += v[t[:, 1]]
+    centroids += v[t[:, 2]]
+    centroids /= 3.0
+    return centroids
+
+
 def area_and_volume(mesh: TriangleMesh) -> tuple[float, float]:
     """Total area and enclosed volume (divergence theorem).
 
     The connectivity must be closed, as :func:`validate_closed` checks; it is
     not re-checked here.  A degenerate triangle raises :class:`MeshTopologyError`.
     """
-    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+    centroids = triangle_centroids(mesh)
     volume = np.sum(np.einsum("ij,ij->i", centroids, mesh.normals) * mesh.areas) / 3.0
     return float(np.sum(mesh.areas)), float(volume)
 
@@ -275,10 +314,10 @@ def mesh_stats(mesh: TriangleMesh) -> MeshStats:
     """Area, enclosed volume and longest edge, under the conditions of
     :func:`area_and_volume`."""
     area, volume = area_and_volume(mesh)
-    p = mesh.vertices[mesh.triangles]
     # Each edge of a closed mesh is a side of two triangles, once per direction;
     # a reversed edge vector has the same norm bit for bit.
-    h_max = float(np.max(np.linalg.norm(p[:, [1, 2, 0]] - p, axis=2)))
+    h_max = max(float(np.linalg.norm(e, axis=1).max())
+                for e in _sides(mesh, ((0, 1), (1, 2), (2, 0))))
     return MeshStats(
         num_vertices=mesh.num_vertices,
         num_triangles=mesh.num_triangles,

@@ -100,6 +100,26 @@ class QuadraticForm:
         return np.vstack([np.ones(self.mesh.num_vertices), nu.T])
 
 
+def _symmetrized(A: sp.spmatrix) -> sp.csr_matrix:
+    """(A + A^T) / 2 in CSR format with sorted indices, bit for bit
+    ``((A + A.T) * 0.5).tocsr()``.
+
+    When the pattern of A is symmetric, each entry a_ij + a_ji is summed in
+    place into the CSR copy of A from the sorted CSC arrays of A, which are
+    the CSR arrays of A^T; exact zeros are dropped, as a sparse sum drops them.
+    """
+    A = A.tocsc()
+    A.sort_indices()
+    sym = A.tocsr()
+    if not (np.array_equal(sym.indptr, A.indptr) and np.array_equal(sym.indices, A.indices)):
+        return ((A + A.T) * 0.5).tocsr()
+    sym.data += A.data
+    del A
+    sym.eliminate_zeros()
+    sym.data *= 0.5
+    return sym
+
+
 def assemble_quadratic_form(mesh: TriangleMesh, params: ModelParams) -> QuadraticForm:
     """Assemble a(.,.) and the constraint rows on a sphere mesh.
 
@@ -113,10 +133,13 @@ def assemble_quadratic_form(mesh: TriangleMesh, params: ModelParams) -> Quadrati
     S = assemble_stiffness(mesh)
     mL = lumped_diagonal(mesh)
     R2 = params.R**2
-    bihar = S.T @ sp.diags(1.0 / mL) @ S
-    A = params.kappa * bihar + (params.sigma - 2.0 * params.kappa / R2) * S \
-        - (2.0 * params.sigma / R2) * M
-    A = ((A + A.T) * 0.5).tocsr()   # exact symmetry despite roundoff
+    # A = kappa S^T M_L^-1 S + (sigma - 2 kappa/R^2) S - (2 sigma/R^2) M, rebound
+    # at each step so that no intermediate outlives the next one.
+    A = S.T @ sp.diags(1.0 / mL) @ S
+    A.data *= params.kappa
+    A = A + (params.sigma - 2.0 * params.kappa / R2) * S
+    A = A - (2.0 * params.sigma / R2) * M
+    A = _symmetrized(A)   # exact symmetry despite roundoff
     C = constraint_rows(mesh, M)
     return QuadraticForm(mesh=mesh, params=params, M=M, S=S, m_lumped=mL, A=A, constraints=C)
 

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError, SolverError, StepRejectedError, check_finite
-from .fem import factor_saddle
+from .fem import factor_saddle, nested_dissection
 from .mesh import mesh_stats
 from .model import ModelParams, QuadraticForm
 
@@ -205,6 +205,20 @@ def project_constraints(state: PhaseState, form: QuadraticForm,
     return replace(state, u=u, phi=phi)
 
 
+def flow_operator_order(form: QuadraticForm, C: sp.csr_matrix) -> np.ndarray:
+    """The nested-dissection order of the flow operator K = D/tau + H of
+    ``form`` (``C`` its coupling operator) at every tau.
+
+    K is [[(alpha1/tau) M + b eps S + kappa Lambda^2 M_L, C], [C, (alpha2/tau)
+    M + A]], whose pattern is that of [[|M| + |S|, |C|], [|C|, |M| + |A|]]
+    (M has the full diagonal of M_L) unless two of its terms cancel exactly,
+    and :func:`~spheremem.fem.nested_dissection` depends only on the pattern.
+    """
+    C = abs(C)
+    M = abs(form.M)
+    return nested_dissection(sp.bmat([[M + abs(form.S), C], [C, M + abs(form.A)]]))
+
+
 class FlowSolver:
     """Reusable linearly-implicit stepper for the conserved gradient flow.
 
@@ -216,9 +230,14 @@ class FlowSolver:
     multipliers.  It evaluates the energy once, of the new state; the caller
     passes the energy it starts from, and may pass its products.
     :func:`run_flow` keeps two solvers.
+
+    ``order`` is the :func:`flow_operator_order` of the form, computed here
+    when None and kept as ``self.order``, so that the solvers of one flow
+    share it.
     """
 
-    def __init__(self, form: QuadraticForm, pf: PhaseFieldParams, tau: float | None = None):
+    def __init__(self, form: QuadraticForm, pf: PhaseFieldParams, tau: float | None = None,
+                 order: np.ndarray | None = None):
         self.form = form
         self.pf = pf
         self.tau = float(tau if tau is not None else pf.tau)
@@ -235,7 +254,10 @@ class FlowSolver:
         c = form.constraints
         # Hard rows: the phi mean, then the u mean and the three u translation modes.
         B = sp.block_diag([c[:1], c])
-        _, self.lu = factor_saddle(sp.bmat([[Kpp, C], [C, Kuu]]), B, np.zeros(5))
+        K = sp.bmat([[Kpp, C], [C, Kuu]], format="csr")
+        del lin_well, Kpp, Kuu      # not held while K is factored
+        self.order = flow_operator_order(form, C) if order is None else order
+        _, self.lu = factor_saddle(K, B, np.zeros(5), self.order)
         self.g = np.concatenate([[pf.alpha * form.area], np.zeros(4)])
         self.products: StateProducts | None = None   # of the state the last step returned
 
@@ -331,7 +353,9 @@ def run_flow(
     recently used tau values are kept: a step at a kept tau (the tau a
     rejection falls back to, or the enlarged tau probed again after it)
     factors nothing.  The older kept solver is released before a new one is
-    factored, so no more than two factorizations are alive at a time.
+    factored, so no more than two factorizations are alive at a time.  The
+    operators' :func:`flow_operator_order` is computed once, by the first
+    solver, and shared by the others.
 
     The energy is evaluated once for the initial state and then once per
     step by :meth:`FlowSolver.step`; the logged value of an accepted step
@@ -354,14 +378,17 @@ def run_flow(
             stacklevel=2,
         )
     kept: dict[float, FlowSolver] = {}
+    order = None    # the operators' order, from the first solver
 
     def solver_for(tau: float) -> FlowSolver:
         # Most recently used last; the older one goes before a third is built.
+        nonlocal order
         solver = kept.pop(tau, None)
         if solver is None:
             if len(kept) == 2:
                 del kept[next(iter(kept))]
-            solver = FlowSolver(form, pf, tau=tau)
+            solver = FlowSolver(form, pf, tau=tau, order=order)
+            order = solver.order
         kept[tau] = solver
         return solver
 

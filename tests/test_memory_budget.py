@@ -1,0 +1,90 @@
+"""Memory budgets of mesh measurement and assembly, by ``tracemalloc``.
+
+NumPy reports every array buffer it allocates to ``tracemalloc``, so the
+traced peak of a call is deterministic: the most its temporaries and results
+hold at one time, above what was held when it started.  Each budget below is
+a multiple of the bytes the call returns or leaves held, at level 4 (2562
+vertices), with about 10% headroom over the measured ratio:
+
+========================================  ======  =====================
+call                                      budget  measured (before)
+========================================  ======  =====================
+``_csr_pattern`` / its pattern            3.4     3.12 (6.37)
+``assemble_quadratic_form`` / the form    2.15    1.95 (2.71)
+consistent ``taylor_consistency`` / form  0.75    0.67 (1.28)
+========================================  ======  =====================
+
+"Before" is the assembly that gathered the (m, 3, 3) corner array, kept
+int64 slots, scattered all nine local pairs and formed A by a chain of
+sparse sums and copies.  The form's bytes are the unique buffers of M, S, A,
+the constraint rows, the lumped diagonal, and the pattern, areas and normals
+the assembly leaves on the mesh.  The ratios are within 0.1 of these at
+levels 3 to 6.
+"""
+import gc
+import tracemalloc
+
+import numpy as np
+
+from spheremem.mesh import _csr_pattern, build_icosphere
+from spheremem.model import ModelParams, assemble_quadratic_form
+from spheremem.oracle import taylor_consistency
+
+LEVEL = 4
+
+
+def held_bytes(*objects) -> int:
+    """Bytes of the distinct buffers behind arrays and sparse matrices."""
+    buffers = {}
+    for obj in objects:
+        if hasattr(obj, "indptr"):
+            arrays = (obj.data, obj.indices, obj.indptr)
+        elif isinstance(obj, tuple):
+            arrays = obj
+        else:
+            arrays = (obj,)
+        for arr in arrays:
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            buffers[id(arr)] = arr.nbytes
+    return sum(buffers.values())
+
+
+def form_bytes(form) -> int:
+    mesh = form.mesh
+    return held_bytes(form.M, form.S, form.A, form.constraints, form.m_lumped,
+                      mesh.pattern, mesh.areas, mesh.normals)
+
+
+def traced_peak(call):
+    """(result, traced peak above the start) of ``call()``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_pattern_build_budget():
+    mesh = build_icosphere(1.0, LEVEL)
+    pattern, peak = traced_peak(lambda: _csr_pattern(mesh.triangles, mesh.num_vertices))
+    assert peak <= 3.4 * held_bytes(pattern)
+
+
+def test_quadratic_form_budget():
+    mesh = build_icosphere(1.0, LEVEL)
+    form, peak = traced_peak(lambda: assemble_quadratic_form(mesh, ModelParams(1.0, 1.0, 1.0)))
+    assert peak <= 2.15 * form_bytes(form)
+
+
+def test_consistent_taylor_check_budget():
+    mesh = build_icosphere(1.0, LEVEL)
+    form = assemble_quadratic_form(mesh, ModelParams(1.0, 1.0, 1.0))
+    u = mesh.vertices[:, 2] ** 2 - 1.0 / 3.0
+    report, peak = traced_peak(lambda: taylor_consistency(
+        form, u, 0.5, rho_list=(0.1, 0.05, 0.025, 0.0125), reconstruction="consistent"))
+    assert report.status == "converged"
+    assert peak <= 0.75 * form_bytes(form)

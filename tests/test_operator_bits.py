@@ -1,0 +1,167 @@
+"""Bit identity of the assembled operators with the plain expressions they
+replace.
+
+The mesh measurement and the P1 and bending assembly avoid full-size
+temporaries: the (m, 3, 3) corner array, int64 slots, the nine-pair scatter,
+and the chain of sparse sums and copies that formed A.  Each reference below
+is the plain expression, copied here so that it does not follow the package;
+every array of the package's result must equal it bit for bit, with the same
+dtype, in CSR format with sorted indices.
+"""
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from spheremem.fem import assemble_mass, assemble_stiffness, lumped_diagonal
+from spheremem.mesh import _csr_pattern, _measure_triangles, build_icosphere, mesh_stats
+from spheremem.model import ModelParams, _symmetrized, assemble_quadratic_form
+from spheremem.oracle import perturb
+
+LEVELS = range(5)
+PARAMS = (ModelParams(kappa=1.0, sigma=1.0, R=1.0), ModelParams(kappa=0.7, sigma=3.1, R=1.0))
+
+
+def reference_pattern(triangles, n):
+    a, b = triangles, triangles[:, [1, 2, 0]]
+    edges, edge = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+    lo, hi = np.divmod(edges, n)
+    below = np.bincount(hi, minlength=n)
+    above = np.bincount(lo, minlength=n)
+    used = below + above > 0
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(below + used + above, out=indptr[1:])
+    diag = indptr[:-1] + below
+    rank = np.arange(edges.size)
+    pair_slot = np.empty((edges.size, 2), dtype=np.int64)
+    pair_slot[:, 0] = (diag + 1 - (np.cumsum(above) - above))[lo] + rank
+    by_hi = np.argsort(hi, kind="stable")
+    pair_slot[by_hi, 1] = (indptr[:-1] - (np.cumsum(below) - below))[hi[by_hi]] + rank
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[pair_slot[:, 0]] = hi
+    indices[pair_slot[:, 1]] = lo
+    indices[diag[used]] = np.flatnonzero(used)
+    pair_slot = pair_slot.ravel()
+    forward = 2 * edge.reshape(a.shape) + (a > b)
+    slots = np.hstack((diag[triangles], pair_slot[forward], pair_slot[forward ^ 1]))
+    return indptr.astype(np.int32), indices, slots.astype(np.int32)
+
+
+def reference_measure(mesh):
+    p = mesh.vertices[mesh.triangles]
+    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    doubled = np.linalg.norm(cross, axis=1)
+    return 0.5 * doubled, cross / doubled[:, None]
+
+
+def reference_scatter(mesh, local):
+    indptr, indices, slots = reference_pattern(mesh.triangles, mesh.num_vertices)
+    data = np.bincount(slots.ravel(), weights=local.ravel(), minlength=indices.size)
+    n = mesh.num_vertices
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def reference_mass(mesh):
+    areas, _ = reference_measure(mesh)
+    return reference_scatter(mesh, np.multiply.outer(areas, np.repeat([2.0, 1.0, 1.0], 3) / 12.0))
+
+
+def reference_stiffness(mesh):
+    areas, _ = reference_measure(mesh)
+    p = mesh.vertices[mesh.triangles]
+    e = (p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2])
+    local = np.empty((mesh.num_triangles, 9))
+    for k in range(3):
+        local[:, 3 + k] = np.einsum("ij,ij->i", e[(k + 1) % 3], e[(k + 2) % 3]) / (4.0 * areas)
+    local[:, 6:] = local[:, 3:6]
+    for k in range(3):
+        local[:, k] = -(local[:, 3 + k] + local[:, 3 + (k + 2) % 3])
+    return reference_scatter(mesh, local)
+
+
+def reference_form(mesh, params):
+    M, S = reference_mass(mesh), reference_stiffness(mesh)
+    mL = lumped_diagonal(mesh)
+    R2 = params.R**2
+    bihar = S.T @ sp.diags(1.0 / mL) @ S
+    A = params.kappa * bihar + (params.sigma - 2.0 * params.kappa / R2) * S \
+        - (2.0 * params.sigma / R2) * M
+    return M, S, ((A + A.T) * 0.5).tocsr()
+
+
+def reference_stats(mesh):
+    areas, normals = reference_measure(mesh)
+    p = mesh.vertices[mesh.triangles]
+    volume = np.sum(np.einsum("ij,ij->i", p.mean(axis=1), normals) * areas) / 3.0
+    h_max = np.max(np.linalg.norm(p[:, [1, 2, 0]] - p, axis=2))
+    return float(h_max), float(np.sum(areas)), float(volume)
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+def assert_same_csr(got, want):
+    assert got.format == "csr" and got.has_sorted_indices
+    for part in ("data", "indices", "indptr"):
+        assert_same_array(getattr(got, part), getattr(want, part))
+
+
+def surfaces():
+    for level in LEVELS:
+        yield f"L{level}", build_icosphere(1.0, level)
+    sphere = build_icosphere(1.0, 4)
+    yield "perturbed-L4", perturb(sphere, sphere.vertices[:, 2] ** 2 - 1.0 / 3.0, 0.1)
+
+
+SURFACES = dict(surfaces())
+
+
+@pytest.mark.parametrize("name", list(SURFACES))
+def test_pattern_and_measures_are_the_plain_expressions(name):
+    mesh = SURFACES[name]
+    for got, want in zip(_csr_pattern(mesh.triangles, mesh.num_vertices),
+                         reference_pattern(mesh.triangles, mesh.num_vertices)):
+        assert_same_array(got, want)
+    for got, want in zip(_measure_triangles(mesh), reference_measure(mesh)):
+        assert_same_array(got, want)
+    stats = mesh_stats(mesh)
+    assert (stats.h_max, stats.total_area, stats.enclosed_volume) == reference_stats(mesh)
+
+
+@pytest.mark.parametrize("name", list(SURFACES))
+def test_mass_and_stiffness_are_the_plain_expressions(name):
+    mesh = SURFACES[name]
+    assert_same_csr(assemble_mass(mesh), reference_mass(mesh))
+    assert_same_csr(assemble_stiffness(mesh), reference_stiffness(mesh))
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=["unit", "kappa-sigma"])
+@pytest.mark.parametrize("level", LEVELS)
+def test_quadratic_form_is_the_plain_expression(level, params):
+    mesh = build_icosphere(1.0, level)
+    form = assemble_quadratic_form(mesh, params)
+    M, S, A = reference_form(mesh, params)
+    assert_same_csr(form.M, M)
+    assert_same_csr(form.S, S)
+    assert_same_csr(form.A, A)
+    # The in-place symmetrization needs a structurally symmetric pattern; a
+    # sparse sum or product drops exact zeros, which could break it.
+    pattern = sp.csr_matrix((np.ones(form.A.nnz), form.A.indices, form.A.indptr), shape=A.shape)
+    assert (pattern != pattern.T).nnz == 0
+
+
+@pytest.mark.parametrize("symmetric_pattern", [True, False])
+def test_symmetrized_is_the_sparse_sum(symmetric_pattern):
+    rng = np.random.default_rng(12)
+    X = sp.random(400, 400, density=0.02, format="csc", random_state=rng)
+    if symmetric_pattern:
+        pattern = (X + X.T).tocsc()
+        X = sp.csc_matrix((rng.standard_normal(pattern.nnz), pattern.indices, pattern.indptr),
+                          shape=X.shape)
+        # An exact cancellation, which the sparse sum drops.
+        X = X.tolil()
+        X[3, 7], X[7, 3] = 0.25, -0.25
+        X = X.tocsc()
+    want = ((X + X.T) * 0.5).tocsr()
+    assert_same_csr(_symmetrized(X.copy()), want)

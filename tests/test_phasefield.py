@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from spheremem import phasefield
 from spheremem.errors import ParameterError, StepRejectedError
+from spheremem.fem import nested_dissection
 from spheremem.mesh import build_icosphere
 from spheremem.model import ModelParams, assemble_quadratic_form
 from spheremem.phasefield import (
@@ -23,6 +24,7 @@ from spheremem.phasefield import (
     energy,
     energy_gradient,
     field_correlation,
+    flow_operator_order,
     initial_state,
     potential,
     potential_derivative,
@@ -348,6 +350,41 @@ def test_flow_factors_once_per_distinct_tau(form3, monkeypatch):
     switches = sum(a != b for a, b in zip(step_taus, step_taus[1:]))
     assert len(built_with_alive) < 1 + switches
     assert max(built_with_alive) <= 2
+
+
+def _operator_at(form, pf, tau):
+    """The flow operator [[Kpp, C], [C, Kuu]] as FlowSolver assembles it at tau."""
+    C = coupling_operator(form, pf)
+    lin_well = (pf.b / pf.epsilon * well_shift(pf, form.params)) * sp.diags(form.m_lumped)
+    Kpp = (pf.alpha1 / tau) * form.M + pf.b * pf.epsilon * form.S + lin_well
+    Kuu = (pf.alpha2 / tau) * form.M + form.A
+    return sp.bmat([[Kpp, C], [C, Kuu]])
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+@pytest.mark.parametrize("coupling", [0.0, 1.0])
+def test_flow_operator_order_is_the_order_at_every_tau(form2, form3, level, coupling):
+    # The order from the tau-free pattern is the one each tau's operator had.
+    form = {2: form2, 3: form3}.get(level) or assemble_quadratic_form(
+        build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
+    pf = replace(coarsen_params(0), coupling=coupling)
+    order = flow_operator_order(form, coupling_operator(form, pf))
+    for tau in 0.01 * 2.0 ** np.arange(-4, 9):
+        np.testing.assert_array_equal(nested_dissection(_operator_at(form, pf, tau)), order)
+
+
+def test_flow_orders_its_operator_once(form3, monkeypatch):
+    orders, factored = [], []
+    order_of = phasefield.flow_operator_order
+    factor = phasefield.factor_saddle
+    monkeypatch.setattr(phasefield, "flow_operator_order",
+                        lambda *args: orders.append(1) or order_of(*args))
+    monkeypatch.setattr(phasefield, "factor_saddle",
+                        lambda *args: factored.append(args[3]) or factor(*args))
+    pf = coarsen_params(2)
+    run_flow(initial_state(form3, pf), form3, pf)
+    assert len(orders) == 1 and len(factored) > 1
+    assert all(order is factored[0] for order in factored)
 
 
 def position_form_step(solver, state):
