@@ -15,12 +15,15 @@ error max_i |b - K x|_i / (|K| |x| + |b|)_i is at most ``BACKWARD_ERROR_BOUND``
 (Oettli-Prager; Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
 ed., Thm. 7.3): every row, hard constraint rows included, holds to its own
 scale however large the fourth-order block grows.  The saddle systems, all
-symmetric, meet it by sparse LU in SuperLU's symmetric mode, which prefers
-diagonal pivots, in a nested-dissection order of the mesh graph
-(``nested_dissection``, ``factor_saddle``), and refinement; the mass
-matrix M, whose lumped diagonal preconditions it to condition number 4 at
-every h, by conjugate gradients without a factorization (``solve_mass``),
-whose exact stop test is screened by a bound that needs no product with M.
+symmetric, are factored by sparse LU in SuperLU's symmetric mode under one
+pivot rule: in a nested-dissection order of the mesh graph
+(``nested_dissection``), every column pivots on its diagonal, which it leaves
+only where that entry is exactly zero or absent (``factor_saddle``).  The
+saddle solves (``solve_saddle``, the point solves) meet the contract by
+refinement on that LU.  The mass matrix M, whose lumped diagonal
+preconditions it to condition number 4 at every h, meets it by conjugate
+gradients without a factorization (``solve_mass``), whose exact stop test is
+screened by a bound that needs no product with M.
 """
 from __future__ import annotations
 
@@ -35,14 +38,14 @@ from .mesh import TriangleMesh, _sides, triangle_centroids
 
 #: The one residual tolerance: it stops the refinement and is the contract.  The
 #: point solves of the penalty studies of the three presets (hard and delta =
-#: 1e-2 ... 1e-6), factored in nested-dissection order, take one refinement step
-#: to at most 6.6 eps at levels 2-6 and to 1.5-13.3 eps at level 7; at level 4
-#: the equator solves pass unrefined at 48.6-50.7 eps (polar_rings is a domain
-#: error at level 2).  The 16 mass solves of a consistent Taylor check (z^2 -
-#: 1/3, rho = 0.1 ... 0.0125) stop CG after 19-25 iterations at level 3, 27-30
-#: at level 4, 28-29 at level 5 and 27-29 at level 6, at 4.3-60.9 eps (level 3),
-#: 10.5-60.1 (4), 23.0-34.4 (5) and 21.7-48.8 eps (6), without a refinement
-#: step.  c_be = 64 is verified up to level 7.
+#: 1e-2 ... 1e-6), on diagonal pivots in nested-dissection order, miss it
+#: unrefined (137 eps to 2.2e7 eps, growing with the level) and meet it after
+#: one refinement step each, at 0.6-5.8 eps at levels 2-6 and 1.6-14.6 eps at
+#: level 7 (polar_rings is a domain error at level 2).  The 16 mass solves of a
+#: consistent Taylor check (z^2 - 1/3, rho = 0.1 ... 0.0125) stop CG after 19-25
+#: iterations at level 3, 27-30 at level 4, 28-29 at level 5 and 27-29 at level
+#: 6, at 4.3-60.9 eps (level 3), 10.5-60.1 (4), 23.0-34.4 (5) and 21.7-48.8 eps
+#: (6), without a refinement step.  c_be = 64 is verified up to level 7.
 BACKWARD_ERROR_BOUND = 64.0 * np.finfo(float).eps
 
 #: A point farther than this fraction of the mesh radius from the surface
@@ -263,46 +266,37 @@ class _PermutedLU:
 
 
 def factor_saddle(A: sp.spmatrix, B: sp.spmatrix, compliance: np.ndarray,
-                  order: np.ndarray | None = None):
-    """Assemble K = [[A, B^T], [B, -diag(c)]] in CSC format and factor it by
-    sparse LU in SuperLU's symmetric mode, in nested-dissection order.
+                  order: np.ndarray | None = None) -> _PermutedLU:
+    """Factor K = [[A, B^T], [B, -diag(c)]] by sparse LU in SuperLU's
+    symmetric mode, in nested-dissection order, pivoting on the diagonal.
 
     A is symmetric in every caller, so K is.  K is permuted symmetrically,
     the unknowns of A in the order ``order`` (:func:`nested_dissection` of A
     when None; a caller that factors several matrices of one pattern orders
-    it once) and the rows of B last, and SuperLU factors it in that order,
-    taking the diagonal entry of each column as its pivot while that entry
-    is at least 0.1 times the column's largest (Li, ACM TOMS 31 (2005) 302),
-    and an off-diagonal pivot otherwise (5 columns of the points' A_C at
-    level 3, 6 at level 4).
-    Partial pivoting took off-diagonal pivots that added fill: the flow
-    operator at epsilon = 0.15, Lambda = 1, tau = 0.01 is pivoted on its
-    diagonal throughout, with an unrefined backward error of ~1e-15 instead
-    of ~1e-13.  Nested dissection suits K, the symmetric matrix of a surface
-    mesh: A_C = [[A, C^T], [C, 0]] has 0.49 M L+U entries at level 4, 2.6 M
-    at level 5 and 12.9 M at level 6, against 0.71 M, 3.76 M and 22.0 M
-    ordered by COLAMD, which minimizes the fill of K^T K instead.
+    it once) and the rows of B last, and SuperLU factors it in that order
+    with diagonal pivot threshold 0 (Li, ACM TOMS 31 (2005) 302): every
+    column pivots on its diagonal entry, and leaves the diagonal only where
+    that entry is exactly zero or absent.  Refinement against K
+    (``_solve_refined``) answers for the accuracy.  Nested dissection suits
+    K, the symmetric matrix of a surface mesh: A_C = [[A, C^T], [C, 0]] has
+    0.49 M L+U entries at level 4, 2.6 M at level 5 and 12.9 M at level 6,
+    against 0.71 M, 3.76 M and 22.0 M ordered by COLAMD, which minimizes the
+    fill of K^T K instead.
 
-    Returns ``(K, lu)``, where ``lu.solve`` solves with K itself; a failed
+    Returns the LU, whose ``solve`` solves with K itself; a failed
     factorization raises :class:`SolverError`.
     """
-    r = B.shape[0]
-    soft = np.flatnonzero(compliance)
-    D = sp.csr_matrix((-compliance[soft], (soft, soft)), shape=(r, r))
     B = B.tocsr()
-    blocks = [[A.tocsr(), B.T], [B, D]]
-    n = A.shape[0]
     if order is None:
         order = nested_dissection(A)
-    perm = np.concatenate([order, n + np.arange(r)])
-    # K is assembled again for the caller once the factorization is done, so
-    # that SuperLU works next to the permuted copy alone.
+    perm = np.concatenate([order, A.shape[0] + np.arange(B.shape[0])])
+    permuted = sp.bmat([[A, B.T], [B, sp.diags(-compliance)]], format="csc")[perm][:, perm]
     try:
-        lu = spla.splu(sp.bmat(blocks, format="csc")[perm][:, perm], permc_spec="NATURAL",
-                       diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
+        lu = spla.splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"sparse LU of the saddle system failed: {exc}") from exc
-    return sp.bmat(blocks, format="csc"), _PermutedLU(lu, perm)
+    return _PermutedLU(lu, perm)
 
 
 #: Refinement steps a solve may take to meet ``BACKWARD_ERROR_BOUND``.
@@ -361,7 +355,8 @@ def solve_saddle(
     B = B.tocsr()
     c = np.asarray(compliance, dtype=float)
     _check_constraint_rank(B, labels, c)
-    K, lu = factor_saddle(A, B, c)
+    lu = factor_saddle(A, B, c)
+    K = sp.bmat([[A, B.T], [B, sp.diags(-c)]], format="csc")
     absK = abs(K)
     rhs = np.concatenate([np.asarray(f, dtype=float), np.asarray(g, dtype=float)])
     sol = _solve_refined(K.dot, absK.dot, lu.solve, rhs)

@@ -257,7 +257,7 @@ class FlowSolver:
         K = sp.bmat([[Kpp, C], [C, Kuu]], format="csr")
         del lin_well, Kpp, Kuu      # not held while K is factored
         self.order = flow_operator_order(form, C) if order is None else order
-        _, self.lu = factor_saddle(K, B, np.zeros(5), self.order)
+        self.lu = factor_saddle(K, B, np.zeros(5), self.order)
         self.g = np.concatenate([[pf.alpha * form.area], np.zeros(4)])
         self.products: StateProducts | None = None   # of the state the last step returned
 

@@ -105,7 +105,7 @@ class _PointSystem:
         self.labels = ["c0 (mean)", "c1 (nu_x)", "c2 (nu_y)", "c3 (nu_z)"] + [
             f"point {j} at {cs.points[j].tolist()}" for j in range(cs.num_points)
         ]
-        _, self.lu = factor_saddle(form.A, form.constraints, np.zeros(4))
+        self.lu = factor_saddle(form.A, form.constraints, np.zeros(4))
         n = form.mesh.num_vertices
         self.G = self.lu.solve(np.vstack([P.T.toarray(), np.zeros((4, cs.num_points))]))
         self.PG = P @ self.G[:n]

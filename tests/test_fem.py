@@ -23,6 +23,7 @@ from spheremem import fem
 from spheremem.mesh import TriangleMesh, build_icosphere, mesh_stats
 from spheremem.model import ModelParams, assemble_quadratic_form
 from spheremem.oracle import perturb
+from spheremem.phasefield import FlowSolver, PhaseFieldParams
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +236,11 @@ def _unit_mean_row(n):
     return sp.csr_matrix(np.ones((1, n)))
 
 
+def _hard_saddle(A, B):
+    """K = [[A, B^T], [B, 0]], the matrix factor_saddle factors with zero compliance."""
+    return sp.bmat([[A, B.T], [B, None]], format="csc")
+
+
 _ORDER_GRAPHS = {
     # 12 vertices, fewer than one leaf: numbered as they come.
     "below one leaf": lambda: _mesh_operator(0),
@@ -253,7 +259,7 @@ def test_factor_saddle_orders_and_solves_any_graph(name):
     perm = nested_dissection(A)
     np.testing.assert_array_equal(np.sort(perm), np.arange(n))
     B = _unit_mean_row(n)
-    K, lu = factor_saddle(A, B, np.zeros(1))
+    K, lu = _hard_saddle(A, B), factor_saddle(A, B, np.zeros(1))
     rhs = np.random.default_rng(4).standard_normal(n + 1)
     x = lu.solve(rhs)
     np.testing.assert_allclose(K @ x, rhs, rtol=0, atol=1e-12 * np.abs(rhs).max())
@@ -262,7 +268,8 @@ def test_factor_saddle_orders_and_solves_any_graph(name):
 def test_permuted_solve_takes_several_right_hand_sides():
     A = _mesh_operator(3)
     n = A.shape[0]
-    K, lu = factor_saddle(A, _unit_mean_row(n), np.zeros(1))
+    B = _unit_mean_row(n)
+    K, lu = _hard_saddle(A, B), factor_saddle(A, B, np.zeros(1))
     rhs = np.random.default_rng(5).standard_normal((n + 1, 3))
     X = lu.solve(rhs)
     assert X.shape == rhs.shape
@@ -275,10 +282,41 @@ def test_permuted_solve_takes_several_right_hand_sides():
 def test_nested_dissection_fills_less_than_colamd():
     # The points' orthogonality block A_C = [[A, C^T], [C, 0]] at level 4.
     form = assemble_quadratic_form(build_icosphere(1.0, 4), ModelParams(kappa=1.0, sigma=1.0, R=1.0))
-    K, lu = factor_saddle(form.A, form.constraints, np.zeros(4))
+    K = _hard_saddle(form.A, form.constraints)
+    lu = factor_saddle(form.A, form.constraints, np.zeros(4))
     colamd = spla.splu(K, permc_spec="COLAMD", diag_pivot_thresh=0.1,
                        options=dict(SymmetricMode=True))
     assert lu.lu.nnz <= 0.8 * colamd.nnz
+
+
+def _flow_lu(level, coupling, tau):
+    """The LU of the flow operator of the flow-coarsen parameters at Lambda = ``coupling``."""
+    form = assemble_quadratic_form(build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
+    pf = PhaseFieldParams(epsilon=0.15, b=1.0, coupling=coupling, alpha=-0.3, tau=tau)
+    return FlowSolver(form, pf).lu
+
+
+def _orthogonality_lu(level):
+    """The LU of the points' A_C = [[A, C^T], [C, 0]]."""
+    form = assemble_quadratic_form(build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
+    return factor_saddle(form.A, form.constraints, np.zeros(4))
+
+
+_SADDLE_LUS = {
+    **{f"flow L3 Lambda={coupling} tau={tau}": (_flow_lu, 3, coupling, tau)
+       for coupling in (0.0, 1.0, 5.0, 10.0) for tau in (0.01, 0.16)},
+    "A_C L3": (_orthogonality_lu, 3),
+    "A_C L4": (_orthogonality_lu, 4),
+}
+
+
+@pytest.mark.parametrize("name", list(_SADDLE_LUS))
+def test_saddle_lu_pivots_on_its_diagonal(name):
+    # SuperLU factors K[perm][:, perm] in its natural column order, so a
+    # column pivoted on its diagonal keeps its own row: perm_r equals perm_c.
+    build, *args = _SADDLE_LUS[name]
+    factors = build(*args).lu
+    np.testing.assert_array_equal(factors.perm_r, factors.perm_c)
 
 
 def _perturbed_surface(level):
