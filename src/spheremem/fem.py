@@ -23,7 +23,9 @@ saddle solves (``solve_saddle``, the point solves) meet the contract by
 refinement on that LU.  The mass matrix M, whose lumped diagonal
 preconditions it to condition number 4 at every h, meets it by conjugate
 gradients without a factorization (``solve_mass``), whose exact stop test is
-screened by a bound that needs no product with M.
+screened by a bound that needs no product with M.  The contract stops there:
+the phase-field flow's step solves (``phasefield.FlowSolver.step``) are one
+solve each on their LU, neither refined nor checked.
 """
 from __future__ import annotations
 

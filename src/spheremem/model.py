@@ -45,12 +45,11 @@ class ModelParams:
         return -2.0 * self.sigma / self.R
 
 
-def constraint_rows(mesh: TriangleMesh, M: sp.spmatrix | None = None) -> sp.csr_matrix:
-    """Rows c0 = (1, .) and c_i = (nu_i, .) with nu = x/R at the vertices."""
+def constraint_rows(mesh: TriangleMesh, M: sp.spmatrix) -> sp.csr_matrix:
+    """Rows c0 = (1, .) and c_i = (nu_i, .) with nu = x/R at the vertices, M
+    the mesh's mass matrix."""
     if mesh.radius_hint is None:
         raise ParameterError("constraint rows require a sphere mesh with radius_hint")
-    if M is None:
-        M = assemble_mass(mesh)
     n = mesh.num_vertices
     nu = mesh.vertices / mesh.radius_hint
     rows = [np.ones(n), nu[:, 0], nu[:, 1], nu[:, 2]]

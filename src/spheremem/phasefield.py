@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError, SolverError, StepRejectedError, check_finite
-from .fem import factor_saddle, nested_dissection
+from .fem import factor_saddle
 from .mesh import mesh_stats
 from .model import ModelParams, QuadraticForm
 
@@ -205,70 +205,62 @@ def project_constraints(state: PhaseState, form: QuadraticForm,
     return replace(state, u=u, phi=phi)
 
 
-def flow_operator_order(form: QuadraticForm, C: sp.csr_matrix) -> np.ndarray:
-    """The nested-dissection order of the flow operator K = D/tau + H of
-    ``form`` (``C`` its coupling operator) at every tau.
+def flow_operator(form: QuadraticForm, pf: PhaseFieldParams, C: sp.csr_matrix,
+                  tau: float) -> sp.csr_matrix:
+    """The flow's step operator K = D/tau + H (CSR), ``C`` the coupling operator.
 
-    K is [[(alpha1/tau) M + b eps S + kappa Lambda^2 M_L, C], [C, (alpha2/tau)
-    M + A]], whose pattern is that of [[|M| + |S|, |C|], [|C|, |M| + |A|]]
-    (M has the full diagonal of M_L) unless two of its terms cancel exactly,
-    and :func:`~spheremem.fem.nested_dissection` depends only on the pattern.
+    K = [[(alpha1/tau) M + b eps S + kappa Lambda^2 M_L, C], [C, (alpha2/tau) M
+    + A]]: D = blockdiag(alpha1 M, alpha2 M) and H the Hessian of the energy's
+    quadratic part, the linear part s phi of f' included.
     """
-    C = abs(C)
-    M = abs(form.M)
-    return nested_dissection(sp.bmat([[M + abs(form.S), C], [C, M + abs(form.A)]]))
+    # Linear part of (b/eps) f'(phi): (b/eps)*s*phi = kappa*Lambda^2*phi,
+    # lumped; kept implicit.
+    lin_well = (pf.b / pf.epsilon * well_shift(pf, form.params)) * sp.diags(form.m_lumped)
+    Kpp = (pf.alpha1 / tau) * form.M + pf.b * pf.epsilon * form.S + lin_well
+    Kuu = (pf.alpha2 / tau) * form.M + form.A
+    return sp.bmat([[Kpp, C], [C, Kuu]], format="csr")
 
 
 class FlowSolver:
     """Reusable linearly-implicit stepper for the conserved gradient flow.
 
-    It factors K = D/tau + H once per (form, params, tau), with D =
-    blockdiag(alpha1 M, alpha2 M) and H the Hessian of the energy's quadratic
-    part (the s phi of f' included).  A step solves K d + B^T lambda =
-    -grad E(x), B d = g - B x and moves to x + d: the scheme K x_new =
-    (D/tau) x - (b/eps) M_L W'(phi) in increment form, with the same
-    multipliers.  It evaluates the energy once, of the new state; the caller
-    passes the energy it starts from, and may pass its products.
-    :func:`run_flow` keeps two solvers.
+    It factors K = :func:`flow_operator` once per (form, params, tau).  A
+    step solves K d + B^T lambda = -grad E(x), B d = g - B x and moves to x
+    + d: the scheme K x_new = (D/tau) x - (b/eps) M_L W'(phi) in increment
+    form, with the same multipliers, by one solve on the LU that is neither
+    refined nor held to ``fem.BACKWARD_ERROR_BOUND``.  It evaluates the
+    energy once, of the new state; the caller passes the energy it starts
+    from, and may pass its products.  :func:`run_flow` keeps two solvers.
 
-    ``order`` is the :func:`flow_operator_order` of the form, computed here
-    when None and kept as ``self.order``, so that the solvers of one flow
-    share it.
+    K is factored in ``order``, or in the order ``factor_saddle`` takes for
+    it when None; the order used is kept as ``self.order``, so that the
+    solvers of one flow share it.
     """
 
-    def __init__(self, form: QuadraticForm, pf: PhaseFieldParams, tau: float | None = None,
+    def __init__(self, form: QuadraticForm, pf: PhaseFieldParams, tau: float,
                  order: np.ndarray | None = None):
         self.form = form
         self.pf = pf
-        self.tau = float(tau if tau is not None else pf.tau)
+        self.tau = float(tau)
         check_finite(tau=self.tau)
         if self.tau <= 0:
             raise ParameterError("tau must be positive")
         self.n = form.mesh.num_vertices
-        self.C = C = coupling_operator(form, pf)
-        # Linear part of (b/eps) f'(phi): (b/eps)*s*phi = kappa*Lambda^2*phi,
-        # lumped; kept implicit.
-        lin_well = (pf.b / pf.epsilon * well_shift(pf, form.params)) * sp.diags(form.m_lumped)
-        Kpp = (pf.alpha1 / self.tau) * form.M + pf.b * pf.epsilon * form.S + lin_well
-        Kuu = (pf.alpha2 / self.tau) * form.M + form.A
+        self.C = coupling_operator(form, pf)
         c = form.constraints
         # Hard rows: the phi mean, then the u mean and the three u translation modes.
         B = sp.block_diag([c[:1], c])
-        K = sp.bmat([[Kpp, C], [C, Kuu]], format="csr")
-        del lin_well, Kpp, Kuu      # not held while K is factored
-        self.order = flow_operator_order(form, C) if order is None else order
-        self.lu = factor_saddle(K, B, np.zeros(5), self.order)
+        self.lu = factor_saddle(flow_operator(form, pf, self.C, self.tau), B, np.zeros(5), order)
+        self.order = self.lu.perm[:2 * self.n]
         self.g = np.concatenate([[pf.alpha * form.area], np.zeros(4)])
-        self.products: StateProducts | None = None   # of the state the last step returned
 
-    def step(self, state: PhaseState, e_old: float,
-             products: StateProducts | None = None) -> tuple[PhaseState, float, dict]:
+    def step(self, state: PhaseState, e_old: float, products: StateProducts | None = None
+             ) -> tuple[PhaseState, float, dict, StateProducts]:
         """One linearly-implicit step from ``state``, whose energy is ``e_old``
         and whose :class:`StateProducts` are ``products`` when the caller has
         formed them.
 
-        Returns the new state with its energy and breakdown, and keeps the new
-        state's products as ``self.products``; raises
+        Returns the new state with its energy, breakdown and products; raises
         :class:`StepRejectedError` when the energy rises.
         """
         pf, form, n = self.pf, self.form, self.n
@@ -292,8 +284,7 @@ class FlowSolver:
                 energy_before=e_old, energy_after=e_new,
                 suggested_tau=self.tau / 2,
             )
-        self.products = new_products
-        return new, e_new, breakdown
+        return new, e_new, breakdown, new_products
 
 
 @dataclass
@@ -354,8 +345,8 @@ def run_flow(
     rejection falls back to, or the enlarged tau probed again after it)
     factors nothing.  The older kept solver is released before a new one is
     factored, so no more than two factorizations are alive at a time.  The
-    operators' :func:`flow_operator_order` is computed once, by the first
-    solver, and shared by the others.
+    first solver's LU takes its order from ``factor_saddle``; the others factor
+    in it, as :func:`flow_operator` has one pattern at every tau.
 
     The energy is evaluated once for the initial state and then once per
     step by :meth:`FlowSolver.step`; the logged value of an accepted step
@@ -378,17 +369,16 @@ def run_flow(
             stacklevel=2,
         )
     kept: dict[float, FlowSolver] = {}
-    order = None    # the operators' order, from the first solver
 
     def solver_for(tau: float) -> FlowSolver:
         # Most recently used last; the older one goes before a third is built.
-        nonlocal order
+        # A new solver factors in a kept one's order; the first finds none kept.
         solver = kept.pop(tau, None)
         if solver is None:
+            order = next(iter(kept.values())).order if kept else None
             if len(kept) == 2:
                 del kept[next(iter(kept))]
-            solver = FlowSolver(form, pf, tau=tau, order=order)
-            order = solver.order
+            solver = FlowSolver(form, pf, tau, order)
         kept[tau] = solver
         return solver
 
@@ -417,7 +407,7 @@ def run_flow(
                 step_tau = pf.t_end - state.t
         stepper = solver_for(step_tau)
         try:
-            new, e_new, bd = stepper.step(state, e, products)
+            new, e_new, bd, new_products = stepper.step(state, e, products)
         except StepRejectedError as exc:
             rejected += 1
             consecutive += 1
@@ -427,7 +417,7 @@ def run_flow(
                     f"(last energies {exc.energy_before!r} -> {exc.energy_after!r})"
                 ) from exc
             # Don't regrow straight back to a step size that was rejected.
-            tau = step_tau / 2.0
+            tau = exc.suggested_tau
             tau_cap = min(tau_cap, tau)
             since_grow = 0
             since_reject = 0
@@ -437,7 +427,7 @@ def run_flow(
         diff = np.sqrt(float(mass @ (new.phi - state.phi) ** 2)
                        + float(mass @ (new.u - state.u) ** 2))
         stationarity = diff / step_tau
-        state, e, products = new, e_new, stepper.products
+        state, e, products = new, e_new, new_products
         accepted += 1
         times.append(state.t); energies_log.append(e); breakdowns.append(bd)
         residuals.append(constraint_residuals(state, form, pf, products))

@@ -215,10 +215,14 @@ def icosahedron_points(radius: float = 1.0) -> np.ndarray:
     return verts
 
 
-def equator_points(count: int = 10, radius: float = 1.0, phase: float = np.pi / 10.0) -> np.ndarray:
-    """Equally spaced equator points; the default phase interleaves them with
-    the icosahedral vertex azimuths so the rotoreflection symmetry holds."""
-    ang = phase + 2.0 * np.pi * np.arange(count) / count
+#: Azimuth of the first equator point: it interleaves the points with the
+#: icosahedral vertex azimuths, so the rotoreflection symmetry holds.
+EQUATOR_PHASE = np.pi / 10.0
+
+
+def equator_points(count: int = 10, radius: float = 1.0) -> np.ndarray:
+    """Equally spaced equator points, the first at azimuth :data:`EQUATOR_PHASE`."""
+    ang = EQUATOR_PHASE + 2.0 * np.pi * np.arange(count) / count
     return np.column_stack([radius * np.cos(ang), radius * np.sin(ang), np.zeros(count)])
 
 

@@ -60,33 +60,37 @@ def read_vtk(path) -> tuple[TriangleMesh, dict[str, np.ndarray]]:
     words = " ".join(tokens[4:]).split()
     pos = 0
 
-    def take(k):
+    def take(k, dtype=None):
         nonlocal pos
         out = words[pos: pos + k]
         if len(out) < k:
             raise ConfigError(f"{path}: truncated VTK file")
         pos += k
-        return out
+        try:
+            return out if dtype is None else np.array(out, dtype=dtype)
+        except ValueError:
+            raise ConfigError(f"{path}: expected {k} numbers, got {out[:6]} ...") from None
 
+    # A count is a non-negative decimal integer, as int() reads it.
     kw, n, _ = take(3)
-    if kw != "POINTS":
-        raise ConfigError(f"{path}: expected POINTS, got {kw!r}")
+    if kw != "POINTS" or not n.isdecimal():
+        raise ConfigError(f"{path}: expected POINTS and a count, got {kw!r} {n!r}")
     n = int(n)
-    vertices = np.array(take(3 * n), dtype=float).reshape(n, 3)
+    vertices = take(3 * n, float).reshape(n, 3)
     kw, m, total = take(3)
-    if kw != "POLYGONS":
-        raise ConfigError(f"{path}: expected POLYGONS, got {kw!r}")
+    if kw != "POLYGONS" or not (m.isdecimal() and total.isdecimal()):
+        raise ConfigError(f"{path}: expected POLYGONS and two counts, got {kw!r} {m!r} {total!r}")
     m, total = int(m), int(total)
     if total != 4 * m:
         raise ConfigError(f"{path}: only pure-triangle POLYGONS are supported")
-    cells = np.array(take(4 * m), dtype=int).reshape(m, 4)
+    cells = take(4 * m, int).reshape(m, 4)
     if np.any(cells[:, 0] != 3):
         raise ConfigError(f"{path}: non-triangle polygon found")
     triangles = cells[:, 1:]
     fields: dict[str, np.ndarray] = {}
     if pos < len(words):
         kw, count = take(2)
-        if kw != "POINT_DATA" or int(count) != n:
+        if kw != "POINT_DATA" or not count.isdecimal() or int(count) != n:
             raise ConfigError(f"{path}: malformed POINT_DATA section")
         while pos < len(words):
             kw = take(1)[0]
@@ -100,7 +104,7 @@ def read_vtk(path) -> tuple[TriangleMesh, dict[str, np.ndarray]]:
                 raise ConfigError(f"{path}: field {name!r} has {comps} components, expected 1")
             if take(2) != ["LOOKUP_TABLE", "default"]:
                 raise ConfigError(f"{path}: expected LOOKUP_TABLE default for {name!r}")
-            fields[name] = np.array(take(n), dtype=float)
+            fields[name] = take(n, float)
     mesh = TriangleMesh(vertices, triangles, radius_hint=None)
     validate_closed(mesh)
     return mesh, fields

@@ -53,6 +53,25 @@ def test_vtk_rejects_garbage(tmp_path):
     write(path, "not a vtk file\n")
     with pytest.raises(ConfigError):
         read_vtk(path)
+    # A count, coordinate, index or field value that is not a number, and a
+    # negative count.
+    mesh = build_icosphere(1.0, 0)
+    write_vtk(path, mesh, {"u": np.arange(12.0)})
+    lines = path.read_text().splitlines()
+    n = mesh.num_vertices
+    first = {"POINTS": 4, "POLYGONS": 5 + n, "POINT_DATA": 6 + n + mesh.num_triangles}
+    for line, text in ((first["POINTS"], "POINTS twelve double"),
+                       (first["POINTS"], "POINTS -3 double"),
+                       (first["POINTS"] + 1, "0 0 x"),
+                       (first["POLYGONS"], "POLYGONS 20 eighty"),
+                       (first["POLYGONS"] + 1, "3 0 1 two"),
+                       (first["POINT_DATA"], "POINT_DATA x"),
+                       (first["POINT_DATA"] + 3, "x")):
+        bad = list(lines)
+        bad[line] = text
+        write(path, "\n".join(bad) + "\n")
+        with pytest.raises(ConfigError, match="bad.vtk"):
+            read_vtk(path)
 
 
 def test_vtk_read_rejects_open_mesh(tmp_path):

@@ -293,7 +293,7 @@ def _flow_lu(level, coupling, tau):
     """The LU of the flow operator of the flow-coarsen parameters at Lambda = ``coupling``."""
     form = assemble_quadratic_form(build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
     pf = PhaseFieldParams(epsilon=0.15, b=1.0, coupling=coupling, alpha=-0.3, tau=tau)
-    return FlowSolver(form, pf).lu
+    return FlowSolver(form, pf, tau).lu
 
 
 def _orthogonality_lu(level):

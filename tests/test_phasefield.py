@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheremem import phasefield
+from spheremem import fem, phasefield
 from spheremem.errors import ParameterError, StepRejectedError
 from spheremem.fem import nested_dissection
 from spheremem.mesh import build_icosphere
@@ -24,7 +24,7 @@ from spheremem.phasefield import (
     energy,
     energy_gradient,
     field_correlation,
-    flow_operator_order,
+    flow_operator,
     initial_state,
     potential,
     potential_derivative,
@@ -178,12 +178,16 @@ def test_constraint_residuals_match_row_formula(form3):
 
 def test_step_caches_the_new_energy(form2):
     pf = make_params()
-    solver = FlowSolver(form2, pf)
+    solver = FlowSolver(form2, pf, pf.tau)
     start = initial_state(form2, pf)
-    new, e_new, bd_new = solver.step(start, energy(start, form2, pf)[0])
+    new, e_new, bd_new, products = solver.step(start, energy(start, form2, pf)[0])
     e, bd = energy(new, form2, pf)
     assert e_new == e
     assert bd_new == bd
+    # The returned products are the new state's.
+    expected = phasefield.state_products(new, form2, solver.C)
+    for name in ("Au", "Cu", "Sphi", "c_phi", "c_u"):
+        np.testing.assert_array_equal(getattr(products, name), getattr(expected, name))
 
 
 def test_flow_conserves_and_dissipates(form3):
@@ -222,12 +226,12 @@ def test_oversized_step_rejected(form2):
     state = project_constraints(
         PhaseState(u=np.zeros(n), phi=3.0 * rng.standard_normal(n)), form2, pf
     )
-    solver = FlowSolver(form2, pf)
+    solver = FlowSolver(form2, pf, pf.tau)
     e = energy(state, form2, pf)[0]
     raised = False
     try:
         for _ in range(50):
-            state, e, _ = solver.step(state, e)
+            state, e, _, _ = solver.step(state, e)
     except StepRejectedError as exc:
         raised = True
         assert exc.suggested_tau == pytest.approx(pf.tau / 2)
@@ -352,39 +356,33 @@ def test_flow_factors_once_per_distinct_tau(form3, monkeypatch):
     assert max(built_with_alive) <= 2
 
 
-def _operator_at(form, pf, tau):
-    """The flow operator [[Kpp, C], [C, Kuu]] as FlowSolver assembles it at tau."""
-    C = coupling_operator(form, pf)
-    lin_well = (pf.b / pf.epsilon * well_shift(pf, form.params)) * sp.diags(form.m_lumped)
-    Kpp = (pf.alpha1 / tau) * form.M + pf.b * pf.epsilon * form.S + lin_well
-    Kuu = (pf.alpha2 / tau) * form.M + form.A
-    return sp.bmat([[Kpp, C], [C, Kuu]])
-
-
 @pytest.mark.parametrize("level", [2, 3, 4])
-@pytest.mark.parametrize("coupling", [0.0, 1.0])
+@pytest.mark.parametrize("coupling", [0.0, 1.0, 5.0, 10.0])
 def test_flow_operator_order_is_the_order_at_every_tau(form2, form3, level, coupling):
-    # The order from the tau-free pattern is the one each tau's operator had.
+    # The order a flow takes from its first LU is the one each tau's operator had.
     form = {2: form2, 3: form3}.get(level) or assemble_quadratic_form(
         build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
     pf = replace(coarsen_params(0), coupling=coupling)
-    order = flow_operator_order(form, coupling_operator(form, pf))
+    order = FlowSolver(form, pf, pf.tau).order
+    C = coupling_operator(form, pf)
     for tau in 0.01 * 2.0 ** np.arange(-4, 9):
-        np.testing.assert_array_equal(nested_dissection(_operator_at(form, pf, tau)), order)
+        np.testing.assert_array_equal(nested_dissection(flow_operator(form, pf, C, tau)), order)
 
 
 def test_flow_orders_its_operator_once(form3, monkeypatch):
     orders, factored = [], []
-    order_of = phasefield.flow_operator_order
+    order_of = fem.nested_dissection
     factor = phasefield.factor_saddle
-    monkeypatch.setattr(phasefield, "flow_operator_order",
+    monkeypatch.setattr(fem, "nested_dissection",
                         lambda *args: orders.append(1) or order_of(*args))
     monkeypatch.setattr(phasefield, "factor_saddle",
                         lambda *args: factored.append(args[3]) or factor(*args))
     pf = coarsen_params(2)
     run_flow(initial_state(form3, pf), form3, pf)
+    # The first solver's LU is ordered by fem; the others factor in its order.
     assert len(orders) == 1 and len(factored) > 1
-    assert all(order is factored[0] for order in factored)
+    assert factored[0] is None
+    assert all(np.array_equal(order, factored[1]) for order in factored[1:])
 
 
 def position_form_step(solver, state):
@@ -402,7 +400,7 @@ def position_form_step(solver, state):
 def test_increment_step_is_the_position_form_step(form2, form3, monkeypatch, level, tau):
     form = {2: form2, 3: form3}[level]
     pf = replace(coarsen_params(0), tau=tau)
-    solver = FlowSolver(form, pf)
+    solver = FlowSolver(form, pf, pf.tau)
     start = initial_state(form, pf)
     calls = []
 
@@ -412,7 +410,7 @@ def test_increment_step_is_the_position_form_step(form2, form3, monkeypatch, lev
 
     monkeypatch.setattr(phasefield, "energy_gradient", counting)
     # e_old = inf: the energy check is not under test here.
-    new, _, _ = solver.step(start, np.inf)
+    new, _, _, _ = solver.step(start, np.inf)
     assert len(calls) == 1
     phi, u, lam_phi, lam_u = position_form_step(solver, start)
     scale = max(np.abs(phi).max(), np.abs(u).max())

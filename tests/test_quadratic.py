@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spheremem.errors import ParameterError
+from spheremem.fem import assemble_mass
 from spheremem.mesh import build_icosphere
 from spheremem.model import (
     ModelParams,
@@ -113,7 +114,7 @@ def test_constraint_rows_require_radius():
 
     bare = TriangleMesh(mesh.vertices, mesh.triangles, radius_hint=None)
     with pytest.raises(ParameterError):
-        constraint_rows(bare)
+        constraint_rows(bare, assemble_mass(bare))
 
 
 def test_quadratic_lagrangian_decomposition(form):
