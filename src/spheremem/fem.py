@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse import csgraph
+from scipy.sparse import _sparsetools, csgraph
 
 from .errors import GeometryError, RankDeficiencyError, SolverError
 from .mesh import TriangleMesh, _sides, triangle_centroids
@@ -305,10 +305,17 @@ def factor_saddle(A: sp.spmatrix, B: sp.spmatrix, compliance: np.ndarray,
 MAX_REFINE = 4
 
 
-def _backward_error(r: np.ndarray, scale: np.ndarray) -> float:
-    """max_i |r_i| / scale_i, where a zero r_i counts 0 whatever its scale."""
+def _backward_error(r: np.ndarray, scale: np.ndarray, work: np.ndarray | None = None,
+                    zero: np.ndarray | None = None) -> float:
+    """max_i |r_i| / scale_i, where a zero r_i counts 0 whatever its scale.
+
+    The quotient is formed in ``work`` and the mask r == 0 in ``zero`` (a bool
+    vector) when they are given, else in fresh arrays.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.where(r == 0, 0.0, np.abs(r) / scale).max())
+        quotient = np.divide(np.abs(r, out=work), scale, out=work)
+    np.copyto(quotient, 0.0, where=np.equal(r, 0.0, out=zero))
+    return float(quotient.max())
 
 
 def _solve_refined(apply, apply_abs, solve, rhs: np.ndarray) -> np.ndarray:
@@ -376,6 +383,19 @@ def solve_saddle(
 MASS_CG_MAXITER = 40
 
 
+def _matvec_into(M: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """M @ x for a CSR matrix M, written into ``out`` and returned, to the bits
+    of ``M @ x``.
+
+    SciPy forms ``M @ x`` by its kernel ``_sparsetools.csr_matvec`` into a
+    zeroed vector; it has no public product into a given array, and the kernel
+    adds into its output, so ``out`` is zeroed first.
+    """
+    out.fill(0.0)
+    _sparsetools.csr_matvec(M.shape[0], M.shape[1], M.indptr, M.indices, M.data, x, out)
+    return out
+
+
 def solve_mass(M: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     """Solve M x = b for a P1 mass matrix M (b one column or several) by
     conjugate gradients preconditioned with the row sums of M.
@@ -390,39 +410,48 @@ def solve_mass(M: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     lower bound on the backward error omega.  The exact omega, one product with
     M, is taken only where that bound is at most 2 ``BACKWARD_ERROR_BOUND`` (the
     factor covers its rounding), so the stop decision, the iterates and the
-    iteration count are those of the unscreened test.  Each column's x, r, z, p
-    and one work vector are updated in place, to the same bits.
+    iteration count are those of the unscreened test.
+
+    The CG runs in one workspace, allocated once per call and shared by the
+    columns: r, z, p, the product q, |b|, one work vector and one zero mask.
+    Every product with M in the loop (q = M p, and M |x| of the exact test) is
+    written into it by ``_matvec_into``, and the exact test forms |x|, |r|, its
+    quotient and its mask there too; only each column's x is new.  Every update
+    is made in place, to the bits of the allocating loop.
     """
     M = M.tocsr()
     d = np.asarray(M.sum(axis=1)).ravel()
+    r, z, p, q, w, scale = np.empty((6, M.shape[0]))
+    zero = np.empty(M.shape[0], dtype=bool)
 
     def cg(rhs):
         x = np.zeros_like(rhs)
-        r = rhs.copy()
-        scale = np.abs(rhs)
-        z = r / d
-        p = z.copy()
-        w = np.empty_like(z)
+        np.copyto(r, rhs)
+        np.abs(rhs, out=scale)
+        np.divide(r, d, out=z)
+        np.copyto(p, z)
         rz = rhs @ z    # not r @ z: a strided column's BLAS dot sums in its own order
         for _ in range(MASS_CG_MAXITER):
             # (M |x|)_i <= d_i max|x|: a lower bound on omega screens the exact one.
             np.multiply(d, max(x.max(), -x.min()), out=w)
-            w += scale
+            np.add(w, scale, out=w)
             with np.errstate(invalid="ignore"):     # 0/0 where x = 0 and b_i = 0
                 np.divide(r, w, out=w)
-            if (not np.abs(w, out=w).max() > 2.0 * BACKWARD_ERROR_BOUND
-                    and _backward_error(r, M @ np.abs(x) + scale) <= BACKWARD_ERROR_BOUND):
-                break
-            q = M @ p
+            if not np.abs(w, out=w).max() > 2.0 * BACKWARD_ERROR_BOUND:
+                _matvec_into(M, np.abs(x, out=w), q)    # q = M |x| + |b|
+                np.add(q, scale, out=q)
+                if _backward_error(r, q, w, zero) <= BACKWARD_ERROR_BOUND:
+                    break
+            _matvec_into(M, p, q)
             alpha = rz / (p @ q)
             np.multiply(p, alpha, out=z)    # z is free until it takes r / d again
             x += z
-            q *= alpha
-            r -= q
+            np.multiply(q, alpha, out=q)
+            np.subtract(r, q, out=r)
             np.divide(r, d, out=z)
             rz, rz_prev = r @ z, rz
-            p *= rz / rz_prev
-            p += z
+            np.multiply(p, rz / rz_prev, out=p)
+            np.add(p, z, out=p)
         return x
 
     b = np.asarray(b, dtype=float)

@@ -63,12 +63,14 @@ def _check_reconstruction(reconstruction: str) -> None:
         raise ParameterError(f"unknown reconstruction {reconstruction!r}; use one of {RECONSTRUCTIONS}")
 
 
-def _weak_identity(mesh: TriangleMesh, reconstruction: str) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the weak identity M Hvec = S X: (S X, Hvec)."""
-    rhs = assemble_stiffness(mesh) @ mesh.vertices
+def _weak_identity(mesh: TriangleMesh, reconstruction: str, S=None, M=None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the weak identity M Hvec = S X: (S X, Hvec).  S and M are
+    the mesh's stiffness and mass matrices, assembled here when None."""
+    rhs = (assemble_stiffness(mesh) if S is None else S) @ mesh.vertices
     if reconstruction == "lumped":
         return rhs, rhs / lumped_diagonal(mesh)[:, None]
-    return rhs, solve_mass(assemble_mass(mesh), rhs)
+    return rhs, solve_mass(assemble_mass(mesh) if M is None else M, rhs)
 
 
 def discrete_mean_curvature(mesh: TriangleMesh) -> np.ndarray:
@@ -90,10 +92,15 @@ def willmore_energy(mesh: TriangleMesh, reconstruction: str = "lumped") -> float
     squared mean-curvature vector in the consistent L2 pairing.
     """
     _check_reconstruction(reconstruction)
+    return _willmore(mesh, reconstruction)
+
+
+def _willmore(mesh: TriangleMesh, reconstruction: str, S=None, M=None) -> float:
+    """``willmore_energy`` with the mesh's stiffness S and mass M, when given."""
     if reconstruction == "lumped":
-        H = discrete_mean_curvature(mesh)
+        H = np.einsum("ij,ij->i", _weak_identity(mesh, "lumped", S)[1], vertex_normals(mesh))
         return float(0.5 * (H * H) @ lumped_diagonal(mesh))
-    rhs, hvec = _weak_identity(mesh, "consistent")
+    rhs, hvec = _weak_identity(mesh, "consistent", S, M)
     return float(0.5 * sum(rhs[:, k] @ hvec[:, k] for k in range(3)))
 
 
@@ -109,12 +116,17 @@ def energies(
     Defaults: lam = lambda0 of the params, V0 = exact sphere volume.  The
     connectivity must be closed (:func:`~spheremem.mesh.validate_closed`).
     """
+    return _breakdown(mesh, params, lam, V0, willmore_energy(mesh, reconstruction))
+
+
+def _breakdown(mesh: TriangleMesh, params: ModelParams, lam: float | None,
+               V0: float | None, willmore: float) -> EnergyBreakdown:
+    """``energies`` of a mesh whose Willmore energy is ``willmore``."""
     if lam is None:
         lam = params.lambda0
     if V0 is None:
         V0 = 4.0 / 3.0 * np.pi * params.R**3
     area, volume = area_and_volume(mesh)
-    willmore = willmore_energy(mesh, reconstruction)
     helfrich = params.kappa * willmore + params.sigma * area
     lagrangian = helfrich + lam * (volume - V0)
     return EnergyBreakdown(
@@ -183,7 +195,9 @@ def taylor_consistency(
     u = np.asarray(u, dtype=float)
     if abs(form.c0(u)) > 1e-8 * form.area * float(np.max(np.abs(u)) + 1.0):
         raise ParameterError("taylor_consistency requires a mean-zero field (c0(u) = 0)")
-    base = energies(mesh, params, reconstruction=reconstruction)
+    # The base sphere is the form's mesh: its S and M are the form's, to the bit.
+    base = _breakdown(mesh, params, None, None,
+                      _willmore(mesh, reconstruction, form.S, form.M))
     V0 = base.volume
     lam0 = params.lambda0
     if reconstruction == "lumped":

@@ -129,7 +129,8 @@ class _PointSystem:
             return np.concatenate([absA @ u + absB.T @ w, absB @ u + c * w])
 
         def inner(r):
-            y = self.lu.solve(r[:n + 4])
+            # The first right-hand side is zero above the point rows: y = 0 needs no solve.
+            y = self.lu.solve(r[:n + 4]) if r[:n + 4].any() else np.zeros(n + 4)
             lam = np.linalg.solve(schur, P @ y[:n] - r[n + 4:])
             return np.concatenate([y - self.G @ lam, lam])
 

@@ -399,16 +399,46 @@ def _unscreened_mass_solve(M, b):
     return np.column_stack([fem._solve_refined(M.dot, M.dot, cg, col) for col in b.T])
 
 
+def _counted(monkeypatch, name):
+    """Replace ``fem.<name>`` by a wrapper that records each call's arguments."""
+    calls, fn = [], getattr(fem, name)
+    monkeypatch.setattr(fem, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
 @pytest.mark.parametrize("columns", [1, 3])
 @pytest.mark.parametrize("level", [3, 4, 5, 6])
-def test_screened_mass_solve_is_the_unscreened_one(level, columns):
-    # Same bits, same stop, with at most 3/4 of the products with M.
+def test_screened_mass_solve_is_the_unscreened_one(level, columns, monkeypatch):
+    # Same bits, same stop, with at most 3/4 of the products with M.  The CG loop
+    # forms every product it makes by fem._matvec_into; the only products through
+    # M @ are the contract checks of _solve_refined, one M x and one M |x| each.
     M, rhs = _perturbed_mass_system(level)
     b = rhs if columns == 3 else rhs[:, 1]
-    screened, unscreened = _CountingCSR(M), _CountingCSR(M)
+    unscreened = _CountingCSR(M)
+    reference = _unscreened_mass_solve(unscreened, b)
+    screened = _CountingCSR(M)
+    loop_products = _counted(monkeypatch, "_matvec_into")
+    checks, solve_refined = [], fem._solve_refined
+    monkeypatch.setattr(fem, "_solve_refined", lambda apply, apply_abs, solve, rhs: solve_refined(
+        apply, lambda x: checks.append(x) or apply_abs(x), solve, rhs))
     x = solve_mass(screened, b)
-    np.testing.assert_array_equal(x, _unscreened_mass_solve(unscreened, b))
-    assert screened.products <= 0.75 * unscreened.products
+    np.testing.assert_array_equal(x, reference)
+    assert len(checks) >= columns
+    assert screened.products == 2 * len(checks)
+    assert screened.products + len(loop_products) <= 0.75 * unscreened.products
+
+
+@pytest.mark.parametrize("name", [f"L{level}" for level in range(7)] + ["perturbed-L4"])
+def test_matvec_into_is_the_product(name):
+    # fem._matvec_into calls SciPy's private CSR kernel: this fails if SciPy moves it.
+    surface = _perturbed_surface(4) if name == "perturbed-L4" else build_icosphere(
+        1.0, int(name[1:]))
+    M = assemble_mass(surface)
+    x = np.random.default_rng(3).standard_normal(surface.num_vertices)
+    out = np.full(surface.num_vertices, np.nan)     # the kernel adds into its output
+    for _ in range(2):
+        assert fem._matvec_into(M, x, out) is out
+        np.testing.assert_array_equal(out, M @ x)
 
 
 def _coo_assembly(mesh, which):
