@@ -1,5 +1,5 @@
 """Piecewise-linear surface FEM: mass/stiffness assembly, point evaluation,
-norms, the direct saddle-point solver and the consistent-mass solve.
+norms, the direct saddle-point solver and the consistent-mass form.
 
 All operators are assembled triangle-wise on the polyhedral surface: the
 diagonal and upper entries of each triangle's symmetric 3x3 local matrix are
@@ -20,12 +20,13 @@ pivot rule: in a nested-dissection order of the mesh graph
 (``nested_dissection``), every column pivots on its diagonal, which it leaves
 only where that entry is exactly zero or absent (``factor_saddle``).  The
 saddle solves (``solve_saddle``, the point solves) meet the contract by
-refinement on that LU.  The mass matrix M, whose lumped diagonal
-preconditions it to condition number 4 at every h, meets it by conjugate
-gradients without a factorization (``solve_mass``), whose exact stop test is
-screened by a bound that needs no product with M.  The contract stops there:
-the phase-field flow's step solves (``phasefield.FlowSolver.step``) are one
-solve each on their LU, neither refined nor checked.
+refinement on that LU.  The contract stops there: the phase-field flow's
+step solves (``phasefield.FlowSolver.step``) are one solve each on their LU,
+neither refined nor checked.  No caller needs M^{-1} b itself, only the form
+b^T M^{-1} b; ``mass_inverse_form`` computes it by conjugate gradients without
+a factorization (the lumped diagonal preconditions M to condition number 4 at
+every h), to a relative error of at most ``MASS_FORM_BOUND`` that its true
+residual certifies.
 """
 from __future__ import annotations
 
@@ -38,16 +39,13 @@ from scipy.sparse import _sparsetools, csgraph
 from .errors import GeometryError, RankDeficiencyError, SolverError
 from .mesh import TriangleMesh, _sides, triangle_centroids
 
-#: The one residual tolerance: it stops the refinement and is the contract.  The
-#: point solves of the penalty studies of the three presets (hard and delta =
-#: 1e-2 ... 1e-6), on diagonal pivots in nested-dissection order, miss it
-#: unrefined (137 eps to 2.2e7 eps, growing with the level) and meet it after
-#: one refinement step each, at 0.6-5.8 eps at levels 2-6 and 1.6-14.6 eps at
-#: level 7 (polar_rings is a domain error at level 2).  The 16 mass solves of a
-#: consistent Taylor check (z^2 - 1/3, rho = 0.1 ... 0.0125) stop CG after 19-25
-#: iterations at level 3, 27-30 at level 4, 28-29 at level 5 and 27-29 at level
-#: 6, at 4.3-60.9 eps (level 3), 10.5-60.1 (4), 23.0-34.4 (5) and 21.7-48.8 eps
-#: (6), without a refinement step.  c_be = 64 is verified up to level 7.
+#: The residual tolerance of the linear solves: it stops the refinement and is
+#: the contract.  The point solves of the penalty studies of the three presets
+#: (hard and delta = 1e-2 ... 1e-6), on diagonal pivots in nested-dissection
+#: order, miss it unrefined (137 eps to 2.2e7 eps, growing with the level) and
+#: meet it after one refinement step each, at 0.6-5.8 eps at levels 2-6 and
+#: 1.6-14.6 eps at level 7 (polar_rings is a domain error at level 2).
+#: c_be = 64 is verified up to level 7.
 BACKWARD_ERROR_BOUND = 64.0 * np.finfo(float).eps
 
 #: A point farther than this fraction of the mesh radius from the surface
@@ -305,22 +303,15 @@ def factor_saddle(A: sp.spmatrix, B: sp.spmatrix, compliance: np.ndarray,
 MAX_REFINE = 4
 
 
-def _backward_error(r: np.ndarray, scale: np.ndarray, work: np.ndarray | None = None,
-                    zero: np.ndarray | None = None) -> float:
-    """max_i |r_i| / scale_i, where a zero r_i counts 0 whatever its scale.
-
-    The quotient is formed in ``work`` and the mask r == 0 in ``zero`` (a bool
-    vector) when they are given, else in fresh arrays.
-    """
+def _backward_error(r: np.ndarray, scale: np.ndarray) -> float:
+    """max_i |r_i| / scale_i, where a zero r_i counts 0 whatever its scale."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        quotient = np.divide(np.abs(r, out=work), scale, out=work)
-    np.copyto(quotient, 0.0, where=np.equal(r, 0.0, out=zero))
-    return float(quotient.max())
+        return float(np.where(r == 0, 0.0, np.abs(r) / scale).max())
 
 
 def _solve_refined(apply, apply_abs, solve, rhs: np.ndarray) -> np.ndarray:
     """Solve K x = rhs by the inner solve ``solve`` (r -> K^{-1} r up to
-    roundoff, by a factorization or by CG), refined until the componentwise
+    roundoff, by a factorization), refined until the componentwise
     backward error meets ``BACKWARD_ERROR_BOUND``, else :class:`SolverError`
     after ``MAX_REFINE`` steps.
 
@@ -373,13 +364,17 @@ def solve_saddle(
     return sol[:n], sol[n:]
 
 
-#: CG iterations one mass solve may take.  Preconditioned by its row sums (the
-#: lumped mass M_L), a P1 mass matrix has its spectrum in [1/4, 1] on any
+#: The certified relative error of a consistent-mass form b^T M^{-1} b
+#: (``mass_inverse_form``).
+MASS_FORM_BOUND = 2.0 * np.finfo(float).eps
+
+#: CG steps one consistent-mass form may take.  Preconditioned by its row sums
+#: D (the lumped mass M_L), a P1 mass matrix has its spectrum in [1/4, 1] on any
 #: triangle mesh (Wathen, IMA J. Numer. Anal. 7 (1987) 449): condition number
-#: at most 4, so CG shrinks the M-norm error by 1/3 a step whatever h is, and
-#: 2 * 3^-k falls below eps at k = 34.  Each step makes one product with M;
-#: the exact stop test makes a second only once the screen of ``solve_mass``
-#: lets the iterate near the contract.
+#: at most 4, so by the Chebyshev bound CG's energy error after k steps is at
+#: most 4 * 9^-k b^T M^{-1} b whatever h is, and the stop test of
+#: ``mass_inverse_form`` holds after 18 steps at the latest.  The Taylor check
+#: of z^2 - 1/3 stops after 13-14 steps at levels 3-6.
 MASS_CG_MAXITER = 40
 
 
@@ -396,68 +391,56 @@ def _matvec_into(M: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
-def solve_mass(M: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Solve M x = b for a P1 mass matrix M (b one column or several) by
-    conjugate gradients preconditioned with the row sums of M.
+def mass_inverse_form(M: sp.spmatrix, b: np.ndarray) -> float:
+    """b^T M^{-1} b for a P1 mass matrix M and one vector b, to a certified
+    relative error of at most ``MASS_FORM_BOUND``, by conjugate gradients
+    preconditioned with the row sums D of M, from x = 0.
 
-    CG stops as soon as its iterate meets ``BACKWARD_ERROR_BOUND``
-    componentwise, and ``_solve_refined`` holds every column to that contract
-    on its true residual, else :class:`SolverError`.  The entries of M are
-    positive multiples of triangle areas, so |M| = M.
+    For any x with residual r = b - M x, the value v = b^T x + r^T x falls
+    short of b^T M^{-1} b by exactly r^T M^{-1} r, the squared M-norm of the
+    error, and D^{-1} M has its spectrum in [1/4, 1], so 0 <= b^T M^{-1} b - v
+    <= 4 r^T D^{-1} r (Strakos & Tichy, ETNA 13 (2002) 56).  CG forms
+    r^T D^{-1} r = r^T z in each step, and b^T x as the sum of alpha r^T z
+    over its steps; it stops once 4 r^T z <= (``MASS_FORM_BOUND`` / 2) b^T x.
+    The bound is then certified on the true residual r = b - M x: v is
+    returned if 4 r^T D^{-1} r <= ``MASS_FORM_BOUND`` v, else
+    :class:`SolverError` names the bound.
 
-    The stop test is exact but screened.  M is nonnegative and d holds its row
-    sums, so (M |x|)_i <= d_i max|x|, and max_i |r_i| / (d_i max|x| + |b_i|) is a
-    lower bound on the backward error omega.  The exact omega, one product with
-    M, is taken only where that bound is at most 2 ``BACKWARD_ERROR_BOUND`` (the
-    factor covers its rounding), so the stop decision, the iterates and the
-    iteration count are those of the unscreened test.
-
-    The CG runs in one workspace, allocated once per call and shared by the
-    columns: r, z, p, the product q, |b|, one work vector and one zero mask.
-    Every product with M in the loop (q = M p, and M |x| of the exact test) is
-    written into it by ``_matvec_into``, and the exact test forms |x|, |r|, its
-    quotient and its mask there too; only each column's x is new.  Every update
-    is made in place, to the bits of the allocating loop.
+    The CG runs in place in four vectors: x, r, p and w, which takes the
+    product M p and then z = r / D.  Every product with M is written into w
+    by ``_matvec_into``: one per step and one for the true residual.
     """
     M = M.tocsr()
     d = np.asarray(M.sum(axis=1)).ravel()
-    r, z, p, q, w, scale = np.empty((6, M.shape[0]))
-    zero = np.empty(M.shape[0], dtype=bool)
-
-    def cg(rhs):
-        x = np.zeros_like(rhs)
-        np.copyto(r, rhs)
-        np.abs(rhs, out=scale)
-        np.divide(r, d, out=z)
-        np.copyto(p, z)
-        rz = rhs @ z    # not r @ z: a strided column's BLAS dot sums in its own order
-        for _ in range(MASS_CG_MAXITER):
-            # (M |x|)_i <= d_i max|x|: a lower bound on omega screens the exact one.
-            np.multiply(d, max(x.max(), -x.min()), out=w)
-            np.add(w, scale, out=w)
-            with np.errstate(invalid="ignore"):     # 0/0 where x = 0 and b_i = 0
-                np.divide(r, w, out=w)
-            if not np.abs(w, out=w).max() > 2.0 * BACKWARD_ERROR_BOUND:
-                _matvec_into(M, np.abs(x, out=w), q)    # q = M |x| + |b|
-                np.add(q, scale, out=q)
-                if _backward_error(r, q, w, zero) <= BACKWARD_ERROR_BOUND:
-                    break
-            _matvec_into(M, p, q)
-            alpha = rz / (p @ q)
-            np.multiply(p, alpha, out=z)    # z is free until it takes r / d again
-            x += z
-            np.multiply(q, alpha, out=q)
-            np.subtract(r, q, out=r)
-            np.divide(r, d, out=z)
-            rz, rz_prev = r @ z, rz
-            np.multiply(p, rz / rz_prev, out=p)
-            np.add(p, z, out=p)
-        return x
-
     b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        return _solve_refined(M.dot, M.dot, cg, b)
-    return np.column_stack([_solve_refined(M.dot, M.dot, cg, col) for col in b.T])
+    x, r, p, w = np.zeros((4, M.shape[0]))
+    np.copyto(r, b)
+    np.divide(r, d, out=p)
+    rz, bx = r @ p, 0.0
+    steps = 0
+    while steps < MASS_CG_MAXITER and not 4.0 * rz <= 0.5 * MASS_FORM_BOUND * bx:
+        _matvec_into(M, p, w)
+        alpha = rz / (p @ w)
+        bx += alpha * rz
+        np.multiply(w, alpha, out=w)
+        np.subtract(r, w, out=r)
+        np.multiply(p, alpha, out=w)
+        np.add(x, w, out=x)
+        np.divide(r, d, out=w)
+        rz, rz_prev = r @ w, rz
+        np.multiply(p, rz / rz_prev, out=p)
+        np.add(p, w, out=p)
+        steps += 1
+    np.subtract(b, _matvec_into(M, x, w), out=r)
+    value = x @ np.add(b, r, out=w)     # b may be strided: its own dots sum less exactly
+    bound = 4.0 * (r @ np.divide(r, d, out=w))
+    if not bound <= MASS_FORM_BOUND * value:
+        raise SolverError(
+            f"consistent-mass form: error bound 4 r^T D^-1 r = {bound:.3g} exceeds "
+            f"MASS_FORM_BOUND = {MASS_FORM_BOUND:.3g} times the form {value:.3g} "
+            f"after {steps} CG steps (MASS_CG_MAXITER = {MASS_CG_MAXITER})"
+        )
+    return float(value)
 
 
 def laplacian_apply(S: sp.spmatrix, m_lumped: np.ndarray, u: np.ndarray) -> np.ndarray:

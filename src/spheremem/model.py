@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError, check_finite
-from .fem import assemble_mass, assemble_stiffness, lumped_diagonal, solve_mass
+from .fem import assemble_mass, assemble_stiffness, lumped_diagonal, mass_inverse_form
 from .mesh import TriangleMesh
 
 
@@ -74,19 +74,20 @@ class QuadraticForm:
     def c0(self, u: np.ndarray) -> float:
         return float((self.constraints[0] @ u)[0])
 
-    def evaluate_consistent(self, u: np.ndarray, v: np.ndarray) -> float:
-        """a(u,v) with the consistent-mass Laplacian reconstruction.
+    def evaluate_consistent(self, u: np.ndarray) -> float:
+        """a(u,u) with the consistent-mass Laplacian reconstruction, whose
+        biharmonic part (S u)^T M^{-1} (S u) is ``fem.mass_inverse_form``.
 
         Evaluation-only alternative for convergence comparisons; the sparse
         operator ``A`` always uses the lumped reconstruction.
         """
         p = self.params
         R2 = p.R**2
-        bih = float((self.S @ u) @ solve_mass(self.M, self.S @ v))
+        su = self.S @ u
         return (
-            p.kappa * bih
-            + (p.sigma - 2.0 * p.kappa / R2) * float(u @ (self.S @ v))
-            - (2.0 * p.sigma / R2) * float(u @ (self.M @ v))
+            p.kappa * mass_inverse_form(self.M, su)
+            + (p.sigma - 2.0 * p.kappa / R2) * float(u @ su)
+            - (2.0 * p.sigma / R2) * float(u @ (self.M @ u))
         )
 
     @property

@@ -9,12 +9,13 @@ of the assembled quadratic form it validates.
 Two curvature reconstructions are supported.  ``lumped`` solves the weak
 identity with the lumped mass matrix and projects onto vertex normals (the
 package default).  ``consistent`` keeps the full mean-curvature vector paired
-with the consistent mass matrix (one M^{-1} solve per coordinate, shared by
-the curvature and the energy, by ``fem.solve_mass``: preconditioned CG held to
-the solver contract, no factorization); its bending energy is structurally
-aligned with the consistent-reconstruction variant of the quadratic form and
-has a markedly smaller quadratic-order consistency mismatch, which the Taylor
-check needs to expose the cubic remainder at practical resolutions.
+with the consistent mass matrix: its energy 1/2 sum_k (S X_k)^T M^{-1} (S X_k)
+takes one form per coordinate from ``fem.mass_inverse_form`` (preconditioned
+CG to a certified relative error, no factorization).  Its bending energy is
+structurally aligned with the consistent-reconstruction variant of the
+quadratic form and has a markedly smaller quadratic-order consistency
+mismatch, which the Taylor check needs to expose the cubic remainder at
+practical resolutions.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, ParameterError, check_finite
-from .fem import assemble_mass, assemble_stiffness, lumped_diagonal, solve_mass
+from .fem import assemble_mass, assemble_stiffness, lumped_diagonal, mass_inverse_form
 from .mesh import TriangleMesh, area_and_volume, vertex_normals
 from .model import ModelParams, QuadraticForm, quadratic_lagrangian
 
@@ -63,14 +64,10 @@ def _check_reconstruction(reconstruction: str) -> None:
         raise ParameterError(f"unknown reconstruction {reconstruction!r}; use one of {RECONSTRUCTIONS}")
 
 
-def _weak_identity(mesh: TriangleMesh, reconstruction: str, S=None, M=None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the weak identity M Hvec = S X: (S X, Hvec).  S and M are
-    the mesh's stiffness and mass matrices, assembled here when None."""
-    rhs = (assemble_stiffness(mesh) if S is None else S) @ mesh.vertices
-    if reconstruction == "lumped":
-        return rhs, rhs / lumped_diagonal(mesh)[:, None]
-    return rhs, solve_mass(assemble_mass(mesh) if M is None else M, rhs)
+def _weak_identity(mesh: TriangleMesh, S=None) -> np.ndarray:
+    """S X, the right side of the weak identity M Hvec = S X; S is the mesh's
+    stiffness matrix, assembled here (and freed on return) when None."""
+    return (assemble_stiffness(mesh) if S is None else S) @ mesh.vertices
 
 
 def discrete_mean_curvature(mesh: TriangleMesh) -> np.ndarray:
@@ -79,7 +76,7 @@ def discrete_mean_curvature(mesh: TriangleMesh) -> np.ndarray:
     Weak identity: M_L Hvec = S X per coordinate, then H = Hvec . nu with nu
     the area-weighted vertex normal; H = 2/R > 0 on the sphere.
     """
-    hvec = _weak_identity(mesh, "lumped")[1]
+    hvec = _weak_identity(mesh) / lumped_diagonal(mesh)[:, None]
     nu = vertex_normals(mesh)
     return np.einsum("ij,ij->i", hvec, nu)
 
@@ -97,11 +94,13 @@ def willmore_energy(mesh: TriangleMesh, reconstruction: str = "lumped") -> float
 
 def _willmore(mesh: TriangleMesh, reconstruction: str, S=None, M=None) -> float:
     """``willmore_energy`` with the mesh's stiffness S and mass M, when given."""
+    rhs = _weak_identity(mesh, S)
     if reconstruction == "lumped":
-        H = np.einsum("ij,ij->i", _weak_identity(mesh, "lumped", S)[1], vertex_normals(mesh))
+        H = np.einsum("ij,ij->i", rhs / lumped_diagonal(mesh)[:, None], vertex_normals(mesh))
         return float(0.5 * (H * H) @ lumped_diagonal(mesh))
-    rhs, hvec = _weak_identity(mesh, "consistent", S, M)
-    return float(0.5 * sum(rhs[:, k] @ hvec[:, k] for k in range(3)))
+    # S is freed before M is assembled, and the three forms run one at a time.
+    M = assemble_mass(mesh) if M is None else M
+    return float(0.5 * sum(mass_inverse_form(M, rhs[:, k]) for k in range(3)))
 
 
 def energies(
@@ -203,7 +202,7 @@ def taylor_consistency(
     if reconstruction == "lumped":
         quad = quadratic_lagrangian(u, mu, form)
     else:
-        quad = 0.5 * form.evaluate_consistent(u, u) + mu * form.c0(u)
+        quad = 0.5 * form.evaluate_consistent(u) + mu * form.c0(u)
     exact_base = 8.0 * np.pi * params.kappa + params.sigma * 4.0 * np.pi * params.R**2
     floor = abs(base.helfrich - exact_base)
 

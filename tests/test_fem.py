@@ -15,8 +15,8 @@ from spheremem.fem import (
     h2_norm,
     laplacian_apply,
     lumped_diagonal,
+    mass_inverse_form,
     nested_dissection,
-    solve_mass,
     solve_saddle,
 )
 from spheremem import fem
@@ -332,100 +332,53 @@ def _perturbed_mass_system(level):
     return assemble_mass(surface), assemble_stiffness(surface) @ surface.vertices
 
 
-@pytest.mark.parametrize("level", [3, 4, 5, 6])
-def test_mass_solve_meets_contract_and_matches_lu(level):
+def _once_refined_lu_form(M, b):
+    """b^T M^{-1} b by a sparse LU of M and one refinement step, from a
+    contiguous b (a strided dot sums less exactly)."""
+    lu = spla.splu(M.tocsc())
+    x = lu.solve(b)
+    x += lu.solve(b - M @ x)
+    return b @ x
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_mass_inverse_form_matches_lu(level):
+    # Certified to MASS_FORM_BOUND = 2 eps relative; measured within 1.9 eps of
+    # the reference at levels 0-7.
     M, rhs = _perturbed_mass_system(level)
-    x = solve_mass(M, rhs)
-    assert x.shape == rhs.shape
     for k in range(3):
-        r = rhs[:, k] - M @ x[:, k]
-        omega = np.max(np.abs(r) / (M @ np.abs(x[:, k]) + np.abs(rhs[:, k])))
-        assert omega <= BACKWARD_ERROR_BOUND
-    ref = spla.splu(M.tocsc()).solve(rhs)
-    assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
-    np.testing.assert_array_equal(solve_mass(M, rhs[:, 1]), x[:, 1])
+        b = np.ascontiguousarray(rhs[:, k])
+        ref = _once_refined_lu_form(M, b)
+        assert abs(mass_inverse_form(M, b) - ref) <= 4.0 * np.finfo(float).eps * ref
+        assert mass_inverse_form(M, rhs[:, k]) == mass_inverse_form(M, b)
 
 
-def test_mass_solve_of_zero_is_zero(mesh):
-    M = assemble_mass(mesh)
-    assert not np.any(solve_mass(M, np.zeros(mesh.num_vertices)))
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_mass_inverse_form_products(level, monkeypatch):
+    # Every product with M is one fem._matvec_into: one per CG step (13-14
+    # measured) and one for the certifying true residual.
+    M, rhs = _perturbed_mass_system(level)
+    products, matvec_into = [], fem._matvec_into
+    monkeypatch.setattr(fem, "_matvec_into", lambda *args: products.append(1) or matvec_into(*args))
+    for k in range(3):
+        products.clear()
+        mass_inverse_form(M, rhs[:, k])
+        assert len(products) <= 16
 
 
-def test_mass_solve_contract_miss_raises(monkeypatch):
-    # Two CG steps per solve, even with every refinement step, stay far from 64 eps.
+def test_mass_inverse_form_of_zero_is_zero(mesh):
+    value = mass_inverse_form(assemble_mass(mesh), np.zeros(mesh.num_vertices))
+    assert value == 0.0 and isinstance(value, float)
+
+
+def test_mass_inverse_form_cap_raises(monkeypatch):
+    # Two CG steps leave the error bound far above 2 eps of the form.
     M, rhs = _perturbed_mass_system(3)
     monkeypatch.setattr(fem, "MASS_CG_MAXITER", 2)
-    with pytest.raises(SolverError, match="backward error") as exc:
-        solve_mass(M, rhs[:, 0])
-    assert f"{BACKWARD_ERROR_BOUND:.3g}" in str(exc.value)
-
-
-class _CountingCSR(sp.csr_matrix):
-    """CSR matrix that counts its products, ``M.dot`` included."""
-
-    products = 0
-
-    def __matmul__(self, other):
-        self.products += 1
-        return super().__matmul__(other)
-
-
-def _unscreened_mass_solve(M, b):
-    """``solve_mass`` with the CG loop it had before its stop test was
-    screened: the exact backward error, one product with M, at every step."""
-    M = M.tocsr()
-    d = np.asarray(M.sum(axis=1)).ravel()
-
-    def cg(rhs):
-        x = np.zeros_like(rhs)
-        r = rhs
-        scale = np.abs(rhs)
-        p = z = r / d
-        rz = r @ z
-        for _ in range(fem.MASS_CG_MAXITER):
-            if fem._backward_error(r, M @ np.abs(x) + scale) <= BACKWARD_ERROR_BOUND:
-                break
-            q = M @ p
-            alpha = rz / (p @ q)
-            x = x + alpha * p
-            r = r - alpha * q
-            z = r / d
-            rz, rz_prev = r @ z, rz
-            p = z + (rz / rz_prev) * p
-        return x
-
-    if b.ndim == 1:
-        return fem._solve_refined(M.dot, M.dot, cg, b)
-    return np.column_stack([fem._solve_refined(M.dot, M.dot, cg, col) for col in b.T])
-
-
-def _counted(monkeypatch, name):
-    """Replace ``fem.<name>`` by a wrapper that records each call's arguments."""
-    calls, fn = [], getattr(fem, name)
-    monkeypatch.setattr(fem, name, lambda *args: calls.append(args) or fn(*args))
-    return calls
-
-
-@pytest.mark.parametrize("columns", [1, 3])
-@pytest.mark.parametrize("level", [3, 4, 5, 6])
-def test_screened_mass_solve_is_the_unscreened_one(level, columns, monkeypatch):
-    # Same bits, same stop, with at most 3/4 of the products with M.  The CG loop
-    # forms every product it makes by fem._matvec_into; the only products through
-    # M @ are the contract checks of _solve_refined, one M x and one M |x| each.
-    M, rhs = _perturbed_mass_system(level)
-    b = rhs if columns == 3 else rhs[:, 1]
-    unscreened = _CountingCSR(M)
-    reference = _unscreened_mass_solve(unscreened, b)
-    screened = _CountingCSR(M)
-    loop_products = _counted(monkeypatch, "_matvec_into")
-    checks, solve_refined = [], fem._solve_refined
-    monkeypatch.setattr(fem, "_solve_refined", lambda apply, apply_abs, solve, rhs: solve_refined(
-        apply, lambda x: checks.append(x) or apply_abs(x), solve, rhs))
-    x = solve_mass(screened, b)
-    np.testing.assert_array_equal(x, reference)
-    assert len(checks) >= columns
-    assert screened.products == 2 * len(checks)
-    assert screened.products + len(loop_products) <= 0.75 * unscreened.products
+    with pytest.raises(SolverError, match="MASS_FORM_BOUND") as exc:
+        mass_inverse_form(M, rhs[:, 0])
+    assert f"{fem.MASS_FORM_BOUND:.3g}" in str(exc.value)
+    assert "after 2 CG steps" in str(exc.value)
 
 
 @pytest.mark.parametrize("name", [f"L{level}" for level in range(7)] + ["perturbed-L4"])

@@ -127,7 +127,7 @@ def test_consistent_reconstruction_needs_no_sparse_lu(params, monkeypatch):
     mesh = build_icosphere(1.0, 3)
     form = assemble_quadratic_form(mesh, params)
     u = mesh.vertices[:, 2] ** 2 - 1.0 / 3.0
-    assert np.isfinite(form.evaluate_consistent(u, u))
+    assert np.isfinite(form.evaluate_consistent(u))
     report = taylor_consistency(form, u, mu=0.5, reconstruction="consistent")
     assert np.all(np.isfinite(report.lagrangians))
 

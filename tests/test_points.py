@@ -274,6 +274,29 @@ def test_single_point_energy_converges_to_exact_at_second_order():
     assert errors[-1] <= 2e-3, errors
 
 
+def test_single_point_nodal_values_converge_to_exact_at_second_order():
+    # The hard solution for one point p with Z = 1 is u = g(p . x) / g(1), whose
+    # peak is u(p) = 1.  With the series cut at l_max, |g| <= g(1) (its terms have
+    # positive weights and |P_l| <= 1) bounds the error of the reference by
+    # 2 tail / g(1); l_max = 1000 keeps it below 1% of the level-5 tolerance.
+    p = np.array([0.0, 0.0, 1.0])
+    g1, tail = _exact_green(1.0, l_max=1000)
+    assert 2.0 * tail / g1 <= 1e-2 * 9.5e-4
+    cs = ConstraintSet(p[None, :], np.array([1.0]))
+    errors = []
+    for level in range(2, 6):
+        mesh = build_icosphere(1.0, level)
+        u, _ = solve_hard(assemble_quadratic_form(mesh, ModelParams(1.0, 1.0, 1.0)), cs)
+        exact = _exact_green(np.clip(mesh.vertices @ p, -1.0, 1.0), l_max=1000)[0] / g1
+        errors.append(float(np.max(np.abs(u - exact))))
+    # Measured: 3.52e-2, 1.13e-2, 3.06e-3, 7.53e-4 (ratios 3.13, 3.67, 4.06; level 6:
+    # 1.70e-4, 4.42).  Each ratio must reach 3.0 (local order 1.58), and level 5 stay
+    # within 9.5e-4 (measured + 26%).
+    ratios = [e1 / e2 for e1, e2 in zip(errors, errors[1:])]
+    assert min(ratios) >= 3.0, (errors, ratios)
+    assert errors[-1] <= 9.5e-4, errors
+
+
 def test_point_green_matrix_converges_to_exact_at_second_order():
     # PG = P A_C^{-1} P^T is the discrete Green's function at the attachment
     # points; the hard reactions solve PG lam = Z as the continuum ones solve

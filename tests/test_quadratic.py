@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from spheremem.errors import ParameterError
 from spheremem.fem import assemble_mass
@@ -91,8 +92,26 @@ def test_consistent_evaluation_close_to_lumped(form):
     x = form.mesh.vertices
     u = x[:, 2] ** 2 - 1.0 / 3.0
     lumped = form.evaluate(u, u)
-    consistent = form.evaluate_consistent(u, u)
+    consistent = form.evaluate_consistent(u)
     assert consistent == pytest.approx(lumped, rel=5e-2)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_evaluate_consistent_matches_lu_reference(level):
+    # The same a(u, u), its biharmonic form (S u)^T M^{-1} (S u) taken by a sparse
+    # LU of M with one refinement step.
+    p = ModelParams(kappa=1.5, sigma=0.75, R=2.0)
+    mesh = build_icosphere(p.R, level)
+    form = assemble_quadratic_form(mesh, p)
+    x = mesh.vertices / p.R
+    u = x[:, 2] ** 2 - 1.0 / 3.0 + 0.5 * x[:, 0] * x[:, 1]
+    su = form.S @ u
+    lu = spla.splu(form.M.tocsc())
+    w = lu.solve(su)
+    w += lu.solve(su - form.M @ w)
+    reference = (p.kappa * (su @ w) + (p.sigma - 2.0 * p.kappa / p.R**2) * (u @ su)
+                 - (2.0 * p.sigma / p.R**2) * (u @ (form.M @ u)))
+    assert form.evaluate_consistent(u) == pytest.approx(reference, rel=1e-14)
 
 
 def test_constraint_row_values(form):
