@@ -342,7 +342,7 @@ def _once_refined_lu_form(M, b):
 
 
 @pytest.mark.parametrize("level", range(7))
-def test_mass_inverse_form_matches_lu(level):
+def test_mass_solve_meets_contract_and_matches_lu(level):
     # Certified to MASS_FORM_BOUND = 2 eps relative; measured within 1.9 eps of
     # the reference at levels 0-7.
     M, rhs = _perturbed_mass_system(level)
@@ -366,12 +366,12 @@ def test_mass_inverse_form_products(level, monkeypatch):
         assert len(products) <= 16
 
 
-def test_mass_inverse_form_of_zero_is_zero(mesh):
+def test_mass_solve_of_zero_is_zero(mesh):
     value = mass_inverse_form(assemble_mass(mesh), np.zeros(mesh.num_vertices))
     assert value == 0.0 and isinstance(value, float)
 
 
-def test_mass_inverse_form_cap_raises(monkeypatch):
+def test_mass_solve_contract_miss_raises(monkeypatch):
     # Two CG steps leave the error bound far above 2 eps of the form.
     M, rhs = _perturbed_mass_system(3)
     monkeypatch.setattr(fem, "MASS_CG_MAXITER", 2)
