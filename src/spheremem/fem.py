@@ -14,19 +14,18 @@ Solver contract: x solving K x = b is accepted when its componentwise backward
 error max_i |b - K x|_i / (|K| |x| + |b|)_i is at most ``BACKWARD_ERROR_BOUND``
 (Oettli-Prager; Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
 ed., Thm. 7.3): every row, hard constraint rows included, holds to its own
-scale however large the fourth-order block grows.  The saddle systems, all
-symmetric, are factored by sparse LU in SuperLU's symmetric mode under one
-pivot rule: in a nested-dissection order of the mesh graph
-(``nested_dissection``), every column pivots on its diagonal, which it leaves
-only where that entry is exactly zero or absent (``factor_saddle``).  The
-saddle solves (``solve_saddle``, the point solves) meet the contract by
-refinement on that LU.  The contract stops there: the phase-field flow's
-step solves (``phasefield.FlowSolver.step``) are one solve each on their LU,
-neither refined nor checked.  No caller needs M^{-1} b itself, only the form
-b^T M^{-1} b; ``mass_inverse_form`` computes it by conjugate gradients without
-a factorization (the lumped diagonal preconditions M to condition number 4 at
-every h), to a relative error of at most ``MASS_FORM_BOUND`` that its true
-residual certifies.
+scale however large the fourth-order block grows.  Every saddle matrix
+K = [[A, B^T], [B, -diag(c)]] is a ``SaddleSystem``, the one code that knows
+its layout: it applies K and |K| from the blocks, factors K by sparse LU in
+SuperLU's symmetric mode, every column pivoting on its diagonal in a
+nested-dissection order of the mesh graph (``nested_dissection``), and
+refines the point solves against K to the contract.  The contract stops
+there: the phase-field flow's step solves (``phasefield.FlowSolver.step``)
+are one solve each on their LU, neither refined nor checked.  No caller needs
+M^{-1} b itself, only the form b^T M^{-1} b; ``mass_inverse_form`` computes
+it by conjugate gradients without a factorization (the lumped diagonal
+preconditions M to condition number 4 at every h), to a relative error of at
+most ``MASS_FORM_BOUND`` that its true residual certifies.
 """
 from __future__ import annotations
 
@@ -253,10 +252,11 @@ def nested_dissection(A: sp.spmatrix) -> np.ndarray:
 
 class _PermutedLU:
     """The sparse LU ``lu`` of P K P^T, whose ``solve`` solves K x = b (b one
-    column or several)."""
+    column or several); P numbers the unknowns of A in ``order``, then the
+    rows of B."""
 
-    def __init__(self, lu, perm: np.ndarray):
-        self.lu, self.perm = lu, perm
+    def __init__(self, lu, order: np.ndarray, perm: np.ndarray):
+        self.lu, self.order, self.perm = lu, order, perm
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         y = self.lu.solve(np.asarray(b)[self.perm])
@@ -265,42 +265,14 @@ class _PermutedLU:
         return x
 
 
-def factor_saddle(A: sp.spmatrix, B: sp.spmatrix, compliance: np.ndarray,
-                  order: np.ndarray | None = None) -> _PermutedLU:
-    """Factor K = [[A, B^T], [B, -diag(c)]] by sparse LU in SuperLU's
-    symmetric mode, in nested-dissection order, pivoting on the diagonal.
-
-    A is symmetric in every caller, so K is.  K is permuted symmetrically,
-    the unknowns of A in the order ``order`` (:func:`nested_dissection` of A
-    when None; a caller that factors several matrices of one pattern orders
-    it once) and the rows of B last, and SuperLU factors it in that order
-    with diagonal pivot threshold 0 (Li, ACM TOMS 31 (2005) 302): every
-    column pivots on its diagonal entry, and leaves the diagonal only where
-    that entry is exactly zero or absent.  Refinement against K
-    (``_solve_refined``) answers for the accuracy.  Nested dissection suits
-    K, the symmetric matrix of a surface mesh: A_C = [[A, C^T], [C, 0]] has
-    0.49 M L+U entries at level 4, 2.6 M at level 5 and 12.9 M at level 6,
-    against 0.71 M, 3.76 M and 22.0 M ordered by COLAMD, which minimizes the
-    fill of K^T K instead.
-
-    Returns the LU, whose ``solve`` solves with K itself; a failed
-    factorization raises :class:`SolverError`.
-    """
-    B = B.tocsr()
-    if order is None:
-        order = nested_dissection(A)
-    perm = np.concatenate([order, A.shape[0] + np.arange(B.shape[0])])
-    permuted = sp.bmat([[A, B.T], [B, sp.diags(-compliance)]], format="csc")[perm][:, perm]
-    try:
-        lu = spla.splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SolverError(f"sparse LU of the saddle system failed: {exc}") from exc
-    return _PermutedLU(lu, perm)
-
-
 #: Refinement steps a solve may take to meet ``BACKWARD_ERROR_BOUND``.
 MAX_REFINE = 4
+
+
+def _saddle_product(A, B, d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """[[A, B^T], [B, diag(d)]] x."""
+    n = A.shape[0]
+    return np.concatenate([A @ x[:n] + B.T @ x[n:], B @ x[:n] + d * x[n:]])
 
 
 def _backward_error(r: np.ndarray, scale: np.ndarray) -> float:
@@ -309,59 +281,91 @@ def _backward_error(r: np.ndarray, scale: np.ndarray) -> float:
         return float(np.where(r == 0, 0.0, np.abs(r) / scale).max())
 
 
-def _solve_refined(apply, apply_abs, solve, rhs: np.ndarray) -> np.ndarray:
-    """Solve K x = rhs by the inner solve ``solve`` (r -> K^{-1} r up to
-    roundoff, by a factorization), refined until the componentwise
-    backward error meets ``BACKWARD_ERROR_BOUND``, else :class:`SolverError`
-    after ``MAX_REFINE`` steps.
+class SaddleSystem:
+    """The saddle matrix K(c) = [[A, B^T], [B, -diag(c)]] of a symmetric block
+    A and constraint rows B, for a compliance c >= 0: row i of B is a hard
+    constraint where c_i = 0 and a penalty of compliance c_i where c_i > 0."""
 
-    K enters only through ``apply`` (x -> K x) and ``apply_abs`` (x -> |K| x),
-    so the contract holds on the whole system K however ``solve`` works.
-    """
-    x = solve(rhs)
-    if not np.all(np.isfinite(x)):
-        raise SolverError("inner solve produced a non-finite solution (singular system)")
-    for step in range(MAX_REFINE + 1):
-        r = rhs - apply(x)
-        omega = _backward_error(r, apply_abs(np.abs(x)) + np.abs(rhs))
-        if omega <= BACKWARD_ERROR_BOUND:
-            return x
-        if step < MAX_REFINE:
-            x = x + solve(r)
-    raise SolverError(
-        f"backward error {omega:.3g} exceeds contract {BACKWARD_ERROR_BOUND:.3g} "
-        f"after {MAX_REFINE} refinement steps"
-    )
+    def __init__(self, A: sp.spmatrix, B: sp.spmatrix):
+        self.A, self.B = A, B.tocsr()
+        self._abs = None
+
+    def apply(self, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """K(c) x."""
+        return _saddle_product(self.A, self.B, -c, x)
+
+    def apply_abs(self, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """|K(c)| x; |A| and |B| are formed on the first call and kept."""
+        if self._abs is None:
+            self._abs = abs(self.A), abs(self.B)
+        return _saddle_product(*self._abs, c, x)
+
+    def factor(self, c: np.ndarray, order: np.ndarray | None = None) -> _PermutedLU:
+        """The LU of K(c) by SuperLU in its symmetric mode, the unknowns of A
+        in the order ``order`` (:func:`nested_dissection` of A when None; a
+        caller that factors several matrices of one pattern orders it once),
+        the rows of B last, with diagonal pivot threshold 0 (Li, ACM TOMS 31
+        (2005) 302): a column leaves its diagonal only where that entry is
+        exactly zero or absent, and refinement against K (:meth:`solve`)
+        answers for the accuracy.  Nested dissection suits the symmetric K of
+        a surface mesh: A_C = [[A, C^T], [C, 0]] has 0.49 M, 2.6 M and 12.9 M
+        L+U entries at levels 4-6, against 0.71 M, 3.76 M and 22.0 M ordered
+        by COLAMD, which minimizes the fill of K^T K instead.
+
+        Returns the LU, whose ``solve`` solves with K and whose ``order`` is
+        the order of A used; a failed factorization raises :class:`SolverError`.
+        """
+        A, B = self.A, self.B
+        order = nested_dissection(A) if order is None else order
+        perm = np.concatenate([order, A.shape[0] + np.arange(B.shape[0])])
+        permuted = sp.bmat([[A, B.T], [B, sp.diags(-c)]], format="csc")[perm][:, perm]
+        try:
+            lu = spla.splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
+        except RuntimeError as exc:
+            raise SolverError(f"sparse LU of the saddle system failed: {exc}") from exc
+        return _PermutedLU(lu, order, perm)
+
+    def solve(self, c: np.ndarray, rhs: np.ndarray, inner) -> np.ndarray:
+        """x with K(c) x = rhs by the inner solve ``inner`` (r -> K(c)^{-1} r up
+        to roundoff, by a factorization), refined against K(c) until the
+        componentwise backward error max_i |r_i| / (|K| |x| + |rhs|)_i meets
+        ``BACKWARD_ERROR_BOUND``, else :class:`SolverError` after
+        ``MAX_REFINE`` steps."""
+        x = inner(rhs)
+        if not np.all(np.isfinite(x)):
+            raise SolverError("inner solve produced a non-finite solution (singular system)")
+        for step in range(MAX_REFINE + 1):
+            r = rhs - self.apply(c, x)
+            omega = _backward_error(r, self.apply_abs(c, np.abs(x)) + np.abs(rhs))
+            if omega <= BACKWARD_ERROR_BOUND:
+                return x
+            if step < MAX_REFINE:
+                x = x + inner(r)
+        raise SolverError(
+            f"backward error {omega:.3g} exceeds contract {BACKWARD_ERROR_BOUND:.3g} "
+            f"after {MAX_REFINE} refinement steps"
+        )
 
 
 def solve_saddle(
     A: sp.spmatrix, B: sp.spmatrix, f: np.ndarray, g: np.ndarray,
     compliance: np.ndarray, labels: list[str],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve [[A, B^T], [B, -diag(c)]] [x; lam] = [f; g] by one sparse direct
-    factorization of the assembled system K, refined by ``_solve_refined``.
+    """Solve K [x; lam] = [f; g], K = [[A, B^T], [B, -diag(c)]] the
+    :class:`SaddleSystem` of compliance c, by its LU refined to the contract.
 
-    The compliance c makes row i of B a hard constraint (B x)_i = g_i where
-    c_i = 0, and a penalty |(B x - g)_i|^2 / (2 c_i) where c_i > 0, whose
-    multiplier is the reaction lam_i = (B x - g)_i / c_i; ``labels`` names the
-    rows of B.
-
-    Returns ``(x, lam)``.  The hard rows of B must have full row rank
-    (:class:`RankDeficiencyError` names the dependent ones), and the solution
-    of the assembled system K must meet the module's contract: componentwise
-    backward error max_i |r_i| / (|K| |(x, lam)| + |(f, g)|)_i at most
-    ``BACKWARD_ERROR_BOUND``, else :class:`SolverError` reports both.
+    Returns ``(x, lam)``; where c_i > 0 the multiplier is the reaction lam_i
+    = (B x - g)_i / c_i, and ``labels`` names the rows of B.  The hard rows of
+    B must have full row rank (:class:`RankDeficiencyError` names the
+    dependent ones).  No solve path of the package calls it: the tests take it
+    as their reference solve of one whole K, and the benchmark traces it by
+    name.
     """
-    B = B.tocsr()
-    c = np.asarray(compliance, dtype=float)
-    _check_constraint_rank(B, labels, c)
-    lu = factor_saddle(A, B, c)
-    K = sp.bmat([[A, B.T], [B, sp.diags(-c)]], format="csc")
-    absK = abs(K)
-    rhs = np.concatenate([np.asarray(f, dtype=float), np.asarray(g, dtype=float)])
-    sol = _solve_refined(K.dot, absK.dot, lu.solve, rhs)
-    n = A.shape[0]
-    return sol[:n], sol[n:]
+    system, c = SaddleSystem(A, B), np.asarray(compliance, dtype=float)
+    _check_constraint_rank(system.B, labels, c)
+    sol = system.solve(c, np.concatenate([f, g], dtype=float), system.factor(c).solve)
+    return sol[:A.shape[0]], sol[A.shape[0]:]
 
 
 #: The certified relative error of a consistent-mass form b^T M^{-1} b

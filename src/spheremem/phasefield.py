@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError, SolverError, StepRejectedError, check_finite
-from .fem import factor_saddle
+from .fem import SaddleSystem
 from .mesh import mesh_stats
 from .model import ModelParams, QuadraticForm
 
@@ -232,9 +232,10 @@ class FlowSolver:
     energy once, of the new state; the caller passes the energy it starts
     from, and may pass its products.  :func:`run_flow` keeps two solvers.
 
-    K is factored in ``order``, or in the order ``factor_saddle`` takes for
-    it when None; the order used is kept as ``self.order``, so that the
-    solvers of one flow share it.
+    K is factored as a :class:`fem.SaddleSystem` with its five hard rows, in
+    ``order``, or in the nested-dissection order it takes when None; the
+    order used is kept as ``self.order``, so that the solvers of one flow
+    share it.
     """
 
     def __init__(self, form: QuadraticForm, pf: PhaseFieldParams, tau: float,
@@ -247,11 +248,11 @@ class FlowSolver:
             raise ParameterError("tau must be positive")
         self.n = form.mesh.num_vertices
         self.C = coupling_operator(form, pf)
-        c = form.constraints
         # Hard rows: the phi mean, then the u mean and the three u translation modes.
-        B = sp.block_diag([c[:1], c])
-        self.lu = factor_saddle(flow_operator(form, pf, self.C, self.tau), B, np.zeros(5), order)
-        self.order = self.lu.perm[:2 * self.n]
+        B = sp.block_diag([form.constraints[:1], form.constraints])
+        K = SaddleSystem(flow_operator(form, pf, self.C, self.tau), B)
+        self.lu = K.factor(np.zeros(5), order)
+        self.order = self.lu.order
         self.g = np.concatenate([[pf.alpha * form.area], np.zeros(4)])
 
     def step(self, state: PhaseState, e_old: float, products: StateProducts | None = None
@@ -345,8 +346,9 @@ def run_flow(
     rejection falls back to, or the enlarged tau probed again after it)
     factors nothing.  The older kept solver is released before a new one is
     factored, so no more than two factorizations are alive at a time.  The
-    first solver's LU takes its order from ``factor_saddle``; the others factor
-    in it, as :func:`flow_operator` has one pattern at every tau.
+    first solver's LU takes its nested-dissection order from its
+    :class:`fem.SaddleSystem`; the others factor in it, as
+    :func:`flow_operator` has one pattern at every tau.
 
     The energy is evaluated once for the initial state and then once per
     step by :meth:`FlowSolver.step`; the logged value of an accepted step

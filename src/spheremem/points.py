@@ -21,8 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GeometryError, ParameterError, check_finite
-from .fem import (PointLocator, _check_constraint_rank, _solve_refined, factor_saddle,
-                  h2_norm)
+from .fem import PointLocator, SaddleSystem, _check_constraint_rank, h2_norm
 from .model import QuadraticForm
 
 #: Points closer than this (relative to R) are rejected as duplicates.
@@ -85,9 +84,10 @@ def _check_resolved(P: sp.csr_matrix) -> None:
 
 
 class _PointSystem:
-    """The saddle systems K(delta) = [[A, B^T], [B, -diag(c)]] of one form and
-    constraint set, with B = [C; P] and compliance c = 0 on the four
-    orthogonality rows C and ``delta`` (0 for the hard problem) on the point rows P.
+    """The saddle systems K(delta) of one form and constraint set: ``system``,
+    the :class:`fem.SaddleSystem` of A and B = [C; P], at compliance c = 0 on
+    the four orthogonality rows C and ``delta`` (0 for the hard problem) on
+    the point rows P.
 
     Every K(delta) shares the block A_C = [[A, C^T], [C, 0]], which is factored
     once here; G = A_C^{-1} [P^T; 0] takes one multi-column back-solve and
@@ -100,33 +100,23 @@ class _PointSystem:
         P = sp.vstack([locator.row(p) for p in cs.points]).tocsr()
         _check_resolved(P)
         self.form, self.cs, self.P = form, cs, P
-        self.B = sp.vstack([form.constraints, P]).tocsr()
-        self.absA, self.absB = abs(form.A), abs(self.B)
+        self.system = SaddleSystem(form.A, sp.vstack([form.constraints, P]))
         self.labels = ["c0 (mean)", "c1 (nu_x)", "c2 (nu_y)", "c3 (nu_z)"] + [
             f"point {j} at {cs.points[j].tolist()}" for j in range(cs.num_points)
         ]
-        self.lu = factor_saddle(form.A, form.constraints, np.zeros(4))
+        self.lu = SaddleSystem(form.A, form.constraints).factor(np.zeros(4))
         n = form.mesh.num_vertices
         self.G = self.lu.solve(np.vstack([P.T.toarray(), np.zeros((4, cs.num_points))]))
         self.PG = P @ self.G[:n]
 
     def solve(self, delta: float, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(u, lam) with K(delta) [u; mu; lam] = [0; 0; g], refined against the
-        whole K(delta) to the contract of :func:`fem.solve_saddle`; lam holds
-        the point multipliers."""
-        form, P, B, absA, absB = self.form, self.P, self.B, self.absA, self.absB
-        n, L = form.mesh.num_vertices, self.cs.num_points
+        whole K(delta) by :meth:`fem.SaddleSystem.solve`; lam holds the point
+        multipliers."""
+        P, n, L = self.P, self.form.mesh.num_vertices, self.cs.num_points
         c = np.r_[np.zeros(4), np.full(L, delta)]
-        _check_constraint_rank(B, self.labels, c)
+        _check_constraint_rank(self.system.B, self.labels, c)
         schur = self.PG + delta * np.eye(L)
-
-        def apply(x):
-            u, w = x[:n], x[n:]
-            return np.concatenate([form.A @ u + B.T @ w, B @ u - c * w])
-
-        def apply_abs(x):
-            u, w = x[:n], x[n:]
-            return np.concatenate([absA @ u + absB.T @ w, absB @ u + c * w])
 
         def inner(r):
             # The first right-hand side is zero above the point rows: y = 0 needs no solve.
@@ -134,7 +124,7 @@ class _PointSystem:
             lam = np.linalg.solve(schur, P @ y[:n] - r[n + 4:])
             return np.concatenate([y - self.G @ lam, lam])
 
-        sol = _solve_refined(apply, apply_abs, inner, np.concatenate([np.zeros(n + 4), g]))
+        sol = self.system.solve(c, np.concatenate([np.zeros(n + 4), g]), inner)
         return sol[:n], sol[n + 4:]
 
     def equilibrium(self, delta: float) -> tuple[np.ndarray, SolveReport]:

@@ -9,9 +9,9 @@ from spheremem.errors import GeometryError, MeshTopologyError, RankDeficiencyErr
 from spheremem.fem import (
     BACKWARD_ERROR_BOUND,
     PointLocator,
+    SaddleSystem,
     assemble_mass,
     assemble_stiffness,
-    factor_saddle,
     h2_norm,
     laplacian_apply,
     lumped_diagonal,
@@ -23,7 +23,8 @@ from spheremem import fem
 from spheremem.mesh import TriangleMesh, build_icosphere, mesh_stats
 from spheremem.model import ModelParams, assemble_quadratic_form
 from spheremem.oracle import perturb
-from spheremem.phasefield import FlowSolver, PhaseFieldParams
+from spheremem.phasefield import FlowSolver, PhaseFieldParams, coupling_operator, flow_operator
+from spheremem.points import ConstraintSet, _PointSystem, icosahedron_points
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +238,7 @@ def _unit_mean_row(n):
 
 
 def _hard_saddle(A, B):
-    """K = [[A, B^T], [B, 0]], the matrix factor_saddle factors with zero compliance."""
+    """K = [[A, B^T], [B, 0]], the matrix SaddleSystem(A, B) factors with zero compliance."""
     return sp.bmat([[A, B.T], [B, None]], format="csc")
 
 
@@ -259,7 +260,7 @@ def test_factor_saddle_orders_and_solves_any_graph(name):
     perm = nested_dissection(A)
     np.testing.assert_array_equal(np.sort(perm), np.arange(n))
     B = _unit_mean_row(n)
-    K, lu = _hard_saddle(A, B), factor_saddle(A, B, np.zeros(1))
+    K, lu = _hard_saddle(A, B), SaddleSystem(A, B).factor(np.zeros(1))
     rhs = np.random.default_rng(4).standard_normal(n + 1)
     x = lu.solve(rhs)
     np.testing.assert_allclose(K @ x, rhs, rtol=0, atol=1e-12 * np.abs(rhs).max())
@@ -269,7 +270,7 @@ def test_permuted_solve_takes_several_right_hand_sides():
     A = _mesh_operator(3)
     n = A.shape[0]
     B = _unit_mean_row(n)
-    K, lu = _hard_saddle(A, B), factor_saddle(A, B, np.zeros(1))
+    K, lu = _hard_saddle(A, B), SaddleSystem(A, B).factor(np.zeros(1))
     rhs = np.random.default_rng(5).standard_normal((n + 1, 3))
     X = lu.solve(rhs)
     assert X.shape == rhs.shape
@@ -283,7 +284,7 @@ def test_nested_dissection_fills_less_than_colamd():
     # The points' orthogonality block A_C = [[A, C^T], [C, 0]] at level 4.
     form = assemble_quadratic_form(build_icosphere(1.0, 4), ModelParams(kappa=1.0, sigma=1.0, R=1.0))
     K = _hard_saddle(form.A, form.constraints)
-    lu = factor_saddle(form.A, form.constraints, np.zeros(4))
+    lu = SaddleSystem(form.A, form.constraints).factor(np.zeros(4))
     colamd = spla.splu(K, permc_spec="COLAMD", diag_pivot_thresh=0.1,
                        options=dict(SymmetricMode=True))
     assert lu.lu.nnz <= 0.8 * colamd.nnz
@@ -299,7 +300,7 @@ def _flow_lu(level, coupling, tau):
 def _orthogonality_lu(level):
     """The LU of the points' A_C = [[A, C^T], [C, 0]]."""
     form = assemble_quadratic_form(build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
-    return factor_saddle(form.A, form.constraints, np.zeros(4))
+    return SaddleSystem(form.A, form.constraints).factor(np.zeros(4))
 
 
 _SADDLE_LUS = {
@@ -317,6 +318,45 @@ def test_saddle_lu_pivots_on_its_diagonal(name):
     build, *args = _SADDLE_LUS[name]
     factors = build(*args).lu
     np.testing.assert_array_equal(factors.perm_r, factors.perm_c)
+
+
+def _point_saddle(delta):
+    """The points' K(delta) at level 3, icosahedron preset: its system and compliance."""
+    form = assemble_quadratic_form(build_icosphere(1.0, 3), ModelParams(1.0, 1.0, 1.0))
+    system = _PointSystem(form, ConstraintSet(icosahedron_points(), np.ones(12))).system
+    return system, np.r_[np.zeros(4), np.full(12, delta)]
+
+
+def _flow_saddle(coupling):
+    """The flow operator at level 3 with its five hard rows (phi mean, u mean, u modes)."""
+    form = assemble_quadratic_form(build_icosphere(1.0, 3), ModelParams(1.0, 1.0, 1.0))
+    pf = PhaseFieldParams(epsilon=0.15, b=1.0, coupling=coupling, alpha=-0.3, tau=0.16)
+    A = flow_operator(form, pf, coupling_operator(form, pf), pf.tau)
+    return SaddleSystem(A, sp.block_diag([form.constraints[:1], form.constraints])), np.zeros(5)
+
+
+_SADDLE_SYSTEMS = {
+    "points L3 hard": (_point_saddle, 0.0),
+    "points L3 delta=1e-4": (_point_saddle, 1e-4),
+    "flow L3 Lambda=1": (_flow_saddle, 1.0),
+    "flow L3 Lambda=5": (_flow_saddle, 5.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_SADDLE_SYSTEMS))
+def test_saddle_system_is_the_assembled_k(name):
+    build, arg = _SADDLE_SYSTEMS[name]
+    system, c = build(arg)
+    K = sp.bmat([[system.A, system.B.T], [system.B, sp.diags(-c)]], format="csr")
+    x = np.random.default_rng(6).standard_normal(K.shape[0])
+    # The products from the blocks sum each row of K x in another order;
+    # measured within 0.94 eps of (|K| |x|)_i.
+    tol = 8.0 * np.finfo(float).eps * (abs(K) @ np.abs(x))
+    assert np.all(np.abs(system.apply(c, x) - K @ x) <= tol)
+    assert np.all(np.abs(system.apply_abs(c, x) - abs(K) @ x) <= tol)
+    # Its LU solves the same K: measured within 3.4e-12 of x, relative in max norm.
+    y = system.factor(c).solve(system.apply(c, x))
+    assert np.max(np.abs(y - x)) <= 1e-10 * np.max(np.abs(x))
 
 
 def _perturbed_surface(level):

@@ -328,15 +328,15 @@ def test_flow_factors_once_per_distinct_tau(form3, monkeypatch):
     alive = weakref.WeakSet()
     built_with_alive = []
     step_taus = []
-    init, factor, step = FlowSolver.__init__, phasefield.factor_saddle, FlowSolver.step
+    init, factor, step = FlowSolver.__init__, fem.SaddleSystem.factor, FlowSolver.step
 
     def tracked_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         alive.add(self)
 
-    def counted_factor(*args):
+    def counted_factor(self, *args):
         built_with_alive.append(len(alive) + 1)  # the solver being built counts too
-        return factor(*args)
+        return factor(self, *args)
 
     def recorded_step(self, *args):
         step_taus.append(self.tau)
@@ -344,7 +344,7 @@ def test_flow_factors_once_per_distinct_tau(form3, monkeypatch):
 
     monkeypatch.setattr(FlowSolver, "__init__", tracked_init)
     monkeypatch.setattr(FlowSolver, "step", recorded_step)
-    monkeypatch.setattr(phasefield, "factor_saddle", counted_factor)
+    monkeypatch.setattr(fem.SaddleSystem, "factor", counted_factor)
     pf = coarsen_params(0)
     _, report = run_flow(initial_state(form3, pf), form3, pf)
     assert report.rejected_steps > 0
@@ -372,11 +372,11 @@ def test_flow_operator_order_is_the_order_at_every_tau(form2, form3, level, coup
 def test_flow_orders_its_operator_once(form3, monkeypatch):
     orders, factored = [], []
     order_of = fem.nested_dissection
-    factor = phasefield.factor_saddle
+    factor = fem.SaddleSystem.factor
     monkeypatch.setattr(fem, "nested_dissection",
                         lambda *args: orders.append(1) or order_of(*args))
-    monkeypatch.setattr(phasefield, "factor_saddle",
-                        lambda *args: factored.append(args[3]) or factor(*args))
+    monkeypatch.setattr(fem.SaddleSystem, "factor",
+                        lambda self, c, order=None: factored.append(order) or factor(self, c, order))
     pf = coarsen_params(2)
     run_flow(initial_state(form3, pf), form3, pf)
     # The first solver's LU is ordered by fem; the others factor in its order.
