@@ -8,11 +8,15 @@ Assembles the symmetric operator realizing
 
 with the biharmonic part built from the lumped-mass Laplacian
 reconstruction, together with the four mass-weighted constraint rows
-(1, .) and (nu_i, .) that span the degenerate directions.
+(1, .) and (nu_i, .) that span the degenerate directions.  The assembly forms
+M, S, M_L and the constraint rows; the sparse operator A of the form is built
+on its first use, so a run that never reads it (the consistent Taylor check)
+never forms it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,15 +62,23 @@ def constraint_rows(mesh: TriangleMesh, M: sp.spmatrix) -> sp.csr_matrix:
 
 @dataclass
 class QuadraticForm:
-    """Assembled quadratic form with its FEM operators and constraints."""
+    """Assembled quadratic form with its FEM operators and constraints.
+
+    The operator ``A`` is built by :func:`_bending_operator` on first use and
+    kept; M, S, the lumped diagonal and the constraint rows are assembled.
+    """
 
     mesh: TriangleMesh
     params: ModelParams
     M: sp.csr_matrix
     S: sp.csr_matrix
     m_lumped: np.ndarray
-    A: sp.csr_matrix
     constraints: sp.csr_matrix    # 4 x n: rows c0, c1, c2, c3
+
+    @cached_property
+    def A(self) -> sp.csr_matrix:
+        """The sparse operator of a(.,.), lumped reconstruction."""
+        return _bending_operator(self.params, self.M, self.S, self.m_lumped)
 
     def evaluate(self, u: np.ndarray, v: np.ndarray) -> float:
         return float(u @ (self.A @ v))
@@ -120,8 +132,22 @@ def _symmetrized(A: sp.spmatrix) -> sp.csr_matrix:
     return sym
 
 
+def _bending_operator(params: ModelParams, M: sp.csr_matrix, S: sp.csr_matrix,
+                      mL: np.ndarray) -> sp.csr_matrix:
+    """A = kappa S^T M_L^-1 S + (sigma - 2 kappa/R^2) S - (2 sigma/R^2) M, exactly
+    symmetric; the one builder of ``QuadraticForm.A``."""
+    R2 = params.R**2
+    # Rebound at each step so that no intermediate outlives the next one.
+    A = S.T @ sp.diags(1.0 / mL) @ S
+    A.data *= params.kappa
+    A = A + (params.sigma - 2.0 * params.kappa / R2) * S
+    A = A - (2.0 * params.sigma / R2) * M
+    return _symmetrized(A)   # exact symmetry despite roundoff
+
+
 def assemble_quadratic_form(mesh: TriangleMesh, params: ModelParams) -> QuadraticForm:
-    """Assemble a(.,.) and the constraint rows on a sphere mesh.
+    """Assemble a(.,.) and the constraint rows on a sphere mesh; its operator
+    ``A`` is built on first use.
 
     The mesh radius must match ``params.R``.
     """
@@ -132,16 +158,8 @@ def assemble_quadratic_form(mesh: TriangleMesh, params: ModelParams) -> Quadrati
     M = assemble_mass(mesh)
     S = assemble_stiffness(mesh)
     mL = lumped_diagonal(mesh)
-    R2 = params.R**2
-    # A = kappa S^T M_L^-1 S + (sigma - 2 kappa/R^2) S - (2 sigma/R^2) M, rebound
-    # at each step so that no intermediate outlives the next one.
-    A = S.T @ sp.diags(1.0 / mL) @ S
-    A.data *= params.kappa
-    A = A + (params.sigma - 2.0 * params.kappa / R2) * S
-    A = A - (2.0 * params.sigma / R2) * M
-    A = _symmetrized(A)   # exact symmetry despite roundoff
     C = constraint_rows(mesh, M)
-    return QuadraticForm(mesh=mesh, params=params, M=M, S=S, m_lumped=mL, A=A, constraints=C)
+    return QuadraticForm(mesh=mesh, params=params, M=M, S=S, m_lumped=mL, constraints=C)
 
 
 def quadratic_lagrangian(u: np.ndarray, mu: float, form: QuadraticForm) -> float:

@@ -90,20 +90,24 @@ class _PointSystem:
     the point rows P.
 
     Every K(delta) shares the block A_C = [[A, C^T], [C, 0]], which is factored
-    once here; G = A_C^{-1} [P^T; 0] takes one multi-column back-solve and
-    PG = P G_u is L x L.  A solve then eliminates the point rows: y = A_C^{-1} r1,
-    lam = (PG + delta I)^{-1} (P y_u - r2), x = y - G lam.
+    once here, after the rank check of its rows C; G = A_C^{-1} [P^T; 0] takes
+    one multi-column back-solve and PG = P G_u is L x L.  A solve then
+    eliminates the point rows: y = A_C^{-1} r1, lam = (PG + delta I)^{-1}
+    (P y_u - r2), x = y - G lam.  A penalty's only hard rows are C, so only a
+    delta = 0 solve checks the rank of [C; P].
     """
 
     def __init__(self, form: QuadraticForm, cs: ConstraintSet):
         locator = PointLocator(form.mesh)
         P = sp.vstack([locator.row(p) for p in cs.points]).tocsr()
+        del locator   # its centroids are not held through the factorization
         _check_resolved(P)
         self.form, self.cs, self.P = form, cs, P
         self.system = SaddleSystem(form.A, sp.vstack([form.constraints, P]))
         self.labels = ["c0 (mean)", "c1 (nu_x)", "c2 (nu_y)", "c3 (nu_z)"] + [
             f"point {j} at {cs.points[j].tolist()}" for j in range(cs.num_points)
         ]
+        _check_constraint_rank(form.constraints, self.labels[:4], np.zeros(4))
         self.lu = SaddleSystem(form.A, form.constraints).factor(np.zeros(4))
         n = form.mesh.num_vertices
         self.G = self.lu.solve(np.vstack([P.T.toarray(), np.zeros((4, cs.num_points))]))
@@ -115,7 +119,8 @@ class _PointSystem:
         multipliers."""
         P, n, L = self.P, self.form.mesh.num_vertices, self.cs.num_points
         c = np.r_[np.zeros(4), np.full(L, delta)]
-        _check_constraint_rank(self.system.B, self.labels, c)
+        if delta == 0:
+            _check_constraint_rank(self.system.B, self.labels, c)
         schur = self.PG + delta * np.eye(L)
 
         def inner(r):

@@ -284,6 +284,29 @@ dir = {out}
     assert (out / "taylor_residuals.csv").exists()
 
 
+def test_cli_consistent_taylor_check_never_builds_the_operator(tmp_path, monkeypatch):
+    # The consistent check reads S, M and the constraint rows, never A.
+    import spheremem.model as model
+
+    monkeypatch.setattr(model, "_bending_operator",
+                        lambda *a: pytest.fail("the operator A was built"))
+    cfg = tmp_path / "t.cfg"
+    out = tmp_path / "out"
+    write(cfg, f"""[mesh]
+level = 3
+
+[taylor]
+field = z2
+mu = 0.5
+reconstruction = consistent
+
+[output]
+dir = {out}
+""")
+    assert main(["taylor-check", "--config", str(cfg)]) == 0
+    assert (out / "taylor_residuals.csv").exists()
+
+
 def test_cli_phase_flow(tmp_path):
     cfg = tmp_path / "p.cfg"
     out = tmp_path / "out"

@@ -230,6 +230,23 @@ def test_taylor_checks_no_connectivity(params, monkeypatch):
     assert calls == []
 
 
+def test_lumped_taylor_builds_the_operator_once(params, monkeypatch):
+    # The lumped quadratic value reads A: it is built on that first use and kept.
+    import spheremem.model as model
+
+    built = []
+    build = model._bending_operator
+    monkeypatch.setattr(model, "_bending_operator", lambda *a: built.append(1) or build(*a))
+    mesh = build_icosphere(1.0, 2)
+    form = assemble_quadratic_form(mesh, params)
+    assert built == []
+    u = mesh.vertices[:, 0] * mesh.vertices[:, 1]
+    taylor_consistency(form, u, mu=0.5, rho_list=(0.1, 0.05, 0.025), reconstruction="lumped")
+    assert built == [1]
+    assert form.A is form.A
+    assert built == [1]
+
+
 def test_taylor_csv_has_units_header(params):
     mesh = build_icosphere(1.0, 2)
     form = assemble_quadratic_form(mesh, params)

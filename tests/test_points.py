@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from spheremem import fem, points
-from spheremem.errors import GeometryError, ParameterError
+from spheremem.errors import GeometryError, ParameterError, RankDeficiencyError
 from spheremem.fem import PointLocator, h2_norm, solve_saddle
 from spheremem.mesh import build_icosphere
 from spheremem.model import ModelParams, assemble_quadratic_form
@@ -95,6 +96,33 @@ def test_study_forms_the_absolute_blocks_once(form, monkeypatch):
     convergence_study(form, ConstraintSet(icosahedron_points(), np.ones(12)), [1e-2, 1e-4])
     n = form.mesh.num_vertices
     assert sorted(taken) == [(16, n), (n, n)]
+
+
+@pytest.mark.parametrize("run", [
+    solve_hard,
+    lambda form, cs: convergence_study(form, cs, [1e-2, 1e-3]),
+], ids=["solve_hard", "convergence_study"])
+def test_hard_points_on_the_vertices_of_level_0_are_rank_deficient(run):
+    # On the icosahedron itself the 12 point rows span every vertex value, so
+    # [C; P] has four rows too many; the dependent ones named are point rows.
+    form = assemble_quadratic_form(build_icosphere(1.0, 0), ModelParams(1.0, 1.0, 1.0))
+    with pytest.raises(RankDeficiencyError, match="dependent rows") as exc:
+        run(form, ConstraintSet(icosahedron_points(), np.ones(12)))
+    assert len(exc.value.dependent_rows) == 4
+    assert all(row >= 4 for row in exc.value.dependent_rows)
+    assert "'point " in str(exc.value) and "c0" not in str(exc.value)
+
+
+def test_study_checks_the_constraint_rank_twice(form, monkeypatch):
+    # The orthogonality rows are checked once, before A_C is factored, and
+    # [C; P] once, by the hard solve; a penalty solve checks nothing.
+    calls = []
+    qr = scipy.linalg.qr
+    monkeypatch.setattr(scipy.linalg, "qr", lambda *a, **k: calls.append(a[0].shape) or qr(*a, **k))
+    convergence_study(form, ConstraintSet(icosahedron_points(), np.ones(12)),
+                      [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    n = form.mesh.num_vertices
+    assert calls == [(n, 4), (n, 16)]
 
 
 @pytest.mark.parametrize("level", [3, 4])
