@@ -107,6 +107,15 @@ def run_config(subcommand: str, body, config_path: str) -> int:
     return 0
 
 
+def _count(cfg: RunConfig, key: str, default: int) -> int:
+    """A nonnegative point count of the [points] section; zero points is a
+    domain error of the solve, a negative count a configuration error."""
+    count = cfg.get("points", key, default, int)
+    if count < 0:
+        raise ConfigError(f"[points] {key} must be nonnegative, got {count}")
+    return count
+
+
 def _constraint_points(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """Resolve the [points] section to (points, heights)."""
     preset = cfg.get("points", "preset", "icosahedron", str)
@@ -116,13 +125,11 @@ def _constraint_points(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
         pts = icosahedron_points(cfg.R)
         heights = cfg.floats("points", "heights", [1.0])
     elif preset == "equator":
-        count = cfg.get("points", "count", 10, int)
-        pts = equator_points(count, cfg.R)
+        pts = equator_points(_count(cfg, "count", 10), cfg.R)
         heights = cfg.floats("points", "heights", [1.0])
     elif preset == "polar_rings":
         angle = cfg.get("points", "ring_angle_deg", 10.0, float)
-        per_ring = cfg.get("points", "points_per_ring", 6, int)
-        pts, h = polar_ring_points(angle, per_ring, cfg.R)
+        pts, h = polar_ring_points(angle, _count(cfg, "points_per_ring", 6), cfg.R)
         heights = cfg.floats("points", "heights", list(h))
     else:
         pts = cfg.point_array()

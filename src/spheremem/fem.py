@@ -1,14 +1,16 @@
 """Piecewise-linear surface FEM: mass/stiffness assembly, point evaluation,
 norms, the direct saddle-point solver and the consistent-mass form.
 
-All operators are assembled triangle-wise on the polyhedral surface: the
-diagonal and upper entries of each triangle's symmetric 3x3 local matrix are
-summed by ``np.bincount`` straight into the CSR pattern its connectivity owns
+All operators are assembled triangle-wise on the polyhedral surface.  M and
+S come from the one pass over the surface's corners that also measures its
+areas, normals and volume (``mesh._measure_triangles``): the diagonal and
+upper entries of each triangle's symmetric 3x3 local matrices are summed by
+``np.bincount`` straight into the CSR pattern its connectivity owns
 (``TriangleMesh.pattern``, derived once per connectivity and shared by every
-displaced surface), and each lower entry copies its upper one, with no COO
-triplets, sort or duplicate sum per assembly and no (m, 3, 3) or (m, 9)
-temporary.  The discrete Laplacian used for
-fourth-order terms is the lumped-mass reconstruction ``lap(u) = -M_L^{-1} S u``.
+displaced surface), both matrices through one set of scatter keys, and each
+lower entry copies its upper one; ``assemble_mass`` and ``assemble_stiffness``
+wrap the data the mesh keeps.  The discrete Laplacian used for fourth-order
+terms is the lumped-mass reconstruction ``lap(u) = -M_L^{-1} S u``.
 
 Solver contract: x solving K x = b is accepted when its componentwise backward
 error max_i |b - K x|_i / (|K| |x| + |b|)_i is at most ``BACKWARD_ERROR_BOUND``
@@ -25,7 +27,8 @@ are one solve each on their LU, neither refined nor checked.  No caller needs
 M^{-1} b itself, only the form b^T M^{-1} b; ``mass_inverse_form`` computes
 it by conjugate gradients without a factorization (the lumped diagonal
 preconditions M to condition number 4 at every h), to a relative error of at
-most ``MASS_FORM_BOUND`` that its true residual certifies.
+most ``MASS_FORM_BOUND`` that its true residual certifies, the forms of
+several vectors with one preconditioner and one set of CG vectors.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import _sparsetools, csgraph
 
 from .errors import GeometryError, RankDeficiencyError, SolverError
-from .mesh import TriangleMesh, _sides, triangle_centroids
+from .mesh import TriangleMesh, triangle_centroids
 
 #: The residual tolerance of the linear solves: it stops the refinement and is
 #: the contract.  The point solves of the penalty studies of the three presets
@@ -52,62 +55,32 @@ BACKWARD_ERROR_BOUND = 64.0 * np.finfo(float).eps
 LOCATE_TOL_REL = 0.05
 
 
-def _scatter(mesh: TriangleMesh, local: np.ndarray) -> sp.csr_matrix:
-    """Sum the triangles' symmetric local matrices into the CSR pattern of
-    ``mesh.pattern``.  ``local`` (m, 6) holds each triangle's local pairs
-    (0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0).
-
-    One bincount sums each diagonal entry and each edge's upper entry (i, j),
-    i < j, over its triangles in triangle order; the lower entry (j, i) then
-    takes the upper one's value, so the two agree bit for bit.
-    """
-    indptr, indices, slots = mesh.pattern
-    keys = np.empty(local.shape, dtype=np.intp)
-    for k in range(3):      # column by column: a strided (m, 3) view is slow to iterate
-        keys[:, k] = slots[:, k]
-        # An edge's (i, j) slot, in row i, precedes its (j, i) slot in row j > i.
-        np.minimum(slots[:, 3 + k], slots[:, 6 + k], out=keys[:, 3 + k])
-    data = np.bincount(keys.ravel(), weights=local.ravel(), minlength=indices.size)
-    del keys
-    upper, lower = np.empty(slots.shape[0], dtype=np.intp), np.empty(slots.shape[0], dtype=np.intp)
-    for k in range(3):
-        np.minimum(slots[:, 3 + k], slots[:, 6 + k], out=upper)
-        np.maximum(slots[:, 3 + k], slots[:, 6 + k], out=lower)
-        data[lower] = data[upper]
+def _pattern_matrix(mesh: TriangleMesh, data: np.ndarray) -> sp.csr_matrix:
+    """The CSR matrix of ``data`` in the mesh's P1 pattern."""
+    indptr, indices = mesh.pattern[:2]
     n = mesh.num_vertices
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def assemble_mass(mesh: TriangleMesh) -> sp.csr_matrix:
-    """P1 mass matrix by exact per-triangle integration, scattered into the
-    mesh's CSR pattern."""
-    # area/6 on the three diagonal pairs, area/12 on the three edges
-    return _scatter(mesh, np.multiply.outer(mesh.areas, np.repeat([2.0, 1.0], 3) / 12.0))
+    """P1 mass matrix by exact per-triangle integration (area/6 on the diagonal
+    pairs, area/12 on the edges), as the mesh's pass scattered it."""
+    return _pattern_matrix(mesh, mesh._geometry.mass)
 
 
 def lumped_diagonal(mesh: TriangleMesh) -> np.ndarray:
     """Diagonal of the lumped mass matrix as a dense vector."""
     diag = np.zeros(mesh.num_vertices)
+    third = mesh.areas / 3.0
     for k in range(3):
-        np.add.at(diag, mesh.triangles[:, k], mesh.areas / 3.0)
+        np.add.at(diag, mesh.triangles[:, k], third)
     return diag
 
 
 def assemble_stiffness(mesh: TriangleMesh) -> sp.csr_matrix:
-    """Cotangent stiffness: S_ij = integral of grad(chi_i) . grad(chi_j),
-    scattered into the mesh's CSR pattern."""
-    quarter = 4.0 * mesh.areas
-    e = tuple(_sides(mesh, ((0, 1), (1, 2), (2, 0))))   # e_k runs from k to k + 1
-    local = np.empty((mesh.num_triangles, 6))
-    # Edge k, the pair (k, k + 1), faces the angle at vertex k + 2, whose cotangent
-    # is -e_{k+1} . e_{k+2} / (2 area); its off-diagonal weight is -cot/2, and
-    # a diagonal entry is minus the weights of the two edges at its vertex.
-    for k in range(3):
-        local[:, 3 + k] = np.einsum("ij,ij->i", e[(k + 1) % 3], e[(k + 2) % 3]) / quarter
-    del e, quarter
-    for k in range(3):
-        local[:, k] = -(local[:, 3 + k] + local[:, 3 + (k + 2) % 3])
-    return _scatter(mesh, local)
+    """Cotangent stiffness: S_ij = integral of grad(chi_i) . grad(chi_j), as
+    the mesh's pass scattered it."""
+    return _pattern_matrix(mesh, mesh._geometry.stiffness)
 
 
 def _closest_point_on_triangle(p: np.ndarray, a, b, c):
@@ -395,10 +368,12 @@ def _matvec_into(M: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
-def mass_inverse_form(M: sp.spmatrix, b: np.ndarray) -> float:
-    """b^T M^{-1} b for a P1 mass matrix M and one vector b, to a certified
-    relative error of at most ``MASS_FORM_BOUND``, by conjugate gradients
-    preconditioned with the row sums D of M, from x = 0.
+def mass_inverse_form(M: sp.spmatrix, b: np.ndarray):
+    """b^T M^{-1} b for a P1 mass matrix M, to a certified relative error of at
+    most ``MASS_FORM_BOUND``, by conjugate gradients preconditioned with the
+    row sums D of M, from x = 0.  ``b`` is one vector, whose form is returned
+    as a float, or k vectors as the columns of an (n, k) array, whose k forms
+    are returned as a list; they share D and the CG's vectors.
 
     For any x with residual r = b - M x, the value v = b^T x + r^T x falls
     short of b^T M^{-1} b by exactly r^T M^{-1} r, the squared M-norm of the
@@ -417,7 +392,14 @@ def mass_inverse_form(M: sp.spmatrix, b: np.ndarray) -> float:
     M = M.tocsr()
     d = np.asarray(M.sum(axis=1)).ravel()
     b = np.asarray(b, dtype=float)
-    x, r, p, w = np.zeros((4, M.shape[0]))
+    x, r, p, w = np.empty((4, M.shape[0]))
+    values = [_mass_cg(M, d, column, x, r, p, w) for column in (b.T if b.ndim == 2 else [b])]
+    return values if b.ndim == 2 else values[0]
+
+
+def _mass_cg(M, d, b, x, r, p, w) -> float:
+    """The form b^T M^{-1} b of ``mass_inverse_form`` in the vectors x, r, p, w."""
+    x.fill(0.0)
     np.copyto(r, b)
     np.divide(r, d, out=p)
     rz, bx = r @ p, 0.0

@@ -1,5 +1,5 @@
-"""Icosphere generation, the triangle measures and P1 pattern a mesh keeps,
-and statistics.
+"""Icosphere generation, the triangle measures, P1 pattern and P1 matrix data
+a mesh keeps, and statistics.
 
 The reference surface is the sphere of radius ``R`` triangulated by recursive
 subdivision of a regular icosahedron, with new vertices reprojected to the
@@ -7,11 +7,24 @@ exact sphere.  The icosahedron is oriented with vertices at the north and
 south poles so that the mesh inherits the full icosahedral symmetry group
 about the z-axis (C5 rotations and the S10 rotoreflection), which the
 constraint experiments exploit.
+
+Everything a surface's triangles contribute is measured in one pass over its
+corners, ``_measure_triangles``: the three corners of each triangle are
+gathered once, and from them and their edge vectors come the areas and unit
+normals, the centroids, area and enclosed volume, the longest edge, and the
+local P1 mass and cotangent stiffness values, which one set of scatter keys
+sums into the CSR data of M and S in the connectivity's pattern (the lower
+entry of each edge copies its upper one).  The pass runs over blocks of
+``PASS_BLOCK`` triangles, whose temporaries stay small enough to be reused
+from the heap rather than mapped afresh; a mesh keeps its result, so each
+surface is measured once (Dziuk & Elliott, *Acta Numerica* 22 (2013) 289 for
+the P1 surface matrices).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +36,29 @@ MAX_LEVEL = 8
 #: A triangle whose area is at most this fraction of the largest is degenerate.
 DEGENERATE_REL_AREA = 1e-14
 
+#: Triangles per block of ``_measure_triangles``: a block's (k, 3) float
+#: temporaries take 48 KiB, under glibc's 128 KiB mmap threshold, so they are
+#: served from the heap and reused instead of mapped and faulted in afresh.
+PASS_BLOCK = 2048
+
+#: The P1 mass matrix's local values on the pairs (0, 0), (1, 1), (2, 2),
+#: (0, 1), (1, 2), (2, 0), per unit of the triangle's area.
+MASS_LOCAL = np.repeat([2.0, 1.0], 3) / 12.0
+
+
+class SurfaceMeasures(NamedTuple):
+    """What one pass over a surface's triangle corners measures (read-only
+    arrays).  ``mass`` and ``stiffness`` are the CSR data of M and S in the
+    connectivity's ``pattern``."""
+
+    areas: np.ndarray       # (m,)
+    normals: np.ndarray     # (m, 3), unit, orientation as stored
+    area: float
+    volume: float           # divergence theorem; meaningful on closed surfaces
+    h_max: float            # longest edge
+    mass: np.ndarray
+    stiffness: np.ndarray
+
 
 @dataclass(frozen=True)
 class TriangleMesh:
@@ -30,7 +66,8 @@ class TriangleMesh:
 
     ``radius_hint`` is set when the vertices sample a sphere of that radius
     (the reference configuration); perturbed meshes carry ``None``.  The
-    triangle ``areas`` and ``normals`` are measured on first use and kept, and
+    surface's measures (:class:`SurfaceMeasures`: the triangle ``areas`` and
+    ``normals`` among them) are taken by one pass on first use and kept, and
     so is the CSR ``pattern`` of the P1 matrices, which belongs to the
     connectivity: a surface made by :meth:`moved` shares its mesh's.
     """
@@ -56,7 +93,7 @@ class TriangleMesh:
         return self.triangles.shape[0]
 
     @cached_property
-    def _geometry(self) -> tuple[np.ndarray, np.ndarray]:
+    def _geometry(self) -> SurfaceMeasures:
         return _measure_triangles(self)
 
     @property
@@ -68,10 +105,12 @@ class TriangleMesh:
         return self._geometry[1]
 
     @cached_property
-    def pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR ``(indptr, indices)`` of the P1 matrices on this connectivity and
-        each triangle's ``slots`` in their data, from :func:`_csr_pattern`."""
-        return _csr_pattern(self.triangles, self.num_vertices)
+    def pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The P1 pattern of this connectivity: CSR ``(indptr, indices)``, the
+        scatter ``keys`` of :func:`_scatter_keys` and the ``edges`` slots, from
+        :func:`_csr_pattern`, whose per-triangle slots only the keys keep."""
+        indptr, indices, slots, edges = _csr_pattern(self.triangles, self.num_vertices)
+        return indptr, indices, _scatter_keys(slots), edges
 
     def moved(self, vertices: np.ndarray) -> TriangleMesh:
         """This connectivity at new vertex positions (``radius_hint`` None),
@@ -191,40 +230,110 @@ def validate_closed(mesh: TriangleMesh) -> None:
         raise MeshTopologyError("an edge has no opposite partner; surface not closed")
 
 
-def _sides(mesh: TriangleMesh, pairs):
-    """Yield the side vectors p_j - p_i, one (m, 3) array per pair (i, j) of
-    local vertices, gathered per corner: the (m, 3, 3) array ``p =
-    vertices[triangles]`` is never formed.  Each equals ``p[:, j] - p[:, i]``
-    bit for bit."""
+def _measure_triangles(mesh: TriangleMesh) -> SurfaceMeasures:
+    """The one pass over the surface's corners (module docstring), in blocks of
+    ``PASS_BLOCK`` triangles; raises :class:`MeshTopologyError` for no
+    triangles or a degenerate one: an area not finite or at most
+    :data:`DEGENERATE_REL_AREA` times the largest.
+
+    Each value equals its plain expression on the (m, 3, 3) corner array
+    ``p = vertices[triangles]`` bit for bit: the cross product of p1 - p0 and
+    p2 - p0 (taken as e2 x e0, its exact equal), its norm, the centroids
+    ``p.mean(axis=1)``, the cotangent weights, the longest edge and the sums
+    over all triangles.
+    """
     v, t = mesh.vertices, mesh.triangles
-    for i, j in pairs:
-        e = v[t[:, j]]
-        e -= v[t[:, i]]
-        yield e
-
-
-def _measure_triangles(mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only triangle areas and unit normals (orientation as stored); raises
-    :class:`MeshTopologyError` for no triangles or a degenerate one: an area
-    not finite or at most :data:`DEGENERATE_REL_AREA` times the largest."""
-    cross = np.cross(*_sides(mesh, ((0, 1), (0, 2))))
-    doubled = np.linalg.norm(cross, axis=1)
-    areas = 0.5 * doubled
-    if areas.size == 0:
+    m = t.shape[0]
+    if m == 0:
         raise MeshTopologyError("mesh has no triangles")
+    areas, normals = np.empty(m), np.empty((m, 3))
+    volume_terms = np.empty(m)
+    local = np.empty((m, 6))        # the stiffness's local pairs, in the order of the keys
+    h2_max = 0.0
+    # A degenerate triangle divides by a zero area here; it is rejected below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, m, PASS_BLOCK):
+            block = slice(start, start + PASS_BLOCK)
+            p0, p1, p2 = (np.take(v, t[block, k], axis=0) for k in range(3))
+            centroids = p0 + p1
+            centroids += p2
+            centroids /= 3.0
+            # e_k runs from corner k to k + 1; e_1 and e_2 overwrite p1 and p2.
+            e = (p1 - p0, np.subtract(p2, p1, out=p1), np.subtract(p0, p2, out=p2))
+            del p0, p1, p2
+            h2_max = max(h2_max, *(float(_squared_norms(ek).max()) for ek in e))
+            cross = np.cross(e[2], e[0])
+            doubled = np.sqrt(_squared_norms(cross))
+            area = areas[block]
+            np.multiply(0.5, doubled, out=area)
+            np.divide(cross, doubled[:, None], out=normals[block])
+            del cross, doubled
+            np.multiply(np.einsum("ij,ij->i", centroids, normals[block]), area,
+                        out=volume_terms[block])
+            del centroids
+            # Edge k, the pair (k, k + 1), faces the angle at vertex k + 2, whose
+            # cotangent is -e_{k+1} . e_{k+2} / (2 area); its off-diagonal weight
+            # is -cot/2, and a diagonal entry is minus the weights of the two
+            # edges at its vertex.
+            quarter = 4.0 * area
+            for k in range(3):
+                np.divide(np.einsum("ij,ij->i", e[(k + 1) % 3], e[(k + 2) % 3]), quarter,
+                          out=local[block, 3 + k])
+            for k in range(3):
+                np.negative(local[block, 3 + k] + local[block, 3 + (k + 2) % 3],
+                            out=local[block, k])
     if not np.all(np.isfinite(areas)) or areas.min() <= DEGENERATE_REL_AREA * areas.max():
         raise MeshTopologyError("mesh contains a degenerate triangle")
-    normals = cross
-    normals /= doubled[:, None]
-    areas.setflags(write=False)
-    normals.setflags(write=False)
-    return areas, normals
+    volume = float(np.sum(volume_terms) / 3.0)
+    del volume_terms
+    _, indices, keys, edges = mesh.pattern
+    stiffness = np.bincount(keys, weights=local.ravel(), minlength=indices.size)
+    np.multiply.outer(areas, MASS_LOCAL, out=local)
+    mass = np.bincount(keys, weights=local.ravel(), minlength=indices.size)
+    del local
+    # Each edge's lower entry takes its upper one's value, so the two agree bit
+    # for bit.
+    upper, lower = edges.T.astype(np.intp)
+    for data in (stiffness, mass):
+        data[lower] = data[upper]
+    for arr in (areas, normals, mass, stiffness):
+        arr.setflags(write=False)
+    # The square root is monotone and correctly rounded: that of the largest
+    # squared length is the largest length.
+    return SurfaceMeasures(areas, normals, float(np.sum(areas)), volume,
+                           float(np.sqrt(h2_max)), mass, stiffness)
 
 
-def _csr_pattern(triangles: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """The row sums (x_0^2 + x_1^2) + x_2^2 of a (k, 3) array, column by column:
+    those ``np.linalg.norm(x, axis=1)`` takes the square roots of, bit for bit,
+    without its slow reduction over rows of three."""
+    sq = x[:, 0] * x[:, 0]
+    sq += x[:, 1] * x[:, 1]
+    sq += x[:, 2] * x[:, 2]
+    return sq
+
+
+def _scatter_keys(slots: np.ndarray) -> np.ndarray:
+    """The (6 m,) slots in the P1 matrices' data that each triangle's local
+    pairs (0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0) sum into, triangle by
+    triangle: the diagonal entries and each edge's upper entry (i, j), i < j.
+    One bincount over them sums each entry over its triangles in triangle
+    order.  They stay writeable: ``np.bincount`` copies a read-only array."""
+    keys = np.empty((slots.shape[0], 6), dtype=np.intp)
+    for k in range(3):      # column by column: a strided (m, 3) view is slow to iterate
+        keys[:, k] = slots[:, k]
+        # An edge's (i, j) slot, in row i, precedes its (j, i) slot in row j > i.
+        np.minimum(slots[:, 3 + k], slots[:, 6 + k], out=keys[:, 3 + k])
+    return keys.ravel()
+
+
+def _csr_pattern(triangles: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     """Read-only int32 CSR ``(indptr, indices)`` of the P1 matrices on n
-    vertices, and the (m, 9) int32 ``slots`` in their data of each triangle's
-    local pairs (0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2).
+    vertices, the (m, 9) int32 ``slots`` in their data of each triangle's
+    local pairs (0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2),
+    and the (E, 2) int32 slots of the entries (i, j) and (j, i), i < j, of
+    each of its E edges.
 
     Row i holds the vertices sharing an edge with i and, if a triangle uses it,
     i itself, in increasing order: the lower ends of the edges whose upper end
@@ -271,7 +380,7 @@ def _csr_pattern(triangles: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray,
     slots[:, 3:6] = pair_slot[forward]
     forward ^= 1
     slots[:, 6:] = pair_slot[forward]
-    pattern = indptr.astype(np.int32), indices, slots
+    pattern = indptr.astype(np.int32), indices, slots, pair_slot.reshape(-1, 2)
     for arr in pattern:
         arr.setflags(write=False)
     return pattern
@@ -300,30 +409,26 @@ def triangle_centroids(mesh: TriangleMesh) -> np.ndarray:
 
 
 def area_and_volume(mesh: TriangleMesh) -> tuple[float, float]:
-    """Total area and enclosed volume (divergence theorem).
+    """Total area and enclosed volume (divergence theorem), from the mesh's
+    measures.
 
     The connectivity must be closed, as :func:`validate_closed` checks; it is
     not re-checked here.  A degenerate triangle raises :class:`MeshTopologyError`.
     """
-    centroids = triangle_centroids(mesh)
-    volume = np.sum(np.einsum("ij,ij->i", centroids, mesh.normals) * mesh.areas) / 3.0
-    return float(np.sum(mesh.areas)), float(volume)
+    g = mesh._geometry
+    return g.area, g.volume
 
 
 def mesh_stats(mesh: TriangleMesh) -> MeshStats:
-    """Area, enclosed volume and longest edge, under the conditions of
-    :func:`area_and_volume`."""
-    area, volume = area_and_volume(mesh)
-    # Each edge of a closed mesh is a side of two triangles, once per direction;
-    # a reversed edge vector has the same norm bit for bit.
-    h_max = max(float(np.linalg.norm(e, axis=1).max())
-                for e in _sides(mesh, ((0, 1), (1, 2), (2, 0))))
+    """Area, enclosed volume and longest edge from the mesh's measures, under
+    the conditions of :func:`area_and_volume`."""
+    g = mesh._geometry
     return MeshStats(
         num_vertices=mesh.num_vertices,
         num_triangles=mesh.num_triangles,
-        h_max=h_max,
-        total_area=area,
-        enclosed_volume=volume,
+        h_max=g.h_max,
+        total_area=g.area,
+        enclosed_volume=g.volume,
     )
 
 
@@ -332,6 +437,7 @@ def mesh_checksum(mesh: TriangleMesh) -> str:
     import hashlib
 
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(mesh.vertices).tobytes())
-    h.update(np.ascontiguousarray(mesh.triangles).tobytes())
+    # hashlib reads a C-contiguous array through the buffer protocol: no copy.
+    h.update(np.ascontiguousarray(mesh.vertices))
+    h.update(np.ascontiguousarray(mesh.triangles))
     return h.hexdigest()

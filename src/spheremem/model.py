@@ -8,10 +8,10 @@ Assembles the symmetric operator realizing
 
 with the biharmonic part built from the lumped-mass Laplacian
 reconstruction, together with the four mass-weighted constraint rows
-(1, .) and (nu_i, .) that span the degenerate directions.  The assembly forms
-M, S, M_L and the constraint rows; the sparse operator A of the form is built
-on its first use, so a run that never reads it (the consistent Taylor check)
-never forms it.
+(1, .) and (nu_i, .) that span the degenerate directions.  The assembly takes
+M and S from the mesh's one pass over its triangle corners, then forms M_L and
+the constraint rows; the sparse operator A of the form is built on its first
+use, so a run that never reads it (the consistent Taylor check) never forms it.
 """
 from __future__ import annotations
 

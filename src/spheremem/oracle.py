@@ -4,14 +4,17 @@ meshes, and the finite-difference consistency check of the quadratic model.
 The oracle only evaluates energies at finitely many perturbation amplitudes,
 each surface once (the base sphere, then one perturbed mesh per amplitude);
 derivative information is extracted by log-log slopes, keeping it independent
-of the assembled quadratic form it validates.
+of the assembled quadratic form it validates.  Each surface is measured by one
+pass over its triangle corners (``mesh._measure_triangles``), which yields
+its S and M, its area and its volume together; the base sphere's pass is the
+form's assembly.
 
 Two curvature reconstructions are supported.  ``lumped`` solves the weak
 identity with the lumped mass matrix and projects onto vertex normals (the
 package default).  ``consistent`` keeps the full mean-curvature vector paired
 with the consistent mass matrix: its energy 1/2 sum_k (S X_k)^T M^{-1} (S X_k)
-takes one form per coordinate from ``fem.mass_inverse_form`` (preconditioned
-CG to a certified relative error, no factorization).  Its bending energy is
+takes one form per coordinate from one call of ``fem.mass_inverse_form``
+(preconditioned CG to a certified relative error, no factorization).  Its bending energy is
 structurally aligned with the consistent-reconstruction variant of the
 quadratic form and has a markedly smaller quadratic-order consistency
 mismatch, which the Taylor check needs to expose the cubic remainder at
@@ -55,8 +58,10 @@ def perturb(mesh: TriangleMesh, u: np.ndarray, rho: float) -> TriangleMesh:
     R = mesh.radius_hint
     if abs(rho) * float(np.max(np.abs(u))) >= R:
         raise GeometryError("perturbation amplitude reaches the origin (rho*max|u| >= R)")
-    nu = mesh.vertices / R
-    return mesh.moved(mesh.vertices + rho * u[:, None] * nu)
+    moved = mesh.vertices / R       # nu, then x + (rho u) nu in place
+    moved *= (rho * u)[:, None]
+    moved += mesh.vertices
+    return mesh.moved(moved)
 
 
 def _check_reconstruction(reconstruction: str) -> None:
@@ -64,10 +69,10 @@ def _check_reconstruction(reconstruction: str) -> None:
         raise ParameterError(f"unknown reconstruction {reconstruction!r}; use one of {RECONSTRUCTIONS}")
 
 
-def _weak_identity(mesh: TriangleMesh, S=None) -> np.ndarray:
-    """S X, the right side of the weak identity M Hvec = S X; S is the mesh's
-    stiffness matrix, assembled here (and freed on return) when None."""
-    return (assemble_stiffness(mesh) if S is None else S) @ mesh.vertices
+def _weak_identity(mesh: TriangleMesh) -> np.ndarray:
+    """S X, the right side of the weak identity M Hvec = S X, S the mesh's
+    stiffness matrix."""
+    return assemble_stiffness(mesh) @ mesh.vertices
 
 
 def discrete_mean_curvature(mesh: TriangleMesh) -> np.ndarray:
@@ -89,18 +94,12 @@ def willmore_energy(mesh: TriangleMesh, reconstruction: str = "lumped") -> float
     squared mean-curvature vector in the consistent L2 pairing.
     """
     _check_reconstruction(reconstruction)
-    return _willmore(mesh, reconstruction)
-
-
-def _willmore(mesh: TriangleMesh, reconstruction: str, S=None, M=None) -> float:
-    """``willmore_energy`` with the mesh's stiffness S and mass M, when given."""
-    rhs = _weak_identity(mesh, S)
+    rhs = _weak_identity(mesh)
     if reconstruction == "lumped":
-        H = np.einsum("ij,ij->i", rhs / lumped_diagonal(mesh)[:, None], vertex_normals(mesh))
-        return float(0.5 * (H * H) @ lumped_diagonal(mesh))
-    # S is freed before M is assembled, and the three forms run one at a time.
-    M = assemble_mass(mesh) if M is None else M
-    return float(0.5 * sum(mass_inverse_form(M, rhs[:, k]) for k in range(3)))
+        mL = lumped_diagonal(mesh)
+        H = np.einsum("ij,ij->i", rhs / mL[:, None], vertex_normals(mesh))
+        return float(0.5 * (H * H) @ mL)
+    return float(0.5 * sum(mass_inverse_form(assemble_mass(mesh), rhs)))
 
 
 def energies(
@@ -115,12 +114,7 @@ def energies(
     Defaults: lam = lambda0 of the params, V0 = exact sphere volume.  The
     connectivity must be closed (:func:`~spheremem.mesh.validate_closed`).
     """
-    return _breakdown(mesh, params, lam, V0, willmore_energy(mesh, reconstruction))
-
-
-def _breakdown(mesh: TriangleMesh, params: ModelParams, lam: float | None,
-               V0: float | None, willmore: float) -> EnergyBreakdown:
-    """``energies`` of a mesh whose Willmore energy is ``willmore``."""
+    willmore = willmore_energy(mesh, reconstruction)
     if lam is None:
         lam = params.lambda0
     if V0 is None:
@@ -194,9 +188,9 @@ def taylor_consistency(
     u = np.asarray(u, dtype=float)
     if abs(form.c0(u)) > 1e-8 * form.area * float(np.max(np.abs(u)) + 1.0):
         raise ParameterError("taylor_consistency requires a mean-zero field (c0(u) = 0)")
-    # The base sphere is the form's mesh: its S and M are the form's, to the bit.
-    base = _breakdown(mesh, params, None, None,
-                      _willmore(mesh, reconstruction, form.S, form.M))
+    # The base sphere is the form's mesh, whose pass the assembly took: the S and
+    # M its energies read are the form's own arrays.
+    base = energies(mesh, params, reconstruction=reconstruction)
     V0 = base.volume
     lam0 = params.lambda0
     if reconstruction == "lumped":

@@ -267,6 +267,19 @@ def test_cli_empty_point_set_is_domain_error(tmp_path, points):
     assert "failed: error" in (out / "manifest.txt").read_text()
 
 
+@pytest.mark.parametrize("points", ["preset = equator\ncount = -1",
+                                    "preset = polar_rings\npoints_per_ring = -2"])
+def test_cli_negative_point_count_is_config_error(tmp_path, capsys, points):
+    # A negative count is a configuration error that names its key (exit 2).
+    cfg = tmp_path / "n.cfg"
+    out = tmp_path / "out"
+    write(cfg, f"[mesh]\nlevel = 1\n[points]\n{points}\n[output]\ndir = {out}\n")
+    assert main(["points-hard", "--config", str(cfg)]) == 2
+    key = points.split("\n")[1].split(" = ")[0]
+    assert f"[points] {key} must be nonnegative" in capsys.readouterr().err
+    assert "failed: error" in (out / "manifest.txt").read_text()
+
+
 def test_cli_taylor_check(tmp_path):
     cfg = tmp_path / "t.cfg"
     out = tmp_path / "out"

@@ -393,6 +393,13 @@ def test_mass_solve_meets_contract_and_matches_lu(level):
         assert mass_inverse_form(M, rhs[:, k]) == mass_inverse_form(M, b)
 
 
+@pytest.mark.parametrize("level", [0, 3, 5])
+def test_mass_inverse_forms_of_columns_are_the_single_forms(level):
+    # The columns share D and the CG's vectors; each form keeps its bits.
+    M, rhs = _perturbed_mass_system(level)
+    assert mass_inverse_form(M, rhs) == [mass_inverse_form(M, rhs[:, k]) for k in range(3)]
+
+
 @pytest.mark.parametrize("level", [3, 4, 5, 6])
 def test_mass_inverse_form_products(level, monkeypatch):
     # Every product with M is one fem._matvec_into: one per CG step (13-14

@@ -4,24 +4,33 @@ NumPy reports every array buffer it allocates to ``tracemalloc``, so the
 traced peak of a call is deterministic: the most its temporaries and results
 hold at one time, above what was held when it started.  Each budget below is
 a multiple of the bytes the call returns or leaves held, at level 4 (2562
-vertices), with about 10% headroom over the measured ratio:
+vertices), set with about 10% headroom over the ratio measured then:
 
-==========================================  ======  =====================
+==========================================  ======  =================
 call                                        budget  measured (before)
-==========================================  ======  =====================
-``_csr_pattern`` / its pattern              3.4     3.12 (6.37)
-``assemble_quadratic_form`` / the assembly  1.75    1.53
-first ``form.A`` / A                        3.9     3.49
-consistent ``taylor_consistency`` / form    0.75    0.67 (1.28)
-==========================================  ======  =====================
+==========================================  ======  =================
+``_csr_pattern`` / its pattern              3.4     2.54 (3.12)
+``assemble_quadratic_form`` / the assembly  1.75    1.39 (1.53)
+first ``form.A`` / A                        3.9     3.49 (3.49)
+consistent ``taylor_consistency`` / form    0.75    0.59 (0.67)
+==========================================  ======  =================
 
-"Before" is the assembly that gathered the (m, 3, 3) corner array, kept
-int64 slots, scattered all nine local pairs and formed A by a chain of
-sparse sums and copies.  The assembly's bytes are the unique buffers of M,
-S, the constraint rows, the lumped diagonal, and the pattern, areas and
-normals it leaves on the mesh.  A is built on its first use, not by the
-assembly, and the form's bytes add A's to the assembly's.  The ratios are
-within 0.1 of these at levels 3 to 6 (the assembly's 1.48 to 1.62).
+"Before" is the code that gathered a surface's corners afresh for its areas
+and normals, for its stiffness matrix and for its centroids, derived the
+scatter keys once per matrix, and kept each triangle's nine pattern slots.
+Now one pass over the corners measures a surface and scatters M and S
+through one key set, which the pattern keeps with each edge's two slots in
+place of the nine per triangle, and ``_csr_pattern`` returns the edge slots
+too.  The larger pattern is part of the fall of the first two ratios: the
+pattern's traced peak did not change, and the assembly's rose from 1.32 to
+1.37 MB, while the consistent check's fell from 0.97 to 0.94 MB (14.8 to
+12.4 MB at level 6).  The assembly's bytes are the unique buffers of M, S,
+the constraint rows, the lumped diagonal, and the pattern, areas and normals
+it leaves on the mesh.  A is built on its first use, not by the assembly,
+and the form's bytes add A's to the assembly's.  At levels 5 and 6 the
+ratios are 2.53, 1.38, 3.49 and 0.51 to 0.49.  At level 3, whose 1280
+triangles make a single block of the pass, the assembly's is 1.90 and the
+check's 0.99 (1.62 and 0.73 before), 0.12 MB more than before.
 """
 import gc
 import tracemalloc

@@ -1,3 +1,6 @@
+import hashlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +164,32 @@ def test_checksum_deterministic():
     c = mesh_checksum(build_icosphere(2.0, 2))
     assert a == b
     assert a != c
+
+
+def _tobytes_digest(vertices, triangles):
+    """The reference digest, of ``.tobytes()`` copies of the arrays."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(vertices).tobytes())
+    h.update(np.ascontiguousarray(triangles).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_checksum_is_the_tobytes_digest(level):
+    mesh = build_icosphere(1.0, level)
+    assert mesh_checksum(mesh) == _tobytes_digest(mesh.vertices, mesh.triangles)
+
+
+def test_checksum_of_non_contiguous_arrays():
+    # TriangleMesh stores C-contiguous arrays; a strided or Fortran-ordered
+    # input is hashed in C order, as .tobytes() reads it.
+    mesh = build_icosphere(1.0, 2)
+    vertices = np.repeat(mesh.vertices, 2, axis=0)[::2]
+    triangles = np.asfortranarray(mesh.triangles)
+    assert not vertices.flags.c_contiguous and not triangles.flags.c_contiguous
+    strided = SimpleNamespace(vertices=vertices, triangles=triangles)
+    assert mesh_checksum(strided) == _tobytes_digest(vertices, triangles)
+    assert mesh_checksum(strided) == mesh_checksum(mesh)
 
 
 def test_c5_and_s10_are_mesh_symmetries():

@@ -12,10 +12,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from spheremem.fem import assemble_mass, assemble_stiffness, lumped_diagonal
-from spheremem.mesh import _csr_pattern, _measure_triangles, build_icosphere, mesh_stats
-from spheremem.model import ModelParams, _symmetrized, assemble_quadratic_form
-from spheremem.oracle import perturb
+from spheremem.fem import assemble_mass, assemble_stiffness, lumped_diagonal, mass_inverse_form
+from spheremem.mesh import (
+    TriangleMesh,
+    _csr_pattern,
+    _measure_triangles,
+    build_icosphere,
+    mesh_stats,
+)
+from spheremem.model import ModelParams, _symmetrized, assemble_quadratic_form, constraint_rows
+from spheremem.oracle import perturb, taylor_consistency
 
 LEVELS = range(5)
 PARAMS = (ModelParams(kappa=1.0, sigma=1.0, R=1.0), ModelParams(kappa=0.7, sigma=3.1, R=1.0))
@@ -96,6 +102,52 @@ def reference_stats(mesh):
     return float(h_max), float(np.sum(areas)), float(volume)
 
 
+def reference_helfrich(mesh, params, reconstruction):
+    """Helfrich energy and volume of a surface from the plain M, S, measures,
+    lumped diagonal and vertex normals, the three mass forms one at a time."""
+    areas, normals = reference_measure(mesh)
+    S = reference_stiffness(mesh)
+    rhs = S @ mesh.vertices
+    if reconstruction == "lumped":
+        mL = np.zeros(mesh.num_vertices)
+        acc = np.zeros_like(mesh.vertices)
+        for k in range(3):
+            np.add.at(mL, mesh.triangles[:, k], areas / 3.0)
+            np.add.at(acc, mesh.triangles[:, k], normals * areas[:, None])
+        nu = acc / np.linalg.norm(acc, axis=1)[:, None]
+        H = np.einsum("ij,ij->i", rhs / mL[:, None], nu)
+        willmore = float(0.5 * (H * H) @ mL)
+    else:
+        M = reference_mass(mesh)
+        willmore = float(0.5 * sum(mass_inverse_form(M, rhs[:, k]) for k in range(3)))
+    _, area, volume = reference_stats(mesh)
+    return params.kappa * willmore + params.sigma * area, volume
+
+
+def reference_taylor(mesh, params, u, mu, rhos, reconstruction):
+    """Lagrangians and residuals of the Taylor check from plain expressions."""
+    M, S, A = reference_form(mesh, params)
+    c0 = float((constraint_rows(mesh, M)[0] @ u)[0])
+    if reconstruction == "lumped":
+        quad = 0.5 * float(u @ (A @ u)) + mu * c0
+    else:
+        R2 = params.R**2
+        su = S @ u
+        a = (params.kappa * mass_inverse_form(M, su)
+             + (params.sigma - 2.0 * params.kappa / R2) * float(u @ su)
+             - (2.0 * params.sigma / R2) * float(u @ (M @ u)))
+        quad = 0.5 * a + mu * c0
+    base, V0 = reference_helfrich(mesh, params, reconstruction)
+    lags, residuals = [], []
+    for rho in rhos:
+        nu = mesh.vertices / mesh.radius_hint
+        surface = TriangleMesh(mesh.vertices + rho * u[:, None] * nu, mesh.triangles)
+        helfrich, volume = reference_helfrich(surface, params, reconstruction)
+        lags.append(helfrich + (params.lambda0 + mu * rho) * (volume - V0))
+        residuals.append(lags[-1] - base - rho**2 * quad)
+    return lags, residuals
+
+
 def assert_same_array(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
@@ -165,3 +217,19 @@ def test_symmetrized_is_the_sparse_sum(symmetric_pattern):
         X = X.tocsc()
     want = ((X + X.T) * 0.5).tocsr()
     assert_same_csr(_symmetrized(X.copy()), want)
+
+
+@pytest.mark.parametrize("reconstruction", ["consistent", "lumped"])
+def test_taylor_check_is_the_plain_expression(reconstruction):
+    # Every surface's one pass (M, S, area, volume, and the areas and normals
+    # the lumped curvature reads) and the three mass forms sharing one CG
+    # workspace give the plain expressions' Lagrangians and residuals.
+    mesh = build_icosphere(1.0, 3)
+    params = PARAMS[1]
+    form = assemble_quadratic_form(mesh, params)
+    u = mesh.vertices[:, 2] ** 2 - 1.0 / 3.0
+    rhos = (0.1, 0.05, 0.025, 0.0125)
+    report = taylor_consistency(form, u, 0.5, rho_list=rhos, reconstruction=reconstruction)
+    lags, residuals = reference_taylor(mesh, params, u, 0.5, rhos, reconstruction)
+    assert report.lagrangians == lags
+    assert report.residuals == residuals

@@ -217,6 +217,41 @@ def test_taylor_derives_one_pattern_per_connectivity(params, monkeypatch):
     assert calls == [mesh.num_vertices]
 
 
+@pytest.mark.parametrize("reconstruction", ["lumped", "consistent"])
+def test_taylor_derives_scatter_keys_once_per_connectivity(params, monkeypatch, reconstruction):
+    # M and S of every surface, the sphere's and each perturbed one's, scatter
+    # through the one key set the sphere's pattern keeps.
+    import spheremem.mesh as mesh_module
+
+    calls = []
+    derive = mesh_module._scatter_keys
+    monkeypatch.setattr(mesh_module, "_scatter_keys",
+                        lambda slots: calls.append(len(slots)) or derive(slots))
+    mesh = build_icosphere(1.0, 2)
+    form = assemble_quadratic_form(mesh, params)
+    u = mesh.vertices[:, 0] * mesh.vertices[:, 1]
+    taylor_consistency(form, u, mu=0.5, rho_list=(0.1, 0.05, 0.025, 0.0125),
+                       reconstruction=reconstruction)
+    assert calls == [mesh.num_triangles]
+
+
+def test_consistent_taylor_takes_one_mass_form_call_per_surface(params, monkeypatch):
+    # Each surface's three forms (S X_k)^T M^-1 (S X_k) share one row-sum
+    # preconditioner and one set of CG vectors: one call with three columns.
+    import spheremem.oracle as oracle
+
+    calls = []
+    forms = oracle.mass_inverse_form
+    monkeypatch.setattr(oracle, "mass_inverse_form",
+                        lambda M, b: calls.append(np.shape(b)) or forms(M, b))
+    mesh = build_icosphere(1.0, 2)
+    form = assemble_quadratic_form(mesh, params)
+    u = mesh.vertices[:, 0] * mesh.vertices[:, 1]
+    rho_list = (0.1, 0.05, 0.025, 0.0125)
+    taylor_consistency(form, u, mu=0.5, rho_list=rho_list, reconstruction="consistent")
+    assert calls == [(mesh.num_vertices, 3)] * (1 + len(rho_list))
+
+
 def test_taylor_checks_no_connectivity(params, monkeypatch):
     # Every perturbed surface reuses the sphere's connectivity: no closedness check.
     import spheremem.mesh as mesh_module
