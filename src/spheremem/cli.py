@@ -5,9 +5,9 @@ loads the config, builds the mesh and the quadratic form (stages ``mesh`` and
 ``assemble``), calls the subcommand's body, records ``failed: error`` when
 anything raises, and always writes a plain-text manifest (config echo, code
 version, mesh checksum, wall clock, per-stage status) to the output
-directory.  Each subcommand in ``CONFIG_COMMANDS`` is a body that holds only
-its own compute and output code.  Exit codes: 0 success, 1 domain error,
-2 usage error.
+directory, which it makes and checks first.  Each subcommand in
+``CONFIG_COMMANDS`` is a body that holds only its own compute and output
+code.  Exit codes: 0 success, 1 domain error, 2 usage or configuration error.
 """
 from __future__ import annotations
 
@@ -63,8 +63,7 @@ class Run:
         self.stages.append((name, status))
 
     def out(self, name: str) -> str:
-        """Path of an output file, creating the output directory."""
-        os.makedirs(self.cfg.out_dir, exist_ok=True)
+        """Path of an output file in the output directory."""
         return os.path.join(self.cfg.out_dir, name)
 
     def write_text(self, name: str, text: str):
@@ -85,12 +84,28 @@ class Run:
                 fh.write(f"  {line}\n")
 
 
+def _check_output_dir(path: str, what: str, create: bool = False) -> None:
+    """Raise :class:`ConfigError` naming ``what`` and the OS error unless
+    files can be written in the directory ``path``, made first if ``create``."""
+    try:
+        if create:
+            os.makedirs(path, exist_ok=True)
+        if not os.path.isdir(path):
+            os.stat(path)               # names a missing path or one under a file
+            raise NotADirectoryError(f"not a directory: {path!r}")
+        if not os.access(path, os.W_OK | os.X_OK):
+            raise PermissionError(f"cannot write in {path!r}")
+    except OSError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 def run_config(subcommand: str, body, config_path: str) -> int:
     """The run harness: the one place a config-driven run's failure is caught.
 
     ``body(run, mesh, form)`` does the subcommand's compute and output.
     """
     cfg = load_config(config_path)
+    _check_output_dir(cfg.out_dir, "[output] dir", create=True)
     run = Run(cfg, subcommand)
     try:
         mesh = build_icosphere(cfg.R, cfg.level)
@@ -167,6 +182,7 @@ def _report_csv(path: str, report, points: np.ndarray):
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_mesh(args) -> int:
+    _check_output_dir(os.path.dirname(args.out) or ".", "--out")
     mesh = build_icosphere(args.R, args.level)
     validate_closed(mesh)
     write_vtk(args.out, mesh)

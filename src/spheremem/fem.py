@@ -283,7 +283,9 @@ class SaddleSystem:
         answers for the accuracy.  Nested dissection suits the symmetric K of
         a surface mesh: A_C = [[A, C^T], [C, 0]] has 0.49 M, 2.6 M and 12.9 M
         L+U entries at levels 4-6, against 0.71 M, 3.76 M and 22.0 M ordered
-        by COLAMD, which minimizes the fill of K^T K instead.
+        by COLAMD, which minimizes the fill of K^T K instead, and 1.30 M,
+        6.64 M and 38.1 M by SuperLU's ``MMD_AT_PLUS_A``; the level-4 flow
+        operator has 1.19 M, against 1.62-1.85 M and 3.29 M.
 
         Returns the LU, whose ``solve`` solves with K and whose ``order`` is
         the order of A used; a failed factorization raises :class:`SolverError`.

@@ -12,13 +12,13 @@ Everything a surface's triangles contribute is measured in one pass over its
 corners, ``_measure_triangles``: the three corners of each triangle are
 gathered once, and from them and their edge vectors come the areas and unit
 normals, the centroids, area and enclosed volume, the longest edge, and the
-local P1 mass and cotangent stiffness values, which one set of scatter keys
-sums into the CSR data of M and S in the connectivity's pattern (the lower
-entry of each edge copies its upper one).  The pass runs over blocks of
-``PASS_BLOCK`` triangles, whose temporaries stay small enough to be reused
-from the heap rather than mapped afresh; a mesh keeps its result, so each
-surface is measured once (Dziuk & Elliott, *Acta Numerica* 22 (2013) 289 for
-the P1 surface matrices).
+local P1 mass and cotangent stiffness values, which the scatter keys of the
+connectivity's pattern (``_csr_pattern``, derived once and shared) sum into
+the CSR data of M and S; the lower entry of each edge copies its upper one.
+The pass runs over blocks of ``PASS_BLOCK`` triangles, whose temporaries stay
+small enough to be reused from the heap rather than mapped afresh; a mesh
+keeps its result, so each surface is measured once (Dziuk & Elliott, *Acta
+Numerica* 22 (2013) 289 for the P1 surface matrices).
 """
 from __future__ import annotations
 
@@ -106,11 +106,9 @@ class TriangleMesh:
 
     @cached_property
     def pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The P1 pattern of this connectivity: CSR ``(indptr, indices)``, the
-        scatter ``keys`` of :func:`_scatter_keys` and the ``edges`` slots, from
-        :func:`_csr_pattern`, whose per-triangle slots only the keys keep."""
-        indptr, indices, slots, edges = _csr_pattern(self.triangles, self.num_vertices)
-        return indptr, indices, _scatter_keys(slots), edges
+        """The P1 pattern of this connectivity, ``(indptr, indices, keys,
+        edges)``: :func:`_csr_pattern` of its triangles."""
+        return _csr_pattern(self.triangles, self.num_vertices)
 
     def moved(self, vertices: np.ndarray) -> TriangleMesh:
         """This connectivity at new vertex positions (``radius_hint`` None),
@@ -314,41 +312,30 @@ def _squared_norms(x: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _scatter_keys(slots: np.ndarray) -> np.ndarray:
-    """The (6 m,) slots in the P1 matrices' data that each triangle's local
-    pairs (0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0) sum into, triangle by
-    triangle: the diagonal entries and each edge's upper entry (i, j), i < j.
-    One bincount over them sums each entry over its triangles in triangle
-    order.  They stay writeable: ``np.bincount`` copies a read-only array."""
-    keys = np.empty((slots.shape[0], 6), dtype=np.intp)
-    for k in range(3):      # column by column: a strided (m, 3) view is slow to iterate
-        keys[:, k] = slots[:, k]
-        # An edge's (i, j) slot, in row i, precedes its (j, i) slot in row j > i.
-        np.minimum(slots[:, 3 + k], slots[:, 6 + k], out=keys[:, 3 + k])
-    return keys.ravel()
-
-
 def _csr_pattern(triangles: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Read-only int32 CSR ``(indptr, indices)`` of the P1 matrices on n
-    vertices, the (m, 9) int32 ``slots`` in their data of each triangle's
-    local pairs (0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2),
-    and the (E, 2) int32 slots of the entries (i, j) and (j, i), i < j, of
-    each of its E edges.
+    """The P1 pattern on n vertices: read-only int32 CSR ``(indptr, indices)``,
+    the (6 m,) intp scatter ``keys`` and the read-only (E, 2) int32 ``edges``,
+    the slots of the entries (i, j) and (j, i), i < j, of each of the E edges.
 
     Row i holds the vertices sharing an edge with i and, if a triangle uses it,
     i itself, in increasing order: the lower ends of the edges whose upper end
     is i, then i, then the upper ends of the edges whose lower end is i.  Any
     triangle list will do, closed or not, whose triangles have three distinct
     vertices (a repeated one has zero area, which the measurement rejects).
+
+    The keys are the slots in the matrices' data that each triangle's local
+    pairs (0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0) sum into, triangle by
+    triangle: the diagonal entries and each edge's upper entry (i, j), i < j.
+    One bincount over them sums each entry over its triangles in triangle
+    order.  They stay writeable: ``np.bincount`` copies a read-only array.
     """
     b = triangles[:, [1, 2, 0]]            # (triangles, b): the local pairs (0, 1), (1, 2), (2, 0)
-    flip = triangles > b                           # the pair runs from its edge's upper end
-    keys = np.minimum(triangles, b)
-    keys *= n
-    keys += np.maximum(triangles, b, out=b)
+    codes = np.minimum(triangles, b)
+    codes *= n
+    codes += np.maximum(triangles, b, out=b)
     del b
-    edges, edge = np.unique(keys, return_inverse=True)
-    del keys
+    edges, edge = np.unique(codes, return_inverse=True)
+    del codes
     lo, hi = np.divmod(edges, n)                   # sorted by (lo, hi)
     del edges
     below = np.bincount(hi, minlength=n)
@@ -371,19 +358,13 @@ def _csr_pattern(triangles: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     indices[pair_slot[:, 1]] = lo
     indices[diag[used]] = np.flatnonzero(used)
     del lo, hi
-    slots = np.empty((triangles.shape[0], 9), dtype=np.int32)
-    slots[:, :3] = diag.astype(np.int32)[triangles]
-    forward = edge.reshape(triangles.shape)        # where pair_slot holds (a, b)
-    forward *= 2
-    forward += flip
-    pair_slot = pair_slot.ravel()
-    slots[:, 3:6] = pair_slot[forward]
-    forward ^= 1
-    slots[:, 6:] = pair_slot[forward]
-    pattern = indptr.astype(np.int32), indices, slots, pair_slot.reshape(-1, 2)
-    for arr in pattern:
+    keys = np.empty((triangles.shape[0], 6), dtype=np.intp)
+    keys[:, :3] = diag[triangles]
+    keys[:, 3:] = pair_slot[edge.reshape(triangles.shape), 0]
+    indptr = indptr.astype(np.int32)
+    for arr in (indptr, indices, pair_slot):
         arr.setflags(write=False)
-    return pattern
+    return indptr, indices, keys.ravel(), pair_slot
 
 
 def vertex_normals(mesh: TriangleMesh) -> np.ndarray:

@@ -170,6 +170,31 @@ def test_cli_config_error_exits_2(tmp_path):
     assert main(["taylor-check", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("out", ["under-a-file/out", "a-file"])
+def test_cli_unusable_output_dir_is_config_error(tmp_path, capsys, monkeypatch, out):
+    # An [output] dir that cannot be made fails before the mesh stage: exit 2,
+    # one line naming the key, and no manifest.
+    monkeypatch.setattr(cli, "build_icosphere", lambda *a: pytest.fail("the mesh was built"))
+    (tmp_path / "a-file").write_text("")
+    (tmp_path / "under-a-file").write_text("")
+    cfg = tmp_path / "c.cfg"
+    write(cfg, f"[mesh]\nlevel = 1\n[output]\ndir = {tmp_path / out}\n")
+    assert main(["taylor-check", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: [output] dir: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file", "c.cfg", "under-a-file"]
+
+
+@pytest.mark.parametrize("out", ["missing/m.vtk", "a-file/m.vtk"])
+def test_cli_mesh_unusable_out_dir_is_config_error(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.setattr(cli, "build_icosphere", lambda *a: pytest.fail("the mesh was built"))
+    (tmp_path / "a-file").write_text("")
+    assert main(["mesh", "--level", "1", "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --out: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]
+
+
 def test_cli_points_penalty_outputs(tmp_path):
     cfg = tmp_path / "fig1.cfg"
     out = tmp_path / "out"

@@ -281,13 +281,16 @@ def test_permuted_solve_takes_several_right_hand_sides():
 
 
 def test_nested_dissection_fills_less_than_colamd():
-    # The points' orthogonality block A_C = [[A, C^T], [C, 0]] at level 4.
+    # The points' orthogonality block A_C = [[A, C^T], [C, 0]] at level 4,
+    # against SuperLU's own orderings: COLAMD, and its symmetric minimum
+    # degree on K + K^T.
     form = assemble_quadratic_form(build_icosphere(1.0, 4), ModelParams(kappa=1.0, sigma=1.0, R=1.0))
     K = _hard_saddle(form.A, form.constraints)
     lu = SaddleSystem(form.A, form.constraints).factor(np.zeros(4))
-    colamd = spla.splu(K, permc_spec="COLAMD", diag_pivot_thresh=0.1,
-                       options=dict(SymmetricMode=True))
-    assert lu.lu.nnz <= 0.8 * colamd.nnz
+    for permc_spec, diag_pivot_thresh in (("COLAMD", 0.1), ("MMD_AT_PLUS_A", 0.0)):
+        reference = spla.splu(K, permc_spec=permc_spec, diag_pivot_thresh=diag_pivot_thresh,
+                              options=dict(SymmetricMode=True))
+        assert lu.lu.nnz <= 0.8 * reference.nnz, permc_spec
 
 
 def _flow_lu(level, coupling, tau):

@@ -9,28 +9,24 @@ vertices), set with about 10% headroom over the ratio measured then:
 ==========================================  ======  =================
 call                                        budget  measured (before)
 ==========================================  ======  =================
-``_csr_pattern`` / its pattern              3.4     2.54 (3.12)
-``assemble_quadratic_form`` / the assembly  1.75    1.39 (1.53)
+``_csr_pattern`` / its pattern              3.4     2.10 (2.54)
+``assemble_quadratic_form`` / the assembly  1.75    1.39 (1.39)
 first ``form.A`` / A                        3.9     3.49 (3.49)
-consistent ``taylor_consistency`` / form    0.75    0.59 (0.67)
+consistent ``taylor_consistency`` / form    0.75    0.59 (0.59)
 ==========================================  ======  =================
 
-"Before" is the code that gathered a surface's corners afresh for its areas
-and normals, for its stiffness matrix and for its centroids, derived the
-scatter keys once per matrix, and kept each triangle's nine pattern slots.
-Now one pass over the corners measures a surface and scatters M and S
-through one key set, which the pattern keeps with each edge's two slots in
-place of the nine per triangle, and ``_csr_pattern`` returns the edge slots
-too.  The larger pattern is part of the fall of the first two ratios: the
-pattern's traced peak did not change, and the assembly's rose from 1.32 to
-1.37 MB, while the consistent check's fell from 0.97 to 0.94 MB (14.8 to
-12.4 MB at level 6).  The assembly's bytes are the unique buffers of M, S,
-the constraint rows, the lumped diagonal, and the pattern, areas and normals
-it leaves on the mesh.  A is built on its first use, not by the assembly,
-and the form's bytes add A's to the assembly's.  At levels 5 and 6 the
-ratios are 2.53, 1.38, 3.49 and 0.51 to 0.49.  At level 3, whose 1280
-triangles make a single block of the pass, the assembly's is 1.90 and the
-check's 0.99 (1.62 and 0.73 before), 0.12 MB more than before.
+"Before" is the code whose ``_csr_pattern`` returned each triangle's nine
+pattern slots, from which the mesh took the six scatter keys in a second
+step.  Now ``_csr_pattern`` returns the keys themselves: 48 bytes per
+triangle in place of the slots' 36.  Its traced peak fell from 0.83 to
+0.82 MB (13.27 to 13.03 MB at level 6), so the ratio falls with the larger
+result; the other three calls are unchanged.  The assembly's bytes are the
+unique buffers of M, S, the constraint rows, the lumped diagonal, and the
+pattern, areas and normals it leaves on the mesh.  A is built on its first
+use, not by the assembly, and the form's bytes add A's to the assembly's.
+At levels 5 and 6 the ratios are 2.09, 1.38, 3.49 and 0.51 to 0.49.  At
+level 3, whose 1280 triangles make a single block of the measuring pass,
+the assembly's is 1.90 and the check's 0.99.
 """
 import gc
 import tracemalloc

@@ -22,12 +22,16 @@ from spheremem.mesh import (
 )
 from spheremem.model import ModelParams, _symmetrized, assemble_quadratic_form, constraint_rows
 from spheremem.oracle import perturb, taylor_consistency
+from test_fem import _octahedron_shuffled, _open_cap
 
 LEVELS = range(5)
 PARAMS = (ModelParams(kappa=1.0, sigma=1.0, R=1.0), ModelParams(kappa=0.7, sigma=3.1, R=1.0))
 
 
-def reference_pattern(triangles, n):
+def reference_slots(triangles, n):
+    """CSR ``(indptr, indices)``, the slots of each triangle's nine local
+    pairs (0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0), (1, 0), (2, 1),
+    (0, 2), and the slots of each edge's entries (i, j) and (j, i), i < j."""
     a, b = triangles, triangles[:, [1, 2, 0]]
     edges, edge = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
     lo, hi = np.divmod(edges, n)
@@ -46,10 +50,18 @@ def reference_pattern(triangles, n):
     indices[pair_slot[:, 0]] = hi
     indices[pair_slot[:, 1]] = lo
     indices[diag[used]] = np.flatnonzero(used)
-    pair_slot = pair_slot.ravel()
     forward = 2 * edge.reshape(a.shape) + (a > b)
-    slots = np.hstack((diag[triangles], pair_slot[forward], pair_slot[forward ^ 1]))
-    return indptr.astype(np.int32), indices, slots.astype(np.int32)
+    plain = pair_slot.ravel()
+    slots = np.hstack((diag[triangles], plain[forward], plain[forward ^ 1]))
+    return indptr.astype(np.int32), indices, slots, pair_slot
+
+
+def reference_pattern(triangles, n):
+    """CSR ``(indptr, indices)``, the scatter keys (the diagonal slots and the
+    smaller of each pair's two slots, triangle by triangle) and the edge slots."""
+    indptr, indices, slots, pair_slot = reference_slots(triangles, n)
+    keys = np.hstack((slots[:, :3], np.minimum(slots[:, 3:6], slots[:, 6:])))
+    return indptr, indices, keys.ravel(), pair_slot.astype(np.int32)
 
 
 def reference_measure(mesh):
@@ -60,7 +72,7 @@ def reference_measure(mesh):
 
 
 def reference_scatter(mesh, local):
-    indptr, indices, slots = reference_pattern(mesh.triangles, mesh.num_vertices)
+    indptr, indices, slots, _ = reference_slots(mesh.triangles, mesh.num_vertices)
     data = np.bincount(slots.ravel(), weights=local.ravel(), minlength=indices.size)
     n = mesh.num_vertices
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
@@ -164,6 +176,8 @@ def surfaces():
         yield f"L{level}", build_icosphere(1.0, level)
     sphere = build_icosphere(1.0, 4)
     yield "perturbed-L4", perturb(sphere, sphere.vertices[:, 2] ** 2 - 1.0 / 3.0, 0.1)
+    yield "octahedron-shuffled", _octahedron_shuffled()
+    yield "open-cap", _open_cap()
 
 
 SURFACES = dict(surfaces())
@@ -172,9 +186,11 @@ SURFACES = dict(surfaces())
 @pytest.mark.parametrize("name", list(SURFACES))
 def test_pattern_and_measures_are_the_plain_expressions(name):
     mesh = SURFACES[name]
-    for got, want in zip(_csr_pattern(mesh.triangles, mesh.num_vertices),
-                         reference_pattern(mesh.triangles, mesh.num_vertices)):
-        assert_same_array(got, want)
+    got = _csr_pattern(mesh.triangles, mesh.num_vertices)
+    want = reference_pattern(mesh.triangles, mesh.num_vertices)
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert_same_array(g, w)
     for got, want in zip(_measure_triangles(mesh), reference_measure(mesh)):
         assert_same_array(got, want)
     stats = mesh_stats(mesh)

@@ -200,9 +200,10 @@ def test_taylor_computes_each_triangle_geometry_once(params, monkeypatch, recons
     assert len({id(m) for m in calls}) == len(calls)
 
 
-def test_taylor_derives_one_pattern_per_connectivity(params, monkeypatch):
-    # The form's M and S and every perturbed surface's operators scatter into
-    # the one CSR pattern of the sphere's connectivity.
+@pytest.mark.parametrize("reconstruction", ["lumped", "consistent"])
+def test_taylor_derives_one_pattern_per_connectivity(params, monkeypatch, reconstruction):
+    # The form's M and S and every perturbed surface's operators scatter
+    # through the keys of the one CSR pattern of the sphere's connectivity.
     import spheremem.mesh as mesh_module
 
     calls = []
@@ -213,26 +214,8 @@ def test_taylor_derives_one_pattern_per_connectivity(params, monkeypatch):
     form = assemble_quadratic_form(mesh, params)
     u = mesh.vertices[:, 0] * mesh.vertices[:, 1]
     taylor_consistency(form, u, mu=0.5, rho_list=(0.1, 0.05, 0.025, 0.0125),
-                       reconstruction="consistent")
-    assert calls == [mesh.num_vertices]
-
-
-@pytest.mark.parametrize("reconstruction", ["lumped", "consistent"])
-def test_taylor_derives_scatter_keys_once_per_connectivity(params, monkeypatch, reconstruction):
-    # M and S of every surface, the sphere's and each perturbed one's, scatter
-    # through the one key set the sphere's pattern keeps.
-    import spheremem.mesh as mesh_module
-
-    calls = []
-    derive = mesh_module._scatter_keys
-    monkeypatch.setattr(mesh_module, "_scatter_keys",
-                        lambda slots: calls.append(len(slots)) or derive(slots))
-    mesh = build_icosphere(1.0, 2)
-    form = assemble_quadratic_form(mesh, params)
-    u = mesh.vertices[:, 0] * mesh.vertices[:, 1]
-    taylor_consistency(form, u, mu=0.5, rho_list=(0.1, 0.05, 0.025, 0.0125),
                        reconstruction=reconstruction)
-    assert calls == [mesh.num_triangles]
+    assert calls == [mesh.num_vertices]
 
 
 def test_consistent_taylor_takes_one_mass_form_call_per_surface(params, monkeypatch):
