@@ -200,10 +200,9 @@ def test_taylor_computes_each_triangle_geometry_once(params, monkeypatch, recons
     assert len({id(m) for m in calls}) == len(calls)
 
 
-@pytest.mark.parametrize("reconstruction", ["lumped", "consistent"])
-def test_taylor_derives_one_pattern_per_connectivity(params, monkeypatch, reconstruction):
-    # The form's M and S and every perturbed surface's operators scatter
-    # through the keys of the one CSR pattern of the sphere's connectivity.
+def test_taylor_derives_one_pattern_per_connectivity(params, monkeypatch):
+    # The form's M and S and every perturbed surface's operators scatter into
+    # the one CSR pattern of the sphere's connectivity.
     import spheremem.mesh as mesh_module
 
     calls = []
@@ -214,8 +213,28 @@ def test_taylor_derives_one_pattern_per_connectivity(params, monkeypatch, recons
     form = assemble_quadratic_form(mesh, params)
     u = mesh.vertices[:, 0] * mesh.vertices[:, 1]
     taylor_consistency(form, u, mu=0.5, rho_list=(0.1, 0.05, 0.025, 0.0125),
-                       reconstruction=reconstruction)
+                       reconstruction="consistent")
     assert calls == [mesh.num_vertices]
+
+
+@pytest.mark.parametrize("reconstruction", ["lumped", "consistent"])
+def test_taylor_derives_scatter_keys_once_per_connectivity(params, monkeypatch, reconstruction):
+    # M and S of every surface, the sphere's and each perturbed one's, scatter
+    # through the one (6m,) key array the sphere's pattern keeps.
+    import spheremem.mesh as mesh_module
+
+    keys = []
+    measure = mesh_module._measure_triangles
+    monkeypatch.setattr(mesh_module, "_measure_triangles",
+                        lambda mesh: keys.append(mesh.pattern[2]) or measure(mesh))
+    mesh = build_icosphere(1.0, 2)
+    form = assemble_quadratic_form(mesh, params)
+    u = mesh.vertices[:, 0] * mesh.vertices[:, 1]
+    rho_list = (0.1, 0.05, 0.025, 0.0125)
+    taylor_consistency(form, u, mu=0.5, rho_list=rho_list, reconstruction=reconstruction)
+    assert len(keys) == 1 + len(rho_list)
+    assert all(k is mesh.pattern[2] for k in keys)
+    assert mesh.pattern[2].shape == (6 * mesh.num_triangles,)
 
 
 def test_consistent_taylor_takes_one_mass_form_call_per_surface(params, monkeypatch):
