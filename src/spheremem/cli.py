@@ -7,7 +7,8 @@ anything raises, and always writes a plain-text manifest (config echo, code
 version, mesh checksum, wall clock, per-stage status) to the output
 directory, which it makes and checks first.  Each subcommand in
 ``CONFIG_COMMANDS`` is a body that holds only its own compute and output
-code.  Exit codes: 0 success, 1 domain error, 2 usage or configuration error.
+code, and writes every table through ``Run.write_table``.  Exit codes: 0
+success, 1 domain error, 2 usage or configuration error.
 """
 from __future__ import annotations
 
@@ -66,9 +67,18 @@ class Run:
         """Path of an output file in the output directory."""
         return os.path.join(self.cfg.out_dir, name)
 
-    def write_text(self, name: str, text: str):
+    def write_table(self, name: str, header: str, rows, notes=()):
+        """Write a CSV table: the header line, one line per row of the
+        nonempty ``rows``, then one ``# <note>`` line per note.  Floats are
+        written as ``%.17g``, ints and bools as ``str``; a column's type is
+        that of its first row."""
+        rows = iter(rows)
+        first = next(rows)
+        line = ",".join("{}" if isinstance(v, int) else "{:.17g}" for v in first) + "\n"
         with open(self.out(name), "w") as fh:
-            fh.write(text)
+            fh.write(header + "\n" + line.format(*first))
+            fh.writelines(line.format(*row) for row in rows)
+            fh.writelines(f"# {note}\n" for note in notes)
 
     def write_manifest(self):
         with open(self.out("manifest.txt"), "w") as fh:
@@ -169,19 +179,21 @@ def _write_solution(run: Run, mesh, u: np.ndarray, stem: str, rho: float):
     write_vtk(run.out(f"{stem}_displaced.vtk"), displaced, {"u": u})
 
 
-def _report_csv(path: str, report, points: np.ndarray):
-    with open(path, "w") as fh:
-        fh.write("point_index [1],x [length],y [length],z [length],"
-                 "value [length],residual [length]\n")
-        for j, p in enumerate(points):
-            fh.write(f"{j},{p[0]:.17g},{p[1]:.17g},{p[2]:.17g},"
-                     f"{report.point_values[j]:.17g},{report.point_residuals[j]:.17g}\n")
-        fh.write(f"# energy: {report.energy:.17g}\n")
+def _write_flow_table(run: Run, name: str, report):
+    """A flow's energy history: one row per state, the initial one first."""
+    rows = ((t, e, bd["bending"], bd["coupling"], bd["interface_gradient"], bd["potential"], *cr)
+            for t, e, bd, cr in zip(report.times, report.energies, report.breakdowns,
+                                    report.constraint_residuals))
+    run.write_table(name, "t [time],energy [energy],bending [energy],coupling [energy],"
+                    "interface_gradient [energy],potential [energy],"
+                    "phi_mean_residual [1],u_mean_residual [1],u_normal_residual [1]", rows)
 
 
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_mesh(args) -> int:
+    if os.path.isdir(args.out):
+        raise ConfigError(f"--out: {args.out!r} is a directory, not a file")
     _check_output_dir(os.path.dirname(args.out) or ".", "--out")
     mesh = build_icosphere(args.R, args.level)
     validate_closed(mesh)
@@ -232,7 +244,12 @@ def cmd_points(run: Run, mesh: TriangleMesh, form: QuadraticForm):
         u, report = solve_penalty(form, cs, run.cfg.get("points", "delta", 1e-4, float))
     run.stage("solve")
     _write_solution(run, mesh, u, stem, rho_visual)
-    _report_csv(run.out(f"{stem}_report.csv"), report, pts)
+    run.write_table(
+        f"{stem}_report.csv",
+        "point_index [1],x [length],y [length],z [length],value [length],residual [length]",
+        ((j, *p, v, r) for j, (p, v, r) in enumerate(
+            zip(pts, report.point_values, report.point_residuals))),
+        notes=[f"energy: {report.energy:.17g}"])
     run.stage("output")
     print(f"energy: {report.energy:.10g}")
     print(f"max point residual: {np.max(np.abs(report.point_residuals)):.3e}")
@@ -243,7 +260,10 @@ def cmd_penalty_study(run: Run, mesh: TriangleMesh, form: QuadraticForm):
     deltas = run.cfg.floats("penalty_study", "deltas", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
     table = convergence_study(form, ConstraintSet(pts, heights), deltas)
     run.stage("study")
-    run.write_text("penalty_rates.csv", table.to_csv())
+    run.write_table("penalty_rates.csv",
+                    "delta [1],h2_error [length],penalty_energy [energy]",
+                    zip(table.deltas, table.errors, table.energies),
+                    notes=[f"fitted rate: {table.slope:.6g}"])
     run.stage("output")
     print(f"fitted rate: {table.slope:.4f}")
 
@@ -268,7 +288,10 @@ def cmd_taylor(run: Run, mesh: TriangleMesh, form: QuadraticForm):
                                 rho_list=rho_list,
                                 reconstruction=reconstruction)
     run.stage("taylor")
-    run.write_text("taylor_residuals.csv", report.to_csv())
+    run.write_table("taylor_residuals.csv",
+                    "rho [1],lagrangian [energy],residual [energy],slope_so_far [1]",
+                    zip(report.rhos, report.lagrangians, report.residuals,
+                        report.running_slopes))
     run.stage("output")
     print(f"slope: {report.slope:.4f} ({report.status}); "
           f"discretization floor {report.discretization_floor:.3e}")
@@ -296,7 +319,7 @@ def cmd_phase_flow(run: Run, mesh: TriangleMesh, form: QuadraticForm):
     pf = _phase_params(run.cfg)
     final, report = run_flow(initial_state(form, pf), form, pf)
     run.stage("flow")
-    run.write_text("flow_energy.csv", report.to_csv())
+    _write_flow_table(run, "flow_energy.csv", report)
     write_vtk(run.out("flow_final.vtk"), mesh, {"u": final.u, "phi": final.phi})
     run.stage("output")
     lam_phi, lam_u = closed_form_multipliers(final, form, pf)
@@ -328,14 +351,12 @@ def cmd_lambda_sweep(run: Run, mesh: TriangleMesh, form: QuadraticForm):
                      report.converged))
         write_vtk(run.out(f"sweep_lambda_{lam:+g}.vtk"), mesh,
                   {"u": final.u, "phi": final.phi})
-        run.write_text(f"sweep_lambda_{lam:+g}_energy.csv", report.to_csv())
+        _write_flow_table(run, f"sweep_lambda_{lam:+g}_energy.csv", report)
         run.stage(f"flow lambda={lam:+g}")
-    with open(run.out("lambda_sweep.csv"), "w") as fh:
-        fh.write("coupling [1/length],final_energy [energy],"
-                 "corr_u_phi [1],max_abs_u [length],steps [1],converged [bool]\n")
-        for row in rows:
-            fh.write(f"{row[0]:.17g},{row[1]:.17g},{row[2]:.17g},"
-                     f"{row[3]:.17g},{row[4]},{row[5]}\n")
+    run.write_table("lambda_sweep.csv",
+                    "coupling [1/length],final_energy [energy],corr_u_phi [1],"
+                    "max_abs_u [length],steps [1],converged [bool]",
+                    rows)
     run.stage("output")
     for row in rows:
         print(f"Lambda {row[0]:+g}: energy {row[1]:.6g}, corr {row[2]:+.4f}, "

@@ -22,7 +22,6 @@ practical resolutions.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,13 +143,6 @@ class TaylorReport:
     residual_floor: float           # smallest |residual| observed
     reconstruction: str
     status: str                     # "converged" | "floor-limited" | "failed"
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("rho [1],lagrangian [energy],residual [energy],slope_so_far [1]\n")
-        for r, l, res, s in zip(self.rhos, self.lagrangians, self.residuals, self.running_slopes):
-            buf.write(f"{r:.17g},{l:.17g},{res:.17g},{s:.17g}\n")
-        return buf.getvalue()
 
 
 def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:

@@ -12,7 +12,6 @@ raises the energy is rejected and retried with half the step.
 """
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -299,20 +298,6 @@ class FlowReport:
     final_tau: float             # tau of the schedule, not of a t_end landing step
     stationarity: float          # ||state_{n+1} - state_n|| / tau at the end
     converged: bool
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t [time],energy [energy],bending [energy],coupling [energy],"
-                  "interface_gradient [energy],potential [energy],"
-                  "phi_mean_residual [1],u_mean_residual [1],u_normal_residual [1]\n")
-        for t, e, bd, cr in zip(self.times, self.energies, self.breakdowns,
-                                self.constraint_residuals):
-            buf.write(
-                f"{t:.17g},{e:.17g},{bd['bending']:.17g},{bd['coupling']:.17g},"
-                f"{bd['interface_gradient']:.17g},{bd['potential']:.17g},"
-                f"{cr[0]:.17g},{cr[1]:.17g},{cr[2]:.17g}\n"
-            )
-        return buf.getvalue()
 
 
 def initial_state(form: QuadraticForm, pf: PhaseFieldParams) -> PhaseState:

@@ -14,7 +14,6 @@ of the hard problem and k penalties factors once.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,14 +163,6 @@ class RateTable:
     errors: list[float]          # discrete H2 distance to the hard solution
     energies: list[float]
     slope: float                 # fitted log(err) vs log(delta)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("delta [1],h2_error [length],penalty_energy [energy]\n")
-        for d, e, en in zip(self.deltas, self.errors, self.energies):
-            buf.write(f"{d:.17g},{e:.17g},{en:.17g}\n")
-        buf.write(f"# fitted rate: {self.slope:.6g}\n")
-        return buf.getvalue()
 
 
 def convergence_study(form: QuadraticForm, cs: ConstraintSet, deltas) -> RateTable:

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -185,14 +188,18 @@ def test_cli_unusable_output_dir_is_config_error(tmp_path, capsys, monkeypatch, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file", "c.cfg", "under-a-file"]
 
 
-@pytest.mark.parametrize("out", ["missing/m.vtk", "a-file/m.vtk"])
+@pytest.mark.parametrize("out", ["missing/m.vtk", "a-file/m.vtk", ".", "d/"])
 def test_cli_mesh_unusable_out_dir_is_config_error(tmp_path, capsys, monkeypatch, out):
+    # An --out under a missing path or a file, or naming an existing directory.
     monkeypatch.setattr(cli, "build_icosphere", lambda *a: pytest.fail("the mesh was built"))
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "a-file").write_text("")
-    assert main(["mesh", "--level", "1", "--out", str(tmp_path / out)]) == 2
+    (tmp_path / "d").mkdir()
+    assert main(["mesh", "--level", "1", "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: --out: ") and err.count("\n") == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file", "d"]
+    assert not any((tmp_path / "d").iterdir())
 
 
 def test_cli_points_penalty_outputs(tmp_path):
@@ -225,6 +232,11 @@ dir = {out}
                  "t_end = 0.2\n", id="phase-flow"),
     pytest.param("taylor-check", "[taylor]\nfield = z2\nreconstruction = consistent\n",
                  id="taylor-check"),
+    pytest.param("points-penalty", "[points]\npreset = icosahedron\ndelta = 1e-3\n",
+                 id="points-penalty"),
+    pytest.param("penalty-study", "[points]\npreset = icosahedron\n", id="penalty-study"),
+    pytest.param("lambda-sweep", "[phase]\nepsilon = 0.5\ntau = 0.05\nt_end = 0.1\n"
+                 "[sweep]\ncouplings = -2\n", id="lambda-sweep"),
 ])
 def test_cli_outputs_deterministic(tmp_path, capsys, subcommand, sections):
     # Every output but the manifest (wall clock, output path) is byte-identical.
@@ -238,6 +250,77 @@ def test_cli_outputs_deterministic(tmp_path, capsys, subcommand, sections):
         runs.append((capsys.readouterr().out,
                      {p.name: p.read_bytes() for p in files if p.name != "manifest.txt"}))
     assert runs[0][1] and runs[0] == runs[1]
+
+
+# -- output tables -------------------------------------------------------------
+
+TABLE_RUNS = {
+    "points-hard": "[points]\npreset = equator\ncount = 6\n",
+    "penalty-study": "[points]\npreset = icosahedron\n[penalty_study]\ndeltas = 1e-2 1e-3 1e-4\n",
+    "taylor-check": "[taylor]\nfield = xy\n",
+    "phase-flow": "[phase]\nepsilon = 0.5\ncoupling = -2\ntau = 0.05\nt_end = 0.2\n",
+    "lambda-sweep": "[phase]\nepsilon = 0.5\ntau = 0.05\nt_end = 0.1\n[sweep]\ncouplings = -1 1\n",
+}
+
+FLOW_HEADER = ("t [time],energy [energy],bending [energy],coupling [energy],"
+               "interface_gradient [energy],potential [energy],"
+               "phi_mean_residual [1],u_mean_residual [1],u_normal_residual [1]")
+
+
+@pytest.fixture(scope="module")
+def table_runs(tmp_path_factory):
+    """{subcommand: (output directory, stdout)} of one level-2 run of each."""
+    root = tmp_path_factory.mktemp("tables")
+    runs = {}
+    for subcommand, sections in TABLE_RUNS.items():
+        cfg = root / f"{subcommand}.cfg"
+        write(cfg, f"[mesh]\nlevel = 2\n{sections}[output]\ndir = {root / subcommand}\n")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main([subcommand, "--config", str(cfg)]) == 0
+        runs[subcommand] = (root / subcommand, out.getvalue())
+    return runs
+
+
+def flow_rows(out, stdout):
+    """The initial state and one row per accepted step."""
+    return 1 + int(re.search(r"steps: (\d+) ", stdout).group(1))
+
+
+def sweep_rows(out, stdout):
+    row = next(line.split(",") for line in (out / "lambda_sweep.csv").read_text().splitlines()
+               if line.startswith("1,"))
+    return 1 + int(row[4])
+
+
+@pytest.mark.parametrize("subcommand, name, header, rows, notes", [
+    ("points-hard", "hard_report.csv",
+     "point_index [1],x [length],y [length],z [length],value [length],residual [length]",
+     6, ["energy"]),
+    ("penalty-study", "penalty_rates.csv",
+     "delta [1],h2_error [length],penalty_energy [energy]", 3, ["fitted rate"]),
+    ("taylor-check", "taylor_residuals.csv",
+     "rho [1],lagrangian [energy],residual [energy],slope_so_far [1]", 4, []),
+    ("phase-flow", "flow_energy.csv", FLOW_HEADER, flow_rows, []),
+    ("lambda-sweep", "sweep_lambda_+1_energy.csv", FLOW_HEADER, sweep_rows, []),
+    ("lambda-sweep", "lambda_sweep.csv",
+     "coupling [1/length],final_energy [energy],corr_u_phi [1],max_abs_u [length],"
+     "steps [1],converged [bool]", 2, []),
+], ids=["hard_report", "penalty_rates", "taylor_residuals", "flow_energy",
+        "sweep_lambda_energy", "lambda_sweep"])
+def test_cli_table_format(table_runs, subcommand, name, header, rows, notes):
+    # A header with units, one line per row whose floats are %.17g, then the
+    # "# name: value" notes.
+    out, stdout = table_runs[subcommand]
+    lines = (out / name).read_text().splitlines()
+    assert lines[0] == header
+    body = [line for line in lines[1:] if not line.startswith("#")]
+    assert [line.split(":")[0] for line in lines[1 + len(body):]] == [f"# {n}" for n in notes]
+    assert len(body) == (rows if isinstance(rows, int) else rows(out, stdout))
+    for line in body:
+        fields = line.split(",")
+        assert len(fields) == header.count(",") + 1
+        for s in fields:
+            assert s in ("True", "False") or format(float(s), ".17g") == s
 
 
 def test_cli_points_hard_large_kappa(tmp_path):

@@ -9,10 +9,10 @@ vertices), set with about 10% headroom over the ratio measured then:
 ==========================================  ======  =================
 call                                        budget  measured (before)
 ==========================================  ======  =================
-``_csr_pattern`` / its pattern              3.4     2.10 (2.54)
-``assemble_quadratic_form`` / the assembly  1.75    1.39 (1.39)
+``_csr_pattern`` / its pattern              2.3     2.10 (2.54)
+``assemble_quadratic_form`` / the assembly  1.55    1.39 (1.39)
 first ``form.A`` / A                        3.9     3.49 (3.49)
-consistent ``taylor_consistency`` / form    0.75    0.59 (0.59)
+consistent ``taylor_consistency`` / form    0.66    0.59 (0.59)
 ==========================================  ======  =================
 
 "Before" is the code whose ``_csr_pattern`` returned each triangle's nine
@@ -83,14 +83,14 @@ def traced_peak(call):
 def test_pattern_build_budget():
     mesh = build_icosphere(1.0, LEVEL)
     pattern, peak = traced_peak(lambda: _csr_pattern(mesh.triangles, mesh.num_vertices))
-    assert peak <= 3.4 * held_bytes(pattern)
+    assert peak <= 2.3 * held_bytes(pattern)
 
 
 def test_quadratic_form_budget():
     mesh = build_icosphere(1.0, LEVEL)
     form, peak = traced_peak(lambda: assemble_quadratic_form(mesh, ModelParams(1.0, 1.0, 1.0)))
     assert "A" not in vars(form)
-    assert peak <= 1.75 * assembly_bytes(form)
+    assert peak <= 1.55 * assembly_bytes(form)
 
 
 def test_operator_first_use_budget():
@@ -108,4 +108,4 @@ def test_consistent_taylor_check_budget():
         form, u, 0.5, rho_list=(0.1, 0.05, 0.025, 0.0125), reconstruction="consistent"))
     assert report.status == "converged"
     assert "A" not in vars(form)
-    assert peak <= 0.75 * form_bytes(form)
+    assert peak <= 0.66 * form_bytes(form)

@@ -282,13 +282,3 @@ def test_lumped_taylor_builds_the_operator_once(params, monkeypatch):
     assert built == [1]
     assert form.A is form.A
     assert built == [1]
-
-
-def test_taylor_csv_has_units_header(params):
-    mesh = build_icosphere(1.0, 2)
-    form = assemble_quadratic_form(mesh, params)
-    x = mesh.vertices
-    u = x[:, 1] * x[:, 2]
-    report = taylor_consistency(form, u, mu=0.0)
-    header = report.to_csv().splitlines()[0]
-    assert "rho" in header and "[" in header

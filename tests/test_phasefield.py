@@ -295,14 +295,6 @@ def test_unresolved_interface_warns(form2):
         run_flow(initial_state(form2, pf), form2, pf)
 
 
-def test_flow_report_csv(form2):
-    pf = make_params(t_end=0.05, stat_tol=None)
-    _, report = run_flow(initial_state(form2, pf), form2, pf)
-    lines = report.to_csv().splitlines()
-    assert "energy" in lines[0] and "[" in lines[0]
-    assert len(lines) == 1 + len(report.times)
-
-
 def coarsen_params(seed):
     """The phase-flow parameters of the benchmark's flow-coarsen workload."""
     return PhaseFieldParams(epsilon=0.15, b=1.0, coupling=1.0, alpha=-0.3, tau=0.01,
