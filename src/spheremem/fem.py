@@ -1,5 +1,6 @@
-"""Piecewise-linear surface FEM: mass/stiffness assembly, point evaluation,
-norms, the direct saddle-point solver and the consistent-mass form.
+"""Piecewise-linear surface FEM: mass/stiffness assembly, point evaluation at
+the radial lift onto the icosphere (``PointLocator``), norms, the direct
+saddle-point solver and the consistent-mass form.
 
 All operators are assembled triangle-wise on the polyhedral surface.  M and
 S come from the one pass over the surface's corners that also measures its
@@ -39,7 +40,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import _sparsetools, csgraph
 
 from .errors import GeometryError, RankDeficiencyError, SolverError
-from .mesh import TriangleMesh, triangle_centroids
+from .mesh import TriangleMesh
 
 #: The residual tolerance of the linear solves: it stops the refinement and is
 #: the contract.  The point solves of the penalty studies of the three presets
@@ -50,8 +51,8 @@ from .mesh import TriangleMesh, triangle_centroids
 #: c_be = 64 is verified up to level 7.
 BACKWARD_ERROR_BOUND = 64.0 * np.finfo(float).eps
 
-#: A point farther than this fraction of the mesh radius from the surface
-#: cannot be located on it.
+#: A point farther than this fraction of the radius from the sphere cannot be
+#: located on it.
 LOCATE_TOL_REL = 0.05
 
 
@@ -83,74 +84,75 @@ def assemble_stiffness(mesh: TriangleMesh) -> sp.csr_matrix:
     return _pattern_matrix(mesh, mesh._geometry.stiffness)
 
 
-def _closest_point_on_triangle(p: np.ndarray, a, b, c):
-    """Closest point to p on triangle (a,b,c); returns (point, barycentric)."""
-    ab, ac, ap = b - a, c - a, p - a
-    d1, d2 = ab @ ap, ac @ ap
-    if d1 <= 0 and d2 <= 0:
-        return a, np.array([1.0, 0.0, 0.0])
-    bp = p - b
-    d3, d4 = ab @ bp, ac @ bp
-    if d3 >= 0 and d4 <= d3:
-        return b, np.array([0.0, 1.0, 0.0])
-    vc = d1 * d4 - d3 * d2
-    if vc <= 0 and d1 >= 0 and d3 <= 0:
-        v = d1 / (d1 - d3)
-        return a + v * ab, np.array([1.0 - v, v, 0.0])
-    cp = p - c
-    d5, d6 = ab @ cp, ac @ cp
-    if d6 >= 0 and d5 <= d6:
-        return c, np.array([0.0, 0.0, 1.0])
-    vb = d5 * d2 - d1 * d6
-    if vb <= 0 and d2 >= 0 and d6 <= 0:
-        w = d2 / (d2 - d6)
-        return a + w * ac, np.array([1.0 - w, 0.0, w])
-    va = d3 * d6 - d5 * d4
-    if va <= 0 and (d4 - d3) >= 0 and (d5 - d6) >= 0:
-        w = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        return b + w * (c - b), np.array([0.0, 1.0 - w, w])
-    denom = va + vb + vc
-    v = vb / denom
-    w = vc / denom
-    return a + v * ab + w * ac, np.array([1.0 - v - w, v, w])
+def _opposite_determinants(corners: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """det[y, z, p] of the edge (y, z) opposite each corner of the triangles
+    ``corners`` (..., 3, 3), taken as y . ((z - y) x (p - y)): exactly 0 when p
+    is y or z, so a point at a corner gets that corner's weight exactly 1."""
+    y, z = np.roll(corners, -1, axis=-2), np.roll(corners, -2, axis=-2)
+    return np.einsum("...i,...i", y, np.cross(z - y, p[..., None, :] - y))
 
 
 class PointLocator:
-    """Closest-point queries against a fixed mesh, trying the 32 triangles with
-    the nearest centroids in order of distance, then of index."""
+    """Point functionals on an icosphere at the radial lift x -> R x / |x|, the
+    lift of surface FEM on the sphere (Dziuk & Elliott, *Acta Numerica* 22
+    (2013) 289): a point's row is the P1 value where its ray meets the flat
+    triangle whose cone holds it, the weights its determinants normalized.
+
+    The search descends the subdivision (``mesh._subdivide``): the children
+    4t ... 4t+3 of a triangle t tile its cone, since each midpoint lies on the
+    great arc of its edge, and corner k of a level-l triangle t is the first
+    corner of fine triangle (4t + k) 4^(L-l-1).  From the 20 icosahedron faces,
+    each level keeps the child whose smallest determinant is largest.  A point
+    on a shared edge or vertex may land in either triangle.
+    """
 
     def __init__(self, mesh: TriangleMesh):
-        self.mesh = mesh
-        self._centroids = triangle_centroids(mesh)
-        self._scale = mesh.radius_hint or float(np.max(np.linalg.norm(mesh.vertices, axis=1)))
+        m = mesh.num_triangles
+        level = (m // 20).bit_length() // 2      # m = 20 * 4^L on an icosphere
+        if mesh.radius_hint is None or m != 20 * 4**level:
+            raise GeometryError(f"points are located on icospheres only, not on a mesh "
+                                f"of {m} triangles and radius_hint {mesh.radius_hint}")
+        self.mesh, self.level = mesh, level
 
-    def locate(self, p) -> tuple[float, int, np.ndarray]:
-        """Distance, triangle index and barycentric weights of the closest point."""
-        p = np.asarray(p, dtype=float)
-        k = min(32, self.mesh.num_triangles)
-        d2 = np.sum((self._centroids - p) ** 2, axis=1)
-        cand = np.argpartition(d2, k - 1)[:k]
-        best = None
-        for ti in cand[np.lexsort((cand, d2[cand]))]:
-            a, b, c = self.mesh.vertices[self.mesh.triangles[ti]]
-            q, bary = _closest_point_on_triangle(p, a, b, c)
-            d = np.linalg.norm(p - q)
-            if best is None or d < best[0]:
-                best = (d, int(ti), bary)
-        return best
+    def _corners(self, t: np.ndarray, level: int) -> np.ndarray:
+        """The (..., 3) corner vertices of the level-``level`` triangles t."""
+        tris = self.mesh.triangles
+        if level == self.level:
+            return tris[t]
+        return tris[(4 * t[..., None] + np.arange(3)) * 4 ** (self.level - level - 1), 0]
 
-    def row(self, p) -> sp.csr_matrix:
-        d, ti, bary = self.locate(p)
-        if d > LOCATE_TOL_REL * self._scale:
+    def locate(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Triangle indices (k,) and barycentric weights (k, 3) of the radial
+        lift of ``points`` (k, 3); a point farther than ``LOCATE_TOL_REL`` R
+        from the sphere of radius R raises :class:`GeometryError`."""
+        p = np.asarray(points, dtype=float).reshape(-1, 3)
+        radius = self.mesh.radius_hint
+        gap = np.abs(np.linalg.norm(p, axis=1) - radius)
+        if np.any(gap > LOCATE_TOL_REL * radius):
+            j = int(np.argmax(gap))
             raise GeometryError(
-                f"point {np.asarray(p).tolist()} is {d:.3g} from the surface "
-                f"(tolerance {LOCATE_TOL_REL * self._scale:.3g})"
+                f"point {p[j].tolist()} is {gap[j]:.3g} from the sphere "
+                f"(tolerance {LOCATE_TOL_REL * radius:.3g})"
             )
-        idx = self.mesh.triangles[ti]
+        rows = np.arange(p.shape[0])
+        cand = np.broadcast_to(np.arange(20), (p.shape[0], 20))
+        for level in range(self.level + 1):
+            if level:
+                cand = 4 * best[:, None] + np.arange(4)
+            corners = self.mesh.vertices[self._corners(cand, level)]
+            dets = _opposite_determinants(corners, p[:, None])
+            pick = np.argmax(dets.min(axis=2), axis=1)
+            best, dets = cand[rows, pick], dets[rows, pick]
+        return best, dets / dets.sum(axis=1, keepdims=True)
+
+    def row(self, points) -> sp.csr_matrix:
+        """The (k, n) CSR rows of the point functionals of ``points`` (k, 3);
+        one point (3,) gives one row."""
+        tri, bary = self.locate(points)
         keep = bary > 1e-14
         return sp.csr_matrix(
-            (bary[keep], (np.zeros(int(keep.sum()), dtype=int), idx[keep])),
-            shape=(1, self.mesh.num_vertices),
+            (bary[keep], (np.nonzero(keep)[0], self.mesh.triangles[tri][keep])),
+            shape=(tri.size, self.mesh.num_vertices),
         )
 
 

@@ -167,7 +167,9 @@ def _subdivide(verts: np.ndarray, tris: np.ndarray, radius: float):
 
     The edges (a,b), (b,c), (c,a) of each triangle, in triangle order, number
     the new midpoints by first encounter: the vertex order of a triangle-by-
-    triangle walk.
+    triangle walk.  The children of triangle t are 4t ... 4t+3: (a, ab, ca),
+    (b, bc, ab), (c, ca, bc) and (ab, bc, ca), so child k's first corner is
+    corner k of t for k = 0, 1, 2 (``fem.PointLocator`` relies on both).
     """
     n = verts.shape[0]
     edges = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
@@ -375,18 +377,6 @@ def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
         np.add.at(acc, mesh.triangles[:, k], w)
     acc /= np.linalg.norm(acc, axis=1)[:, None]
     return acc
-
-
-def triangle_centroids(mesh: TriangleMesh) -> np.ndarray:
-    """Triangle centroids (m, 3), bit for bit ``vertices[triangles].mean(axis=1)``
-    (the corners summed in order, then divided by 3) without the (m, 3, 3)
-    array."""
-    v, t = mesh.vertices, mesh.triangles
-    centroids = v[t[:, 0]]
-    centroids += v[t[:, 1]]
-    centroids += v[t[:, 2]]
-    centroids /= 3.0
-    return centroids
 
 
 def area_and_volume(mesh: TriangleMesh) -> tuple[float, float]:

@@ -97,9 +97,7 @@ class _PointSystem:
     """
 
     def __init__(self, form: QuadraticForm, cs: ConstraintSet):
-        locator = PointLocator(form.mesh)
-        P = sp.vstack([locator.row(p) for p in cs.points]).tocsr()
-        del locator   # its centroids are not held through the factorization
+        P = PointLocator(form.mesh).row(cs.points)
         _check_resolved(P)
         self.form, self.cs, self.P = form, cs, P
         self.system = SaddleSystem(form.A, sp.vstack([form.constraints, P]))

@@ -375,6 +375,16 @@ def test_cli_empty_point_set_is_domain_error(tmp_path, points):
     assert "failed: error" in (out / "manifest.txt").read_text()
 
 
+def test_cli_unresolved_points_at_level_0_are_domain_error(tmp_path, capsys):
+    # The equator points lift onto the coarsest mesh, two of them into one triangle.
+    cfg = tmp_path / "u.cfg"
+    out = tmp_path / "out"
+    write(cfg, f"[mesh]\nlevel = 0\n[points]\npreset = equator\n[output]\ndir = {out}\n")
+    assert main(["points-hard", "--config", str(cfg)]) == 1
+    assert "lie in one triangle" in capsys.readouterr().err
+    assert "failed: error" in (out / "manifest.txt").read_text()
+
+
 @pytest.mark.parametrize("points", ["preset = equator\ncount = -1",
                                     "preset = polar_rings\npoints_per_ring = -2"])
 def test_cli_negative_point_count_is_config_error(tmp_path, capsys, points):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -108,7 +110,7 @@ def test_point_functional_reproduces_affine(coeffs, seed, mesh):
     p = rng.standard_normal(3)
     p /= np.linalg.norm(p)
     locator = PointLocator(mesh)
-    _, tri, bary = locator.locate(p)
+    (tri,), (bary,) = locator.locate(p)
     foot = bary @ mesh.vertices[mesh.triangles[tri]]
     row = locator.row(p)
     assert float((row @ field)[0]) == pytest.approx(
@@ -127,11 +129,24 @@ def test_point_functional_partition_of_unity(mesh):
         assert np.all(row.data >= -1e-12)
 
 
+@pytest.mark.parametrize("level", [0, 1])
+def test_point_functional_coarse_levels(level):
+    # Every point of the sphere has a row on the coarsest meshes too, though
+    # most lie farther than LOCATE_TOL_REL R from the polyhedron there.
+    rng = np.random.default_rng(level)
+    p = rng.standard_normal((200, 3))
+    row = PointLocator(build_icosphere(1.0, level)).row(p / np.linalg.norm(p, axis=1)[:, None])
+    np.testing.assert_allclose(np.asarray(row.sum(axis=1)).ravel(), 1.0, rtol=0, atol=1e-12)
+    assert np.diff(row.indptr).max() <= 3
+    assert np.all(row.data >= -1e-12)
+
+
 @pytest.mark.parametrize("level, count", [(2, 8), (3, 8), (4, 4), (5, 1)])
 def test_point_row_matches_brute_force(level, count):
-    # The 32 nearest centroids hold a closest triangle: distance and row are those
-    # of a search over all triangles.  An edge midpoint is as close to both
-    # triangles of its edge, whose weights may differ in the last bit.
+    # The descent finds the triangle of a search over all triangles for the one
+    # whose smallest determinant is largest, with its normalized determinants as
+    # weights.  A vertex gets its unit row exactly; an edge midpoint lifts onto
+    # the edge of two triangles, whose weights may differ in the last bits.
     mesh = build_icosphere(1.0, level)
     rng = np.random.default_rng(level)
     t = mesh.triangles[rng.choice(mesh.num_triangles, count, replace=False)]
@@ -139,25 +154,39 @@ def test_point_row_matches_brute_force(level, count):
     queries = np.vstack([mesh.vertices[t[:, 0]],
                          0.5 * (mesh.vertices[t[:, 0]] + mesh.vertices[t[:, 1]]),
                          random / np.linalg.norm(random, axis=1)[:, None]])
-    locator = PointLocator(mesh)
-    for p in queries:
-        best = None
-        for ti, (a, b, c) in enumerate(mesh.vertices[mesh.triangles]):
-            q, bary = fem._closest_point_on_triangle(p, a, b, c)
-            d = np.linalg.norm(p - q)
-            if best is None or d < best[0]:
-                best = (d, ti, bary)
-        d, ti, bary = best
-        expected = np.zeros(mesh.num_vertices)
-        expected[mesh.triangles[ti]] = np.where(bary > 1e-14, bary, 0.0)
-        assert locator.locate(p)[0] == d
-        np.testing.assert_allclose(locator.row(p).toarray().ravel(), expected,
-                                   rtol=0, atol=2 * np.finfo(float).eps)
+    dets = fem._opposite_determinants(mesh.vertices[mesh.triangles][None], queries[:, None])
+    ti = np.argmax(dets.min(axis=2), axis=1)
+    bary = dets[np.arange(len(queries)), ti]
+    bary /= bary.sum(axis=1, keepdims=True)
+    expected = np.zeros((len(queries), mesh.num_vertices))
+    np.put_along_axis(expected, mesh.triangles[ti], np.where(bary > 1e-14, bary, 0.0), axis=1)
+    row = PointLocator(mesh).row(queries).toarray()
+    np.testing.assert_array_equal(row[:count], expected[:count])
+    np.testing.assert_allclose(row, expected, rtol=0, atol=4 * np.finfo(float).eps)
 
 
 def test_point_functional_far_point_rejected(mesh):
     with pytest.raises(GeometryError):
         PointLocator(mesh).row(np.array([2.0, 0.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(GeometryError):
+            PointLocator(mesh).row(np.zeros(3))
+
+
+def test_point_locator_needs_an_icosphere(mesh):
+    for other in (TriangleMesh(mesh.vertices, mesh.triangles),
+                  TriangleMesh(mesh.vertices, mesh.triangles[:-4], radius_hint=1.0)):
+        with pytest.raises(GeometryError, match="icospheres only"):
+            PointLocator(other)
+
+
+def test_point_rows_of_the_vertices_are_the_identity():
+    for level in range(5):
+        mesh = build_icosphere(1.0, level)
+        row = PointLocator(mesh).row(mesh.vertices)
+        assert row.nnz == mesh.num_vertices
+        assert (row != sp.identity(mesh.num_vertices, format="csr")).nnz == 0
 
 
 def test_solve_saddle_contract(mesh):

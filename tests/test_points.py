@@ -218,8 +218,7 @@ def test_penalty_matches_schur_form(form, preset, delta):
     heights = np.ones(len(pts))
     u, report = solve_penalty(form, ConstraintSet(pts, heights), delta)
     # Reference: the point rows eliminated, (A + P^T P / delta) u = P^T Z / delta.
-    locator = PointLocator(form.mesh)
-    P = sp.vstack([locator.row(p) for p in pts]).tocsr()
+    P = PointLocator(form.mesh).row(pts)
     ref, _ = solve_saddle((form.A + (P.T @ P) / delta).tocsr(), form.constraints,
                           (P.T @ heights) / delta, np.zeros(4), np.zeros(4),
                           ["c0", "c1", "c2", "c3"])
@@ -256,8 +255,7 @@ def test_study_error_is_the_difference_solve(form):
     deltas = [1e-2, 1e-6]
     table = convergence_study(form, cs, deltas)
     lam0 = solve_hard(form, cs)[1].point_multipliers
-    locator = PointLocator(form.mesh)
-    B = sp.vstack([form.constraints] + [locator.row(p) for p in pts]).tocsr()
+    B = sp.vstack([form.constraints, PointLocator(form.mesh).row(pts)]).tocsr()
     n = form.mesh.num_vertices
     for delta, error in zip(deltas, table.errors):
         d, _ = solve_saddle(form.A, B, np.zeros(n), np.r_[np.zeros(4), -delta * lam0],
@@ -280,10 +278,8 @@ def test_polar_rings_antipodal_oddness():
 def test_presets_hit_mesh_vertices():
     # Icosahedron points coincide with level-0 vertices of every icosphere.
     mesh = build_icosphere(1.0, 3)
-    locator = PointLocator(mesh)
-    for p in icosahedron_points():
-        dist, _, bary = locator.locate(p)
-        assert np.max(bary) > 1.0 - 1e-9
+    _, bary = PointLocator(mesh).locate(icosahedron_points())
+    assert np.all(np.max(bary, axis=1) > 1.0 - 1e-9)
 
 
 def _exact_green(cosines, l_max: int = 20000) -> tuple[np.ndarray, float]:
