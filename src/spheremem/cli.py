@@ -305,8 +305,6 @@ def _phase_params(cfg: RunConfig, coupling: float | None = None) -> PhaseFieldPa
         b=cfg.get("phase", "b", 1.0, float),
         coupling=coupling if coupling is not None else cfg.get("phase", "coupling", 1.0, float),
         alpha=cfg.get("phase", "alpha", -0.3, float),
-        alpha1=cfg.get("phase", "alpha1", 1.0, float),
-        alpha2=cfg.get("phase", "alpha2", 1.0, float),
         tau=cfg.get("phase", "tau", 0.01, float),
         t_end=t_end,
         stat_tol=stat_tol,

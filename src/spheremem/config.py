@@ -24,8 +24,8 @@ SCHEMA = {
     "penalty_study": {"deltas"},
     "taylor": {"mu", "rho_list", "reconstruction", "field"},
     "phase": {
-        "epsilon", "b", "coupling", "alpha", "alpha1", "alpha2",
-        "tau", "t_end", "stat_tol", "noise_amplitude",
+        "epsilon", "b", "coupling", "alpha", "tau", "t_end", "stat_tol",
+        "noise_amplitude",
     },
     "sweep": {"couplings"},
     "output": {"dir"},

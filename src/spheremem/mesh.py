@@ -379,20 +379,10 @@ def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
     return acc
 
 
-def area_and_volume(mesh: TriangleMesh) -> tuple[float, float]:
-    """Total area and enclosed volume (divergence theorem), from the mesh's
-    measures.
-
-    The connectivity must be closed, as :func:`validate_closed` checks; it is
-    not re-checked here.  A degenerate triangle raises :class:`MeshTopologyError`.
-    """
-    g = mesh._geometry
-    return g.area, g.volume
-
-
 def mesh_stats(mesh: TriangleMesh) -> MeshStats:
-    """Area, enclosed volume and longest edge from the mesh's measures, under
-    the conditions of :func:`area_and_volume`."""
+    """Total area, enclosed volume (divergence theorem) and longest edge from the
+    mesh's measures.  The connectivity must be closed (:func:`validate_closed`;
+    not re-checked here); a degenerate triangle raises :class:`MeshTopologyError`."""
     g = mesh._geometry
     return MeshStats(
         num_vertices=mesh.num_vertices,

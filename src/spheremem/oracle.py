@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import GeometryError, ParameterError, check_finite
 from .fem import assemble_mass, assemble_stiffness, lumped_diagonal, mass_inverse_form
-from .mesh import TriangleMesh, area_and_volume, vertex_normals
+from .mesh import TriangleMesh, mesh_stats, vertex_normals
 from .model import ModelParams, QuadraticForm, quadratic_lagrangian
 
 RECONSTRUCTIONS = ("lumped", "consistent")
@@ -118,13 +118,13 @@ def energies(
         lam = params.lambda0
     if V0 is None:
         V0 = 4.0 / 3.0 * np.pi * params.R**3
-    area, volume = area_and_volume(mesh)
-    helfrich = params.kappa * willmore + params.sigma * area
-    lagrangian = helfrich + lam * (volume - V0)
+    stats = mesh_stats(mesh)
+    helfrich = params.kappa * willmore + params.sigma * stats.total_area
+    lagrangian = helfrich + lam * (stats.enclosed_volume - V0)
     return EnergyBreakdown(
         willmore=willmore,
-        area=area,
-        volume=volume,
+        area=stats.total_area,
+        volume=stats.enclosed_volume,
         helfrich=helfrich,
         lagrangian=lagrangian,
     )

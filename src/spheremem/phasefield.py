@@ -36,14 +36,13 @@ GROW_EVERY = 100
 
 @dataclass(frozen=True)
 class PhaseFieldParams:
-    """Interface width, line tension, curvature coupling and flow parameters."""
+    """Interface width, line tension, curvature coupling and flow parameters;
+    phi and u share the one time scale tau, the flow's D = blockdiag(M, M)."""
 
     epsilon: float
     b: float
     coupling: float          # spontaneous-curvature coefficient (Lambda)
     alpha: float             # prescribed mean of phi, in (-1, 1)
-    alpha1: float = 1.0      # phi mobility
-    alpha2: float = 1.0      # u mobility
     tau: float = 1e-3
     t_end: float | None = None
     stat_tol: float | None = 1e-5
@@ -52,7 +51,7 @@ class PhaseFieldParams:
 
     def __post_init__(self):
         check_finite(**vars(self))
-        for name in ("epsilon", "b", "alpha1", "alpha2", "tau", "t_end", "stat_tol"):
+        for name in ("epsilon", "b", "tau", "t_end", "stat_tol"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ParameterError(f"{name} must be positive, got {value}")
@@ -208,28 +207,29 @@ def flow_operator(form: QuadraticForm, pf: PhaseFieldParams, C: sp.csr_matrix,
                   tau: float) -> sp.csr_matrix:
     """The flow's step operator K = D/tau + H (CSR), ``C`` the coupling operator.
 
-    K = [[(alpha1/tau) M + b eps S + kappa Lambda^2 M_L, C], [C, (alpha2/tau) M
-    + A]]: D = blockdiag(alpha1 M, alpha2 M) and H the Hessian of the energy's
-    quadratic part, the linear part s phi of f' included.
+    K = [[(1/tau) M + b eps S + kappa Lambda^2 M_L, C], [C, (1/tau) M + A]]:
+    D = blockdiag(M, M) and H the Hessian of the energy's quadratic part, the
+    linear part s phi of f' included.
     """
     # Linear part of (b/eps) f'(phi): (b/eps)*s*phi = kappa*Lambda^2*phi,
     # lumped; kept implicit.
     lin_well = (pf.b / pf.epsilon * well_shift(pf, form.params)) * sp.diags(form.m_lumped)
-    Kpp = (pf.alpha1 / tau) * form.M + pf.b * pf.epsilon * form.S + lin_well
-    Kuu = (pf.alpha2 / tau) * form.M + form.A
+    Kpp = (1.0 / tau) * form.M + pf.b * pf.epsilon * form.S + lin_well
+    Kuu = (1.0 / tau) * form.M + form.A
     return sp.bmat([[Kpp, C], [C, Kuu]], format="csr")
 
 
 class FlowSolver:
     """Reusable linearly-implicit stepper for the conserved gradient flow.
 
-    It factors K = :func:`flow_operator` once per (form, params, tau).  A
-    step solves K d + B^T lambda = -grad E(x), B d = g - B x and moves to x
-    + d: the scheme K x_new = (D/tau) x - (b/eps) M_L W'(phi) in increment
-    form, with the same multipliers, by one solve on the LU that is neither
-    refined nor held to ``fem.BACKWARD_ERROR_BOUND``.  It evaluates the
-    energy once, of the new state; the caller passes the energy it starts
-    from, and may pass its products.  :func:`run_flow` keeps two solvers.
+    It factors K = :func:`flow_operator` = D/tau + H, D = blockdiag(M, M),
+    once per (form, params, tau).  A step solves K d + B^T lambda = -grad
+    E(x), B d = g - B x and moves to x + d: the scheme K x_new = (D/tau) x -
+    (b/eps) M_L W'(phi) in increment form, with the same multipliers, by one
+    solve on the LU that is neither refined nor held to
+    ``fem.BACKWARD_ERROR_BOUND``.  It evaluates the energy once, of the new
+    state; the caller passes the energy it starts from, and may pass its
+    products.  :func:`run_flow` keeps two solvers.
 
     K is factored as a :class:`fem.SaddleSystem` with its five hard rows, in
     ``order``, or in the nested-dissection order it takes when None; the

@@ -95,11 +95,13 @@ def test_config_defaults():
 
 def test_config_unknown_key_listed(tmp_path):
     path = tmp_path / "c.cfg"
-    write(path, "[mesh]\nlevel = 2\nradius = 1\n[bogus]\nx = 1\n")
+    write(path, "[mesh]\nlevel = 2\nradius = 1\n[bogus]\nx = 1\n"
+                "[phase]\nalpha1 = 1\nalpha2 = 1\n")
     with pytest.raises(ConfigError) as exc:
         load_config(str(path))
     msg = str(exc.value)
     assert "radius" in msg and "bogus" in msg
+    assert "[phase] alpha1" in msg and "[phase] alpha2" in msg
 
 
 def test_config_bad_value(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spheremem.errors import GeometryError, ParameterError
-from spheremem.mesh import area_and_volume, build_icosphere, mesh_stats
+from spheremem.mesh import build_icosphere, mesh_stats
 from spheremem.model import ModelParams, assemble_quadratic_form
 from spheremem.oracle import (
     discrete_mean_curvature,
@@ -170,9 +170,9 @@ def test_taylor_measures_each_surface_once(params, monkeypatch):
 
     def counting_measures(mesh):
         calls.append(mesh)
-        return area_and_volume(mesh)
+        return mesh_stats(mesh)
 
-    monkeypatch.setattr(oracle, "area_and_volume", counting_measures)
+    monkeypatch.setattr(oracle, "mesh_stats", counting_measures)
     mesh = build_icosphere(1.0, 2)
     form = assemble_quadratic_form(mesh, params)
     u = mesh.vertices[:, 0] * mesh.vertices[:, 1]

@@ -380,9 +380,9 @@ def test_flow_orders_its_operator_once(form3, monkeypatch):
 def position_form_step(solver, state):
     """The step as K x_new = (D/tau) x - (b/eps) M_L W'(phi): (phi, u, lambda_phi, lambda_u)."""
     pf, form, n = solver.pf, solver.form, solver.n
-    rhs_phi = (pf.alpha1 / solver.tau) * (form.M @ state.phi) \
+    rhs_phi = (1.0 / solver.tau) * (form.M @ state.phi) \
         - (pf.b / pf.epsilon) * form.m_lumped * double_well_derivative(state.phi)
-    rhs_u = (pf.alpha2 / solver.tau) * (form.M @ state.u)
+    rhs_u = (1.0 / solver.tau) * (form.M @ state.u)
     sol = solver.lu.solve(np.concatenate([rhs_phi, rhs_u, solver.g]))
     return sol[:n], sol[n: 2 * n], sol[2 * n], sol[2 * n + 1]
 
@@ -425,7 +425,7 @@ def continuum_growth_rate(l, pf, model):
     hess = [[pf.b * pf.epsilon * lam
              + pf.b / pf.epsilon * (3.0 * pf.alpha**2 - 1.0 + well_shift(pf, model)), c],
             [c, (lam - 2.0 / model.R**2) * (model.kappa * lam + model.sigma)]]
-    return max(np.linalg.eigvals(-np.diag([1 / pf.alpha1, 1 / pf.alpha2]) @ hess).real)
+    return max(np.linalg.eigvals(-np.asarray(hess)).real)
 
 
 def discrete_growth_rates(form, pf):
@@ -433,7 +433,7 @@ def discrete_growth_rates(form, pf):
 
     The Jacobian J of ``energy_gradient`` is built by central differences;
     the rates are -eig(Z^T J Z, Z^T D Z) with Z a basis of the null space of
-    the constraint rows B and D = blockdiag(alpha1 M, alpha2 M).
+    the constraint rows B and D = blockdiag(M, M).
     """
     n = form.mesh.num_vertices
     C = coupling_operator(form, pf)
@@ -450,7 +450,7 @@ def discrete_growth_rates(form, pf):
         J[:, j] = (gradient(x0 + step) - gradient(x0 - step)) / (2 * h)
     # The Jacobian of a gradient is a Hessian.
     assert np.abs(J - J.T).max() <= 1e-12 * np.abs(J).max()
-    D = sp.block_diag([pf.alpha1 * form.M, pf.alpha2 * form.M]).toarray()
+    D = sp.block_diag([form.M, form.M]).toarray()
     B = sp.block_diag([form.constraints[:1], form.constraints]).toarray()
     Z = sla.null_space(B)
     return -sla.eigh(Z.T @ J @ Z, Z.T @ D @ Z, eigvals_only=True)
