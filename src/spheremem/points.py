@@ -25,8 +25,6 @@ from .model import QuadraticForm
 
 #: Points closer than this (relative to R) are rejected as duplicates.
 DUPLICATE_TOL = 1e-8
-#: The duplicate check measures at most this many point pairs at once.
-DUPLICATE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -45,18 +43,10 @@ class ConstraintSet:
         if pts.shape[0] == 0:
             raise ParameterError("a constraint set needs at least one attachment point")
         scale = float(np.max(np.linalg.norm(pts, axis=1)))
-        # The first i with a later point nearer than the tolerance, its nearest later j.
-        x, y, z = np.ascontiguousarray(pts.T)
-        rows = max(1, DUPLICATE_BLOCK // len(pts))
-        for s in range(0, len(pts) - 1, rows):
-            k = min(rows, len(pts) - 1 - s)
-            sq = np.square(x[s + 1:] - x[s:s + k, None])
-            sq += np.square(y[s + 1:] - y[s:s + k, None])
-            sq += np.square(z[s + 1:] - z[s:s + k, None])
-            sq[:, :k - 1][np.tri(k, k - 1, -1, dtype=bool)] = np.inf
-            near = np.flatnonzero(np.sqrt(sq.min(axis=1)) < DUPLICATE_TOL * scale)
-            if near.size:
-                i, j = s + near[0], s + 1 + np.argmin(np.sqrt(sq[near[0]]))
+        for i in range(pts.shape[0]):
+            d = np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
+            if d.size and np.min(d) < DUPLICATE_TOL * scale:
+                j = i + 1 + int(np.argmin(d))
                 raise ParameterError(f"attachment points {i} and {j} coincide")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "heights", hts)

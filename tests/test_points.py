@@ -32,39 +32,6 @@ def test_duplicate_points_rejected():
         ConstraintSet(points=pts, heights=np.array([1.0, 1.0]))
 
 
-def _pair_by_loop(pts, tol):
-    """The pair a loop over all pairs names: the first i with a later point
-    nearer than tol, and its nearest later j (the first, on a tie)."""
-    for i in range(len(pts)):
-        d = np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
-        if d.size and np.min(d) < tol:
-            return i, i + 1 + int(np.argmin(d))
-    return None
-
-
-@pytest.mark.parametrize("block", [1, 64, points.DUPLICATE_BLOCK])
-@pytest.mark.parametrize("seed", range(6))
-def test_duplicate_check_names_the_pair_of_the_loop(monkeypatch, block, seed):
-    # Blocks of one row, of a few rows and of the default size of the check.
-    monkeypatch.setattr(points, "DUPLICATE_BLOCK", block)
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 400))
-    pts = rng.normal(size=(n, 3))
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
-    tol = points.DUPLICATE_TOL * float(np.max(np.linalg.norm(pts, axis=1)))
-    assert _pair_by_loop(pts, tol) is None
-    ConstraintSet(pts, np.ones(n))
-    i = int(rng.integers(n - 1))
-    j = i + 1 if seed % 3 == 0 else int(rng.integers(i + 1, n))
-    pts[j] = pts[i] + 1e-10 * rng.normal(size=3)
-    if seed % 2:
-        # A second point as near to i as j is: the loop names the first.
-        pts[rng.integers(n)] = pts[j]
-    i, j = _pair_by_loop(pts, points.DUPLICATE_TOL * float(np.max(np.linalg.norm(pts, axis=1))))
-    with pytest.raises(ParameterError, match=rf"^attachment points {i} and {j} coincide$"):
-        ConstraintSet(pts, np.ones(n))
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("where", ["points", "heights"])
 def test_non_finite_constraint_set_rejected(where, bad):
