@@ -22,7 +22,13 @@ K = [[A, B^T], [B, -diag(c)]] is a ``SaddleSystem``, the one code that knows
 its layout: it applies K and |K| from the blocks, factors K by sparse LU in
 SuperLU's symmetric mode, every column pivoting on its diagonal in a
 nested-dissection order of the mesh graph (``nested_dissection``), and
-refines the point solves against K to the contract.  The contract stops
+refines the point solves against K to the contract.  On the icosphere every
+saddle matrix of the program is invariant under the antipodal map x -> -x
+(``mesh.antipodal_map``), and its LU is that of its even and odd halves, one
+block-diagonal SuperLU factor of the same size ordered by the folded graph:
+the points' A_C has 0.44 M, 2.42 M and 12.3 M L+U entries at levels 4-6
+(0.49 M, 2.62 M and 12.9 M unsplit), the level-4 flow operator 1.15 M
+(1.19 M).  The contract stops
 there: the phase-field flow's step solves (``phasefield.FlowSolver.step``)
 are one solve each on their LU, neither refined nor checked.  No caller needs
 M^{-1} b itself, only the form b^T M^{-1} b; ``mass_inverse_form`` computes
@@ -40,15 +46,17 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import _sparsetools, csgraph
 
 from .errors import GeometryError, RankDeficiencyError, SolverError
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, icosphere_level, subdivision_corners
 
 #: The residual tolerance of the linear solves: it stops the refinement and is
 #: the contract.  The point solves of the penalty studies of the three presets
-#: (hard and delta = 1e-2 ... 1e-6), on diagonal pivots in nested-dissection
-#: order, miss it unrefined (137 eps to 2.2e7 eps, growing with the level) and
-#: meet it after one refinement step each, at 0.6-5.8 eps at levels 2-6 and
-#: 1.6-14.6 eps at level 7 (polar_rings is a domain error at level 2).
-#: c_be = 64 is verified up to level 7.
+#: (hard and delta = 1e-2 ... 1e-6), on the split LU of ``SaddleSystem.factor``
+#: (diagonal pivots, nested-dissection order), miss it unrefined (69 eps to
+#: 1.7e7 eps, growing with the level) and meet it after one refinement step
+#: each, at 0.7-12.1 eps at levels 2-6 and 1.6-17.0 eps at level 7; only the
+#: icosahedron's solves at levels 2 and 3 meet it unrefined, at 38-57 eps
+#: (polar_rings is a domain error at level 2).  c_be = 64 is verified up to
+#: level 7.
 BACKWARD_ERROR_BOUND = 64.0 * np.finfo(float).eps
 
 #: A point farther than this fraction of the radius from the sphere cannot be
@@ -100,26 +108,14 @@ class PointLocator:
 
     The search descends the subdivision (``mesh._subdivide``): the children
     4t ... 4t+3 of a triangle t tile its cone, since each midpoint lies on the
-    great arc of its edge, and corner k of a level-l triangle t is the first
-    corner of fine triangle (4t + k) 4^(L-l-1).  From the 20 icosahedron faces,
+    great arc of its edge, and ``mesh.subdivision_corners`` reads the corners
+    of each level's triangles off the finest ones.  From the 20 icosahedron faces,
     each level keeps the child whose smallest determinant is largest.  A point
     on a shared edge or vertex may land in either triangle.
     """
 
     def __init__(self, mesh: TriangleMesh):
-        m = mesh.num_triangles
-        level = (m // 20).bit_length() // 2      # m = 20 * 4^L on an icosphere
-        if mesh.radius_hint is None or m != 20 * 4**level:
-            raise GeometryError(f"points are located on icospheres only, not on a mesh "
-                                f"of {m} triangles and radius_hint {mesh.radius_hint}")
-        self.mesh, self.level = mesh, level
-
-    def _corners(self, t: np.ndarray, level: int) -> np.ndarray:
-        """The (..., 3) corner vertices of the level-``level`` triangles t."""
-        tris = self.mesh.triangles
-        if level == self.level:
-            return tris[t]
-        return tris[(4 * t[..., None] + np.arange(3)) * 4 ** (self.level - level - 1), 0]
+        self.mesh, self.level = mesh, icosphere_level(mesh)
 
     def locate(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Triangle indices (k,) and barycentric weights (k, 3) of the radial
@@ -139,7 +135,8 @@ class PointLocator:
         for level in range(self.level + 1):
             if level:
                 cand = 4 * best[:, None] + np.arange(4)
-            corners = self.mesh.vertices[self._corners(cand, level)]
+            corners = self.mesh.vertices[
+                subdivision_corners(self.mesh.triangles, self.level, cand, level)]
             dets = _opposite_determinants(corners, p[:, None])
             pick = np.argmax(dets.min(axis=2), axis=1)
             best, dets = cand[rows, pick], dets[rows, pick]
@@ -225,16 +222,100 @@ def nested_dissection(A: sp.spmatrix) -> np.ndarray:
     return np.lexsort((part, -depth))
 
 
-class _PermutedLU:
-    """The sparse LU ``lu`` of P K P^T, whose ``solve`` solves K x = b (b one
-    column or several); P numbers the unknowns of A in ``order``, then the
-    rows of B."""
+#: A constraint row is even (odd) under a pairing of the unknowns when
+#: swapping each pair changes it (its negative) by at most this fraction of
+#: its largest entry.
+PARITY_TOL_REL = 1e-12
 
-    def __init__(self, lu, order: np.ndarray, perm: np.ndarray):
+_SQRT_HALF = np.sqrt(0.5)
+
+
+def _check_pairing(pairing: np.ndarray, n: int) -> np.ndarray:
+    """``pairing`` as an index array, checked to be an involution of the n
+    unknowns without fixed points."""
+    pairing = np.asarray(pairing, dtype=np.intp)
+    if (pairing.shape != (n,) or np.any(pairing == np.arange(n))
+            or not np.array_equal(pairing[pairing], np.arange(n))):
+        raise SolverError(f"a pairing of {n} unknowns must be an involution without fixed points")
+    return pairing
+
+
+def _pairs(pairing: np.ndarray | None, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The pairs (first[i], second[i]) of a pairing of n unknowns, first[i] <
+    second[i], numbered in the order of first: pair i has the even vector
+    (e_first + e_second)/sqrt(2) and the odd one (e_first - e_second)/sqrt(2).
+    Unpaired (None), each unknown is its own pair and second is None."""
+    if pairing is None:
+        return np.arange(n), None
+    first = np.flatnonzero(pairing > np.arange(n))
+    return first, pairing[first]
+
+
+def _fold(A: sp.csr_matrix, first: np.ndarray, second: np.ndarray | None,
+          sign: float) -> sp.csr_matrix:
+    """H^T in CSR, whose arrays are those of H in CSC, for the matrix H of
+    the pairs (first, second) with H[i, l] the sum of s_a s_b A[a, b] over a
+    in pair i and b in pair l, s = 1 on first and ``sign`` on second; without
+    second, H = A[first][:, first].  It takes sparse row gathers and sums and
+    one transposition, which keep every row sorted: no sort."""
+    def gather(X):
+        if second is None:
+            return X[first]
+        return X[first] + X[second] if sign > 0 else X[first] - X[second]
+    return gather(gather(A).T.tocsr())
+
+
+def half_graph(A: sp.spmatrix, pairing: np.ndarray | None) -> sp.csr_matrix:
+    """The graph of A folded by ``pairing`` (:func:`_pairs`), as a CSR
+    pattern: pairs k and l are joined where an entry of A, stored zeros
+    included, joins an unknown of one to an unknown of the other.  The even
+    and the odd half of A lie in it, and :meth:`SaddleSystem.factor` orders
+    both by it; unpaired, it is the pattern of A^T."""
+    A = sp.csr_matrix(A)
+    pattern = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+    return _fold(pattern, *_pairs(pairing, A.shape[0]), 1.0)
+
+
+def _row_parities(dense: np.ndarray, pairing: np.ndarray) -> np.ndarray:
+    """+1 for each row of the dense B that is even under the pairing
+    (B[:, pairing] = B) and -1 for each odd one (B[:, pairing] = -B), to
+    ``PARITY_TOL_REL`` of the row's largest entry; a row of neither parity
+    raises :class:`SolverError`."""
+    swapped, scale = dense[:, pairing], PARITY_TOL_REL * np.abs(dense).max(axis=1)
+    even = np.abs(swapped - dense).max(axis=1) <= scale
+    odd = np.abs(swapped + dense).max(axis=1) <= scale
+    if not np.all(even | odd):
+        row = int(np.flatnonzero(~(even | odd))[0])
+        raise SolverError(f"constraint row {row} is neither even nor odd under the pairing "
+                          f"of the unknowns; the saddle system cannot be split")
+    return np.where(even, 1.0, -1.0)
+
+
+class _PermutedLU:
+    """The sparse LU ``lu`` of T K T^T, whose ``solve`` solves K x = b (b one
+    column or several).  T gathers b by ``perm`` and then, when the unknowns
+    are paired, rotates each pair, at positions i < ``pairs`` and ``odd`` + i
+    of the gathered vector, into its even and odd parts; T is orthogonal, so
+    x is the LU's solution rotated back and scattered by ``perm``.  ``order``
+    is the order of the unknowns of A (or of its halves) used."""
+
+    def __init__(self, lu, order: np.ndarray, perm: np.ndarray, pairs: int = 0, odd: int = 0):
         self.lu, self.order, self.perm = lu, order, perm
+        self.pairs, self.odd = pairs, odd
+
+    def _rotate(self, y: np.ndarray) -> np.ndarray:
+        """The pairs of y, (a, b) -> ((a + b), (a - b)) / sqrt(2), in place:
+        its own inverse."""
+        if self.pairs:
+            a, b = y[:self.pairs], y[self.odd:self.odd + self.pairs]
+            diff = a - b
+            a += b
+            a *= _SQRT_HALF
+            np.multiply(diff, _SQRT_HALF, out=b)
+        return y
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        y = self.lu.solve(np.asarray(b)[self.perm])
+        y = self._rotate(self.lu.solve(self._rotate(np.asarray(b, dtype=float)[self.perm])))
         x = np.empty_like(y)
         x[self.perm] = y
         return x
@@ -259,10 +340,17 @@ def _backward_error(r: np.ndarray, scale: np.ndarray) -> float:
 class SaddleSystem:
     """The saddle matrix K(c) = [[A, B^T], [B, -diag(c)]] of a symmetric block
     A and constraint rows B, for a compliance c >= 0: row i of B is a hard
-    constraint where c_i = 0 and a penalty of compliance c_i where c_i > 0."""
+    constraint where c_i = 0 and a penalty of compliance c_i where c_i > 0.
 
-    def __init__(self, A: sp.spmatrix, B: sp.spmatrix):
+    ``pairing``, when given, pairs the unknowns of A by a symmetry under which
+    K is invariant: unknown i with ``pairing[i]``, an involution without fixed
+    points (on an icosphere, ``mesh.antipodal_map``).  The LU then factors K
+    in the pairs' even and odd parts (:meth:`factor`).
+    """
+
+    def __init__(self, A: sp.spmatrix, B: sp.spmatrix, pairing: np.ndarray | None = None):
         self.A, self.B = A, B.tocsr()
+        self.pairing = None if pairing is None else _check_pairing(pairing, A.shape[0])
         self._abs = None
 
     def apply(self, c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -276,32 +364,76 @@ class SaddleSystem:
         return _saddle_product(*self._abs, c, x)
 
     def factor(self, c: np.ndarray, order: np.ndarray | None = None) -> _PermutedLU:
-        """The LU of K(c) by SuperLU in its symmetric mode, the unknowns of A
-        in the order ``order`` (:func:`nested_dissection` of A when None; a
-        caller that factors several matrices of one pattern orders it once),
-        the rows of B last, with diagonal pivot threshold 0 (Li, ACM TOMS 31
-        (2005) 302): a column leaves its diagonal only where that entry is
-        exactly zero or absent, and refinement against K (:meth:`solve`)
-        answers for the accuracy.  Nested dissection suits the symmetric K of
-        a surface mesh: A_C = [[A, C^T], [C, 0]] has 0.49 M, 2.6 M and 12.9 M
-        L+U entries at levels 4-6, against 0.71 M, 3.76 M and 22.0 M ordered
-        by COLAMD, which minimizes the fill of K^T K instead, and 1.30 M,
-        6.64 M and 38.1 M by SuperLU's ``MMD_AT_PLUS_A``; the level-4 flow
-        operator has 1.19 M, against 1.62-1.85 M and 3.29 M.
+        """The LU of K(c) by one SuperLU factorization in its symmetric mode,
+        with diagonal pivot threshold 0 (Li, ACM TOMS 31 (2005) 302): a column
+        leaves its diagonal only where that entry is exactly zero or absent,
+        and refinement against K (:meth:`solve`) answers for the accuracy.
+
+        Unpaired, the LU is that of K with the unknowns of A in the order
+        ``order`` (:func:`nested_dissection` of A when None; a caller that
+        factors several matrices of one pattern orders it once), the rows of
+        B last.  Paired, it is the LU of Q^T K Q = blockdiag(K_even, K_odd),
+        of the same size, Q the orthonormal basis of the pairs' even and odd
+        vectors (:func:`_pairs`): the symmetry reduction of Bossavit
+        (Comput. Methods Appl. Mech. Engrg. 56 (1986) 167).  Each half is a
+        saddle matrix: entry (k, l) of its A block is half the sum of the four
+        entries of A joining pair k to pair l, signed by parity, and its
+        constraint rows are the rows of B of its parity in that basis, so the
+        multipliers are K's own.  Every row of B must be even or odd (else
+        :class:`SolverError`), and the halves are those of (K + Pi K Pi)/2:
+        a K invariant only to roundoff is factored as its symmetrization.  One
+        order of the half graph (:func:`half_graph`), ``order`` or its nested
+        dissection, serves both halves, and the halves go to SuperLU as one
+        block-diagonal matrix.
+
+        Nested dissection suits the symmetric K of a surface mesh: unpaired,
+        A_C = [[A, C^T], [C, 0]] has 0.49 M, 2.6 M and 12.9 M L+U entries at
+        levels 4-6, against 0.71 M, 3.76 M and 22.0 M ordered by COLAMD, which
+        minimizes the fill of K^T K instead, and 1.30 M, 6.64 M and 38.1 M by
+        SuperLU's ``MMD_AT_PLUS_A``; the level-4 flow operator has 1.19 M,
+        against 1.62-1.85 M and 3.29 M.  Split by the antipodal map, A_C has
+        0.44 M, 2.42 M and 12.3 M, and the level-4 flow operator 1.15 M.
 
         Returns the LU, whose ``solve`` solves with K and whose ``order`` is
-        the order of A used; a failed factorization raises :class:`SolverError`.
+        the order used; a failed factorization raises :class:`SolverError`.
         """
-        A, B = self.A, self.B
-        order = nested_dissection(A) if order is None else order
-        perm = np.concatenate([order, A.shape[0] + np.arange(B.shape[0])])
-        permuted = sp.bmat([[A, B.T], [B, sp.diags(-c)]], format="csc")[perm][:, perm]
+        if order is None:
+            order = nested_dissection(half_graph(self.A, self.pairing))
+        permuted, perm, odd = self._rotated(c, order)
         try:
             lu = spla.splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                            options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise SolverError(f"sparse LU of the saddle system failed: {exc}") from exc
-        return _PermutedLU(lu, order, perm)
+        return _PermutedLU(lu, order, perm, 0 if self.pairing is None else order.size, odd)
+
+    def _rotated(self, c: np.ndarray, order: np.ndarray) -> tuple[sp.csc_matrix, np.ndarray, int]:
+        """Q^T K(c) Q as a CSC matrix, its unknowns numbered half by half: the
+        even half's pairs in ``order``, then its rows of B, then the odd half's
+        (unpaired, the even half is all of K); with the gather ``perm`` of
+        that numbering (:class:`_PermutedLU`) and the start of the odd half.
+        A half's block of A is half its :func:`_fold`, and its rows of B are
+        (B[:, first] +- B[:, second]) / sqrt(2)."""
+        n, k = self.A.shape[0], self.B.shape[0]
+        first, second = _pairs(self.pairing, n)
+        first, second = first[order], None if second is None else second[order]
+        A, B = sp.csr_matrix(self.A), self.B.toarray()
+        parity = np.ones(k) if second is None else _row_parities(B, self.pairing)
+        halves, perm = [], []
+        for sign, unknowns in [(1.0, first)] + ([] if second is None else [(-1.0, second)]):
+            rows = np.flatnonzero(parity == sign)
+            H = _fold(A, first, second, sign).T
+            if second is None:
+                Bh = B[rows][:, first]
+            else:
+                H.data *= 0.5
+                Bh = _SQRT_HALF * (B[rows][:, first] + sign * B[rows][:, second])
+            D = sp.diags(-c[rows], shape=(rows.size,) * 2, format="csc")
+            # All four blocks CSC: SciPy stacks them without a sort.
+            halves.append(sp.bmat([[H, sp.csr_matrix(Bh).T], [sp.csc_matrix(Bh), D]],
+                                  format="csc"))
+            perm += [unknowns, n + rows]
+        return sp.block_diag(halves, format="csc"), np.concatenate(perm), halves[0].shape[0]
 
     def solve(self, c: np.ndarray, rhs: np.ndarray, inner) -> np.ndarray:
         """x with K(c) x = rhs by the inner solve ``inner`` (r -> K(c)^{-1} r up

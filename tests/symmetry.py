@@ -3,15 +3,17 @@
 The icosphere inherits the icosahedral symmetry group; in particular the C5
 rotation about z and the S10 rotoreflection (rotate by pi/5, flip z) map mesh
 vertices to mesh vertices up to roundoff.  These permutations turn solution
-equivariance into a machine-precision check.
+equivariance into a machine-precision check.  The tests' helper: found by a
+k-d tree search of the mapped vertices, independently of the subdivision that
+``spheremem.mesh.antipodal_map`` reads the antipodes from.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import GeometryError
-from .mesh import TriangleMesh
+from spheremem.errors import GeometryError
+from spheremem.mesh import TriangleMesh
 
 #: A vertex map is a mesh symmetry when every image lies within this fraction
 #: of the mesh radius of a vertex.

@@ -32,7 +32,7 @@ from spheremem.points import (
     icosahedron_points,
     solve_hard,
 )
-from spheremem.symmetry import rotation_z, s10_matrix, symmetry_residual
+from symmetry import rotation_z, s10_matrix, symmetry_residual
 
 PARAMS = ModelParams(kappa=1.0, sigma=1.0, R=1.0)
 

@@ -15,6 +15,7 @@ from spheremem.fem import (
     assemble_mass,
     assemble_stiffness,
     h2_norm,
+    half_graph,
     laplacian_apply,
     lumped_diagonal,
     mass_inverse_form,
@@ -22,7 +23,7 @@ from spheremem.fem import (
     solve_saddle,
 )
 from spheremem import fem
-from spheremem.mesh import TriangleMesh, build_icosphere, mesh_stats
+from spheremem.mesh import TriangleMesh, antipodal_map, build_icosphere, mesh_stats
 from spheremem.model import ModelParams, assemble_quadratic_form
 from spheremem.oracle import perturb
 from spheremem.phasefield import FlowSolver, PhaseFieldParams, coupling_operator, flow_operator
@@ -330,9 +331,9 @@ def _flow_lu(level, coupling, tau):
 
 
 def _orthogonality_lu(level):
-    """The LU of the points' A_C = [[A, C^T], [C, 0]]."""
+    """The LU of the points' A_C = [[A, C^T], [C, 0]], split by the antipodal map."""
     form = assemble_quadratic_form(build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
-    return SaddleSystem(form.A, form.constraints).factor(np.zeros(4))
+    return SaddleSystem(form.A, form.constraints, antipodal_map(form.mesh)).factor(np.zeros(4))
 
 
 _SADDLE_LUS = {
@@ -389,6 +390,99 @@ def test_saddle_system_is_the_assembled_k(name):
     # Its LU solves the same K: measured within 3.4e-12 of x, relative in max norm.
     y = system.factor(c).solve(system.apply(c, x))
     assert np.max(np.abs(y - x)) <= 1e-10 * np.max(np.abs(x))
+
+
+def _split_and_whole_orthogonality(level):
+    """The points' LU of A_C, split by the antipodal map, the LU of the whole
+    A_C, the refined solve of A_C through an LU and the unknowns of A."""
+    form = assemble_quadratic_form(build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
+    split = _PointSystem(form, ConstraintSet(icosahedron_points(), np.ones(12))).lu
+    whole = SaddleSystem(form.A, form.constraints)
+    solve = lambda lu, b: whole.solve(np.zeros(4), b, lu.solve)   # as the point solves
+    return split, whole.factor(np.zeros(4)), solve, form.mesh.num_vertices
+
+
+def _split_and_whole_flow(level, coupling, tau):
+    """A flow solver's LU, split by the antipodal map of phi and of u, the LU of
+    its whole step operator, a step's solve through an LU and the unknowns of
+    the operator."""
+    form = assemble_quadratic_form(build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
+    pf = PhaseFieldParams(epsilon=0.15, b=1.0, coupling=coupling, alpha=-0.3, tau=tau)
+    solver = FlowSolver(form, pf, tau)
+    whole = SaddleSystem(flow_operator(form, pf, solver.C, tau),
+                         sp.block_diag([form.constraints[:1], form.constraints])).factor(np.zeros(5))
+    solve = lambda lu, b: lu.solve(b)                               # as a flow step
+    return solver.lu, whole, solve, 2 * form.mesh.num_vertices
+
+
+_SPLIT_LUS = {
+    **{f"A_C L{level}": (_split_and_whole_orthogonality, level) for level in (2, 3, 4)},
+    **{f"flow L3 Lambda={coupling} tau={tau}": (_split_and_whole_flow, 3, coupling, tau)
+       for coupling in (0.0, 1.0, 5.0, 10.0) for tau in (0.01, 0.16, 1.28)},
+}
+
+
+@pytest.mark.parametrize("name", list(_SPLIT_LUS))
+def test_split_lu_solves_as_the_whole_lu(name):
+    # The even/odd LU against the LU of the whole K, each solving as its caller
+    # does: refined against A_C for the points, one solve for a flow step.
+    # Measured within 2.3e-13 (A_C, L4) and 3.2e-13 (flow), relative.
+    build, *args = _SPLIT_LUS[name]
+    split, whole, solve, n = build(*args)
+    rng = np.random.default_rng(8)
+    for rhs in rng.standard_normal((2, whole.perm.size)):
+        x, y = solve(split, rhs), solve(whole, rhs)
+        for part in (slice(None, n), slice(n, None)):   # the unknowns of A, the multipliers
+            assert np.abs(x[part] - y[part]).max() <= 1e-12 * np.abs(y[part]).max()
+
+
+def test_split_lu_takes_several_right_hand_sides():
+    split, _, _, _ = _split_and_whole_flow(3, 1.0, 0.16)
+    rhs = np.random.default_rng(9).standard_normal((split.perm.size, 3))
+    X = split.solve(rhs)
+    for k in range(3):
+        np.testing.assert_allclose(X[:, k], split.solve(rhs[:, k]), rtol=0,
+                                   atol=1e-14 * np.abs(X).max())
+
+
+@pytest.mark.parametrize("build", [lambda: _split_and_whole_orthogonality(4),
+                                   lambda: _split_and_whole_flow(4, 1.0, 0.01)],
+                         ids=["A_C L4", "flow L4"])
+def test_split_lu_fills_less_than_the_whole_lu(build):
+    # L+U entries, split against whole: 0.437 M against 0.488 M (A_C) and
+    # 1.149 M against 1.191 M (flow, the flow-coarsen parameters).
+    split, whole, _, _ = build()
+    assert split.lu.nnz < whole.lu.nnz
+
+
+def test_split_needs_even_or_odd_constraint_rows():
+    form = assemble_quadratic_form(build_icosphere(1.0, 2), ModelParams(1.0, 1.0, 1.0))
+    pairing = antipodal_map(form.mesh)
+    C = form.constraints
+    mixed = sp.vstack([C[1], C[0] + C[3]]).tocsr()     # odd, then even plus odd
+    with pytest.raises(SolverError, match="constraint row 1 is neither even nor odd"):
+        SaddleSystem(form.A, mixed, pairing).factor(np.zeros(2))
+    n = form.mesh.num_vertices
+    for pairing in (np.arange(n), np.roll(np.arange(n), 1)):
+        with pytest.raises(SolverError, match="involution without fixed points"):
+            SaddleSystem(form.A, C, pairing)
+
+
+def test_half_graph_is_the_folded_pattern():
+    # Pairs k and l are joined where A joins an unknown of one to one of the other.
+    form = assemble_quadratic_form(build_icosphere(1.0, 2), ModelParams(1.0, 1.0, 1.0))
+    pairing = antipodal_map(form.mesh)
+    n = pairing.size
+    first = np.flatnonzero(pairing > np.arange(n))
+    fold = sp.csr_matrix((np.ones(n), (np.r_[first, pairing[first]], np.tile(np.arange(n // 2), 2))),
+                         shape=(n, n // 2))
+    folded = (fold.T @ abs(form.A) @ fold).tocsr()
+    graph = half_graph(form.A, pairing)
+    assert graph.shape == (n // 2, n // 2)
+    assert ((graph != 0) != (folded != 0)).nnz == 0
+    # Unpaired, the graph of A itself.
+    np.testing.assert_array_equal(nested_dissection(half_graph(form.A, None)),
+                                  nested_dissection(form.A))
 
 
 def _perturbed_surface(level):

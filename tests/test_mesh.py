@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 
 from spheremem.errors import GeometryError, MeshTopologyError, SizeLimitError
 from spheremem.mesh import (
+    ANTIPODE_TOL_REL,
     MAX_LEVEL,
     TriangleMesh,
     _pole_icosahedron,
+    antipodal_map,
     build_icosphere,
     mesh_checksum,
     mesh_stats,
     validate_closed,
     vertex_normals,
 )
-from spheremem.symmetry import rotation_z, s10_matrix, vertex_permutation
+from symmetry import rotation_z, s10_matrix, vertex_permutation
 
 
 @pytest.mark.parametrize("level,expected", [(0, 12), (1, 42), (2, 162), (3, 642), (4, 2562)])
@@ -203,3 +205,32 @@ def test_generic_rotation_is_not_a_symmetry():
     mesh = build_icosphere(1.0, 2)
     with pytest.raises(GeometryError):
         vertex_permutation(mesh, rotation_z(0.3))
+
+
+@pytest.mark.parametrize("level", range(8))
+def test_antipodal_map_is_a_fixed_point_free_involution(level):
+    radius = 2.5
+    mesh = build_icosphere(radius, level)
+    P = antipodal_map(mesh)
+    n = mesh.num_vertices
+    np.testing.assert_array_equal(P[P], np.arange(n))
+    assert not np.any(P == np.arange(n))
+    assert np.abs(mesh.vertices[P] + mesh.vertices).max() <= ANTIPODE_TOL_REL * radius
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_antipodal_map_is_the_point_reflection(level):
+    # The subdivision's map against a k-d tree search of the reflected vertices.
+    mesh = build_icosphere(1.0, level)
+    np.testing.assert_array_equal(antipodal_map(mesh), vertex_permutation(mesh, -np.eye(3)))
+
+
+def test_antipodal_map_needs_an_icosphere():
+    mesh = build_icosphere(1.0, 2)
+    with pytest.raises(GeometryError, match="icospheres only"):
+        antipodal_map(mesh.moved(mesh.vertices * 1.1))
+    # The connectivity of an icosphere, its vertices displaced off antipodal symmetry.
+    bumped = mesh.vertices.copy()
+    bumped[5] *= 1.0 + 1e-6
+    with pytest.raises(GeometryError, match="not antipodally symmetric"):
+        antipodal_map(TriangleMesh(bumped, mesh.triangles, radius_hint=1.0))

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from spheremem import fem, phasefield
 from spheremem.errors import ParameterError, StepRejectedError
-from spheremem.fem import nested_dissection
-from spheremem.mesh import build_icosphere
+from spheremem.fem import half_graph, nested_dissection
+from spheremem.mesh import antipodal_map, build_icosphere
 from spheremem.model import ModelParams, assemble_quadratic_form
 from spheremem.phasefield import (
     FlowSolver,
@@ -351,14 +351,18 @@ def test_flow_factors_once_per_distinct_tau(form3, monkeypatch):
 @pytest.mark.parametrize("level", [2, 3, 4])
 @pytest.mark.parametrize("coupling", [0.0, 1.0, 5.0, 10.0])
 def test_flow_operator_order_is_the_order_at_every_tau(form2, form3, level, coupling):
-    # The order a flow takes from its first LU is the one each tau's operator had.
+    # The order a flow takes from its first LU is the one each tau's operator,
+    # folded by the antipodal map of phi and of u, had.
     form = {2: form2, 3: form3}.get(level) or assemble_quadratic_form(
         build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
     pf = replace(coarsen_params(0), coupling=coupling)
     order = FlowSolver(form, pf, pf.tau).order
     C = coupling_operator(form, pf)
+    antipodes = antipodal_map(form.mesh)
+    pairing = np.concatenate([antipodes, form.mesh.num_vertices + antipodes])
     for tau in 0.01 * 2.0 ** np.arange(-4, 9):
-        np.testing.assert_array_equal(nested_dissection(flow_operator(form, pf, C, tau)), order)
+        half = half_graph(flow_operator(form, pf, C, tau), pairing)
+        np.testing.assert_array_equal(nested_dissection(half), order)
 
 
 def test_flow_orders_its_operator_once(form3, monkeypatch):
