@@ -436,6 +436,19 @@ def test_split_lu_solves_as_the_whole_lu(name):
             assert np.abs(x[part] - y[part]).max() <= 1e-12 * np.abs(y[part]).max()
 
 
+@pytest.mark.parametrize("rows,compliance", [
+    (slice(0, 1), [0.0]), (slice(1, 4), [0.0, 0.0, 0.0]), (slice(0, 4), [0.0, 1e-3, 0.0, 2e-3]),
+], ids=["even rows only", "odd rows only", "penalty rows"])
+def test_split_lu_solves_any_rows_of_b(rows, compliance):
+    # A half without rows of B, and compliances on rows of either parity.
+    form = assemble_quadratic_form(build_icosphere(1.0, 2), ModelParams(1.0, 1.0, 1.0))
+    A, B, c = (form.S + form.M).tocsr(), form.constraints[rows], np.array(compliance)
+    rhs = np.random.default_rng(10).standard_normal(A.shape[0] + B.shape[0])
+    x = SaddleSystem(A, B, antipodal_map(form.mesh)).factor(c).solve(rhs)
+    y = SaddleSystem(A, B).factor(c).solve(rhs)
+    assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
+
+
 def test_split_lu_takes_several_right_hand_sides():
     split, _, _, _ = _split_and_whole_flow(3, 1.0, 0.16)
     rhs = np.random.default_rng(9).standard_normal((split.perm.size, 3))
