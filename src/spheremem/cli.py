@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import POINT_PRESETS, RunConfig, load_config
-from .errors import ConfigError, SphereMemError, check_finite
+from .errors import ConfigError, SphereMemError
 from .mesh import (
     TriangleMesh,
     build_icosphere,
@@ -132,15 +132,6 @@ def run_config(subcommand: str, body, config_path: str) -> int:
     return 0
 
 
-def _count(cfg: RunConfig, key: str, default: int) -> int:
-    """A nonnegative point count of the [points] section; zero points is a
-    domain error of the solve, a negative count a configuration error."""
-    count = cfg.get("points", key, default, int)
-    if count < 0:
-        raise ConfigError(f"[points] {key} must be nonnegative, got {count}")
-    return count
-
-
 def _constraint_points(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """Resolve the [points] section to (points, heights)."""
     preset = cfg.get("points", "preset", "icosahedron", str)
@@ -150,11 +141,15 @@ def _constraint_points(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
         pts = icosahedron_points(cfg.R)
         heights = cfg.floats("points", "heights", [1.0])
     elif preset == "equator":
-        pts = equator_points(_count(cfg, "count", 10), cfg.R)
+        # Zero points is a domain error of the solve, a negative count a
+        # configuration error.
+        count = cfg.get("points", "count", 10, int)
+        if count < 0:
+            raise ConfigError(f"[points] count must be nonnegative, got {count}")
+        pts = equator_points(count, cfg.R)
         heights = cfg.floats("points", "heights", [1.0])
     elif preset == "polar_rings":
-        angle = cfg.get("points", "ring_angle_deg", 10.0, float)
-        pts, h = polar_ring_points(angle, _count(cfg, "points_per_ring", 6), cfg.R)
+        pts, h = polar_ring_points(cfg.R)
         heights = cfg.floats("points", "heights", list(h))
     else:
         pts = cfg.point_array()
@@ -169,12 +164,12 @@ def _constraint_points(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     return pts, heights
 
 
-def _write_solution(run: Run, mesh, u: np.ndarray, stem: str, rho: float):
-    """Emit the field on the sphere plus its surface displaced by rho*u for viewing."""
+def _write_solution(run: Run, mesh, u: np.ndarray, stem: str):
+    """Emit the field on the sphere plus the displaced surface X + u nu for viewing."""
     write_vtk(run.out(f"{stem}.vtk"), mesh, {"u": u})
     nu = mesh.vertices / run.cfg.R
     displaced = TriangleMesh(
-        mesh.vertices + rho * u[:, None] * nu, mesh.triangles, radius_hint=None
+        mesh.vertices + u[:, None] * nu, mesh.triangles, radius_hint=None
     )
     write_vtk(run.out(f"{stem}_displaced.vtk"), displaced, {"u": u})
 
@@ -233,8 +228,6 @@ def cmd_validate(args) -> int:
 
 def cmd_points(run: Run, mesh: TriangleMesh, form: QuadraticForm):
     pts, heights = _constraint_points(run.cfg)
-    rho_visual = run.cfg.get("points", "rho_visual", 1.0, float)
-    check_finite(rho_visual=rho_visual)
     cs = ConstraintSet(pts, heights)
     if run.subcommand == "points-hard":
         stem = "hard"
@@ -243,7 +236,7 @@ def cmd_points(run: Run, mesh: TriangleMesh, form: QuadraticForm):
         stem = "penalty"
         u, report = solve_penalty(form, cs, run.cfg.get("points", "delta", 1e-4, float))
     run.stage("solve")
-    _write_solution(run, mesh, u, stem, rho_visual)
+    _write_solution(run, mesh, u, stem)
     run.write_table(
         f"{stem}_report.csv",
         "point_index [1],x [length],y [length],z [length],value [length],residual [length]",
@@ -309,7 +302,6 @@ def _phase_params(cfg: RunConfig, coupling: float | None = None) -> PhaseFieldPa
         t_end=t_end,
         stat_tol=stat_tol,
         seed=cfg.seed,
-        noise_amplitude=cfg.get("phase", "noise_amplitude", 0.1, float),
     )
 
 

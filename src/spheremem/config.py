@@ -6,7 +6,7 @@ ignored) so archived configs stay unambiguous.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,16 +17,10 @@ from .errors import ConfigError
 SCHEMA = {
     "mesh": {"R", "level"},
     "model": {"kappa", "sigma"},
-    "points": {
-        "preset", "delta", "heights", "count", "ring_angle_deg",
-        "points_per_ring", "points", "rho_visual",
-    },
+    "points": {"preset", "delta", "heights", "count", "points"},
     "penalty_study": {"deltas"},
     "taylor": {"mu", "rho_list", "reconstruction", "field"},
-    "phase": {
-        "epsilon", "b", "coupling", "alpha", "tau", "t_end", "stat_tol",
-        "noise_amplitude",
-    },
+    "phase": {"epsilon", "b", "coupling", "alpha", "tau", "t_end", "stat_tol"},
     "sweep": {"couplings"},
     "output": {"dir"},
     "run": {"seed"},

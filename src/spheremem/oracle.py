@@ -88,17 +88,16 @@ def discrete_mean_curvature(mesh: TriangleMesh) -> np.ndarray:
 def willmore_energy(mesh: TriangleMesh, reconstruction: str = "lumped") -> float:
     """Discrete Willmore energy int 1/2 H^2; equals 8*pi + O(h^2) on spheres.
 
-    In lumped mode this is the vertex quadrature of the projected scalar
-    curvature; in consistent mode it is 1/2 X^T S M^{-1} S X, i.e. the
-    squared mean-curvature vector in the consistent L2 pairing.
+    In lumped mode this is the vertex quadrature of the squared
+    :func:`discrete_mean_curvature`; in consistent mode it is
+    1/2 X^T S M^{-1} S X, i.e. the squared mean-curvature vector in the
+    consistent L2 pairing.
     """
     _check_reconstruction(reconstruction)
-    rhs = _weak_identity(mesh)
     if reconstruction == "lumped":
-        mL = lumped_diagonal(mesh)
-        H = np.einsum("ij,ij->i", rhs / mL[:, None], vertex_normals(mesh))
-        return float(0.5 * (H * H) @ mL)
-    return float(0.5 * sum(mass_inverse_form(assemble_mass(mesh), rhs)))
+        H = discrete_mean_curvature(mesh)
+        return float(0.5 * (H * H) @ lumped_diagonal(mesh))
+    return float(0.5 * sum(mass_inverse_form(assemble_mass(mesh), _weak_identity(mesh))))
 
 
 def energies(

@@ -216,24 +216,29 @@ def equator_points(count: int = 10, radius: float = 1.0) -> np.ndarray:
     return np.column_stack([radius * np.cos(ang), radius * np.sin(ang), np.zeros(count)])
 
 
-def polar_ring_points(
-    ring_angle_deg: float = 10.0, points_per_ring: int = 6, radius: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two rings of attachment points around the poles with heights
-    alternating between -1 and +1, antisymmetric north/south.
+#: Polar angle of the north ring of :func:`polar_ring_points`, in degrees: a
+#: free parameter of the reproduction recipe, fixed here.
+RING_ANGLE_DEG = 10.0
+#: Attachment points on each ring of :func:`polar_ring_points`.
+POINTS_PER_RING = 6
 
-    The ring polar angle is a free parameter of the reproduction recipe; the
-    south ring is the antipodal image of the north ring so the configuration
-    is odd under the antipodal map.
+
+def polar_ring_points(radius: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Two rings of :data:`POINTS_PER_RING` attachment points at polar angle
+    :data:`RING_ANGLE_DEG` around the poles, with heights alternating
+    between +1 and -1, antisymmetric north/south.
+
+    The south ring is the antipodal image of the north ring, so the
+    configuration is odd under the antipodal map.
     """
-    theta = np.deg2rad(ring_angle_deg)
-    ang = 2.0 * np.pi * np.arange(points_per_ring) / points_per_ring
+    theta = np.deg2rad(RING_ANGLE_DEG)
+    ang = 2.0 * np.pi * np.arange(POINTS_PER_RING) / POINTS_PER_RING
     north = np.column_stack([
         radius * np.sin(theta) * np.cos(ang),
         radius * np.sin(theta) * np.sin(ang),
-        np.full(points_per_ring, radius * np.cos(theta)),
+        np.full(POINTS_PER_RING, radius * np.cos(theta)),
     ])
-    heights_north = np.where(np.arange(points_per_ring) % 2 == 0, 1.0, -1.0)
+    heights_north = np.where(np.arange(POINTS_PER_RING) % 2 == 0, 1.0, -1.0)
     south = -north
     heights_south = -heights_north
     return np.vstack([north, south]), np.concatenate([heights_north, heights_south])

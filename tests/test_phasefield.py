@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spheremem import fem, phasefield
-from spheremem.errors import ParameterError, StepRejectedError
+from spheremem.errors import ParameterError, SolverError, StepRejectedError
 from spheremem.fem import half_graph, nested_dissection
 from spheremem.mesh import antipodal_map, build_icosphere
 from spheremem.model import ModelParams, assemble_quadratic_form
@@ -267,6 +267,33 @@ def test_rejecting_run_logs_fresh_energy_once_per_step(form2, monkeypatch):
     # the flow's arithmetic shows here.
     assert (report.accepted_steps, report.rejected_steps) == (622, 9)
     assert repr(report.energies[-1]) == "9.512478194322558"
+
+
+def test_run_flow_projects_a_start_off_the_constraints(form2):
+    pf = make_params(t_end=0.04, stat_tol=None)
+    rng = np.random.default_rng(6)
+    n = form2.mesh.num_vertices
+    start = PhaseState(u=0.1 * rng.standard_normal(n), phi=pf.alpha + 0.1 * rng.standard_normal(n))
+    assert max(constraint_residuals(start, form2, pf)) > 1e-10
+    with pytest.warns(UserWarning, match="initial state violates constraints"):
+        _, report = run_flow(start, form2, pf)
+    assert max(report.constraint_residuals[0]) <= 1e-10
+
+
+def test_run_flow_aborts_after_max_rejections(form2, monkeypatch):
+    taus = []
+
+    def reject(self, state, e_old, products=None):
+        taus.append(self.tau)
+        raise StepRejectedError("energy increased", energy_before=e_old,
+                                energy_after=e_old + 1.0, suggested_tau=self.tau / 2)
+
+    monkeypatch.setattr(FlowSolver, "step", reject)
+    pf = make_params()
+    with pytest.raises(SolverError, match=f"aborting after {phasefield.MAX_REJECTIONS + 1} "
+                                          "consecutive rejected steps"):
+        run_flow(initial_state(form2, pf), form2, pf)
+    assert taus == [pf.tau / 2**k for k in range(phasefield.MAX_REJECTIONS + 1)]
 
 
 @pytest.mark.parametrize("t_end, tau", [(0.05, 0.02), (0.1, 0.03)])
