@@ -137,6 +137,10 @@ def _constraint_points(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     preset = cfg.get("points", "preset", "icosahedron", str)
     if preset not in POINT_PRESETS:
         raise ConfigError(f"[points] preset must be one of {POINT_PRESETS}, got {preset!r}")
+    for key, reader in (("count", "equator"), ("points", "explicit")):
+        if preset != reader and cfg.section("points").get(key) is not None:
+            raise ConfigError(f"[points] {key} is read only by preset = {reader}, "
+                              f"not by preset = {preset}")
     if preset == "icosahedron":
         pts = icosahedron_points(cfg.R)
         heights = cfg.floats("points", "heights", [1.0])

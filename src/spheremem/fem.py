@@ -19,18 +19,18 @@ error max_i |b - K x|_i / (|K| |x| + |b|)_i is at most ``BACKWARD_ERROR_BOUND``
 ed., Thm. 7.3): every row, hard constraint rows included, holds to its own
 scale however large the fourth-order block grows.  Every saddle matrix
 K = [[A, B^T], [B, -diag(c)]] is a ``SaddleSystem``, the one code that knows
-its layout: it applies K and |K| from the blocks, factors K by sparse LU in
-SuperLU's symmetric mode, every column pivoting on its diagonal in a
-nested-dissection order of the mesh graph (``nested_dissection``), and
-refines the point solves against K to the contract.  On the icosphere every
-saddle matrix of the program is invariant under the antipodal map x -> -x
-(``mesh.antipodal_map``), and its LU is that of its even and odd halves, one
-block-diagonal SuperLU factor of the same size ordered by the folded graph:
-the points' A_C has 0.44 M, 2.42 M and 12.3 M L+U entries at levels 4-6
-(0.49 M, 2.62 M and 12.9 M unsplit), the level-4 flow operator 1.15 M
-(1.19 M).  The contract stops
-there: the phase-field flow's step solves (``phasefield.FlowSolver.step``)
-are one solve each on their LU, neither refined nor checked.  No caller needs
+its layout: it applies K and |K| from the blocks and refines the point solves
+against K to the contract.  On the icosphere every saddle matrix of the
+program is invariant under the antipodal map x -> -x (``mesh.antipodal_map``),
+and ``SaddleSystem.factor`` takes its LU as that of its even and odd halves:
+one block-diagonal SuperLU factor of the same size in SuperLU's symmetric
+mode, every column pivoting on its diagonal in a nested-dissection order
+(``nested_dissection``) of the folded mesh graph.  The points' A_C has
+0.44 M, 2.42 M and 12.3 M L+U entries at levels 4-6, the level-4 flow
+operator 1.15 M.  ``solve_saddle``, the tests' reference, factors the whole
+K by SuperLU's defaults instead.  The contract stops there: the phase-field
+flow's step solves (``phasefield.FlowSolver.step``) are one solve each on
+their LU, neither refined nor checked.  No caller needs
 M^{-1} b itself, only the form b^T M^{-1} b; ``mass_inverse_form`` computes
 it by conjugate gradients without a factorization (the lumped diagonal
 preconditions M to condition number 4 at every h), to a relative error of at
@@ -240,40 +240,35 @@ def _check_pairing(pairing: np.ndarray, n: int) -> np.ndarray:
     return pairing
 
 
-def _pairs(pairing: np.ndarray | None, n: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The pairs (first[i], second[i]) of a pairing of n unknowns, first[i] <
-    second[i], numbered in the order of first: pair i has the even vector
-    (e_first + e_second)/sqrt(2) and the odd one (e_first - e_second)/sqrt(2).
-    Unpaired (None), each unknown is its own pair and second is None."""
-    if pairing is None:
-        return np.arange(n), None
-    first = np.flatnonzero(pairing > np.arange(n))
+def _pairs(pairing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (first[i], second[i]) of a pairing, first[i] < second[i],
+    numbered in the order of first: pair i has the even vector
+    (e_first + e_second)/sqrt(2) and the odd one (e_first - e_second)/sqrt(2)."""
+    first = np.flatnonzero(pairing > np.arange(pairing.size))
     return first, pairing[first]
 
 
-def _fold(A: sp.csr_matrix, first: np.ndarray, second: np.ndarray | None,
+def _fold(A: sp.csr_matrix, first: np.ndarray, second: np.ndarray,
           sign: float) -> sp.csr_matrix:
     """H^T in CSR, whose arrays are those of H in CSC, for the matrix H of
     the pairs (first, second) with H[i, l] the sum of s_a s_b A[a, b] over a
-    in pair i and b in pair l, s = 1 on first and ``sign`` on second; without
-    second, H = A[first][:, first].  It takes sparse row gathers and sums and
-    one transposition, which keep every row sorted: no sort."""
+    in pair i and b in pair l, s = 1 on first and ``sign`` on second.  It
+    takes sparse row gathers and sums and one transposition, which keep every
+    row sorted: no sort."""
     def gather(X):
-        if second is None:
-            return X[first]
         return X[first] + X[second] if sign > 0 else X[first] - X[second]
     return gather(gather(A).T.tocsr())
 
 
-def half_graph(A: sp.spmatrix, pairing: np.ndarray | None) -> sp.csr_matrix:
+def half_graph(A: sp.spmatrix, pairing: np.ndarray) -> sp.csr_matrix:
     """The graph of A folded by ``pairing`` (:func:`_pairs`), as a CSR
     pattern: pairs k and l are joined where an entry of A, stored zeros
     included, joins an unknown of one to an unknown of the other.  The even
     and the odd half of A lie in it, and :meth:`SaddleSystem.factor` orders
-    both by it; unpaired, it is the pattern of A^T."""
+    both by it."""
     A = sp.csr_matrix(A)
     pattern = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
-    return _fold(pattern, *_pairs(pairing, A.shape[0]), 1.0)
+    return _fold(pattern, *_pairs(pairing), 1.0)
 
 
 def _row_parities(dense: np.ndarray, pairing: np.ndarray) -> np.ndarray:
@@ -293,25 +288,24 @@ def _row_parities(dense: np.ndarray, pairing: np.ndarray) -> np.ndarray:
 
 class _PermutedLU:
     """The sparse LU ``lu`` of T K T^T, whose ``solve`` solves K x = b (b one
-    column or several).  T gathers b by ``perm`` and then, when the unknowns
-    are paired, rotates each pair, at positions i < ``pairs`` and ``odd`` + i
-    of the gathered vector, into its even and odd parts; T is orthogonal, so
-    x is the LU's solution rotated back and scattered by ``perm``.  ``order``
-    is the order of the unknowns of A (or of its halves) used."""
+    column or several).  T gathers b by ``perm`` and then rotates each pair of
+    unknowns, at positions i < ``order.size`` and ``odd`` + i of the gathered
+    vector, into its even and odd parts; T is orthogonal, so x is the LU's
+    solution rotated back and scattered by ``perm``.  ``order`` is the order
+    of the pairs used in both halves."""
 
-    def __init__(self, lu, order: np.ndarray, perm: np.ndarray, pairs: int = 0, odd: int = 0):
-        self.lu, self.order, self.perm = lu, order, perm
-        self.pairs, self.odd = pairs, odd
+    def __init__(self, lu, order: np.ndarray, perm: np.ndarray, odd: int):
+        self.lu, self.order, self.perm, self.odd = lu, order, perm, odd
 
     def _rotate(self, y: np.ndarray) -> np.ndarray:
         """The pairs of y, (a, b) -> ((a + b), (a - b)) / sqrt(2), in place:
         its own inverse."""
-        if self.pairs:
-            a, b = y[:self.pairs], y[self.odd:self.odd + self.pairs]
-            diff = a - b
-            a += b
-            a *= _SQRT_HALF
-            np.multiply(diff, _SQRT_HALF, out=b)
+        pairs = self.order.size
+        a, b = y[:pairs], y[self.odd:self.odd + pairs]
+        diff = a - b
+        a += b
+        a *= _SQRT_HALF
+        np.multiply(diff, _SQRT_HALF, out=b)
         return y
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -341,16 +335,12 @@ class SaddleSystem:
     """The saddle matrix K(c) = [[A, B^T], [B, -diag(c)]] of a symmetric block
     A and constraint rows B, for a compliance c >= 0: row i of B is a hard
     constraint where c_i = 0 and a penalty of compliance c_i where c_i > 0.
-
-    ``pairing``, when given, pairs the unknowns of A by a symmetry under which
-    K is invariant: unknown i with ``pairing[i]``, an involution without fixed
-    points (on an icosphere, ``mesh.antipodal_map``).  The LU then factors K
-    in the pairs' even and odd parts (:meth:`factor`).
+    It applies K and |K| from the blocks, factors K split by a symmetry
+    (:meth:`factor`) and refines solves against K (:meth:`solve`).
     """
 
-    def __init__(self, A: sp.spmatrix, B: sp.spmatrix, pairing: np.ndarray | None = None):
+    def __init__(self, A: sp.spmatrix, B: sp.spmatrix):
         self.A, self.B = A, B.tocsr()
-        self.pairing = None if pairing is None else _check_pairing(pairing, A.shape[0])
         self._abs = None
 
     def apply(self, c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -363,71 +353,74 @@ class SaddleSystem:
             self._abs = abs(self.A), abs(self.B)
         return _saddle_product(*self._abs, c, x)
 
-    def factor(self, c: np.ndarray, order: np.ndarray | None = None) -> _PermutedLU:
-        """The LU of K(c) by one SuperLU factorization in its symmetric mode,
-        with diagonal pivot threshold 0 (Li, ACM TOMS 31 (2005) 302): a column
-        leaves its diagonal only where that entry is exactly zero or absent,
-        and refinement against K (:meth:`solve`) answers for the accuracy.
+    def factor(self, c: np.ndarray, pairing: np.ndarray,
+               order: np.ndarray | None = None) -> _PermutedLU:
+        """The LU of K(c) split by ``pairing``, a symmetry under which K is
+        invariant: it pairs unknown i of A with ``pairing[i]``, an involution
+        without fixed points (on an icosphere, ``mesh.antipodal_map``).
 
-        Unpaired, the LU is that of K with the unknowns of A in the order
-        ``order`` (:func:`nested_dissection` of A when None; a caller that
-        factors several matrices of one pattern orders it once), the rows of
-        B last.  Paired, it is the LU of Q^T K Q = blockdiag(K_even, K_odd),
-        of the same size, Q the orthonormal basis of the pairs' even and odd
-        vectors (:func:`_pairs`): the symmetry reduction of Bossavit
-        (Comput. Methods Appl. Mech. Engrg. 56 (1986) 167).  Each half is a
-        saddle matrix: entry (k, l) of its A block is half the sum of the four
-        entries of A joining pair k to pair l, signed by parity, and its
-        constraint rows are the rows of B of its parity in that basis, so the
-        multipliers are K's own.  Every row of B must be even or odd (else
-        :class:`SolverError`), and the halves are those of (K + Pi K Pi)/2:
-        a K invariant only to roundoff is factored as its symmetrization.  One
-        order of the half graph (:func:`half_graph`), ``order`` or its nested
-        dissection, serves both halves, and the halves go to SuperLU as one
-        block-diagonal matrix.
+        The LU is that of Q^T K Q = blockdiag(K_even, K_odd), of the same size
+        as K, Q the orthonormal basis of the pairs' even and odd vectors
+        (:func:`_pairs`): the symmetry reduction of Bossavit (Comput. Methods
+        Appl. Mech. Engrg. 56 (1986) 167).  Each half is a saddle matrix:
+        entry (k, l) of its A block is half the sum of the four entries of A
+        joining pair k to pair l, signed by parity, and its constraint rows
+        are the rows of B of its parity in that basis, so the multipliers are
+        K's own.  Every row of B must be even or odd (else
+        :class:`SolverError`), and the halves are those of (K + Pi K Pi)/2: a
+        K invariant only to roundoff is factored as its symmetrization.  One
+        order of the pairs, ``order`` or the nested dissection of the half
+        graph (:func:`half_graph`; a caller that factors several matrices of
+        one pattern orders it once), serves both halves, each half's rows of B
+        after its pairs.  The halves go to SuperLU as one block-diagonal
+        matrix, factored in its symmetric mode with diagonal pivot threshold 0
+        (Li, ACM TOMS 31 (2005) 302): a column leaves its diagonal only where
+        that entry is exactly zero or absent, and refinement against K
+        (:meth:`solve`) answers for the accuracy.
 
-        Nested dissection suits the symmetric K of a surface mesh: unpaired,
-        A_C = [[A, C^T], [C, 0]] has 0.49 M, 2.6 M and 12.9 M L+U entries at
-        levels 4-6, against 0.71 M, 3.76 M and 22.0 M ordered by COLAMD, which
-        minimizes the fill of K^T K instead, and 1.30 M, 6.64 M and 38.1 M by
-        SuperLU's ``MMD_AT_PLUS_A``; the level-4 flow operator has 1.19 M,
-        against 1.62-1.85 M and 3.29 M.  Split by the antipodal map, A_C has
-        0.44 M, 2.42 M and 12.3 M, and the level-4 flow operator 1.15 M.
+        Nested dissection suits the symmetric K of a surface mesh.  Split,
+        A_C = [[A, C^T], [C, 0]] has 0.44 M, 2.42 M and 12.3 M L+U entries at
+        levels 4-6, and the level-4 flow operator 1.15 M.  The whole K, its
+        unknowns of A in the nested-dissection order of A and its rows of B
+        last, fills more: A_C 0.49 M, 2.6 M and 12.9 M, the flow operator
+        1.19 M.  Ordered by COLAMD, which minimizes the fill of K^T K instead,
+        the whole A_C has 0.71 M, 3.76 M and 22.0 M and the flow operator
+        1.62-1.85 M; by SuperLU's ``MMD_AT_PLUS_A``, 1.30 M, 6.64 M and 38.1 M
+        and 3.29 M.
 
         Returns the LU, whose ``solve`` solves with K and whose ``order`` is
-        the order used; a failed factorization raises :class:`SolverError`.
+        the order used; a pairing that is not an involution without fixed
+        points and a failed factorization raise :class:`SolverError`.
         """
+        pairing = _check_pairing(pairing, self.A.shape[0])
         if order is None:
-            order = nested_dissection(half_graph(self.A, self.pairing))
-        permuted, perm, odd = self._rotated(c, order)
+            order = nested_dissection(half_graph(self.A, pairing))
+        permuted, perm, odd = self._rotated(c, pairing, order)
         try:
             lu = spla.splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                            options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise SolverError(f"sparse LU of the saddle system failed: {exc}") from exc
-        return _PermutedLU(lu, order, perm, 0 if self.pairing is None else order.size, odd)
+        return _PermutedLU(lu, order, perm, odd)
 
-    def _rotated(self, c: np.ndarray, order: np.ndarray) -> tuple[sp.csc_matrix, np.ndarray, int]:
+    def _rotated(self, c: np.ndarray, pairing: np.ndarray, order: np.ndarray
+                 ) -> tuple[sp.csc_matrix, np.ndarray, int]:
         """Q^T K(c) Q as a CSC matrix, its unknowns numbered half by half: the
-        even half's pairs in ``order``, then its rows of B, then the odd half's
-        (unpaired, the even half is all of K); with the gather ``perm`` of
-        that numbering (:class:`_PermutedLU`) and the start of the odd half.
-        A half's block of A is half its :func:`_fold`, and its rows of B are
+        even half's pairs in ``order``, then its rows of B, then the odd
+        half's; with the gather ``perm`` of that numbering
+        (:class:`_PermutedLU`) and the start of the odd half.  A half's block
+        of A is half its :func:`_fold`, and its rows of B are
         (B[:, first] +- B[:, second]) / sqrt(2)."""
-        n, k = self.A.shape[0], self.B.shape[0]
-        first, second = _pairs(self.pairing, n)
-        first, second = first[order], None if second is None else second[order]
+        n = self.A.shape[0]
+        first, second = (side[order] for side in _pairs(pairing))
         A, B = sp.csr_matrix(self.A), self.B.toarray()
-        parity = np.ones(k) if second is None else _row_parities(B, self.pairing)
+        parity = _row_parities(B, pairing)
         halves, perm = [], []
-        for sign, unknowns in [(1.0, first)] + ([] if second is None else [(-1.0, second)]):
+        for sign, unknowns in ((1.0, first), (-1.0, second)):
             rows = np.flatnonzero(parity == sign)
             H = _fold(A, first, second, sign).T
-            if second is None:
-                Bh = B[rows][:, first]
-            else:
-                H.data *= 0.5
-                Bh = _SQRT_HALF * (B[rows][:, first] + sign * B[rows][:, second])
+            H.data *= 0.5
+            Bh = _SQRT_HALF * (B[rows][:, first] + sign * B[rows][:, second])
             D = sp.diags(-c[rows], shape=(rows.size,) * 2, format="csc")
             # All four blocks CSC: SciPy stacks them without a sort.
             halves.append(sp.bmat([[H, sp.csr_matrix(Bh).T], [sp.csc_matrix(Bh), D]],
@@ -462,18 +455,21 @@ def solve_saddle(
     compliance: np.ndarray, labels: list[str],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve K [x; lam] = [f; g], K = [[A, B^T], [B, -diag(c)]] the
-    :class:`SaddleSystem` of compliance c, by its LU refined to the contract.
+    :class:`SaddleSystem` of compliance c, by SuperLU's default LU of the
+    assembled K (COLAMD order, partial pivoting), refined to the contract by
+    :meth:`SaddleSystem.solve`.
 
     Returns ``(x, lam)``; where c_i > 0 the multiplier is the reaction lam_i
     = (B x - g)_i / c_i, and ``labels`` names the rows of B.  The hard rows of
     B must have full row rank (:class:`RankDeficiencyError` names the
     dependent ones).  No solve path of the package calls it: the tests take it
-    as their reference solve of one whole K, and the benchmark traces it by
-    name.
+    as their reference solve, which shares no order, split or pivoting with
+    :meth:`SaddleSystem.factor`, and the benchmark traces it by name.
     """
     system, c = SaddleSystem(A, B), np.asarray(compliance, dtype=float)
     _check_constraint_rank(system.B, labels, c)
-    sol = system.solve(c, np.concatenate([f, g], dtype=float), system.factor(c).solve)
+    K = sp.bmat([[A, system.B.T], [system.B, sp.diags(-c)]], format="csc")
+    sol = system.solve(c, np.concatenate([f, g], dtype=float), spla.splu(K).solve)
     return sol[:A.shape[0]], sol[A.shape[0]:]
 
 

@@ -136,11 +136,7 @@ class TaylorReport:
     residuals: list[float]
     running_slopes: list[float]     # slope fitted over the first k+1 points
     slope: float
-    base_lagrangian: float
-    quadratic_value: float          # L(u, mu) from the assembled form
     discretization_floor: float     # |discrete base Lagrangian - exact value|
-    residual_floor: float           # smallest |residual| observed
-    reconstruction: str
     status: str                     # "converged" | "floor-limited" | "failed"
 
 
@@ -166,14 +162,14 @@ def taylor_consistency(
     the base volume term vanishes identically: the base Lagrangian is the base
     Helfrich energy.  The quadratic value L(u, mu) is evaluated with the
     reconstruction matching the oracle's.  ``rho_list`` needs at least two
-    distinct values, all positive.
+    values, all positive and none repeated.
     """
     _check_reconstruction(reconstruction)
     check_finite(mu=mu)
     rhos = sorted((float(r) for r in rho_list), reverse=True)
-    if len(set(rhos)) < 2 or not all(r > 0 for r in rhos):
+    if len(rhos) < 2 or len(set(rhos)) < len(rhos) or not all(r > 0 for r in rhos):
         raise ParameterError(
-            f"rho_list needs at least two distinct positive values, got {rhos}")
+            f"rho_list needs at least two positive values, none repeated, got {rhos}")
     params = form.params
     mesh = form.mesh
     u = np.asarray(u, dtype=float)
@@ -216,10 +212,6 @@ def taylor_consistency(
         residuals=residuals,
         running_slopes=running,
         slope=slope,
-        base_lagrangian=base.helfrich,
-        quadratic_value=quad,
         discretization_floor=floor,
-        residual_floor=res_floor,
-        reconstruction=reconstruction,
         status=status,
     )

@@ -232,11 +232,11 @@ class FlowSolver:
     products.  :func:`run_flow` keeps two solvers.
 
     K is factored as a :class:`fem.SaddleSystem` with its five hard rows,
-    split by the antipodal map (``mesh.antipodal_map``) of phi and of u: K
-    is invariant under it, the phi-mean and u-mean rows are even and the
-    u.nu_i rows odd, so the LU is one SuperLU factor of K's even and odd
-    halves (1.15 M L+U entries at level 4, against 1.19 M for K whole).  It
-    is ordered in ``order``, an order of the half graph, or in the
+    split by the antipodal map (``mesh.antipodal_map``) of phi and of u
+    (:meth:`fem.SaddleSystem.factor`): K is invariant under it, the phi-mean
+    and u-mean rows are even and the u.nu_i rows odd, so the LU is one
+    SuperLU factor of K's even and odd halves, 1.15 M L+U entries at level 4.
+    It is ordered in ``order``, an order of the half graph, or in the
     nested-dissection order it takes of that graph when None; the order used
     is kept as ``self.order``, so that the solvers of one flow share it.
     """
@@ -254,9 +254,8 @@ class FlowSolver:
         # Hard rows: the phi mean, then the u mean and the three u translation modes.
         B = sp.block_diag([form.constraints[:1], form.constraints])
         antipodes = antipodal_map(form.mesh)
-        K = SaddleSystem(flow_operator(form, pf, self.C, self.tau), B,
-                         np.concatenate([antipodes, self.n + antipodes]))
-        self.lu = K.factor(np.zeros(5), order)
+        K = SaddleSystem(flow_operator(form, pf, self.C, self.tau), B)
+        self.lu = K.factor(np.zeros(5), np.concatenate([antipodes, self.n + antipodes]), order)
         self.order = self.lu.order
         self.g = np.concatenate([[pf.alpha * form.area], np.zeros(4)])
 
@@ -267,7 +266,7 @@ class FlowSolver:
         formed them.
 
         Returns the new state with its energy, breakdown and products; raises
-        :class:`StepRejectedError` when the energy rises.
+        :class:`StepRejectedError` when the energy rises or is not a number.
         """
         pf, form, n = self.pf, self.form, self.n
         if products is None:
@@ -283,7 +282,7 @@ class FlowSolver:
                          lambda_phi=float(sol[2 * n]), lambda_u=float(sol[2 * n + 1]))
         new_products = state_products(new, form, self.C)
         e_new, breakdown = energy(new, form, pf, new_products)
-        if e_new > e_old + 1e-8 * abs(e_old):
+        if not e_new <= e_old + 1e-8 * abs(e_old):
             raise StepRejectedError(
                 f"energy increased {e_old:.12g} -> {e_new:.12g}; "
                 f"retry with tau = {self.tau / 2:.3g}",

@@ -109,8 +109,7 @@ class _PointSystem:
             f"point {j} at {cs.points[j].tolist()}" for j in range(cs.num_points)
         ]
         _check_constraint_rank(form.constraints, self.labels[:4], np.zeros(4))
-        self.lu = SaddleSystem(form.A, form.constraints,
-                               antipodal_map(form.mesh)).factor(np.zeros(4))
+        self.lu = SaddleSystem(form.A, form.constraints).factor(np.zeros(4), antipodal_map(form.mesh))
         n = form.mesh.num_vertices
         self.G = self.lu.solve(np.vstack([P.T.toarray(), np.zeros((4, cs.num_points))]))
         self.PG = P @ self.G[:n]

@@ -388,6 +388,23 @@ def test_cli_negative_point_count_is_config_error(tmp_path, capsys, points):
     assert "failed: error" in (out / "manifest.txt").read_text()
 
 
+@pytest.mark.parametrize("preset,key,reader", [
+    ("icosahedron", "count = 3", "equator"), ("polar_rings", "count = 3", "equator"),
+    ("equator", "points = 0 0 1", "explicit"), ("icosahedron", "points = 0 0 1", "explicit"),
+])
+def test_cli_points_key_of_another_preset_is_config_error(tmp_path, capsys, preset, key, reader):
+    # A key that only another preset reads would be ignored: it is a
+    # configuration error that names the key and the preset (exit 2).
+    cfg = tmp_path / "k.cfg"
+    out = tmp_path / "out"
+    write(cfg, f"[mesh]\nlevel = 1\n[points]\npreset = {preset}\n{key}\n[output]\ndir = {out}\n")
+    assert main(["points-hard", "--config", str(cfg)]) == 2
+    name = key.split(" = ")[0]
+    assert (f"[points] {name} is read only by preset = {reader}, not by preset = {preset}"
+            in capsys.readouterr().err)
+    assert "failed: error" in (out / "manifest.txt").read_text()
+
+
 def test_cli_taylor_check(tmp_path):
     cfg = tmp_path / "t.cfg"
     out = tmp_path / "out"

@@ -267,30 +267,48 @@ def _unit_mean_row(n):
     return sp.csr_matrix(np.ones((1, n)))
 
 
+def _mesh_pairing(level):
+    """The antipodal map of a level-``level`` sphere."""
+    return antipodal_map(build_icosphere(1.0, level))
+
+
 def _hard_saddle(A, B):
     """K = [[A, B^T], [B, 0]], the matrix SaddleSystem(A, B) factors with zero compliance."""
     return sp.bmat([[A, B.T], [B, None]], format="csc")
 
 
+def _whole_nd_lu(A, B):
+    """The LU of the whole K = [[A, B^T], [B, 0]], unsplit, with the diagonal
+    pivots and symmetric mode of SaddleSystem.factor: the unknowns of A in the
+    nested-dissection order of A, the rows of B last."""
+    n = A.shape[0]
+    perm = np.r_[nested_dissection(A), n + np.arange(B.shape[0])]
+    return spla.splu(_hard_saddle(A, B)[perm][:, perm], permc_spec="NATURAL",
+                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+
+
 _ORDER_GRAPHS = {
     # 12 vertices, fewer than one leaf: numbered as they come.
-    "below one leaf": lambda: _mesh_operator(0),
+    "below one leaf": lambda: (_mesh_operator(0), _mesh_pairing(0)),
     # Two spheres: two parts from the start.
-    "disconnected": lambda: sp.block_diag([_mesh_operator(2), _mesh_operator(3)]).tocsr(),
-    # A vertex with no neighbour, inside and after the numbering of a mesh.
-    "isolated vertex": lambda: sp.block_diag([_mesh_operator(2), sp.identity(1),
-                                              _mesh_operator(2)]).tocsr(),
+    "disconnected": lambda: (sp.block_diag([_mesh_operator(2), _mesh_operator(3)]).tocsr(),
+                             np.r_[_mesh_pairing(2), 162 + _mesh_pairing(3)]),
+    # Two vertices with no neighbour, paired with each other, inside and after
+    # the numbering of a mesh.
+    "isolated vertex": lambda: (sp.block_diag([_mesh_operator(2), sp.identity(2),
+                                               _mesh_operator(2)]).tocsr(),
+                                np.r_[_mesh_pairing(2), 163, 162, 164 + _mesh_pairing(2)]),
 }
 
 
 @pytest.mark.parametrize("name", list(_ORDER_GRAPHS))
 def test_factor_saddle_orders_and_solves_any_graph(name):
-    A = _ORDER_GRAPHS[name]()
+    A, pairing = _ORDER_GRAPHS[name]()
     n = A.shape[0]
     perm = nested_dissection(A)
     np.testing.assert_array_equal(np.sort(perm), np.arange(n))
     B = _unit_mean_row(n)
-    K, lu = _hard_saddle(A, B), SaddleSystem(A, B).factor(np.zeros(1))
+    K, lu = _hard_saddle(A, B), SaddleSystem(A, B).factor(np.zeros(1), pairing)
     rhs = np.random.default_rng(4).standard_normal(n + 1)
     x = lu.solve(rhs)
     np.testing.assert_allclose(K @ x, rhs, rtol=0, atol=1e-12 * np.abs(rhs).max())
@@ -300,7 +318,7 @@ def test_permuted_solve_takes_several_right_hand_sides():
     A = _mesh_operator(3)
     n = A.shape[0]
     B = _unit_mean_row(n)
-    K, lu = _hard_saddle(A, B), SaddleSystem(A, B).factor(np.zeros(1))
+    K, lu = _hard_saddle(A, B), SaddleSystem(A, B).factor(np.zeros(1), _mesh_pairing(3))
     rhs = np.random.default_rng(5).standard_normal((n + 1, 3))
     X = lu.solve(rhs)
     assert X.shape == rhs.shape
@@ -312,15 +330,15 @@ def test_permuted_solve_takes_several_right_hand_sides():
 
 def test_nested_dissection_fills_less_than_colamd():
     # The points' orthogonality block A_C = [[A, C^T], [C, 0]] at level 4,
-    # against SuperLU's own orderings: COLAMD, and its symmetric minimum
-    # degree on K + K^T.
+    # whole, against SuperLU's own orderings: COLAMD, and its symmetric
+    # minimum degree on K + K^T.
     form = assemble_quadratic_form(build_icosphere(1.0, 4), ModelParams(kappa=1.0, sigma=1.0, R=1.0))
     K = _hard_saddle(form.A, form.constraints)
-    lu = SaddleSystem(form.A, form.constraints).factor(np.zeros(4))
+    lu = _whole_nd_lu(form.A, form.constraints)
     for permc_spec, diag_pivot_thresh in (("COLAMD", 0.1), ("MMD_AT_PLUS_A", 0.0)):
         reference = spla.splu(K, permc_spec=permc_spec, diag_pivot_thresh=diag_pivot_thresh,
                               options=dict(SymmetricMode=True))
-        assert lu.lu.nnz <= 0.8 * reference.nnz, permc_spec
+        assert lu.nnz <= 0.8 * reference.nnz, permc_spec
 
 
 def _flow_lu(level, coupling, tau):
@@ -333,7 +351,7 @@ def _flow_lu(level, coupling, tau):
 def _orthogonality_lu(level):
     """The LU of the points' A_C = [[A, C^T], [C, 0]], split by the antipodal map."""
     form = assemble_quadratic_form(build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
-    return SaddleSystem(form.A, form.constraints, antipodal_map(form.mesh)).factor(np.zeros(4))
+    return SaddleSystem(form.A, form.constraints).factor(np.zeros(4), antipodal_map(form.mesh))
 
 
 _SADDLE_LUS = {
@@ -354,18 +372,27 @@ def test_saddle_lu_pivots_on_its_diagonal(name):
 
 
 def _point_saddle(delta):
-    """The points' K(delta) at level 3, icosahedron preset: its system and compliance."""
+    """The points' K(delta) at level 3, icosahedron preset: its system, its
+    compliance and its reference solve.  Its point rows are neither even nor
+    odd under the antipodal map, so no split LU factors it."""
     form = assemble_quadratic_form(build_icosphere(1.0, 3), ModelParams(1.0, 1.0, 1.0))
     system = _PointSystem(form, ConstraintSet(icosahedron_points(), np.ones(12))).system
-    return system, np.r_[np.zeros(4), np.full(12, delta)]
+    c, n = np.r_[np.zeros(4), np.full(12, delta)], form.mesh.num_vertices
+    labels = [str(k) for k in range(16)]
+    return system, c, lambda b: np.concatenate(solve_saddle(system.A, system.B, b[:n], b[n:],
+                                                            c, labels))
 
 
 def _flow_saddle(coupling):
-    """The flow operator at level 3 with its five hard rows (phi mean, u mean, u modes)."""
+    """The flow operator at level 3 with its five hard rows (phi mean, u mean,
+    u modes): its system, its compliance and the solve of its split LU."""
     form = assemble_quadratic_form(build_icosphere(1.0, 3), ModelParams(1.0, 1.0, 1.0))
     pf = PhaseFieldParams(epsilon=0.15, b=1.0, coupling=coupling, alpha=-0.3, tau=0.16)
     A = flow_operator(form, pf, coupling_operator(form, pf), pf.tau)
-    return SaddleSystem(A, sp.block_diag([form.constraints[:1], form.constraints])), np.zeros(5)
+    system = SaddleSystem(A, sp.block_diag([form.constraints[:1], form.constraints]))
+    antipodes = antipodal_map(form.mesh)
+    pairing = np.r_[antipodes, form.mesh.num_vertices + antipodes]
+    return system, np.zeros(5), system.factor(np.zeros(5), pairing).solve
 
 
 _SADDLE_SYSTEMS = {
@@ -379,7 +406,7 @@ _SADDLE_SYSTEMS = {
 @pytest.mark.parametrize("name", list(_SADDLE_SYSTEMS))
 def test_saddle_system_is_the_assembled_k(name):
     build, arg = _SADDLE_SYSTEMS[name]
-    system, c = build(arg)
+    system, c, solve = build(arg)
     K = sp.bmat([[system.A, system.B.T], [system.B, sp.diags(-c)]], format="csr")
     x = np.random.default_rng(6).standard_normal(K.shape[0])
     # The products from the blocks sum each row of K x in another order;
@@ -387,51 +414,58 @@ def test_saddle_system_is_the_assembled_k(name):
     tol = 8.0 * np.finfo(float).eps * (abs(K) @ np.abs(x))
     assert np.all(np.abs(system.apply(c, x) - K @ x) <= tol)
     assert np.all(np.abs(system.apply_abs(c, x) - abs(K) @ x) <= tol)
-    # Its LU solves the same K: measured within 3.4e-12 of x, relative in max norm.
-    y = system.factor(c).solve(system.apply(c, x))
+    # Its solve solves the same K: measured within 6.4e-13 of x, relative in max norm.
+    y = solve(system.apply(c, x))
     assert np.max(np.abs(y - x)) <= 1e-10 * np.max(np.abs(x))
 
 
-def _split_and_whole_orthogonality(level):
-    """The points' LU of A_C, split by the antipodal map, the LU of the whole
-    A_C, the refined solve of A_C through an LU and the unknowns of A."""
+def _orthogonality_split(level):
+    """The points' LU of A_C, split by the antipodal map, A_C's system and
+    compliance, the refined solve of A_C through an LU, as the point solves
+    take it, and the unknowns of A."""
     form = assemble_quadratic_form(build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
     split = _PointSystem(form, ConstraintSet(icosahedron_points(), np.ones(12))).lu
-    whole = SaddleSystem(form.A, form.constraints)
-    solve = lambda lu, b: whole.solve(np.zeros(4), b, lu.solve)   # as the point solves
-    return split, whole.factor(np.zeros(4)), solve, form.mesh.num_vertices
+    system = SaddleSystem(form.A, form.constraints)
+    solve = lambda b: system.solve(np.zeros(4), b, split.solve)
+    return split, system, np.zeros(4), solve, form.mesh.num_vertices
 
 
-def _split_and_whole_flow(level, coupling, tau):
-    """A flow solver's LU, split by the antipodal map of phi and of u, the LU of
-    its whole step operator, a step's solve through an LU and the unknowns of
-    the operator."""
+def _flow_split(level, coupling, tau):
+    """A flow solver's LU, split by the antipodal map of phi and of u, the
+    system and compliance of its step operator, a step's solve through that
+    LU and the unknowns of the operator."""
     form = assemble_quadratic_form(build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
     pf = PhaseFieldParams(epsilon=0.15, b=1.0, coupling=coupling, alpha=-0.3, tau=tau)
     solver = FlowSolver(form, pf, tau)
-    whole = SaddleSystem(flow_operator(form, pf, solver.C, tau),
-                         sp.block_diag([form.constraints[:1], form.constraints])).factor(np.zeros(5))
-    solve = lambda lu, b: lu.solve(b)                               # as a flow step
-    return solver.lu, whole, solve, 2 * form.mesh.num_vertices
+    system = SaddleSystem(flow_operator(form, pf, solver.C, tau),
+                          sp.block_diag([form.constraints[:1], form.constraints]))
+    return solver.lu, system, np.zeros(5), solver.lu.solve, 2 * form.mesh.num_vertices
 
 
 _SPLIT_LUS = {
-    **{f"A_C L{level}": (_split_and_whole_orthogonality, level) for level in (2, 3, 4)},
-    **{f"flow L3 Lambda={coupling} tau={tau}": (_split_and_whole_flow, 3, coupling, tau)
+    **{f"A_C L{level}": (_orthogonality_split, level) for level in (2, 3, 4)},
+    **{f"flow L3 Lambda={coupling} tau={tau}": (_flow_split, 3, coupling, tau)
        for coupling in (0.0, 1.0, 5.0, 10.0) for tau in (0.01, 0.16, 1.28)},
 }
 
 
+def _reference_solve(system, c, b):
+    """K(c)^{-1} b by ``solve_saddle``, SuperLU's default LU of the whole K."""
+    n = system.A.shape[0]
+    return np.concatenate(solve_saddle(system.A, system.B, b[:n], b[n:], c,
+                                       [str(k) for k in range(c.size)]))
+
+
 @pytest.mark.parametrize("name", list(_SPLIT_LUS))
 def test_split_lu_solves_as_the_whole_lu(name):
-    # The even/odd LU against the LU of the whole K, each solving as its caller
-    # does: refined against A_C for the points, one solve for a flow step.
-    # Measured within 2.3e-13 (A_C, L4) and 3.2e-13 (flow), relative.
+    # The even/odd LU, solving as its caller does (refined against A_C for the
+    # points, one solve for a flow step), against the reference solve of the
+    # whole K.  Measured within 1.2e-13 (A_C, L4) and 2.3e-13 (flow), relative.
     build, *args = _SPLIT_LUS[name]
-    split, whole, solve, n = build(*args)
+    _, system, c, solve, n = build(*args)
     rng = np.random.default_rng(8)
-    for rhs in rng.standard_normal((2, whole.perm.size)):
-        x, y = solve(split, rhs), solve(whole, rhs)
+    for rhs in rng.standard_normal((2, n + c.size)):
+        x, y = solve(rhs), _reference_solve(system, c, rhs)
         for part in (slice(None, n), slice(n, None)):   # the unknowns of A, the multipliers
             assert np.abs(x[part] - y[part]).max() <= 1e-12 * np.abs(y[part]).max()
 
@@ -444,13 +478,14 @@ def test_split_lu_solves_any_rows_of_b(rows, compliance):
     form = assemble_quadratic_form(build_icosphere(1.0, 2), ModelParams(1.0, 1.0, 1.0))
     A, B, c = (form.S + form.M).tocsr(), form.constraints[rows], np.array(compliance)
     rhs = np.random.default_rng(10).standard_normal(A.shape[0] + B.shape[0])
-    x = SaddleSystem(A, B, antipodal_map(form.mesh)).factor(c).solve(rhs)
-    y = SaddleSystem(A, B).factor(c).solve(rhs)
+    system = SaddleSystem(A, B)
+    x = system.factor(c, antipodal_map(form.mesh)).solve(rhs)
+    y = _reference_solve(system, c, rhs)
     assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
 
 
 def test_split_lu_takes_several_right_hand_sides():
-    split, _, _, _ = _split_and_whole_flow(3, 1.0, 0.16)
+    split, _, _, _, _ = _flow_split(3, 1.0, 0.16)
     rhs = np.random.default_rng(9).standard_normal((split.perm.size, 3))
     X = split.solve(rhs)
     for k in range(3):
@@ -458,14 +493,15 @@ def test_split_lu_takes_several_right_hand_sides():
                                    atol=1e-14 * np.abs(X).max())
 
 
-@pytest.mark.parametrize("build", [lambda: _split_and_whole_orthogonality(4),
-                                   lambda: _split_and_whole_flow(4, 1.0, 0.01)],
+@pytest.mark.parametrize("build", [lambda: _orthogonality_split(4),
+                                   lambda: _flow_split(4, 1.0, 0.01)],
                          ids=["A_C L4", "flow L4"])
 def test_split_lu_fills_less_than_the_whole_lu(build):
-    # L+U entries, split against whole: 0.437 M against 0.488 M (A_C) and
-    # 1.149 M against 1.191 M (flow, the flow-coarsen parameters).
-    split, whole, _, _ = build()
-    assert split.lu.nnz < whole.lu.nnz
+    # L+U entries, split against the whole K in the nested-dissection order of
+    # A: 0.437 M against 0.488 M (A_C) and 1.149 M against 1.191 M (flow, the
+    # flow-coarsen parameters).
+    split, system, _, _, _ = build()
+    assert split.lu.nnz < _whole_nd_lu(system.A, system.B).nnz
 
 
 def test_split_needs_even_or_odd_constraint_rows():
@@ -474,11 +510,11 @@ def test_split_needs_even_or_odd_constraint_rows():
     C = form.constraints
     mixed = sp.vstack([C[1], C[0] + C[3]]).tocsr()     # odd, then even plus odd
     with pytest.raises(SolverError, match="constraint row 1 is neither even nor odd"):
-        SaddleSystem(form.A, mixed, pairing).factor(np.zeros(2))
+        SaddleSystem(form.A, mixed).factor(np.zeros(2), pairing)
     n = form.mesh.num_vertices
     for pairing in (np.arange(n), np.roll(np.arange(n), 1)):
         with pytest.raises(SolverError, match="involution without fixed points"):
-            SaddleSystem(form.A, C, pairing)
+            SaddleSystem(form.A, C).factor(np.zeros(4), pairing)
 
 
 def test_half_graph_is_the_folded_pattern():
@@ -493,9 +529,6 @@ def test_half_graph_is_the_folded_pattern():
     graph = half_graph(form.A, pairing)
     assert graph.shape == (n // 2, n // 2)
     assert ((graph != 0) != (folded != 0)).nnz == 0
-    # Unpaired, the graph of A itself.
-    np.testing.assert_array_equal(nested_dissection(half_graph(form.A, None)),
-                                  nested_dissection(form.A))
 
 
 def _perturbed_surface(level):

@@ -144,7 +144,8 @@ def test_taylor_lumped_reports_floor(params):
     assert report.status in ("converged", "floor-limited")
 
 
-@pytest.mark.parametrize("rho_list", [(0.1,), (0.1, 0.0), (0.1, 0.1), (0.1, 0.1, -0.05)])
+@pytest.mark.parametrize("rho_list", [(0.1,), (0.1, 0.0), (0.1, 0.1), (0.1, 0.1, -0.05),
+                                      (0.1, 0.1, 0.05)])
 def test_taylor_rejects_bad_rho_list(params, rho_list):
     mesh = build_icosphere(1.0, 1)
     form = assemble_quadratic_form(mesh, params)

@@ -238,6 +238,16 @@ def test_oversized_step_rejected(form2):
     assert raised
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_step_with_a_nan_energy_is_rejected(form2):
+    # At eps = 1e-300 the energy of a step's state overflows to NaN, which
+    # fails every comparison: a check of "the energy rose" alone accepted
+    # such a step and logged its NaN energy.
+    pf = make_params(epsilon=1e-300, t_end=0.01, stat_tol=None)
+    with pytest.raises(SolverError, match=r"aborting after .* -> nan\)"):
+        run_flow(initial_state(form2, pf), form2, pf)
+
+
 def test_run_flow_recovers_from_rejection(form2):
     pf = make_params(tau=5.0, stat_tol=1e-4, noise_amplitude=3.0)
     final, report = run_flow(initial_state(form2, pf), form2, pf)
@@ -399,7 +409,8 @@ def test_flow_orders_its_operator_once(form3, monkeypatch):
     monkeypatch.setattr(fem, "nested_dissection",
                         lambda *args: orders.append(1) or order_of(*args))
     monkeypatch.setattr(fem.SaddleSystem, "factor",
-                        lambda self, c, order=None: factored.append(order) or factor(self, c, order))
+                        lambda self, c, pairing, order=None:
+                        factored.append(order) or factor(self, c, pairing, order))
     pf = coarsen_params(2)
     run_flow(initial_state(form3, pf), form3, pf)
     # The first solver's LU is ordered by fem; the others factor in its order.
