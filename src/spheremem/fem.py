@@ -21,13 +21,15 @@ scale however large the fourth-order block grows.  Every saddle matrix
 K = [[A, B^T], [B, -diag(c)]] is a ``SaddleSystem``, the one code that knows
 its layout: it applies K and |K| from the blocks and refines the point solves
 against K to the contract.  On the icosphere every saddle matrix of the
-program is invariant under the antipodal map x -> -x (``mesh.antipodal_map``),
-and ``SaddleSystem.factor`` takes its LU as that of its even and odd halves:
-one block-diagonal SuperLU factor of the same size in SuperLU's symmetric
-mode, every column pivoting on its diagonal in a nested-dissection order
-(``nested_dissection``) of the folded mesh graph.  The points' A_C has
-0.44 M, 2.42 M and 12.3 M L+U entries at levels 4-6, the level-4 flow
-operator 1.15 M.  ``solve_saddle``, the tests' reference, factors the whole
+program is invariant under the reflections in three perpendicular mirror
+planes (``mesh.mirror_maps``), which generate the group Z2^3, and
+``SaddleSystem.factor`` takes its LU as that of its eight blocks, one per
+character of the group: one block-diagonal SuperLU factor of the same size in
+SuperLU's symmetric mode, every column pivoting on its diagonal in a
+nested-dissection order (``nested_dissection``) of the orbit graph.  The
+points' A_C has 0.20 M, 1.24 M and 6.92 M L+U entries at levels 4-6, the
+level-4 flow operator 0.51 M: half what the split by the antipodal map alone
+holds.  ``solve_saddle``, the tests' reference, factors the whole
 K by SuperLU's defaults instead.  The contract stops there: the phase-field
 flow's step solves (``phasefield.FlowSolver.step``) are one solve each on
 their LU, neither refined nor checked.  No caller needs
@@ -38,6 +40,8 @@ most ``MASS_FORM_BOUND`` that its true residual certifies, the forms of
 several vectors with one preconditioner and one set of CG vectors.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -50,13 +54,14 @@ from .mesh import TriangleMesh, icosphere_level, subdivision_corners
 
 #: The residual tolerance of the linear solves: it stops the refinement and is
 #: the contract.  The point solves of the penalty studies of the three presets
-#: (hard and delta = 1e-2 ... 1e-6), on the split LU of ``SaddleSystem.factor``
-#: (diagonal pivots, nested-dissection order), miss it unrefined (69 eps to
-#: 1.7e7 eps, growing with the level) and meet it after one refinement step
-#: each, at 0.7-12.1 eps at levels 2-6 and 1.6-17.0 eps at level 7; only the
-#: icosahedron's solves at levels 2 and 3 meet it unrefined, at 38-57 eps
-#: (polar_rings is a domain error at level 2).  c_be = 64 is verified up to
-#: level 7.
+#: (hard and delta = 1e-2 ... 1e-6), on the LU of ``SaddleSystem.factor`` split
+#: by the three mirrors (diagonal pivots, nested-dissection order), miss it
+#: unrefined (199 eps to 3.0e7 eps, growing with the level) and meet it after
+#: one refinement step each, at 0.76-6.0 eps at levels 2-6 and 1.5-14.4 eps at
+#: level 7; only the equator's solves at levels 2 and 3 meet it unrefined, at
+#: 7.1-9.8 eps, and two of the icosahedron's six at level 4, at 58.6 and 63.5
+#: eps (polar_rings is a domain error at level 2).  c_be = 64 is verified up
+#: to level 7.
 BACKWARD_ERROR_BOUND = 64.0 * np.finfo(float).eps
 
 #: A point farther than this fraction of the radius from the sphere cannot be
@@ -222,96 +227,248 @@ def nested_dissection(A: sp.spmatrix) -> np.ndarray:
     return np.lexsort((part, -depth))
 
 
-#: A constraint row is even (odd) under a pairing of the unknowns when
-#: swapping each pair changes it (its negative) by at most this fraction of
-#: its largest entry.
-PARITY_TOL_REL = 1e-12
-
-_SQRT_HALF = np.sqrt(0.5)
+#: A constraint row lies in one block of a split LU when its components in the
+#: other blocks are at most this fraction of its norm; the re-based rows of the
+#: others are held to it too (:func:`_row_characters`).
+CHARACTER_TOL_REL = 1e-12
 
 
-def _check_pairing(pairing: np.ndarray, n: int) -> np.ndarray:
-    """``pairing`` as an index array, checked to be an involution of the n
-    unknowns without fixed points."""
-    pairing = np.asarray(pairing, dtype=np.intp)
-    if (pairing.shape != (n,) or np.any(pairing == np.arange(n))
-            or not np.array_equal(pairing[pairing], np.arange(n))):
-        raise SolverError(f"a pairing of {n} unknowns must be an involution without fixed points")
-    return pairing
+class _Orbits(NamedTuple):
+    """The orbits of the unknowns under the group Z2^G generated by G commuting
+    involutions g_1 ... g_G, a group element g^a the product of the g_j whose
+    bit j is set in a.  ``images[i, a]`` is g^a(i); orbit o is the orbit of
+    its smallest unknown ``table[o, 0]`` and ``table[o, a]`` is g^a of that,
+    a vertex repeated for every element of its stabilizer.  Character s of
+    the group, chi_s(a) = (-1)^popcount(s & a), numbers the blocks, and block s
+    holds orbit o when chi_s is trivial on the stabilizer (``held[s, o]``): an
+    orbit of 2^G / |stabilizer| unknowns gives one to each of that many
+    blocks."""
+
+    images: np.ndarray     # (n, 2^G)
+    table: np.ndarray      # (k, 2^G)
+    held: np.ndarray       # (2^G, k) bool
 
 
-def _pairs(pairing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (first[i], second[i]) of a pairing, first[i] < second[i],
-    numbered in the order of first: pair i has the even vector
-    (e_first + e_second)/sqrt(2) and the odd one (e_first - e_second)/sqrt(2)."""
-    first = np.flatnonzero(pairing > np.arange(pairing.size))
-    return first, pairing[first]
+def _characters(count: int) -> np.ndarray:
+    """The character table chi[s, a] = (-1)^popcount(s & a) of Z2^count: the
+    Sylvester-Hadamard matrix of order 2^count."""
+    chi = np.ones((1, 1))
+    for _ in range(count):
+        chi = np.block([[chi, chi], [chi, -chi]])
+    return chi
 
 
-def _fold(A: sp.csr_matrix, first: np.ndarray, second: np.ndarray,
-          sign: float) -> sp.csr_matrix:
-    """H^T in CSR, whose arrays are those of H in CSC, for the matrix H of
-    the pairs (first, second) with H[i, l] the sum of s_a s_b A[a, b] over a
-    in pair i and b in pair l, s = 1 on first and ``sign`` on second.  It
-    takes sparse row gathers and sums and one transposition, which keep every
-    row sorted: no sort."""
-    def gather(X):
-        return X[first] + X[second] if sign > 0 else X[first] - X[second]
-    return gather(gather(A).T.tocsr())
+def _orbits(generators, n: int) -> _Orbits:
+    """The :class:`_Orbits` of the n unknowns under ``generators``, index
+    arrays that must be commuting involutions of the n unknowns (else
+    :class:`SolverError`); with none, every unknown is an orbit of its own."""
+    gens = [np.asarray(g, dtype=np.intp) for g in generators]
+    identity = np.arange(n)
+    for j, g in enumerate(gens):
+        if g.shape != (n,) or g.min(initial=0) < 0 or g.max(initial=0) >= n \
+                or not np.array_equal(g[g], identity):
+            raise SolverError(f"generator {j} is not an involution of the {n} unknowns")
+        for i in range(j):
+            if not np.array_equal(g[gens[i]], gens[i][g]):
+                raise SolverError(f"generators {i} and {j} do not commute")
+    images = np.empty((n, 1 << len(gens)), dtype=np.intp)
+    images[:, 0] = identity
+    for j, g in enumerate(gens):
+        images[:, 1 << j:2 << j] = g[images[:, :1 << j]]
+    table = images[images.min(axis=1) == identity]
+    stabilizer = table == table[:, :1]
+    held = ~((_characters(len(gens)) < 0)[:, None, :] & stabilizer).any(axis=2)
+    return _Orbits(images, table, held)
 
 
-def half_graph(A: sp.spmatrix, pairing: np.ndarray) -> sp.csr_matrix:
-    """The graph of A folded by ``pairing`` (:func:`_pairs`), as a CSR
-    pattern: pairs k and l are joined where an entry of A, stored zeros
-    included, joins an unknown of one to an unknown of the other.  The even
-    and the odd half of A lie in it, and :meth:`SaddleSystem.factor` orders
-    both by it."""
+def _group_rows(A: sp.csr_matrix, orbits: _Orbits, order: np.ndarray) -> sp.csr_matrix:
+    """The rows at the orbits ``order`` of the group sum of A, the sum of g A
+    g^T over the group's 2^G elements g (CSR, sorted): row t, column y holds
+    the sum over a of A[g^a r, g^a y], r = ``table[order[t], 0]``.  Each
+    term is a sparse row gather whose column indices are relabelled."""
+    images, acc = orbits.images, None
+    for a in range(images.shape[1]):
+        rows = A[images[orbits.table[order, 0], a]]
+        rows.indices = images[rows.indices, a].astype(rows.indices.dtype)
+        rows.has_sorted_indices = False
+        rows.sort_indices()
+        acc = rows if acc is None else acc + rows
+    return acc
+
+
+def _fold(A: sp.csr_matrix, orbits: _Orbits, order: np.ndarray) -> list[sp.csc_matrix]:
+    """The blocks of Q^T A Q for the orthonormal basis Q of the orbits' block
+    vectors, each over its orbits in the order ``order`` (:class:`_BlockBasis`).
+    They are those of the group average of A, so a matrix invariant only to
+    roundoff is factored as its symmetrization.  Block s's vector of orbit o
+    is the sum over o's unknowns g^a r of chi_s(a) e_(g^a r) / sqrt(|o|), and
+    its entry (t, u) is sqrt(|t| |u|) / 4^G times the sum over c of chi_s(c)
+    S[r_t, g^c r_u], S the group sum of :func:`_group_rows`.  It takes sparse
+    row gathers, one transposition, and sums and differences in butterflies
+    over c, which keep every row sorted: no sort of a block."""
+    size = orbits.table.shape[1]
+    table = orbits.table[order]
+    columns = _group_rows(A, orbits, order).T.tocsr()
+    sums = [columns[table[:, c]] for c in range(size)]
+    h = 1
+    while h < size:
+        for lo in range(size):
+            if not lo & h:
+                sums[lo], sums[lo | h] = sums[lo] + sums[lo | h], sums[lo] - sums[lo | h]
+        h *= 2
+    weight = np.sqrt(size / (table == table[:, :1]).sum(axis=1)) / size
+    blocks = []
+    for s, block in enumerate(sums):
+        # The sum holds the block's transpose, over every orbit: its CSR
+        # arrays, restricted to the block's orbits, are the block's CSC arrays.
+        held = orbits.held[s, order]
+        block = block[held]
+        keep = held[block.indices]
+        indptr = np.r_[0, np.cumsum(keep)][block.indptr]
+        indices = (np.cumsum(held) - 1)[block.indices[keep]]
+        w = weight[held]
+        data = block.data[keep] * w[indices] * np.repeat(w, np.diff(indptr))
+        blocks.append(sp.csc_matrix((data, indices, indptr), shape=(w.size, w.size)))
+    return blocks
+
+
+def _orbit_graph(A: sp.spmatrix, orbits: _Orbits) -> sp.csr_matrix:
+    """:func:`orbit_graph` for the orbits ``orbits``: the rows of A gathered
+    orbit by orbit, their columns relabelled by orbit and each orbit's rows
+    merged into one."""
     A = sp.csr_matrix(A)
-    pattern = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
-    return _fold(pattern, *_pairs(pairing), 1.0)
+    table = orbits.table
+    k, size = table.shape
+    rows = A[table.ravel()]
+    orbit_of = np.searchsorted(table[:, 0], orbits.images.min(axis=1))
+    joined = np.unique(np.repeat(np.arange(k) * k, np.diff(rows.indptr[::size]))
+                       + orbit_of[rows.indices])
+    return sp.csr_matrix((np.ones(joined.size), joined % k,
+                          np.searchsorted(joined, np.arange(k + 1) * k)), shape=(k, k))
 
 
-def _row_parities(dense: np.ndarray, pairing: np.ndarray) -> np.ndarray:
-    """+1 for each row of the dense B that is even under the pairing
-    (B[:, pairing] = B) and -1 for each odd one (B[:, pairing] = -B), to
-    ``PARITY_TOL_REL`` of the row's largest entry; a row of neither parity
-    raises :class:`SolverError`."""
-    swapped, scale = dense[:, pairing], PARITY_TOL_REL * np.abs(dense).max(axis=1)
-    even = np.abs(swapped - dense).max(axis=1) <= scale
-    odd = np.abs(swapped + dense).max(axis=1) <= scale
-    if not np.all(even | odd):
-        row = int(np.flatnonzero(~(even | odd))[0])
-        raise SolverError(f"constraint row {row} is neither even nor odd under the pairing "
-                          f"of the unknowns; the saddle system cannot be split")
-    return np.where(even, 1.0, -1.0)
+def orbit_graph(A: sp.spmatrix, generators) -> sp.csr_matrix:
+    """The graph of A folded onto the orbits of ``generators``
+    (:func:`_orbits`), as a sparse pattern: orbits o and u are joined where
+    an entry of A, stored zeros included, joins an unknown of one to an
+    unknown of the other.  Every block of A lies in it, and
+    :meth:`SaddleSystem.factor` orders them all by it."""
+    return _orbit_graph(A, _orbits(generators, A.shape[0]))
+
+
+def _row_characters(coef: np.ndarray, starts: np.ndarray, c: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """An orthogonal change of the constraint rows, T (m, m), under which each
+    row lies in one block, and the block of each new row.  ``coef`` (n, m)
+    holds the rows' block coordinates, block s in rows ``starts[s]`` to
+    ``starts[s + 1]``, and c their compliances.
+
+    A row whose components in every other block are at most
+    ``CHARACTER_TOL_REL`` of its norm keeps itself.  The other rows of one
+    compliance are re-based together: their new rows in block s are the left
+    singular vectors of their block-s components above ``CHARACTER_TOL_REL``
+    of their norm (on the icosphere, nu_x and nu_z become nu . e2 and nu . e3
+    of the mirror normals).  Rows whose span the group does not map to itself,
+    or on which it does not act orthogonally, raise :class:`SolverError`."""
+    m = coef.shape[1]
+    norms = np.column_stack([np.linalg.norm(coef[start:end], axis=0)
+                             for start, end in zip(starts[:-1], starts[1:])])    # (m, blocks)
+    total = np.linalg.norm(norms, axis=1)
+    char = np.argmax(norms, axis=1)
+    outside = np.sqrt(np.maximum(total ** 2 - norms[np.arange(m), char] ** 2, 0.0))
+    pure = outside <= CHARACTER_TOL_REL * total
+    T, chars = np.eye(m), char.copy()
+    for value in np.unique(c[~pure]):
+        rows = np.flatnonzero(~pure & (c == value))
+        scale = CHARACTER_TOL_REL * np.linalg.norm(total[rows])
+        basis, blocks = [], []
+        for s in range(starts.size - 1):
+            u, sigma, _ = np.linalg.svd(coef[starts[s]:starts[s + 1], rows].T, full_matrices=False)
+            rank = int(np.sum(sigma > scale))
+            basis.append(u[:, :rank].T)
+            blocks += [s] * rank
+        basis = np.vstack(basis)
+        if basis.shape[0] != rows.size:
+            raise SolverError(f"constraint rows {rows.tolist()} span no space that the "
+                              f"symmetry group maps to itself; the saddle system cannot be split")
+        if not np.abs(basis @ basis.T - np.eye(rows.size)).max() <= CHARACTER_TOL_REL:
+            raise SolverError(f"the symmetry group does not act orthogonally on constraint "
+                              f"rows {rows.tolist()}; the saddle system cannot be split")
+        T[rows] = 0.0
+        T[np.ix_(rows, rows)] = basis
+        chars[rows] = blocks
+    return T, chars
+
+
+class _BlockBasis:
+    """The orthonormal basis Q of the block vectors of ``orbits``
+    (:func:`_fold`), each block's orbits in the order ``order``: block s holds
+    ``blocks[s]``, at ``starts[s]`` to ``starts[s + 1]`` of the numbering.  Q^T
+    x takes each orbit's unknowns to its block coordinates by a Walsh-Hadamard
+    transform, scaled, and gathers them at ``slots`` of the (2^G, k) table of
+    character and orbit."""
+
+    def __init__(self, orbits: _Orbits, order: np.ndarray):
+        self.order, self.table = order, np.ascontiguousarray(orbits.table.T)
+        size, k = self.table.shape
+        self.characters = _characters(int(np.log2(size)))
+        self.blocks = [order[orbits.held[s, order]] for s in range(size)]
+        self.starts = np.cumsum([0] + [block.size for block in self.blocks])
+        self.slots = np.concatenate([s * k + block for s, block in enumerate(self.blocks)])
+        orbit_size = (size / (self.table == self.table[0]).sum(axis=0))[self.slots % k]
+        self.forward_scale = np.sqrt(orbit_size) / size
+        self.inverse_scale = 1.0 / np.sqrt(orbit_size)
+        # The first position of each unknown in the table: any will do, as all
+        # hold the same value.
+        flat = self.table.ravel()
+        count = np.bincount(flat)
+        self.first = np.argsort(flat, kind="stable")[np.cumsum(count) - count]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Q^T x for x (n, ...)."""
+        y = self._walsh_hadamard(x[self.table])[self.slots]
+        y *= self.forward_scale.reshape(-1, *[1] * (x.ndim - 1))
+        return y
+
+    def inverse(self, y: np.ndarray) -> np.ndarray:
+        """Q y for y (n, ...)."""
+        x = np.zeros((*self.table.shape, *y.shape[1:]))
+        x.reshape(-1, *y.shape[1:])[self.slots] = \
+            y * self.inverse_scale.reshape(-1, *[1] * (y.ndim - 1))
+        return self._walsh_hadamard(x)[self.first]
+
+    def _walsh_hadamard(self, y: np.ndarray) -> np.ndarray:
+        """The unnormalized Walsh-Hadamard transform of each orbit of y (2^G,
+        k, ...): y[s] -> the sum over a of chi_s(a) y[a], flattened to (2^G k,
+        ...).  It is one product with the +-1 character table, each output the
+        exact sum of 2^G signed inputs."""
+        size = y.shape[0]
+        return (self.characters @ y.reshape(size, -1)).reshape(-1, *y.shape[2:])
 
 
 class _PermutedLU:
     """The sparse LU ``lu`` of T K T^T, whose ``solve`` solves K x = b (b one
-    column or several).  T gathers b by ``perm`` and then rotates each pair of
-    unknowns, at positions i < ``order.size`` and ``odd`` + i of the gathered
-    vector, into its even and odd parts; T is orthogonal, so x is the LU's
-    solution rotated back and scattered by ``perm``.  ``order`` is the order
-    of the pairs used in both halves."""
+    column or several).  T is orthogonal: on the unknowns of A it is Q^T of
+    the block basis ``basis``, each coordinate put at ``unknown_positions``
+    of the LU's numbering; on the constraint rows it is ``rows`` (m, m), each
+    new row put at ``row_positions``.  x is the LU's solution taken back by
+    T^T.  ``order`` is the order of the orbits used in every block."""
 
-    def __init__(self, lu, order: np.ndarray, perm: np.ndarray, odd: int):
-        self.lu, self.order, self.perm, self.odd = lu, order, perm, odd
-
-    def _rotate(self, y: np.ndarray) -> np.ndarray:
-        """The pairs of y, (a, b) -> ((a + b), (a - b)) / sqrt(2), in place:
-        its own inverse."""
-        pairs = self.order.size
-        a, b = y[:pairs], y[self.odd:self.odd + pairs]
-        diff = a - b
-        a += b
-        a *= _SQRT_HALF
-        np.multiply(diff, _SQRT_HALF, out=b)
-        return y
+    def __init__(self, lu, basis: _BlockBasis, rows: np.ndarray,
+                 unknown_positions: np.ndarray, row_positions: np.ndarray):
+        self.lu, self.order, self.basis, self.rows = lu, basis.order, basis, rows
+        self.unknown_positions, self.row_positions = unknown_positions, row_positions
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        y = self._rotate(self.lu.solve(self._rotate(np.asarray(b, dtype=float)[self.perm])))
+        b = np.asarray(b, dtype=float)
+        n = self.unknown_positions.size
+        y = np.empty_like(b)
+        y[self.unknown_positions] = self.basis.forward(b[:n])
+        y[self.row_positions] = self.rows @ b[n:]
+        y = self.lu.solve(y)
         x = np.empty_like(y)
-        x[self.perm] = y
+        x[:n] = self.basis.inverse(y[self.unknown_positions])
+        x[n:] = self.rows.T @ y[self.row_positions]
         return x
 
 
@@ -353,80 +510,85 @@ class SaddleSystem:
             self._abs = abs(self.A), abs(self.B)
         return _saddle_product(*self._abs, c, x)
 
-    def factor(self, c: np.ndarray, pairing: np.ndarray,
+    def factor(self, c: np.ndarray, generators,
                order: np.ndarray | None = None) -> _PermutedLU:
-        """The LU of K(c) split by ``pairing``, a symmetry under which K is
-        invariant: it pairs unknown i of A with ``pairing[i]``, an involution
-        without fixed points (on an icosphere, ``mesh.antipodal_map``).
+        """The LU of K(c) split by ``generators``, commuting involutions of the
+        unknowns of A under which K is invariant (on an icosphere, the three
+        maps of ``mesh.mirror_maps``; none gives the unsplit LU).
 
-        The LU is that of Q^T K Q = blockdiag(K_even, K_odd), of the same size
-        as K, Q the orthonormal basis of the pairs' even and odd vectors
-        (:func:`_pairs`): the symmetry reduction of Bossavit (Comput. Methods
-        Appl. Mech. Engrg. 56 (1986) 167).  Each half is a saddle matrix:
-        entry (k, l) of its A block is half the sum of the four entries of A
-        joining pair k to pair l, signed by parity, and its constraint rows
-        are the rows of B of its parity in that basis, so the multipliers are
-        K's own.  Every row of B must be even or odd (else
-        :class:`SolverError`), and the halves are those of (K + Pi K Pi)/2: a
-        K invariant only to roundoff is factored as its symmetrization.  One
-        order of the pairs, ``order`` or the nested dissection of the half
-        graph (:func:`half_graph`; a caller that factors several matrices of
-        one pattern orders it once), serves both halves, each half's rows of B
-        after its pairs.  The halves go to SuperLU as one block-diagonal
+        The LU is that of T K T^T = blockdiag(K_0, ..., K_(2^G - 1)), of the
+        same size as K, T orthogonal: the symmetry reduction of Bossavit
+        (Comput. Methods Appl. Mech. Engrg. 56 (1986) 167) for the group Z2^G.
+        On the unknowns of A, T is Q^T for the orthonormal basis Q of the
+        orbits' block vectors (:func:`_orbits`): an orbit of 8, 4 or 2 unknowns
+        gives one to each block whose character is trivial on its stabilizer,
+        and block s of A is that of the group average of A (:func:`_fold`),
+        so a K invariant only to roundoff is factored as its symmetrization.
+        On the constraint rows, T is an orthogonal change of the rows of B
+        under which each row lies in one block (:func:`_row_characters`), so
+        the multipliers are K's own once taken back; rows of different
+        compliance are never mixed, and rows whose span the group does not
+        preserve raise :class:`SolverError`.  Each block is a saddle matrix,
+        its rows of B after its orbits.  One order of the orbits, ``order`` or
+        the nested dissection of the orbit graph (:func:`orbit_graph`; a
+        caller that factors several matrices of one pattern orders it once),
+        serves every block.  The blocks go to SuperLU as one block-diagonal
         matrix, factored in its symmetric mode with diagonal pivot threshold 0
         (Li, ACM TOMS 31 (2005) 302): a column leaves its diagonal only where
         that entry is exactly zero or absent, and refinement against K
         (:meth:`solve`) answers for the accuracy.
 
-        Nested dissection suits the symmetric K of a surface mesh.  Split,
-        A_C = [[A, C^T], [C, 0]] has 0.44 M, 2.42 M and 12.3 M L+U entries at
-        levels 4-6, and the level-4 flow operator 1.15 M.  The whole K, its
-        unknowns of A in the nested-dissection order of A and its rows of B
-        last, fills more: A_C 0.49 M, 2.6 M and 12.9 M, the flow operator
-        1.19 M.  Ordered by COLAMD, which minimizes the fill of K^T K instead,
-        the whole A_C has 0.71 M, 3.76 M and 22.0 M and the flow operator
-        1.62-1.85 M; by SuperLU's ``MMD_AT_PLUS_A``, 1.30 M, 6.64 M and 38.1 M
-        and 3.29 M.
+        Nested dissection suits the symmetric K of a surface mesh.  Split by
+        the three mirrors, A_C = [[A, C^T], [C, 0]] has 0.20 M, 1.24 M and
+        6.92 M L+U entries at levels 4-6, and the level-4 flow operator 0.51 M.
+        Split by the antipodal map alone, A_C has 0.44 M, 2.42 M and 12.3 M,
+        the flow operator 1.15 M; unsplit (no generators), 0.49 M, 2.6 M and
+        12.9 M, and 1.19 M.  Ordered by COLAMD, which minimizes the fill of K^T
+        K instead, the whole A_C has 0.71 M, 3.76 M and 22.0 M and the flow
+        operator 1.62-1.85 M; by SuperLU's ``MMD_AT_PLUS_A``, 1.30 M, 6.64 M
+        and 38.1 M and 3.29 M.
 
         Returns the LU, whose ``solve`` solves with K and whose ``order`` is
-        the order used; a pairing that is not an involution without fixed
-        points and a failed factorization raise :class:`SolverError`.
+        the order used; generators that are not commuting involutions and a
+        failed factorization raise :class:`SolverError`.
         """
-        pairing = _check_pairing(pairing, self.A.shape[0])
+        orbits = _orbits(generators, self.A.shape[0])
         if order is None:
-            order = nested_dissection(half_graph(self.A, pairing))
-        permuted, perm, odd = self._rotated(c, pairing, order)
+            order = nested_dissection(_orbit_graph(self.A, orbits))
+        basis = _BlockBasis(orbits, order)
+        permuted, rows, unknown_positions, row_positions = self._split(c, orbits, basis)
         try:
             lu = spla.splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                            options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise SolverError(f"sparse LU of the saddle system failed: {exc}") from exc
-        return _PermutedLU(lu, order, perm, odd)
+        return _PermutedLU(lu, basis, rows, unknown_positions, row_positions)
 
-    def _rotated(self, c: np.ndarray, pairing: np.ndarray, order: np.ndarray
-                 ) -> tuple[sp.csc_matrix, np.ndarray, int]:
-        """Q^T K(c) Q as a CSC matrix, its unknowns numbered half by half: the
-        even half's pairs in ``order``, then its rows of B, then the odd
-        half's; with the gather ``perm`` of that numbering
-        (:class:`_PermutedLU`) and the start of the odd half.  A half's block
-        of A is half its :func:`_fold`, and its rows of B are
-        (B[:, first] +- B[:, second]) / sqrt(2)."""
-        n = self.A.shape[0]
-        first, second = (side[order] for side in _pairs(pairing))
-        A, B = sp.csr_matrix(self.A), self.B.toarray()
-        parity = _row_parities(B, pairing)
-        halves, perm = [], []
-        for sign, unknowns in ((1.0, first), (-1.0, second)):
-            rows = np.flatnonzero(parity == sign)
-            H = _fold(A, first, second, sign).T
-            H.data *= 0.5
-            Bh = _SQRT_HALF * (B[rows][:, first] + sign * B[rows][:, second])
-            D = sp.diags(-c[rows], shape=(rows.size,) * 2, format="csc")
+    def _split(self, c: np.ndarray, orbits: _Orbits, basis: _BlockBasis
+               ) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray, np.ndarray]:
+        """T K(c) T^T as a CSC matrix, numbered block by block, each block's
+        coordinates of A in ``basis`` followed by its rows of B; with the
+        change of rows of T and the positions of the coordinates of A and of
+        the new rows in that numbering (:class:`_PermutedLU`)."""
+        A = sp.csr_matrix(self.A)
+        coef = basis.forward(self.B.toarray().T)
+        rows, chars = _row_characters(coef, basis.starts, c)
+        by_block = np.argsort(chars, kind="stable")
+        rows, chars, c = rows[by_block], chars[by_block], c[by_block]
+        coef = coef @ rows.T
+        blocks, unknown_positions, row_positions, start = [], [], [], 0
+        for s, (block, H) in enumerate(zip(basis.blocks, _fold(A, orbits, basis.order))):
+            mine = np.flatnonzero(chars == s)
+            Bs = coef[basis.starts[s]:basis.starts[s + 1], mine].T
+            D = sp.diags(-c[mine], shape=(mine.size,) * 2, format="csc")
             # All four blocks CSC: SciPy stacks them without a sort.
-            halves.append(sp.bmat([[H, sp.csr_matrix(Bh).T], [sp.csc_matrix(Bh), D]],
+            blocks.append(sp.bmat([[H, sp.csr_matrix(Bs).T], [sp.csc_matrix(Bs), D]],
                                   format="csc"))
-            perm += [unknowns, n + rows]
-        return sp.block_diag(halves, format="csc"), np.concatenate(perm), halves[0].shape[0]
+            unknown_positions.append(start + np.arange(block.size))
+            row_positions.append(start + block.size + np.arange(mine.size))
+            start += block.size + mine.size
+        return (sp.block_diag(blocks, format="csc"), rows, np.concatenate(unknown_positions),
+                np.concatenate(row_positions))
 
     def solve(self, c: np.ndarray, rhs: np.ndarray, inner) -> np.ndarray:
         """x with K(c) x = rhs by the inner solve ``inner`` (r -> K(c)^{-1} r up

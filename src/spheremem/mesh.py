@@ -6,9 +6,11 @@ subdivision of a regular icosahedron, with new vertices reprojected to the
 exact sphere.  The icosahedron is oriented with vertices at the north and
 south poles so that the mesh inherits the full icosahedral symmetry group
 about the z-axis (C5 rotations and the S10 rotoreflection), which the
-constraint experiments exploit.  The symmetry group holds the antipodal map
-x -> -x, which the subdivision carries exactly (``antipodal_map``): the
-saddle LUs split by it into even and odd halves (``fem.SaddleSystem``).
+constraint experiments exploit.  The symmetry group holds the reflections in
+three perpendicular mirror planes, which the subdivision carries exactly
+(``mirror_maps``) and whose product is the antipodal map x -> -x: the saddle
+LUs split by them into the eight blocks of the group they generate, half the
+fill of a split by the antipodal map alone (``fem.SaddleSystem``).
 
 Everything a surface's triangles contribute is measured in one pass over its
 corners, ``_measure_triangles``: the three corners of each triangle are
@@ -43,9 +45,9 @@ DEGENERATE_REL_AREA = 1e-14
 #: served from the heap and reused instead of mapped and faulted in afresh.
 PASS_BLOCK = 2048
 
-#: The antipodal map of an icosphere takes each vertex to within this fraction
-#: of the radius of minus itself.
-ANTIPODE_TOL_REL = 1e-12
+#: Each mirror map of an icosphere takes every vertex to within this fraction
+#: of the radius of its reflection.
+MIRROR_TOL_REL = 1e-12
 
 #: The P1 mass matrix's local values on the pairs (0, 0), (1, 1), (2, 2),
 #: (0, 1), (1, 2), (2, 0), per unit of the triangle's area.
@@ -176,7 +178,7 @@ def _subdivide(verts: np.ndarray, tris: np.ndarray, radius: float):
     triangle walk.  The children of triangle t are 4t ... 4t+3: (a, ab, ca),
     (b, bc, ab), (c, ca, bc) and (ab, bc, ca), so child k's first corner is
     corner k of t for k = 0, 1, 2 (``subdivision_corners``, and through it
-    ``fem.PointLocator`` and ``antipodal_map``, rely on both).
+    ``fem.PointLocator`` and ``mirror_maps``, rely on both).
     """
     n = verts.shape[0]
     edges = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
@@ -240,44 +242,67 @@ def subdivision_corners(triangles: np.ndarray, level: int, t: np.ndarray,
     return triangles[(4 * t[..., None] + np.arange(3)) * 4 ** (level - at - 1), 0]
 
 
-def antipodal_map(mesh: TriangleMesh) -> np.ndarray:
-    """The vertex permutation P of an icosphere with vertices[P] = -vertices:
-    an involution without fixed points, under which the reference sphere and
-    every operator assembled on it are invariant.
+def mirror_normals(mesh: TriangleMesh) -> np.ndarray:
+    """The unit normals (3, 3) of the icosphere's three mirror planes of
+    :func:`mirror_maps`: e1 = y-hat, e2 the unit midpoint of vertices 0 (the
+    north pole) and 1, and e3 = e1 x e2."""
+    e1 = np.array([0.0, 1.0, 0.0])
+    e2 = mesh.vertices[0] + mesh.vertices[1]
+    e2 /= np.linalg.norm(e2)
+    return np.array([e1, e2, np.cross(e1, e2)])
 
-    It is derived from the subdivision, not from distances: the base
-    icosahedron's 12 vertices map to their nearest antipodes, and each level's
-    midpoint of an edge {a, b} to the midpoint of {P a, P b}, read off the
-    middle child 4t + 3 = (ab, bc, ca) of each triangle t (:func:`_subdivide`).
-    A mesh that is not an icosphere, or one whose images miss minus a vertex
-    by more than :data:`ANTIPODE_TOL_REL` R, raises :class:`GeometryError`.
+
+def mirror_maps(mesh: TriangleMesh) -> np.ndarray:
+    """The vertex permutations (3, n) of the reflections of an icosphere in
+    its three mutually perpendicular mirror planes (:func:`mirror_normals`):
+    vertices[P[m]] = vertices reflected in plane m.  Each is an involution
+    that fixes the 2^(L+2) vertices on its plane; the three commute, generate
+    the group Z2^3, and their product is the antipodal map x -> -x.  The
+    reference sphere and every operator assembled on it are invariant under
+    each.
+
+    They are derived from the subdivision, without a search.  The base
+    icosahedron's 12 vertices map to the nearest vertex of their reflection,
+    which maps each base face t onto a face t' with its orientation reversed:
+    corner k of t onto corner r - k (mod 3) of t' for one r.  Then the
+    midpoint of edge k of t, corner k of its middle child 4t + 3 = (ab, bc,
+    ca), maps to the midpoint of edge r - k - 1 of t'; each corner child 4t + k
+    maps onto the child 4t' + r - k with r = 0, and the middle child onto 4t' +
+    3 with r - 1 (:func:`_subdivide`).  A mesh that is not an icosphere, or
+    one whose images are not an involution or miss a reflected vertex by more
+    than :data:`MIRROR_TOL_REL` R, raises :class:`GeometryError`.
     """
     level = icosphere_level(mesh)
     v, tris, n = mesh.vertices, mesh.triangles, mesh.num_vertices
     if n != 10 * 4**level + 2:
         raise GeometryError(f"an icosphere of level {level} has {10 * 4**level + 2} "
                             f"vertices, not {n}")
-    base = v[:12]
-    P = np.empty(n, dtype=np.intp)
-    P[:12] = np.argmin(((base[:, None] + base) ** 2).sum(axis=2), axis=1)
+    normals = mirror_normals(mesh)
+    reflected = v - 2.0 * (v @ normals.T).T[:, :, None] * normals[:, None, :]
+    P = np.empty((3, n), dtype=np.intp)
+    P[:, :12] = np.argmin(((reflected[:, :12, None] - v[:12]) ** 2).sum(axis=3), axis=2)
+    faces = subdivision_corners(tris, level, np.arange(20), 0)
+    image = P[:, faces]
+    codes = np.sort(faces, axis=1) @ [144, 12, 1]
+    image_of = np.argmax((np.sort(image, axis=2) @ [144, 12, 1])[:, :, None] == codes, axis=2)
+    r = np.argmax(image[:, :, :1] == faces[image_of], axis=2)
+    k = np.arange(3)
+    if not np.array_equal(np.take_along_axis(faces[image_of], (r[..., None] - k) % 3, axis=2),
+                          image):
+        raise GeometryError("the base faces of the mesh are not mapped onto faces by its mirrors")
     for at in range(level):
-        t = np.arange(20 * 4**at)
-        ends = subdivision_corners(tris, level, t, at)
-        a, b = ends.ravel(), np.roll(ends, -1, axis=1).ravel()     # edges ab, bc, ca
-        mids = subdivision_corners(tris, level, 4 * t + 3, at + 1).ravel()
-        keys = np.minimum(a, b) * n + np.maximum(a, b)
-        images = np.minimum(P[a], P[b]) * n + np.maximum(P[a], P[b])
-        by_key = np.argsort(keys)
-        hit = by_key[np.searchsorted(keys[by_key], images).clip(max=keys.size - 1)]
-        if not np.array_equal(keys[hit], images):
-            raise GeometryError(f"the level-{at} edges of the mesh are not mapped onto "
-                                f"edges by the antipodal map")
-        P[mids] = mids[hit]
-    gap = float(np.abs(v[P] + v).max())
-    if (np.any(P == np.arange(n)) or not np.array_equal(P[P], np.arange(n))
-            or not gap <= ANTIPODE_TOL_REL * mesh.radius_hint):
-        raise GeometryError(f"the mesh is not antipodally symmetric: |v[P] + v| reaches "
-                            f"{gap:.3g} (tolerance {ANTIPODE_TOL_REL * mesh.radius_hint:.3g})")
+        mids = subdivision_corners(tris, level, 4 * np.arange(20 * 4**at) + 3, at + 1)
+        P[:, mids] = mids.ravel()[3 * image_of[..., None] + (r[..., None] - k - 1) % 3]
+        children = np.concatenate([(r[..., None] - k) % 3, np.full((*r.shape, 1), 3)], axis=2)
+        image_of = (4 * image_of[..., None] + children).reshape(3, -1)
+        r = np.concatenate([np.zeros((*r.shape, 3), dtype=r.dtype), ((r - 1) % 3)[..., None]],
+                           axis=2).reshape(3, -1)
+    gap = float(np.abs(v[P] - reflected).max())
+    if (not np.array_equal(np.take_along_axis(P, P, axis=1), np.broadcast_to(np.arange(n), P.shape))
+            or not gap <= MIRROR_TOL_REL * mesh.radius_hint):
+        raise GeometryError(f"the mesh is not mirror symmetric: its reflected vertices miss "
+                            f"vertices by up to {gap:.3g} "
+                            f"(tolerance {MIRROR_TOL_REL * mesh.radius_hint:.3g})")
     return P
 
 

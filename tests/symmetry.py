@@ -5,7 +5,7 @@ rotation about z and the S10 rotoreflection (rotate by pi/5, flip z) map mesh
 vertices to mesh vertices up to roundoff.  These permutations turn solution
 equivariance into a machine-precision check.  The tests' helper: found by a
 k-d tree search of the mapped vertices, independently of the subdivision that
-``spheremem.mesh.antipodal_map`` reads the antipodes from.
+``spheremem.mesh.mirror_maps`` reads the mirror images from.
 """
 from __future__ import annotations
 

@@ -15,19 +15,20 @@ from spheremem.fem import (
     assemble_mass,
     assemble_stiffness,
     h2_norm,
-    half_graph,
     laplacian_apply,
     lumped_diagonal,
     mass_inverse_form,
     nested_dissection,
+    orbit_graph,
     solve_saddle,
 )
 from spheremem import fem
-from spheremem.mesh import TriangleMesh, antipodal_map, build_icosphere, mesh_stats
+from spheremem.mesh import TriangleMesh, build_icosphere, mesh_stats, mirror_maps
 from spheremem.model import ModelParams, assemble_quadratic_form
 from spheremem.oracle import perturb
 from spheremem.phasefield import FlowSolver, PhaseFieldParams, coupling_operator, flow_operator
 from spheremem.points import ConstraintSet, _PointSystem, icosahedron_points
+from symmetry import vertex_permutation
 
 
 @pytest.fixture(scope="module")
@@ -267,9 +268,15 @@ def _unit_mean_row(n):
     return sp.csr_matrix(np.ones((1, n)))
 
 
-def _mesh_pairing(level):
-    """The antipodal map of a level-``level`` sphere."""
-    return antipodal_map(build_icosphere(1.0, level))
+def _mesh_mirrors(level):
+    """The three mirror maps of a level-``level`` sphere."""
+    return mirror_maps(build_icosphere(1.0, level))
+
+
+def _antipodes(level):
+    """The antipodal map of a level-``level`` sphere: the product of its mirrors."""
+    first, second, third = _mesh_mirrors(level)
+    return first[second[third]]
 
 
 def _hard_saddle(A, B):
@@ -289,36 +296,39 @@ def _whole_nd_lu(A, B):
 
 _ORDER_GRAPHS = {
     # 12 vertices, fewer than one leaf: numbered as they come.
-    "below one leaf": lambda: (_mesh_operator(0), _mesh_pairing(0)),
+    "below one leaf": lambda: (_mesh_operator(0), _mesh_mirrors(0)),
     # Two spheres: two parts from the start.
     "disconnected": lambda: (sp.block_diag([_mesh_operator(2), _mesh_operator(3)]).tocsr(),
-                             np.r_[_mesh_pairing(2), 162 + _mesh_pairing(3)]),
-    # Two vertices with no neighbour, paired with each other, inside and after
-    # the numbering of a mesh.
+                             np.hstack([_mesh_mirrors(2), 162 + _mesh_mirrors(3)])),
+    # Two vertices with no neighbour, swapped by the first mirror and fixed by
+    # the others, inside and after the numbering of a mesh.
     "isolated vertex": lambda: (sp.block_diag([_mesh_operator(2), sp.identity(2),
                                                _mesh_operator(2)]).tocsr(),
-                                np.r_[_mesh_pairing(2), 163, 162, 164 + _mesh_pairing(2)]),
+                                np.hstack([_mesh_mirrors(2), [[163], [162], [163]],
+                                           [[162], [163], [162]], 164 + _mesh_mirrors(2)])),
 }
 
 
 @pytest.mark.parametrize("name", list(_ORDER_GRAPHS))
 def test_factor_saddle_orders_and_solves_any_graph(name):
-    A, pairing = _ORDER_GRAPHS[name]()
+    A, mirrors = _ORDER_GRAPHS[name]()
     n = A.shape[0]
     perm = nested_dissection(A)
     np.testing.assert_array_equal(np.sort(perm), np.arange(n))
     B = _unit_mean_row(n)
-    K, lu = _hard_saddle(A, B), SaddleSystem(A, B).factor(np.zeros(1), pairing)
+    K, lu = _hard_saddle(A, B), SaddleSystem(A, B).factor(np.zeros(1), mirrors)
     rhs = np.random.default_rng(4).standard_normal(n + 1)
     x = lu.solve(rhs)
     np.testing.assert_allclose(K @ x, rhs, rtol=0, atol=1e-12 * np.abs(rhs).max())
 
 
 def test_permuted_solve_takes_several_right_hand_sides():
+    # The LU without generators: unsplit, in the nested-dissection order.
     A = _mesh_operator(3)
     n = A.shape[0]
     B = _unit_mean_row(n)
-    K, lu = _hard_saddle(A, B), SaddleSystem(A, B).factor(np.zeros(1), _mesh_pairing(3))
+    K, lu = _hard_saddle(A, B), SaddleSystem(A, B).factor(np.zeros(1), [])
+    np.testing.assert_array_equal(lu.order, nested_dissection(A))
     rhs = np.random.default_rng(5).standard_normal((n + 1, 3))
     X = lu.solve(rhs)
     assert X.shape == rhs.shape
@@ -349,9 +359,9 @@ def _flow_lu(level, coupling, tau):
 
 
 def _orthogonality_lu(level):
-    """The LU of the points' A_C = [[A, C^T], [C, 0]], split by the antipodal map."""
+    """The LU of the points' A_C = [[A, C^T], [C, 0]], split by the three mirrors."""
     form = assemble_quadratic_form(build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
-    return SaddleSystem(form.A, form.constraints).factor(np.zeros(4), antipodal_map(form.mesh))
+    return SaddleSystem(form.A, form.constraints).factor(np.zeros(4), mirror_maps(form.mesh))
 
 
 _SADDLE_LUS = {
@@ -373,8 +383,8 @@ def test_saddle_lu_pivots_on_its_diagonal(name):
 
 def _point_saddle(delta):
     """The points' K(delta) at level 3, icosahedron preset: its system, its
-    compliance and its reference solve.  Its point rows are neither even nor
-    odd under the antipodal map, so no split LU factors it."""
+    compliance and its reference solve.  Its point rows span no space that
+    the mirrors map to itself, so no split LU factors it."""
     form = assemble_quadratic_form(build_icosphere(1.0, 3), ModelParams(1.0, 1.0, 1.0))
     system = _PointSystem(form, ConstraintSet(icosahedron_points(), np.ones(12))).system
     c, n = np.r_[np.zeros(4), np.full(12, delta)], form.mesh.num_vertices
@@ -390,9 +400,9 @@ def _flow_saddle(coupling):
     pf = PhaseFieldParams(epsilon=0.15, b=1.0, coupling=coupling, alpha=-0.3, tau=0.16)
     A = flow_operator(form, pf, coupling_operator(form, pf), pf.tau)
     system = SaddleSystem(A, sp.block_diag([form.constraints[:1], form.constraints]))
-    antipodes = antipodal_map(form.mesh)
-    pairing = np.r_[antipodes, form.mesh.num_vertices + antipodes]
-    return system, np.zeros(5), system.factor(np.zeros(5), pairing).solve
+    mirrors = mirror_maps(form.mesh)
+    generators = np.hstack([mirrors, form.mesh.num_vertices + mirrors])
+    return system, np.zeros(5), system.factor(np.zeros(5), generators).solve
 
 
 _SADDLE_SYSTEMS = {
@@ -420,7 +430,7 @@ def test_saddle_system_is_the_assembled_k(name):
 
 
 def _orthogonality_split(level):
-    """The points' LU of A_C, split by the antipodal map, A_C's system and
+    """The points' LU of A_C, split by the three mirrors, A_C's system and
     compliance, the refined solve of A_C through an LU, as the point solves
     take it, and the unknowns of A."""
     form = assemble_quadratic_form(build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
@@ -431,7 +441,7 @@ def _orthogonality_split(level):
 
 
 def _flow_split(level, coupling, tau):
-    """A flow solver's LU, split by the antipodal map of phi and of u, the
+    """A flow solver's LU, split by the three mirrors of phi and of u, the
     system and compliance of its step operator, a step's solve through that
     LU and the unknowns of the operator."""
     form = assemble_quadratic_form(build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
@@ -470,24 +480,35 @@ def test_split_lu_solves_as_the_whole_lu(name):
             assert np.abs(x[part] - y[part]).max() <= 1e-12 * np.abs(y[part]).max()
 
 
-@pytest.mark.parametrize("rows,compliance", [
-    (slice(0, 1), [0.0]), (slice(1, 4), [0.0, 0.0, 0.0]), (slice(0, 4), [0.0, 1e-3, 0.0, 2e-3]),
-], ids=["even rows only", "odd rows only", "penalty rows"])
-def test_split_lu_solves_any_rows_of_b(rows, compliance):
-    # A half without rows of B, and compliances on rows of either parity.
+@pytest.mark.parametrize("rows,compliance,split", [
+    (slice(0, 1), [0.0], "mirrors"), (slice(1, 4), [0.0, 0.0, 0.0], "mirrors"),
+    (slice(0, 4), [0.0, 1e-3, 0.0, 2e-3], "antipodes"),
+    (slice(0, 4), [0.0, 1e-3, 2e-3, 1e-3], "mirrors"),
+], ids=["even rows only", "odd rows only", "penalty rows", "penalty rows under mirrors"])
+def test_split_lu_solves_any_rows_of_b(rows, compliance, split):
+    # Blocks without rows of B, rows re-based across blocks (nu_x and nu_z
+    # under the mirrors), and compliances on rows of several blocks: under the
+    # antipodal map alone every row lies in one block, under the mirrors the
+    # rows of one compliance must span a space they map to itself.
     form = assemble_quadratic_form(build_icosphere(1.0, 2), ModelParams(1.0, 1.0, 1.0))
     A, B, c = (form.S + form.M).tocsr(), form.constraints[rows], np.array(compliance)
     rhs = np.random.default_rng(10).standard_normal(A.shape[0] + B.shape[0])
     system = SaddleSystem(A, B)
-    x = system.factor(c, antipodal_map(form.mesh)).solve(rhs)
+    generators = mirror_maps(form.mesh) if split == "mirrors" else [_antipodes(2)]
+    x = system.factor(c, generators).solve(rhs)
     y = _reference_solve(system, c, rhs)
     assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
 
 
 def test_split_lu_takes_several_right_hand_sides():
-    split, _, _, _, _ = _flow_split(3, 1.0, 0.16)
-    rhs = np.random.default_rng(9).standard_normal((split.perm.size, 3))
+    # The eight-block LU of a flow step.
+    split, system, c, _, _ = _flow_split(3, 1.0, 0.16)
+    rhs = np.random.default_rng(9).standard_normal((split.unknown_positions.size + c.size, 3))
     X = split.solve(rhs)
+    assert X.shape == rhs.shape
+    assert len(split.basis.blocks) == 8
+    residual = np.column_stack([system.apply(c, x) for x in X.T]) - rhs
+    assert np.abs(residual).max() <= 1e-12 * np.abs(rhs).max()
     for k in range(3):
         np.testing.assert_allclose(X[:, k], split.solve(rhs[:, k]), rtol=0,
                                    atol=1e-14 * np.abs(X).max())
@@ -498,36 +519,89 @@ def test_split_lu_takes_several_right_hand_sides():
                          ids=["A_C L4", "flow L4"])
 def test_split_lu_fills_less_than_the_whole_lu(build):
     # L+U entries, split against the whole K in the nested-dissection order of
-    # A: 0.437 M against 0.488 M (A_C) and 1.149 M against 1.191 M (flow, the
+    # A: 0.197 M against 0.488 M (A_C) and 0.508 M against 1.191 M (flow, the
     # flow-coarsen parameters).
     split, system, _, _, _ = build()
     assert split.lu.nnz < _whole_nd_lu(system.A, system.B).nnz
 
 
+def _fill_systems(name):
+    """A_C at a level, or the level-4 flow operator (flow-coarsen parameters,
+    tau = 0.16), with its compliance and its mirrors."""
+    level = 4 if name == "flow L4" else int(name[-1])
+    form = assemble_quadratic_form(build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
+    mirrors = mirror_maps(form.mesh)
+    if name != "flow L4":
+        return SaddleSystem(form.A, form.constraints), np.zeros(4), mirrors
+    pf = PhaseFieldParams(epsilon=0.15, b=1.0, coupling=1.0, alpha=-0.3, tau=0.16)
+    A = flow_operator(form, pf, coupling_operator(form, pf), pf.tau)
+    n = form.mesh.num_vertices
+    return (SaddleSystem(A, sp.block_diag([form.constraints[:1], form.constraints])),
+            np.zeros(5), np.hstack([mirrors, n + mirrors]))
+
+
+@pytest.mark.parametrize("name", ["A_C L4", "A_C L5", "flow L4"])
+def test_split_lu_fill_falls_with_each_mirror_group(name):
+    # L+U entries unsplit, split by the antipodal map alone and by the three
+    # mirrors: A_C 0.488 M, 0.437 M, 0.197 M at level 4 and 2.62 M, 2.42 M,
+    # 1.24 M at level 5; the flow operator 1.19 M, 1.15 M, 0.508 M.
+    system, c, (first, second, third) = _fill_systems(name)
+    fills = [system.factor(c, generators).lu.nnz
+             for generators in ([], [first[second[third]]], [first, second, third])]
+    assert fills[0] > fills[1] > fills[2]
+
+
 def test_split_needs_even_or_odd_constraint_rows():
+    # Under one generator, the antipodal map, a row must be even or odd.
     form = assemble_quadratic_form(build_icosphere(1.0, 2), ModelParams(1.0, 1.0, 1.0))
-    pairing = antipodal_map(form.mesh)
+    antipodes = [_antipodes(2)]
     C = form.constraints
     mixed = sp.vstack([C[1], C[0] + C[3]]).tocsr()     # odd, then even plus odd
-    with pytest.raises(SolverError, match="constraint row 1 is neither even nor odd"):
-        SaddleSystem(form.A, mixed).factor(np.zeros(2), pairing)
+    with pytest.raises(SolverError, match=r"constraint rows \[1\] span no space"):
+        SaddleSystem(form.A, mixed).factor(np.zeros(2), antipodes)
     n = form.mesh.num_vertices
-    for pairing in (np.arange(n), np.roll(np.arange(n), 1)):
-        with pytest.raises(SolverError, match="involution without fixed points"):
-            SaddleSystem(form.A, C).factor(np.zeros(4), pairing)
+    with pytest.raises(SolverError, match="generator 0 is not an involution"):
+        SaddleSystem(form.A, C).factor(np.zeros(4), [np.roll(np.arange(n), 1)])
 
 
-def test_half_graph_is_the_folded_pattern():
-    # Pairs k and l are joined where A joins an unknown of one to one of the other.
+def test_split_needs_commuting_involutions_and_an_invariant_row_span():
+    mesh = build_icosphere(1.0, 2)
+    form = assemble_quadratic_form(mesh, ModelParams(1.0, 1.0, 1.0))
+    C, mirrors = form.constraints, mirror_maps(mesh)
+    # The y mirror and the mirror in the vertical plane through vertex 2, at
+    # 72 degrees from it: two involutions whose product turns by 144 degrees.
+    normal = np.array([-np.sin(0.4 * np.pi), np.cos(0.4 * np.pi), 0.0])
+    tilted = vertex_permutation(mesh, np.eye(3) - 2.0 * np.outer(normal, normal))
+    with pytest.raises(SolverError, match="generators 0 and 1 do not commute"):
+        SaddleSystem(form.A, C).factor(np.zeros(4), [mirrors[0], tilted])
+    # nu_x alone: the mirrors map it to nu . e3 - (nu . e2) combinations.
+    with pytest.raises(SolverError, match="span no space"):
+        SaddleSystem(form.A, C[1]).factor(np.zeros(1), mirrors)
+    # nu_x and nu_z at two compliances: each alone spans no such space.
+    with pytest.raises(SolverError, match="span no space"):
+        SaddleSystem(form.A, C).factor(np.array([0.0, 1e-3, 0.0, 2e-3]), mirrors)
+    # A row the group maps to itself, but not orthogonally: the swap of two
+    # isolated unknowns, acting on rows e_1 and 2 e_1 + e_2.
+    A = sp.identity(2, format="csr")
+    with pytest.raises(SolverError, match="does not act orthogonally"):
+        SaddleSystem(A, sp.csr_matrix([[1.0, 0.0], [2.0, 1.0]])).factor(
+            np.array([1.0, 1.0]), [np.array([1, 0])])
+
+
+def test_orbit_graph_is_the_folded_pattern():
+    # Orbits o and u are joined where A joins an unknown of one to one of the other.
     form = assemble_quadratic_form(build_icosphere(1.0, 2), ModelParams(1.0, 1.0, 1.0))
-    pairing = antipodal_map(form.mesh)
-    n = pairing.size
-    first = np.flatnonzero(pairing > np.arange(n))
-    fold = sp.csr_matrix((np.ones(n), (np.r_[first, pairing[first]], np.tile(np.arange(n // 2), 2))),
-                         shape=(n, n // 2))
+    mirrors = mirror_maps(form.mesh)
+    n = form.mesh.num_vertices
+    images = np.stack([np.arange(n), *mirrors, mirrors[0][mirrors[1]], mirrors[0][mirrors[2]],
+                       mirrors[1][mirrors[2]], mirrors[0][mirrors[1][mirrors[2]]]])
+    rep = images.min(axis=0)
+    orbits = np.unique(rep)
+    fold = sp.csr_matrix((np.ones(n), (np.arange(n), np.searchsorted(orbits, rep))),
+                         shape=(n, orbits.size))
     folded = (fold.T @ abs(form.A) @ fold).tocsr()
-    graph = half_graph(form.A, pairing)
-    assert graph.shape == (n // 2, n // 2)
+    graph = orbit_graph(form.A, mirrors)
+    assert graph.shape == (orbits.size, orbits.size)
     assert ((graph != 0) != (folded != 0)).nnz == 0
 
 

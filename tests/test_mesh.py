@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 from spheremem.errors import GeometryError, MeshTopologyError, SizeLimitError
 from spheremem.mesh import (
-    ANTIPODE_TOL_REL,
+    MIRROR_TOL_REL,
     MAX_LEVEL,
     TriangleMesh,
     _pole_icosahedron,
-    antipodal_map,
     build_icosphere,
     mesh_checksum,
     mesh_stats,
+    mirror_maps,
+    mirror_normals,
     validate_closed,
     vertex_normals,
 )
@@ -207,30 +208,76 @@ def test_generic_rotation_is_not_a_symmetry():
         vertex_permutation(mesh, rotation_z(0.3))
 
 
-@pytest.mark.parametrize("level", range(8))
-def test_antipodal_map_is_a_fixed_point_free_involution(level):
+def _reflection(normal):
+    """The reflection in the plane through the origin with unit ``normal``."""
+    return np.eye(3) - 2.0 * np.outer(normal, normal)
+
+
+def _antipodal_map(mesh):
+    """The product of the three mirror maps."""
+    first, second, third = mirror_maps(mesh)
+    return first[second[third]]
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_mirror_maps_are_the_reflections(level):
+    # The subdivision's maps against a k-d tree search of the reflected vertices.
+    mesh = build_icosphere(1.0, level)
+    for P, normal in zip(mirror_maps(mesh), mirror_normals(mesh)):
+        np.testing.assert_array_equal(P, vertex_permutation(mesh, _reflection(normal)))
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_mirror_maps_are_commuting_involutions(level):
+    # The normals e1 = y-hat, e2 (the unit midpoint of vertices 0 and 1) and
+    # e3 = e1 x e2 are orthonormal; each mirror fixes the 2^(L+2) vertices on
+    # its plane, a great circle.
     radius = 2.5
     mesh = build_icosphere(radius, level)
-    P = antipodal_map(mesh)
+    maps, normals = mirror_maps(mesh), mirror_normals(mesh)
+    np.testing.assert_allclose(normals @ normals.T, np.eye(3), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(normals[0], [0.0, 1.0, 0.0])
+    n = mesh.num_vertices
+    for i, P in enumerate(maps):
+        np.testing.assert_array_equal(P[P], np.arange(n))
+        assert np.count_nonzero(P == np.arange(n)) == 2 ** (level + 2)
+        assert np.abs(mesh.vertices[P] - mesh.vertices @ _reflection(normals[i])).max() \
+            <= MIRROR_TOL_REL * radius
+        for other in maps[:i]:
+            np.testing.assert_array_equal(P[other], other[P])
+
+
+@pytest.mark.parametrize("level", range(8))
+def test_antipodal_map_is_a_fixed_point_free_involution(level):
+    # The product of the three mirror maps.
+    radius = 2.5
+    mesh = build_icosphere(radius, level)
+    P = _antipodal_map(mesh)
     n = mesh.num_vertices
     np.testing.assert_array_equal(P[P], np.arange(n))
     assert not np.any(P == np.arange(n))
-    assert np.abs(mesh.vertices[P] + mesh.vertices).max() <= ANTIPODE_TOL_REL * radius
+    assert np.abs(mesh.vertices[P] + mesh.vertices).max() <= 3 * MIRROR_TOL_REL * radius
 
 
 @pytest.mark.parametrize("level", range(5))
 def test_antipodal_map_is_the_point_reflection(level):
-    # The subdivision's map against a k-d tree search of the reflected vertices.
+    # The product of the subdivision's maps against a k-d tree search of the
+    # reflected vertices.
     mesh = build_icosphere(1.0, level)
-    np.testing.assert_array_equal(antipodal_map(mesh), vertex_permutation(mesh, -np.eye(3)))
+    np.testing.assert_array_equal(_antipodal_map(mesh), vertex_permutation(mesh, -np.eye(3)))
 
 
-def test_antipodal_map_needs_an_icosphere():
+def test_mirror_maps_need_an_icosphere():
     mesh = build_icosphere(1.0, 2)
     with pytest.raises(GeometryError, match="icospheres only"):
-        antipodal_map(mesh.moved(mesh.vertices * 1.1))
-    # The connectivity of an icosphere, its vertices displaced off antipodal symmetry.
+        mirror_maps(mesh.moved(mesh.vertices * 1.1))
+    # The connectivity of an icosphere, its vertices displaced off mirror symmetry.
     bumped = mesh.vertices.copy()
     bumped[5] *= 1.0 + 1e-6
-    with pytest.raises(GeometryError, match="not antipodally symmetric"):
-        antipodal_map(TriangleMesh(bumped, mesh.triangles, radius_hint=1.0))
+    with pytest.raises(GeometryError, match="not mirror symmetric"):
+        mirror_maps(TriangleMesh(bumped, mesh.triangles, radius_hint=1.0))
+    # An icosphere's vertices with two triangles' connectivity swapped.
+    tris = mesh.triangles.copy()
+    tris[[0, 1]] = tris[[1, 0]]
+    with pytest.raises(GeometryError):
+        mirror_maps(TriangleMesh(mesh.vertices, tris, radius_hint=1.0))

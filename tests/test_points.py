@@ -76,14 +76,14 @@ def test_one_factorization_per_constraint_set(form, monkeypatch, run):
 def test_study_back_solves_no_zero_vector(form, monkeypatch):
     # Each solve's first right-hand side is zero above the point rows, so its
     # back-solve is known; a study solves only for G and one refinement step of
-    # the hard problem and of each delta.  The equator's solves take that step
-    # (373 eps unrefined at level 3); the icosahedron's meet the contract
-    # unrefined at level 3 (38-43 eps) and take none.
+    # the hard problem and of each delta.  The icosahedron's solves take that
+    # step (395 eps unrefined at level 3); the equator's meet the contract
+    # unrefined at level 3 (9.5-9.8 eps) and take none.
     rhs = []
     solve = fem._PermutedLU.solve
     monkeypatch.setattr(fem._PermutedLU, "solve",
                         lambda self, b: rhs.append(np.array(b)) or solve(self, b))
-    convergence_study(form, ConstraintSet(equator_points(), np.ones(10)),
+    convergence_study(form, ConstraintSet(icosahedron_points(), np.ones(12)),
                       [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
     assert len(rhs) == 7
     assert all(np.any(b) for b in rhs)
