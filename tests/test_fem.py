@@ -284,16 +284,6 @@ def _hard_saddle(A, B):
     return sp.bmat([[A, B.T], [B, None]], format="csc")
 
 
-def _whole_nd_lu(A, B):
-    """The LU of the whole K = [[A, B^T], [B, 0]], unsplit, with the diagonal
-    pivots and symmetric mode of SaddleSystem.factor: the unknowns of A in the
-    nested-dissection order of A, the rows of B last."""
-    n = A.shape[0]
-    perm = np.r_[nested_dissection(A), n + np.arange(B.shape[0])]
-    return spla.splu(_hard_saddle(A, B)[perm][:, perm], permc_spec="NATURAL",
-                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-
-
 _ORDER_GRAPHS = {
     # 12 vertices, fewer than one leaf: numbered as they come.
     "below one leaf": lambda: (_mesh_operator(0), _mesh_mirrors(0)),
@@ -344,7 +334,7 @@ def test_nested_dissection_fills_less_than_colamd():
     # minimum degree on K + K^T.
     form = assemble_quadratic_form(build_icosphere(1.0, 4), ModelParams(kappa=1.0, sigma=1.0, R=1.0))
     K = _hard_saddle(form.A, form.constraints)
-    lu = _whole_nd_lu(form.A, form.constraints)
+    lu = SaddleSystem(form.A, form.constraints).factor(np.zeros(4), []).lu
     for permc_spec, diag_pivot_thresh in (("COLAMD", 0.1), ("MMD_AT_PLUS_A", 0.0)):
         reference = spla.splu(K, permc_spec=permc_spec, diag_pivot_thresh=diag_pivot_thresh,
                               options=dict(SymmetricMode=True))
@@ -514,40 +504,22 @@ def test_split_lu_takes_several_right_hand_sides():
                                    atol=1e-14 * np.abs(X).max())
 
 
-@pytest.mark.parametrize("build", [lambda: _orthogonality_split(4),
-                                   lambda: _flow_split(4, 1.0, 0.01)],
-                         ids=["A_C L4", "flow L4"])
-def test_split_lu_fills_less_than_the_whole_lu(build):
-    # L+U entries, split against the whole K in the nested-dissection order of
-    # A: 0.197 M against 0.488 M (A_C) and 0.508 M against 1.191 M (flow, the
-    # flow-coarsen parameters).
-    split, system, _, _, _ = build()
-    assert split.lu.nnz < _whole_nd_lu(system.A, system.B).nnz
-
-
-def _fill_systems(name):
-    """A_C at a level, or the level-4 flow operator (flow-coarsen parameters,
-    tau = 0.16), with its compliance and its mirrors."""
-    level = 4 if name == "flow L4" else int(name[-1])
-    form = assemble_quadratic_form(build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
-    mirrors = mirror_maps(form.mesh)
-    if name != "flow L4":
-        return SaddleSystem(form.A, form.constraints), np.zeros(4), mirrors
-    pf = PhaseFieldParams(epsilon=0.15, b=1.0, coupling=1.0, alpha=-0.3, tau=0.16)
-    A = flow_operator(form, pf, coupling_operator(form, pf), pf.tau)
-    n = form.mesh.num_vertices
-    return (SaddleSystem(A, sp.block_diag([form.constraints[:1], form.constraints])),
-            np.zeros(5), np.hstack([mirrors, n + mirrors]))
-
-
-@pytest.mark.parametrize("name", ["A_C L4", "A_C L5", "flow L4"])
-def test_split_lu_fill_falls_with_each_mirror_group(name):
-    # L+U entries unsplit, split by the antipodal map alone and by the three
-    # mirrors: A_C 0.488 M, 0.437 M, 0.197 M at level 4 and 2.62 M, 2.42 M,
-    # 1.24 M at level 5; the flow operator 1.19 M, 1.15 M, 0.508 M.
-    system, c, (first, second, third) = _fill_systems(name)
-    fills = [system.factor(c, generators).lu.nnz
-             for generators in ([], [first[second[third]]], [first, second, third])]
+@pytest.mark.parametrize("build,level", [(_orthogonality_split, 4), (_orthogonality_split, 5),
+                                         (lambda level: _flow_split(level, 1.0, 0.01), 4)],
+                         ids=["A_C L4", "A_C L5", "flow L4"])
+def test_split_lu_fills_less_than_the_whole_lu(build, level):
+    # L+U entries of the whole K in the nested-dissection order of A (no
+    # generators), split by the antipodal map alone, and split by the three
+    # mirrors as the points and the flow factor it: A_C 0.488 M, 0.437 M,
+    # 0.197 M at level 4 and 2.62 M, 2.42 M, 1.24 M at level 5; the flow
+    # operator (the flow-coarsen parameters) 1.19 M, 1.15 M, 0.508 M.
+    split, system, c, _, n = build(level)
+    mirrors = _mesh_mirrors(level)
+    # The flow's unknowns are phi and u: each map acts on both.
+    first, second, third = np.hstack([mirrors + k * mirrors.shape[1]
+                                      for k in range(n // mirrors.shape[1])])
+    fills = [system.factor(c, []).lu.nnz, system.factor(c, [first[second[third]]]).lu.nnz,
+             split.lu.nnz]
     assert fills[0] > fills[1] > fills[2]
 
 

@@ -256,7 +256,7 @@ def test_antipodal_map_is_a_fixed_point_free_involution(level):
     n = mesh.num_vertices
     np.testing.assert_array_equal(P[P], np.arange(n))
     assert not np.any(P == np.arange(n))
-    assert np.abs(mesh.vertices[P] + mesh.vertices).max() <= 3 * MIRROR_TOL_REL * radius
+    assert np.abs(mesh.vertices[P] + mesh.vertices).max() <= MIRROR_TOL_REL * radius
 
 
 @pytest.mark.parametrize("level", range(5))

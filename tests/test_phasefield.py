@@ -274,9 +274,7 @@ def test_rejecting_run_logs_fresh_energy_once_per_step(form2, monkeypatch):
     assert report.energies[-1] == e
     assert report.breakdowns[-1] == bd
     # Pinned to the bit (x86-64, NumPy 2.4.6, SciPy 1.17.1): any change to
-    # the flow's arithmetic shows here.  Recorded on the LU split by the three
-    # mirrors; on the LU split by the antipodal map alone it was
-    # 9.512478194322558, 3 ulp lower, with the same step counts.
+    # the flow's arithmetic shows here.
     assert (report.accepted_steps, report.rejected_steps) == (622, 9)
     assert repr(report.energies[-1]) == "9.512478194322561"
 
