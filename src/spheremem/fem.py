@@ -24,12 +24,16 @@ against K to the contract.  On the icosphere every saddle matrix of the
 program is invariant under the reflections in three perpendicular mirror
 planes (``mesh.mirror_maps``), which generate the group Z2^3, and
 ``SaddleSystem.factor`` takes its LU as that of its eight blocks, one per
-character of the group: one block-diagonal SuperLU factor of the same size in
-SuperLU's symmetric mode, every column pivoting on its diagonal in a
-nested-dissection order (``nested_dissection``) of the orbit graph.  The
-points' A_C has 0.20 M, 1.24 M and 6.92 M L+U entries at levels 4-6, the
-level-4 flow operator 0.51 M: half what the split by the antipodal map alone
-holds.  ``solve_saddle``, the tests' reference, factors the whole
+character of the group, each column pivoting on its diagonal in SuperLU's
+symmetric mode, in a nested-dissection order (``nested_dissection``) of the
+orbit graph.  Given the rotation that cycles the mirrors
+(``mesh.rotation_map``), it factors one block per cycle of the blocks under
+the rotation: a SuperLU factor of the two blocks it fixes and one of the two
+3-cycles' first blocks, which a solve takes with three columns per
+right-hand side.  The points' A_C, split so, has 0.098 M, 0.62 M and 3.46 M
+L+U entries at levels 4-6, half what its eight blocks hold; the flow's step
+operator is split into its eight blocks in one factor, 0.51 M at level 4.
+``solve_saddle``, the tests' reference, factors the whole
 K by SuperLU's defaults instead.  The contract stops there: the phase-field
 flow's step solves (``phasefield.FlowSolver.step``) are one solve each on
 their LU, neither refined nor checked.  No caller needs
@@ -55,13 +59,13 @@ from .mesh import TriangleMesh, icosphere_level, subdivision_corners
 #: The residual tolerance of the linear solves: it stops the refinement and is
 #: the contract.  The point solves of the penalty studies of the three presets
 #: (hard and delta = 1e-2 ... 1e-6), on the LU of ``SaddleSystem.factor`` split
-#: by the three mirrors (diagonal pivots, nested-dissection order), miss it
-#: unrefined (199 eps to 3.0e7 eps, growing with the level) and meet it after
-#: one refinement step each, at 0.76-6.0 eps at levels 2-6 and 1.5-14.4 eps at
-#: level 7; only the equator's solves at levels 2 and 3 meet it unrefined, at
-#: 7.1-9.8 eps, and two of the icosahedron's six at level 4, at 58.6 and 63.5
-#: eps (polar_rings is a domain error at level 2).  c_be = 64 is verified up
-#: to level 7.
+#: by the three mirrors and the rotation (diagonal pivots, nested-dissection
+#: order), miss it unrefined (197 eps to 2.6e8 eps, growing with the level)
+#: and meet it after one refinement step each, at most 6.7 eps at levels 2-6,
+#: 18.2 eps at level 7 and 32.4 eps at level 8; only the equator's solves at
+#: levels 2 and 3 meet it unrefined, at 7.1-9.9 eps, and four of the
+#: icosahedron's six at level 4, at 60-63.5 eps (polar_rings is a domain
+#: error at level 2).  c_be = 64 is verified up to level 8.
 BACKWARD_ERROR_BOUND = 64.0 * np.finfo(float).eps
 
 #: A point farther than this fraction of the radius from the sphere cannot be
@@ -281,54 +285,86 @@ def _orbits(generators, n: int) -> _Orbits:
     return _Orbits(images, table, held)
 
 
-def _group_rows(A: sp.csr_matrix, orbits: _Orbits, order: np.ndarray) -> sp.csr_matrix:
-    """The rows at the orbits ``order`` of the group sum of A, the sum of g A
-    g^T over the group's 2^G elements g (CSR, sorted): row t, column y holds
-    the sum over a of A[g^a r, g^a y], r = ``table[order[t], 0]``.  Each
-    term is a sparse row gather whose column indices are relabelled."""
-    images, acc = orbits.images, None
-    for a in range(images.shape[1]):
-        rows = A[images[orbits.table[order, 0], a]]
-        rows.indices = images[rows.indices, a].astype(rows.indices.dtype)
-        rows.has_sorted_indices = False
-        rows.sort_indices()
-        acc = rows if acc is None else acc + rows
-    return acc
+def _gather_rows(csr: tuple, rows: np.ndarray) -> tuple:
+    """The CSR arrays ``(indptr, indices, data)`` of the rows ``rows`` of the
+    CSR arrays ``csr``, in that order."""
+    indptr, indices, data = csr
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    out = np.zeros(rows.size + 1, dtype=indptr.dtype)
+    np.cumsum(counts, out=out[1:])
+    flat = np.repeat(starts - out[:-1], counts) + np.arange(out[-1])
+    return out, indices[flat], data[flat]
 
 
-def _fold(A: sp.csr_matrix, orbits: _Orbits, order: np.ndarray) -> list[sp.csc_matrix]:
-    """The blocks of Q^T A Q for the orthonormal basis Q of the orbits' block
-    vectors, each over its orbits in the order ``order`` (:class:`_BlockBasis`).
-    They are those of the group average of A, so a matrix invariant only to
-    roundoff is factored as its symmetrization.  Block s's vector of orbit o
-    is the sum over o's unknowns g^a r of chi_s(a) e_(g^a r) / sqrt(|o|), and
-    its entry (t, u) is sqrt(|t| |u|) / 4^G times the sum over c of chi_s(c)
-    S[r_t, g^c r_u], S the group sum of :func:`_group_rows`.  It takes sparse
-    row gathers, one transposition, and sums and differences in butterflies
-    over c, which keep every row sorted: no sort of a block."""
-    size = orbits.table.shape[1]
+def _combine(op, columns: int, x: tuple, y: tuple) -> tuple:
+    """x + y or x - y of two CSR arrays with sorted rows, by SciPy's own
+    kernel ``op`` (``_sparsetools.csr_plus_csr`` or ``csr_minus_csr``) called
+    on the arrays: the sum or difference of the sparse matrices, entries that
+    come out exactly zero dropped, without building a matrix object."""
+    size = x[1].size + y[1].size
+    indptr = np.empty_like(x[0])
+    indices, data = np.empty(size, dtype=x[1].dtype), np.empty(size)
+    op(x[0].size - 1, columns, *x, *y, indptr, indices, data)
+    return indptr, indices[:indptr[-1]], data[:indptr[-1]]
+
+
+def _fold(A: sp.csr_matrix, orbits: _Orbits, order: np.ndarray, wanted) -> dict[int, tuple]:
+    """The blocks ``wanted`` of Q^T A Q for the orthonormal basis Q of the
+    orbits' block vectors, each over its orbits in the order ``order``
+    (:class:`_BlockBasis`), as CSC arrays ``(indptr, indices, data)`` by
+    character.  They are those of the group average of A, so a matrix
+    invariant only to roundoff is factored as its symmetrization.  Block s's
+    vector of orbit o is the sum over o's unknowns g^a r of chi_s(a) e_(g^a
+    r) / sqrt(|o|), and its entry (t, u) is sqrt(|t| |u|) / 4^G times the
+    sum over c of chi_s(c) S[r_t, g^c r_u], for S the group sum of A, the
+    sum of g A g^T over the group's 2^G elements g: row t of S holds, at
+    column y, the sum over a of A[g^a r_t, g^a y].
+
+    It works on CSR arrays: row gathers whose column indices are relabelled,
+    SciPy's sparse sum, difference and transposition kernels, and one pass
+    of butterflies over c, whose last level forms only the wanted blocks.
+    Each block has the bits that the same sums of sparse matrices give."""
+    images, size = orbits.images, orbits.table.shape[1]
     table = orbits.table[order]
-    columns = _group_rows(A, orbits, order).T.tocsr()
-    sums = [columns[table[:, c]] for c in range(size)]
+    k, n = table.shape[0], A.shape[0]
+    itype = np.promote_types(A.indptr.dtype, A.indices.dtype)
+    arrays = (A.indptr.astype(itype, copy=False), A.indices.astype(itype, copy=False), A.data)
+    group_sum = None
+    for a in range(size):
+        indptr, indices, data = _gather_rows(arrays, images[table[:, 0], a])
+        indices = images[indices, a].astype(itype)
+        _sparsetools.csr_sort_indices(k, indptr, indices, data)
+        group_sum = ((indptr, indices, data) if group_sum is None else
+                     _combine(_sparsetools.csr_plus_csr, n, group_sum, (indptr, indices, data)))
+    # S^T in CSR: row y, column t.
+    columns = (np.empty(n + 1, dtype=itype), np.empty_like(group_sum[1]),
+               np.empty_like(group_sum[2]))
+    _sparsetools.csr_tocsc(k, n, *group_sum, *columns)
+    sums = [_gather_rows(columns, table[:, c]) for c in range(size)]
     h = 1
     while h < size:
+        last = 2 * h == size
         for lo in range(size):
             if not lo & h:
-                sums[lo], sums[lo | h] = sums[lo] + sums[lo | h], sums[lo] - sums[lo | h]
+                x, y = sums[lo], sums[lo | h]
+                if not last or lo in wanted:
+                    sums[lo] = _combine(_sparsetools.csr_plus_csr, k, x, y)
+                if not last or lo | h in wanted:
+                    sums[lo | h] = _combine(_sparsetools.csr_minus_csr, k, x, y)
         h *= 2
     weight = np.sqrt(size / (table == table[:, :1]).sum(axis=1)) / size
-    blocks = []
-    for s, block in enumerate(sums):
+    blocks = {}
+    for s in wanted:
         # The sum holds the block's transpose, over every orbit: its CSR
         # arrays, restricted to the block's orbits, are the block's CSC arrays.
         held = orbits.held[s, order]
-        block = block[held]
-        keep = held[block.indices]
-        indptr = np.r_[0, np.cumsum(keep)][block.indptr]
-        indices = (np.cumsum(held) - 1)[block.indices[keep]]
+        indptr, indices, data = _gather_rows(sums[s], np.flatnonzero(held))
+        keep = held[indices]
+        indptr = np.r_[0, np.cumsum(keep)][indptr]
+        indices = (np.cumsum(held) - 1)[indices[keep]]
         w = weight[held]
-        data = block.data[keep] * w[indices] * np.repeat(w, np.diff(indptr))
-        blocks.append(sp.csc_matrix((data, indices, indptr), shape=(w.size, w.size)))
+        blocks[s] = indptr, indices, data[keep] * w[indices] * np.repeat(w, np.diff(indptr))
     return blocks
 
 
@@ -446,30 +482,198 @@ class _BlockBasis:
         return (self.characters @ y.reshape(size, -1)).reshape(-1, *y.shape[2:])
 
 
+def _character_cycles(count: int, rotated: bool) -> list[list[int]]:
+    """The characters of Z2^count in the cycles of a rotation that conjugates
+    generator j into generator j + 1 (mod count): it takes block s to block
+    sigma(s), s's bits rotated up by one.  Each cycle starts at its smallest
+    character, its representative; without a rotation every character is a
+    cycle of its own."""
+    size = 1 << count
+    cycles, seen = [], set()
+    for s in range(size):
+        if s not in seen:
+            cycle = [s]
+            while rotated and count:
+                nxt = ((cycle[-1] << 1) | (cycle[-1] >> (count - 1))) & (size - 1)
+                if nxt == s:
+                    break
+                cycle.append(nxt)
+            seen.update(cycle)
+            cycles.append(cycle)
+    return cycles
+
+
+def _check_rotation(rotation, orbits: _Orbits) -> np.ndarray:
+    """``rotation`` as an index array, checked to be a permutation of the
+    unknowns that conjugates each generator g_j into g_(j+1) (mod G),
+    rotation[g_j] = g_(j+1)[rotation]; else :class:`SolverError`."""
+    n, size = orbits.images.shape
+    gens = [orbits.images[:, 1 << j] for j in range(size.bit_length() - 1)]
+    rot = np.asarray(rotation, dtype=np.intp)
+    if rot.shape != (n,) or rot.min(initial=0) < 0 or rot.max(initial=0) >= n \
+            or not np.all(np.bincount(rot, minlength=n) == 1):
+        raise SolverError(f"the rotation is not a permutation of the {n} unknowns")
+    for j, g in enumerate(gens):
+        if not np.array_equal(rot[g], gens[(j + 1) % len(gens)][rot]):
+            raise SolverError(f"the rotation does not cycle the generators: it does not "
+                              f"conjugate generator {j} into generator {(j + 1) % len(gens)}")
+    return rot
+
+
+def _carried(orbits: _Orbits, basis: _BlockBasis, power: np.ndarray, rep: int, member: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Where the rotation power ``power`` (a permutation of the unknowns),
+    which carries block ``rep`` onto block ``member``, takes each coordinate
+    of block ``rep``: U v_(rep, o) = chi_member(a_o) v_(member, u) for the
+    orbit u of power(r_o) = g^(a_o) r_u.  Returns the position of v_(member,
+    u) among the coordinates of Q^T x and the sign chi_member(a_o)."""
+    reps = orbits.table[:, 0]
+    target = power[reps[basis.blocks[rep]]]
+    image = np.searchsorted(reps, orbits.images[target].min(axis=1))
+    element = np.argmax(orbits.images[reps[image]] == target[:, None], axis=1)
+    held = orbits.held[member]
+    rank = np.empty(held.size, dtype=np.intp)
+    rank[basis.order] = np.arange(held.size)
+    position = (np.cumsum(held[basis.order]) - 1)[rank[image]]
+    return basis.starts[member] + position, basis.characters[member, element]
+
+
+def _carried_rows(coef: np.ndarray, chars: np.ndarray, c: np.ndarray, at: np.ndarray,
+                  chi: np.ndarray, member: int, mine: np.ndarray, own: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Which new constraint row of block ``member`` the rotation carries onto
+    each row ``mine`` of its representative, and with which sign: the member's
+    rows of ``coef`` taken to the representative's coordinates (the positions
+    ``at`` and signs ``chi`` of :func:`_carried`) must be those rows, ``own``,
+    up to sign and order, within ``CHARACTER_TOL_REL`` of their norms and at
+    the same compliances; else :class:`SolverError`."""
+    theirs = np.flatnonzero(chars == member)
+    if theirs.size != mine.size:
+        raise SolverError(f"the rotation does not carry the {theirs.size} constraint rows of "
+                          f"block {member} onto the {mine.size} of its cycle's representative")
+    mapped = chi[:, None] * coef[at][:, theirs]
+    norms = np.linalg.norm(own, axis=0)
+    cosines = (own.T @ mapped) / np.outer(norms, np.linalg.norm(mapped, axis=0))
+    match = np.argmax(np.abs(cosines), axis=1) if mine.size else theirs
+    flip = np.sign(cosines[np.arange(mine.size), match])
+    if (np.unique(match).size != match.size
+            or not np.all(np.linalg.norm(own - flip * mapped[:, match], axis=0)
+                          <= CHARACTER_TOL_REL * norms)
+            or not np.array_equal(c[theirs[match]], c[mine])):
+        raise SolverError(f"the rotation does not carry the constraint rows of block {member} "
+                          f"onto those of its cycle's representative")
+    return theirs[match], flip
+
+
 class _PermutedLU:
-    """The sparse LU ``lu`` of T K T^T, whose ``solve`` solves K x = b (b one
-    column or several).  T is orthogonal: on the unknowns of A it is Q^T of
-    the block basis ``basis``, each coordinate put at ``unknown_positions``
-    of the LU's numbering; on the constraint rows it is ``rows`` (m, m), each
-    new row put at ``row_positions``.  x is the LU's solution taken back by
-    T^T.  ``order`` is the order of the orbits used in every block."""
+    """The LU of T K T^T, whose ``solve`` solves K x = b (b one column or
+    several, dense or sparse).  T is orthogonal: on the unknowns of A it is
+    Q^T of the block basis ``basis`` and on the constraint rows ``rows`` (m,
+    m), so z = T b holds the blocks' coordinates in the order of ``basis``,
+    then the new rows, sorted by block.  ``order`` is the order of the orbits
+    used in every block.
 
-    def __init__(self, lu, basis: _BlockBasis, rows: np.ndarray,
-                 unknown_positions: np.ndarray, row_positions: np.ndarray):
-        self.lu, self.order, self.basis, self.rows = lu, basis.order, basis, rows
-        self.unknown_positions, self.row_positions = unknown_positions, row_positions
+    Each LU of ``lus`` factors the blocks of the representatives of the
+    cycles of one length l (:meth:`SaddleSystem.factor`), each block's
+    coordinates followed by its rows; a member p steps along its cycle has
+    the same block up to a signed permutation, so a right-hand side b is
+    solved as l columns, column p gathered from z at ``pulls[i][p]`` with
+    the signs ``signs[i][p]``, and the solution goes back the same way.
+    """
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        n = self.unknown_positions.size
-        y = np.empty_like(b)
-        y[self.unknown_positions] = self.basis.forward(b[:n])
-        y[self.row_positions] = self.rows @ b[n:]
-        y = self.lu.solve(y)
-        x = np.empty_like(y)
-        x[:n] = self.basis.inverse(y[self.unknown_positions])
-        x[n:] = self.rows.T @ y[self.row_positions]
+    def __init__(self, lus, pulls, signs, basis: _BlockBasis, rows: np.ndarray):
+        self.lus, self.pulls, self.signs = lus, pulls, signs
+        self.order, self.basis, self.rows = basis.order, basis, rows
+
+    @property
+    def nnz(self) -> int:
+        """The stored L and U entries of all the LUs."""
+        return sum(lu.nnz for lu in self.lus)
+
+    def solve(self, b) -> np.ndarray:
+        """x with K x = b for b (N,) or (N, k), dense or a sparse matrix.
+        Each column is taken to z, and its solution back, one at a time, so
+        no (N, k) array is made beside the LUs' right-hand sides, their
+        solutions and x."""
+        b = sp.csc_matrix(b) if sp.issparse(b) else np.asarray(b, dtype=float)
+        k = 1 if b.ndim == 1 else b.shape[1]
+        rhs = [np.empty((pull.shape[1], pull.shape[0] * k), order="F") for pull in self.pulls]
+        z = np.empty(b.shape[0])
+        for j in range(k):
+            self._forward(self._column(b, j), z)
+            for r, pull, sign in zip(rhs, self.pulls, self.signs):
+                np.multiply(z[pull].T, sign.T, out=r[:, j::k])
+        solutions = []
+        for lu in self.lus:
+            solutions.append(lu.solve(rhs.pop(0)))      # each right-hand side freed once solved
+        x = np.empty(b.shape)
+        for j in range(k):
+            for solution, pull, sign in zip(solutions, self.pulls, self.signs):
+                z[pull] = sign * solution[:, j::k].T
+            self._inverse(z, x if b.ndim == 1 else x[:, j])
         return x
+
+    def _column(self, b, j: int) -> np.ndarray:
+        """Column j of b as a dense vector."""
+        if b.ndim == 1:
+            return b
+        if not sp.issparse(b):
+            return b[:, j]
+        column = np.zeros(b.shape[0])
+        part = slice(b.indptr[j], b.indptr[j + 1])
+        column[b.indices[part]] = b.data[part]
+        return column
+
+    def _forward(self, b: np.ndarray, z: np.ndarray) -> None:
+        """z = T b."""
+        n = self.basis.starts[-1]
+        z[:n] = self.basis.forward(b[:n])
+        z[n:] = self.rows @ b[n:]
+
+    def _inverse(self, z: np.ndarray, x: np.ndarray) -> None:
+        """x = T^T z."""
+        n = self.basis.starts[-1]
+        x[:n] = self.basis.inverse(z[:n])
+        x[n:] = self.rows.T @ z[n:]
+
+
+def _saddle_arrays(block: tuple, Bs: np.ndarray, d: np.ndarray) -> tuple:
+    """The CSC arrays of [[H, Bs^T], [Bs, diag(d)]] for H the CSC arrays
+    ``block`` (h, h) with sorted columns and Bs dense (r, h); the zeros of Bs
+    and d are not stored.  Each column is sorted: H's or Bs's row entries,
+    then those below them."""
+    hp, hi, hd = block
+    h, r = hp.size - 1, Bs.shape[0]
+    nonzero = Bs != 0
+    upper = np.diff(hp)
+    counts = np.concatenate([upper + nonzero.sum(axis=0), nonzero.sum(axis=1) + (d != 0)])
+    indptr = np.zeros(h + r + 1, dtype=np.intc)
+    np.cumsum(counts, out=indptr[1:])
+    indices, data = np.empty(indptr[-1], dtype=np.intc), np.empty(indptr[-1])
+    slots = np.arange(hi.size) + np.repeat(indptr[:h] - hp[:-1], upper)
+    indices[slots], data[slots] = hi, hd
+    free = indptr[:h] + upper
+    for i in range(r):
+        cols = np.flatnonzero(nonzero[i])
+        indices[free[cols]], data[free[cols]] = h + i, Bs[i, cols]
+        free[cols] += 1
+        start = indptr[h + i]
+        indices[start:start + cols.size], data[start:start + cols.size] = cols, Bs[i, cols]
+        if d[i] != 0:
+            indices[start + cols.size], data[start + cols.size] = h + i, d[i]
+    return indptr, indices, data
+
+
+def _block_diagonal(blocks: list[tuple]) -> sp.csc_matrix:
+    """The CSC matrix of the block diagonal of square CSC arrays ``blocks``,
+    with SuperLU's C int indices."""
+    sizes = [indptr.size - 1 for indptr, _, _ in blocks]
+    offsets = np.cumsum([0] + sizes).astype(np.intc)
+    nnz = np.cumsum([0] + [indices.size for _, indices, _ in blocks]).astype(np.intc)
+    indptr = np.concatenate([[0]] + [block[0][1:] + start for block, start in zip(blocks, nnz)])
+    indices = np.concatenate([block[1] + offset for block, offset in zip(blocks, offsets)])
+    data = np.concatenate([block[2] for block in blocks])
+    return sp.csc_matrix((data, indices, indptr), shape=(offsets[-1],) * 2)
 
 
 #: Refinement steps a solve may take to meet ``BACKWARD_ERROR_BOUND``.
@@ -510,11 +714,14 @@ class SaddleSystem:
             self._abs = abs(self.A), abs(self.B)
         return _saddle_product(*self._abs, c, x)
 
-    def factor(self, c: np.ndarray, generators,
-               order: np.ndarray | None = None) -> _PermutedLU:
+    def factor(self, c: np.ndarray, generators, order: np.ndarray | None = None,
+               rotation=None) -> _PermutedLU:
         """The LU of K(c) split by ``generators``, commuting involutions of the
         unknowns of A under which K is invariant (on an icosphere, the three
-        maps of ``mesh.mirror_maps``; none gives the unsplit LU).
+        maps of ``mesh.mirror_maps``; none gives the unsplit LU), and by an
+        optional ``rotation``, a permutation of the unknowns under which K is
+        invariant too and which conjugates generator j into generator j + 1
+        (mod G) (on an icosphere, ``mesh.rotation_map``).
 
         The LU is that of T K T^T = blockdiag(K_0, ..., K_(2^G - 1)), of the
         same size as K, T orthogonal: the symmetry reduction of Bossavit
@@ -532,63 +739,79 @@ class SaddleSystem:
         its rows of B after its orbits.  One order of the orbits, ``order`` or
         the nested dissection of the orbit graph (:func:`orbit_graph`; a
         caller that factors several matrices of one pattern orders it once),
-        serves every block.  The blocks go to SuperLU as one block-diagonal
-        matrix, factored in its symmetric mode with diagonal pivot threshold 0
-        (Li, ACM TOMS 31 (2005) 302): a column leaves its diagonal only where
-        that entry is exactly zero or absent, and refinement against K
-        (:meth:`solve`) answers for the accuracy.
+        serves every block.
+
+        The rotation rho extends the reduction to the group generated with it,
+        on the icosphere the order-24 group T_h.  It carries block s onto block
+        s' = sigma(s), s's bits rotated up by one (:func:`_character_cycles`):
+        U v_(s, o) = chi_s'(a_o) v_(s', rho(o)) where rho(r_o) = g^(a_o)
+        r_rho(o), so the blocks of one cycle of characters are one matrix up
+        to a signed permutation of their orbits (:func:`_carried`), and only
+        the cycle's first character, its representative, is folded and
+        factored; each constraint row of a member is carried, with its sign,
+        onto a row of the representative (:func:`_carried_rows`).  On the
+        icosphere the 1-cycles are +++ and --- (s = 0 and 7) and the 3-cycles
+        (1, 2, 4) and (3, 6, 5); without a rotation every character is a
+        1-cycle.  The representatives of the cycles of one length go to
+        SuperLU as one block-diagonal matrix, factored in its symmetric mode
+        with diagonal pivot threshold 0 (Li, ACM TOMS 31 (2005) 302): a column
+        leaves its diagonal only where that entry is exactly zero or absent,
+        and refinement against K (:meth:`solve`) answers for the accuracy.  A
+        solve of k right-hand sides takes k columns on the LU of the 1-cycles
+        and 3k on that of the 3-cycles.
 
         Nested dissection suits the symmetric K of a surface mesh.  Split by
-        the three mirrors, A_C = [[A, C^T], [C, 0]] has 0.20 M, 1.24 M and
-        6.92 M L+U entries at levels 4-6, and the level-4 flow operator 0.51 M.
-        Split by the antipodal map alone, A_C has 0.44 M, 2.42 M and 12.3 M,
-        the flow operator 1.15 M; unsplit (no generators), 0.49 M, 2.6 M and
-        12.9 M, and 1.19 M.  Ordered by COLAMD, which minimizes the fill of K^T
-        K instead, the whole A_C has 0.71 M, 3.76 M and 22.0 M and the flow
-        operator 1.62-1.85 M; by SuperLU's ``MMD_AT_PLUS_A``, 1.30 M, 6.64 M
-        and 38.1 M and 3.29 M.
+        the three mirrors and the rotation, A_C = [[A, C^T], [C, 0]] has
+        0.098 M, 0.62 M and 3.46 M L+U entries at levels 4-6; by the three
+        mirrors alone 0.20 M, 1.24 M and 6.92 M, and the level-4 flow operator
+        0.51 M.  Split by the antipodal map alone, A_C has 0.44 M, 2.42 M and
+        12.3 M, the flow operator 1.15 M; unsplit (no generators), 0.49 M,
+        2.6 M and 12.9 M, and 1.19 M.  Ordered by COLAMD, which minimizes the
+        fill of K^T K instead, the whole A_C has 0.71 M, 3.76 M and 22.0 M and
+        the flow operator 1.62-1.85 M; by SuperLU's ``MMD_AT_PLUS_A``, 1.30 M,
+        6.64 M and 38.1 M and 3.29 M.
 
         Returns the LU, whose ``solve`` solves with K and whose ``order`` is
-        the order used; generators that are not commuting involutions and a
-        failed factorization raise :class:`SolverError`.
+        the order used; generators that are not commuting involutions, a
+        rotation that does not cycle them or does not carry a member's rows
+        onto its representative's, and a failed factorization raise
+        :class:`SolverError`.
         """
-        orbits = _orbits(generators, self.A.shape[0])
+        n = self.A.shape[0]
+        orbits = _orbits(generators, n)
+        rho = np.arange(n) if rotation is None else _check_rotation(rotation, orbits)
         if order is None:
             order = nested_dissection(_orbit_graph(self.A, orbits))
         basis = _BlockBasis(orbits, order)
-        permuted, rows, unknown_positions, row_positions = self._split(c, orbits, basis)
-        try:
-            lu = spla.splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                           options=dict(SymmetricMode=True))
-        except RuntimeError as exc:
-            raise SolverError(f"sparse LU of the saddle system failed: {exc}") from exc
-        return _PermutedLU(lu, basis, rows, unknown_positions, row_positions)
-
-    def _split(self, c: np.ndarray, orbits: _Orbits, basis: _BlockBasis
-               ) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray, np.ndarray]:
-        """T K(c) T^T as a CSC matrix, numbered block by block, each block's
-        coordinates of A in ``basis`` followed by its rows of B; with the
-        change of rows of T and the positions of the coordinates of A and of
-        the new rows in that numbering (:class:`_PermutedLU`)."""
-        A = sp.csr_matrix(self.A)
         coef = basis.forward(self.B.toarray().T)
         rows, chars = _row_characters(coef, basis.starts, c)
         by_block = np.argsort(chars, kind="stable")
         rows, chars, c = rows[by_block], chars[by_block], c[by_block]
         coef = coef @ rows.T
-        blocks, unknown_positions, row_positions, start = [], [], [], 0
-        for s, (block, H) in enumerate(zip(basis.blocks, _fold(A, orbits, basis.order))):
-            mine = np.flatnonzero(chars == s)
-            Bs = coef[basis.starts[s]:basis.starts[s + 1], mine].T
-            D = sp.diags(-c[mine], shape=(mine.size,) * 2, format="csc")
-            # All four blocks CSC: SciPy stacks them without a sort.
-            blocks.append(sp.bmat([[H, sp.csr_matrix(Bs).T], [sp.csc_matrix(Bs), D]],
-                                  format="csc"))
-            unknown_positions.append(start + np.arange(block.size))
-            row_positions.append(start + block.size + np.arange(mine.size))
-            start += block.size + mine.size
-        return (sp.block_diag(blocks, format="csc"), rows, np.concatenate(unknown_positions),
-                np.concatenate(row_positions))
+        cycles = _character_cycles(len(basis.blocks).bit_length() - 1, rotation is not None)
+        folded = _fold(sp.csr_matrix(self.A), orbits, order, [cycle[0] for cycle in cycles])
+        lus, pulls, signs = [], [], []
+        for length in sorted({len(cycle) for cycle in cycles}):
+            blocks, pull, sign = [], [[] for _ in range(length)], [[] for _ in range(length)]
+            for cycle in (cycle for cycle in cycles if len(cycle) == length):
+                rep, power = cycle[0], np.arange(n)
+                mine = np.flatnonzero(chars == rep)
+                own = coef[basis.starts[rep]:basis.starts[rep + 1], mine]
+                blocks.append(_saddle_arrays(folded[rep], own.T, -c[mine]))
+                for p, member in enumerate(cycle):
+                    at, chi = _carried(orbits, basis, power, rep, member)
+                    theirs, flip = _carried_rows(coef, chars, c, at, chi, member, mine, own)
+                    pull[p] += [at, n + theirs]
+                    sign[p] += [chi, flip]
+                    power = rho[power]
+            try:
+                lus.append(spla.splu(_block_diagonal(blocks), permc_spec="NATURAL",
+                                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)))
+            except RuntimeError as exc:
+                raise SolverError(f"sparse LU of the saddle system failed: {exc}") from exc
+            pulls.append(np.array([np.concatenate(part) for part in pull]))
+            signs.append(np.array([np.concatenate(part) for part in sign], dtype=float))
+        return _PermutedLU(lus, pulls, signs, basis, rows)
 
     def solve(self, c: np.ndarray, rhs: np.ndarray, inner) -> np.ndarray:
         """x with K(c) x = rhs by the inner solve ``inner`` (r -> K(c)^{-1} r up

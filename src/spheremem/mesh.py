@@ -8,9 +8,13 @@ south poles so that the mesh inherits the full icosahedral symmetry group
 about the z-axis (C5 rotations and the S10 rotoreflection), which the
 constraint experiments exploit.  The symmetry group holds the reflections in
 three perpendicular mirror planes, which the subdivision carries exactly
-(``mirror_maps``) and whose product is the antipodal map x -> -x: the saddle
-LUs split by them into the eight blocks of the group they generate, half the
-fill of a split by the antipodal map alone (``fem.SaddleSystem``).
+(``mirror_maps``) and whose product is the antipodal map x -> -x, and the
+rotation by 120 degrees that cycles their normals (``rotation_map``): the
+saddle LUs split by the mirrors into the eight blocks of the group they
+generate, half the fill of a split by the antipodal map alone, and the
+points' LU factors only one block of each cycle of blocks under the rotation,
+half again (``fem.SaddleSystem``).  An icosphere derives these maps on first
+use and keeps them (``TriangleMesh.symmetry_maps``).
 
 Everything a surface's triangles contribute is measured in one pass over its
 corners, ``_measure_triangles``: the three corners of each triangle are
@@ -45,8 +49,8 @@ DEGENERATE_REL_AREA = 1e-14
 #: served from the heap and reused instead of mapped and faulted in afresh.
 PASS_BLOCK = 2048
 
-#: Each mirror map of an icosphere takes every vertex to within this fraction
-#: of the radius of its reflection.
+#: Each mirror map of an icosphere, and its rotation map, takes every vertex to
+#: within this fraction of the radius of its image.
 MIRROR_TOL_REL = 1e-12
 
 #: The P1 mass matrix's local values on the pairs (0, 0), (1, 1), (2, 2),
@@ -111,6 +115,15 @@ class TriangleMesh:
     @property
     def normals(self) -> np.ndarray:
         return self._geometry[1]
+
+    @cached_property
+    def symmetry_maps(self) -> np.ndarray:
+        """The vertex permutations (4, n) of an icosphere's three mirror
+        reflections and its rotation (:func:`_symmetry_maps`), derived on first
+        use and kept; read through :func:`mirror_maps` and :func:`rotation_map`.
+        They belong to the reference sphere: a surface made by :meth:`moved`
+        has none."""
+        return _symmetry_maps(self)
 
     @cached_property
     def pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -178,7 +191,7 @@ def _subdivide(verts: np.ndarray, tris: np.ndarray, radius: float):
     triangle walk.  The children of triangle t are 4t ... 4t+3: (a, ab, ca),
     (b, bc, ab), (c, ca, bc) and (ab, bc, ca), so child k's first corner is
     corner k of t for k = 0, 1, 2 (``subdivision_corners``, and through it
-    ``fem.PointLocator`` and ``mirror_maps``, rely on both).
+    ``fem.PointLocator`` and ``_symmetry_maps``, rely on both).
     """
     n = verts.shape[0]
     edges = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
@@ -259,18 +272,37 @@ def mirror_maps(mesh: TriangleMesh) -> np.ndarray:
     that fixes the 2^(L+2) vertices on its plane; the three commute, generate
     the group Z2^3, and their product is the antipodal map x -> -x.  The
     reference sphere and every operator assembled on it are invariant under
-    each.
+    each.  They are the first three rows of the mesh's
+    :attr:`TriangleMesh.symmetry_maps` (read-only, derived once per mesh)."""
+    return mesh.symmetry_maps[:3]
 
-    They are derived from the subdivision, without a search.  The base
-    icosahedron's 12 vertices map to the nearest vertex of their reflection,
-    which maps each base face t onto a face t' with its orientation reversed:
-    corner k of t onto corner r - k (mod 3) of t' for one r.  Then the
-    midpoint of edge k of t, corner k of its middle child 4t + 3 = (ab, bc,
-    ca), maps to the midpoint of edge r - k - 1 of t'; each corner child 4t + k
-    maps onto the child 4t' + r - k with r = 0, and the middle child onto 4t' +
-    3 with r - 1 (:func:`_subdivide`).  A mesh that is not an icosphere, or
-    one whose images are not an involution or miss a reflected vertex by more
-    than :data:`MIRROR_TOL_REL` R, raises :class:`GeometryError`.
+
+def rotation_map(mesh: TriangleMesh) -> np.ndarray:
+    """The vertex permutation (n,) of the rotation of an icosphere by 120
+    degrees about (e1 + e2 + e3) / sqrt(3), which takes each mirror normal
+    e_j of :func:`mirror_normals` to e_(j+1) (e3 to e1): vertices[R] =
+    vertices rotated.  It has order 3 and conjugates mirror j into mirror
+    j + 1, R[P_j] = P_(j+1)[R].  It is the last row of the mesh's
+    :attr:`TriangleMesh.symmetry_maps` (read-only, derived once per mesh)."""
+    return mesh.symmetry_maps[3]
+
+
+def _symmetry_maps(mesh: TriangleMesh) -> np.ndarray:
+    """The vertex permutations (4, n) of the icosphere's three mirror
+    reflections (:func:`mirror_maps`) and of its rotation (:func:`rotation_map`),
+    read off the subdivision without a search.
+
+    The base icosahedron's 12 vertices map to the nearest vertex of their
+    image, which maps each base face t onto a face t': corner k of t onto
+    corner r + k (mod 3) of t' for one r under the rotation, which keeps the
+    orientation, and onto corner r - k under a reflection, which reverses it.
+    Then the midpoint of edge k of t, corner k of its middle child 4t + 3 =
+    (ab, bc, ca), maps to the midpoint of edge r + k of t' (r - k - 1 under a
+    reflection); each corner child 4t + k maps onto the child 4t' + r + k (4t'
+    + r - k) with r = 0, and the middle child onto 4t' + 3 with r (r - 1)
+    (:func:`_subdivide`).  A mesh that is not an icosphere, or one whose maps
+    are not permutations or miss an image vertex by more than
+    :data:`MIRROR_TOL_REL` R, raises :class:`GeometryError`.
     """
     level = icosphere_level(mesh)
     v, tris, n = mesh.vertices, mesh.triangles, mesh.num_vertices
@@ -279,30 +311,37 @@ def mirror_maps(mesh: TriangleMesh) -> np.ndarray:
                             f"vertices, not {n}")
     normals = mirror_normals(mesh)
     reflected = v - 2.0 * (v @ normals.T).T[:, :, None] * normals[:, None, :]
-    P = np.empty((3, n), dtype=np.intp)
-    P[:, :12] = np.argmin(((reflected[:, :12, None] - v[:12]) ** 2).sum(axis=3), axis=2)
+    images = np.concatenate([reflected, (v @ normals.T) @ normals[[1, 2, 0]][None]])
+    # Corner k of a face goes to corner r + turn k of its image.
+    turn = np.array([-1, -1, -1, 1])[:, None, None]
+    shift = (turn - 1) // 2
+    P = np.empty((4, n), dtype=np.intp)
+    P[:, :12] = np.argmin(((images[:, :12, None] - v[:12]) ** 2).sum(axis=3), axis=2)
     faces = subdivision_corners(tris, level, np.arange(20), 0)
     image = P[:, faces]
     codes = np.sort(faces, axis=1) @ [144, 12, 1]
     image_of = np.argmax((np.sort(image, axis=2) @ [144, 12, 1])[:, :, None] == codes, axis=2)
     r = np.argmax(image[:, :, :1] == faces[image_of], axis=2)
     k = np.arange(3)
-    if not np.array_equal(np.take_along_axis(faces[image_of], (r[..., None] - k) % 3, axis=2),
-                          image):
-        raise GeometryError("the base faces of the mesh are not mapped onto faces by its mirrors")
+    if not np.array_equal(np.take_along_axis(faces[image_of], (r[..., None] + turn * k) % 3,
+                                             axis=2), image):
+        raise GeometryError("the base faces of the mesh are not mapped onto faces by its "
+                            "mirrors and rotation")
     for at in range(level):
         mids = subdivision_corners(tris, level, 4 * np.arange(20 * 4**at) + 3, at + 1)
-        P[:, mids] = mids.ravel()[3 * image_of[..., None] + (r[..., None] - k - 1) % 3]
-        children = np.concatenate([(r[..., None] - k) % 3, np.full((*r.shape, 1), 3)], axis=2)
-        image_of = (4 * image_of[..., None] + children).reshape(3, -1)
-        r = np.concatenate([np.zeros((*r.shape, 3), dtype=r.dtype), ((r - 1) % 3)[..., None]],
-                           axis=2).reshape(3, -1)
-    gap = float(np.abs(v[P] - reflected).max())
-    if (not np.array_equal(np.take_along_axis(P, P, axis=1), np.broadcast_to(np.arange(n), P.shape))
-            or not gap <= MIRROR_TOL_REL * mesh.radius_hint):
-        raise GeometryError(f"the mesh is not mirror symmetric: its reflected vertices miss "
-                            f"vertices by up to {gap:.3g} "
+        P[:, mids] = mids.ravel()[3 * image_of[..., None] + (r[..., None] + turn * k + shift) % 3]
+        children = np.concatenate([(r[..., None] + turn * k) % 3, np.full((*r.shape, 1), 3)],
+                                  axis=2)
+        image_of = (4 * image_of[..., None] + children).reshape(4, -1)
+        r = np.concatenate([np.zeros((*r.shape, 3), dtype=r.dtype), (r[..., None] + shift) % 3],
+                           axis=2).reshape(4, -1)
+    gap = float(np.abs(v[P] - images).max())
+    hits = np.bincount((P + n * np.arange(4)[:, None]).ravel(), minlength=4 * n)
+    if not np.all(hits == 1) or not gap <= MIRROR_TOL_REL * mesh.radius_hint:
+        raise GeometryError(f"the mesh is not mirror symmetric: the images of its vertices "
+                            f"under its mirrors and rotation miss vertices by up to {gap:.3g} "
                             f"(tolerance {MIRROR_TOL_REL * mesh.radius_hint:.3g})")
+    P.setflags(write=False)
     return P
 
 

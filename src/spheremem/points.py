@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from .errors import GeometryError, ParameterError, check_finite
 from .fem import PointLocator, SaddleSystem, _check_constraint_rank, h2_norm
-from .mesh import mirror_maps
+from .mesh import mirror_maps, rotation_map
 from .model import QuadraticForm
 
 #: Points closer than this (relative to R) are rejected as duplicates.
@@ -91,12 +91,16 @@ class _PointSystem:
 
     Every K(delta) shares the block A_C = [[A, C^T], [C, 0]], which is factored
     once here, after the rank check of its rows C, split by the three mirrors
-    of ``mesh.mirror_maps`` into eight blocks (:meth:`fem.SaddleSystem.factor`;
-    c0, c2 = nu_y and the nu . e2, nu . e3 rows each lie in one block, 0.20 M,
-    1.24 M and 6.92 M L+U entries at levels 4-6): the point rows are never
-    factored, and the refinement against the whole K(delta) answers for the
-    split LU as for any other.  G = A_C^{-1} [P^T; 0] takes
-    one multi-column back-solve and PG = P G_u is L x L.  A solve then
+    of ``mesh.mirror_maps`` into eight blocks and by the rotation of
+    ``mesh.rotation_map``, which cycles them, into one block per cycle
+    (:meth:`fem.SaddleSystem.factor`; c0, c2 = nu_y and the nu . e2, nu . e3
+    rows each lie in one block, and the rotation carries nu . e_j onto nu .
+    e_(j+1); 0.098 M, 0.62 M and 3.46 M L+U entries at levels 4-6, half the
+    eight blocks' fill): the point rows are never factored, and the
+    refinement against the whole K(delta) answers for the split LU as for any
+    other.  G = A_C^{-1} [P^T; 0] takes one multi-column back-solve of the
+    sparse [P^T; 0], column by column through the split's change of basis,
+    and PG = P G_u is L x L.  A solve then
     eliminates the point rows: y = A_C^{-1} r1, lam = (PG + delta I)^{-1}
     (P y_u - r2), x = y - G lam.  A penalty's only hard rows are C, so only a
     delta = 0 solve checks the rank of [C; P].
@@ -111,9 +115,10 @@ class _PointSystem:
             f"point {j} at {cs.points[j].tolist()}" for j in range(cs.num_points)
         ]
         _check_constraint_rank(form.constraints, self.labels[:4], np.zeros(4))
-        self.lu = SaddleSystem(form.A, form.constraints).factor(np.zeros(4), mirror_maps(form.mesh))
+        self.lu = SaddleSystem(form.A, form.constraints).factor(
+            np.zeros(4), mirror_maps(form.mesh), rotation=rotation_map(form.mesh))
         n = form.mesh.num_vertices
-        self.G = self.lu.solve(np.vstack([P.T.toarray(), np.zeros((4, cs.num_points))]))
+        self.G = self.lu.solve(sp.vstack([P.T, sp.csr_matrix((4, cs.num_points))]))
         self.PG = P @ self.G[:n]
 
     def solve(self, delta: float, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -527,3 +527,21 @@ def test_linearized_flow_matches_continuum_dispersion(form2, form3):
         assert errors[2, l] / errors[3, l] >= 3.5
     assert errors[3, 1] == pytest.approx(5.78e-3, rel=0.01)
     assert errors[3, 2] == pytest.approx(2.05e-2, rel=0.01)
+
+
+def test_flow_derives_the_symmetry_maps_once(monkeypatch):
+    # Every solver of a flow splits its LU by the mesh's mirror maps, which
+    # the mesh derives once and keeps.
+    import spheremem.mesh as mesh_module
+
+    derived, inits = [], []
+    derive = mesh_module._symmetry_maps
+    init = FlowSolver.__init__
+    monkeypatch.setattr(mesh_module, "_symmetry_maps", lambda m: derived.append(1) or derive(m))
+    monkeypatch.setattr(FlowSolver, "__init__",
+                        lambda self, *args: inits.append(1) or init(self, *args))
+    form = assemble_quadratic_form(build_icosphere(1.0, 2), ModelParams(1.0, 1.0, 1.0))
+    pf = coarsen_params(2)
+    run_flow(initial_state(form, pf), form, pf)
+    assert len(inits) > 1
+    assert len(derived) == 1

@@ -64,13 +64,18 @@ def test_bad_delta_rejected_before_solving(form, monkeypatch, solve, bad, match)
     lambda form, cs: convergence_study(form, cs, [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]),
 ], ids=["solve_hard", "solve_penalty", "convergence_study"])
 def test_one_factorization_per_constraint_set(form, monkeypatch, run):
-    # The hard problem and every delta share one factorization of [[A, C^T], [C, 0]];
+    # The hard problem and every delta share one factorization of [[A, C^T], [C, 0]],
+    # split by the mirrors and the rotation into two SuperLU factors, one for
+    # the blocks of the 1-cycles of characters and one for those of the 3-cycles;
     # splu is counted where fem looks it up.
-    calls = []
-    splu = spla.splu
+    calls, factored = [], []
+    splu, factor = spla.splu, fem.SaddleSystem.factor
     monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    monkeypatch.setattr(fem.SaddleSystem, "factor",
+                        lambda *a, **k: factored.append(1) or factor(*a, **k))
     run(form, ConstraintSet(icosahedron_points(), np.ones(12)))
-    assert len(calls) == 1
+    assert len(factored) == 1
+    assert len(calls) == 2
 
 
 def test_study_back_solves_no_zero_vector(form, monkeypatch):
@@ -79,10 +84,11 @@ def test_study_back_solves_no_zero_vector(form, monkeypatch):
     # the hard problem and of each delta.  The icosahedron's solves take that
     # step (395 eps unrefined at level 3); the equator's meet the contract
     # unrefined at level 3 (9.5-9.8 eps) and take none.
+    # G's right-hand side [P^T; 0] is passed sparse.
     rhs = []
     solve = fem._PermutedLU.solve
-    monkeypatch.setattr(fem._PermutedLU, "solve",
-                        lambda self, b: rhs.append(np.array(b)) or solve(self, b))
+    monkeypatch.setattr(fem._PermutedLU, "solve", lambda self, b: rhs.append(
+        b.toarray() if sp.issparse(b) else np.array(b)) or solve(self, b))
     convergence_study(form, ConstraintSet(icosahedron_points(), np.ones(12)),
                       [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
     assert len(rhs) == 7
