@@ -4,8 +4,8 @@ saddle-point solver and the consistent-mass form.
 
 All operators are assembled triangle-wise on the polyhedral surface.  M and
 S come from the one pass over the surface's corners that also measures its
-areas, normals and volume (``mesh._measure_triangles``): the diagonal and
-upper entries of each triangle's symmetric 3x3 local matrices are summed by
+areas and volume (``mesh._measure_triangles``): the diagonal and upper
+entries of each triangle's symmetric 3x3 local matrices are summed by
 ``np.bincount`` straight into the CSR pattern its connectivity owns
 (``TriangleMesh.pattern``, derived once per connectivity and shared by every
 displaced surface), both matrices through one set of scatter keys, and each
@@ -369,18 +369,20 @@ def _fold(A: sp.csr_matrix, orbits: _Orbits, order: np.ndarray, wanted) -> dict[
 
 
 def _orbit_graph(A: sp.spmatrix, orbits: _Orbits) -> sp.csr_matrix:
-    """:func:`orbit_graph` for the orbits ``orbits``: the rows of A gathered
-    orbit by orbit, their columns relabelled by orbit and each orbit's rows
-    merged into one."""
+    """:func:`orbit_graph` for the orbits ``orbits``: F^T P F with sorted
+    indices, P the pattern of A (on A's own index arrays) and F the (n, k)
+    incidence of the unknowns on their k orbits.  Both hold float32 ones, half
+    the bytes of A's data; an entry of the product counts the entries of A
+    that join its two orbits, so none is zero."""
     A = sp.csr_matrix(A)
-    table = orbits.table
-    k, size = table.shape
-    rows = A[table.ravel()]
-    orbit_of = np.searchsorted(table[:, 0], orbits.images.min(axis=1))
-    joined = np.unique(np.repeat(np.arange(k) * k, np.diff(rows.indptr[::size]))
-                       + orbit_of[rows.indices])
-    return sp.csr_matrix((np.ones(joined.size), joined % k,
-                          np.searchsorted(joined, np.arange(k + 1) * k)), shape=(k, k))
+    n, k = A.shape[0], orbits.table.shape[0]
+    orbit_of = np.searchsorted(orbits.table[:, 0], orbits.images.min(axis=1))
+    F = sp.csr_matrix((np.ones(n, dtype=np.float32), orbit_of, np.arange(n + 1)), shape=(n, k))
+    P = sp.csr_matrix((np.ones(A.indices.size, dtype=np.float32), A.indices, A.indptr),
+                      shape=A.shape)
+    graph = F.T.tocsr() @ (P @ F)
+    graph.sort_indices()
+    return graph
 
 
 def orbit_graph(A: sp.spmatrix, generators) -> sp.csr_matrix:

@@ -18,15 +18,19 @@ use and keeps them (``TriangleMesh.symmetry_maps``).
 
 Everything a surface's triangles contribute is measured in one pass over its
 corners, ``_measure_triangles``: the three corners of each triangle are
-gathered once, and from them and their edge vectors come the areas and unit
-normals, the centroids, area and enclosed volume, the longest edge, and the
-local P1 mass and cotangent stiffness values, which the scatter keys of the
-connectivity's pattern (``_csr_pattern``, derived once and shared) sum into
-the CSR data of M and S; the lower entry of each edge copies its upper one.
-The pass runs over blocks of ``PASS_BLOCK`` triangles, whose temporaries stay
-small enough to be reused from the heap rather than mapped afresh; a mesh
-keeps its result, so each surface is measured once (Dziuk & Elliott, *Acta
-Numerica* 22 (2013) 289 for the P1 surface matrices).
+gathered once, and from them and their edge vectors come the areas, the
+enclosed volume (through each block's unit normals and centroids), the total
+area, the longest edge, and the local P1 mass and cotangent stiffness values,
+which the scatter keys of the connectivity's pattern (``_csr_pattern``,
+derived once and shared) sum into the CSR data of M and S; the lower entry of
+each edge copies its upper one.  The pass runs over blocks of ``PASS_BLOCK``
+triangles, whose temporaries stay small enough to be reused from the heap
+rather than mapped afresh; a mesh keeps its result, so each surface is
+measured once (Dziuk & Elliott, *Acta Numerica* 22 (2013) 289 for the P1
+surface matrices).  The (m, 3) unit normals of the triangles are not kept:
+only the lumped curvature's vertex normals read them, and
+``TriangleMesh.normals`` forms them anew on each read by the pass's own
+expression (``_unit_normals``).
 """
 from __future__ import annotations
 
@@ -64,7 +68,6 @@ class SurfaceMeasures(NamedTuple):
     connectivity's ``pattern``."""
 
     areas: np.ndarray       # (m,)
-    normals: np.ndarray     # (m, 3), unit, orientation as stored
     area: float
     volume: float           # divergence theorem; meaningful on closed surfaces
     h_max: float            # longest edge
@@ -78,10 +81,11 @@ class TriangleMesh:
 
     ``radius_hint`` is set when the vertices sample a sphere of that radius
     (the reference configuration); perturbed meshes carry ``None``.  The
-    surface's measures (:class:`SurfaceMeasures`: the triangle ``areas`` and
-    ``normals`` among them) are taken by one pass on first use and kept, and
-    so is the CSR ``pattern`` of the P1 matrices, which belongs to the
-    connectivity: a surface made by :meth:`moved` shares its mesh's.
+    surface's measures (:class:`SurfaceMeasures`: the triangle ``areas``
+    among them) are taken by one pass on first use and kept, and so is the
+    CSR ``pattern`` of the P1 matrices, which belongs to the connectivity: a
+    surface made by :meth:`moved` shares its mesh's.  The triangle
+    ``normals`` are formed on each read and not kept.
     """
 
     vertices: np.ndarray       # (n, 3) float64
@@ -114,7 +118,9 @@ class TriangleMesh:
 
     @property
     def normals(self) -> np.ndarray:
-        return self._geometry[1]
+        """The (m, 3) unit normals of the triangles, orientation as stored
+        (:func:`_triangle_normals`), formed anew on each read (read-only)."""
+        return _triangle_normals(self)
 
     @cached_property
     def symmetry_maps(self) -> np.ndarray:
@@ -380,7 +386,7 @@ def _measure_triangles(mesh: TriangleMesh) -> SurfaceMeasures:
     m = t.shape[0]
     if m == 0:
         raise MeshTopologyError("mesh has no triangles")
-    areas, normals = np.empty(m), np.empty((m, 3))
+    areas = np.empty(m)
     volume_terms = np.empty(m)
     local = np.empty((m, 6))        # the stiffness's local pairs, in the order of the keys
     h2_max = 0.0
@@ -396,15 +402,12 @@ def _measure_triangles(mesh: TriangleMesh) -> SurfaceMeasures:
             e = (p1 - p0, np.subtract(p2, p1, out=p1), np.subtract(p0, p2, out=p2))
             del p0, p1, p2
             h2_max = max(h2_max, *(float(_squared_norms(ek).max()) for ek in e))
-            cross = np.cross(e[2], e[0])
-            doubled = np.sqrt(_squared_norms(cross))
+            normals, doubled = _unit_normals(e[2], e[0])
             area = areas[block]
             np.multiply(0.5, doubled, out=area)
-            np.divide(cross, doubled[:, None], out=normals[block])
-            del cross, doubled
-            np.multiply(np.einsum("ij,ij->i", centroids, normals[block]), area,
-                        out=volume_terms[block])
-            del centroids
+            del doubled
+            np.multiply(np.einsum("ij,ij->i", centroids, normals), area, out=volume_terms[block])
+            del centroids, normals
             # Edge k, the pair (k, k + 1), faces the angle at vertex k + 2, whose
             # cotangent is -e_{k+1} . e_{k+2} / (2 area); its off-diagonal weight
             # is -cot/2, and a diagonal entry is minus the weights of the two
@@ -430,12 +433,38 @@ def _measure_triangles(mesh: TriangleMesh) -> SurfaceMeasures:
     upper, lower = edges.T.astype(np.intp)
     for data in (stiffness, mass):
         data[lower] = data[upper]
-    for arr in (areas, normals, mass, stiffness):
+    for arr in (areas, mass, stiffness):
         arr.setflags(write=False)
     # The square root is monotone and correctly rounded: that of the largest
     # squared length is the largest length.
-    return SurfaceMeasures(areas, normals, float(np.sum(areas)), volume,
+    return SurfaceMeasures(areas, float(np.sum(areas)), volume,
                            float(np.sqrt(h2_max)), mass, stiffness)
+
+
+def _unit_normals(e2: np.ndarray, e0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit normals (k, 3) of k triangles with edge vectors e2 (corner 2
+    to 0) and e0 (corner 0 to 1), and the norms (k,) of e2 x e0, twice their
+    areas: the one expression of the pass and of :func:`_triangle_normals`."""
+    normals = np.cross(e2, e0)
+    doubled = np.sqrt(_squared_norms(normals))
+    normals /= doubled[:, None]
+    return normals, doubled
+
+
+def _triangle_normals(mesh: TriangleMesh) -> np.ndarray:
+    """The read-only (m, 3) unit normals of the mesh's triangles, by
+    :func:`_unit_normals` over blocks of ``PASS_BLOCK`` triangles, so that they
+    are those the pass forms, bit for bit.  The mesh is measured first, so a
+    degenerate triangle raises :class:`MeshTopologyError`."""
+    mesh._geometry
+    v, t = mesh.vertices, mesh.triangles
+    normals = np.empty((t.shape[0], 3))
+    for start in range(0, t.shape[0], PASS_BLOCK):
+        block = slice(start, start + PASS_BLOCK)
+        p0, p1, p2 = (np.take(v, t[block, k], axis=0) for k in range(3))
+        normals[block] = _unit_normals(p0 - p2, p1 - p0)[0]
+    normals.setflags(write=False)
+    return normals
 
 
 def _squared_norms(x: np.ndarray) -> np.ndarray:
@@ -504,11 +533,16 @@ def _csr_pattern(triangles: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
 
 
 def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
-    """Area-weighted vertex normals, unit length."""
-    acc = np.zeros_like(mesh.vertices)
-    w = mesh.normals * mesh.areas[:, None]
-    for k in range(3):
-        np.add.at(acc, mesh.triangles[:, k], w)
+    """Area-weighted vertex normals, unit length.  Each vertex sums the
+    area-weighted normals of its triangles in the order of the corners
+    ``triangles.T.ravel()``, corner 0 of every triangle, then corner 1, then
+    corner 2: one ``np.bincount`` per coordinate."""
+    corners = mesh.triangles.T.ravel()
+    normals, areas = mesh.normals, mesh.areas
+    acc = np.empty_like(mesh.vertices)
+    for c in range(3):
+        acc[:, c] = np.bincount(corners, weights=np.tile(normals[:, c] * areas, 3),
+                                minlength=mesh.num_vertices)
     acc /= np.linalg.norm(acc, axis=1)[:, None]
     return acc
 

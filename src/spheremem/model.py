@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ParameterError, check_finite
+from .errors import ParameterError, SolverError, check_finite
 from .fem import assemble_mass, assemble_stiffness, lumped_diagonal, mass_inverse_form
 from .mesh import TriangleMesh
 
@@ -114,17 +114,18 @@ class QuadraticForm:
 
 def _symmetrized(A: sp.spmatrix) -> sp.csr_matrix:
     """(A + A^T) / 2 in CSR format with sorted indices, bit for bit
-    ``((A + A.T) * 0.5).tocsr()``.
+    ``((A + A.T) * 0.5).tocsr()``, for an A whose pattern is symmetric (the
+    bending operator's always is); any other A raises :class:`SolverError`.
 
-    When the pattern of A is symmetric, each entry a_ij + a_ji is summed in
-    place into the CSR copy of A from the sorted CSC arrays of A, which are
-    the CSR arrays of A^T; exact zeros are dropped, as a sparse sum drops them.
+    Each entry a_ij + a_ji is summed in place into the CSR copy of A from the
+    sorted CSC arrays of A, which are the CSR arrays of A^T; exact zeros are
+    dropped, as a sparse sum drops them.
     """
     A = A.tocsc()
     A.sort_indices()
     sym = A.tocsr()
     if not (np.array_equal(sym.indptr, A.indptr) and np.array_equal(sym.indices, A.indices)):
-        return ((A + A.T) * 0.5).tocsr()
+        raise SolverError("the bending operator's sparsity pattern is not symmetric")
     sym.data += A.data
     del A
     sym.eliminate_zeros()

@@ -6,36 +6,39 @@ hold at one time, above what was held when it started.  Each budget below is
 a multiple of the bytes the call returns or leaves held, at level 4 (2562
 vertices), set with about 10% headroom over the ratio measured then:
 
-==========================================  ======  =================
-call                                        budget  measured (before)
-==========================================  ======  =================
-``_csr_pattern`` / its pattern              2.3     2.10 (2.54)
-``assemble_quadratic_form`` / the assembly  1.55    1.39 (1.39)
-first ``form.A`` / A                        3.9     3.49 (3.49)
-consistent ``taylor_consistency`` / form    0.66    0.59 (0.59)
-==========================================  ======  =================
+==================================================  ======  =================
+call                                                budget  measured (before)
+==================================================  ======  =================
+``_csr_pattern`` / its pattern                      2.3     2.10 (2.10)
+``assemble_quadratic_form`` / the assembly          1.55    1.44 (1.39)
+first ``form.A`` / A                                3.9     3.49 (3.49)
+consistent ``taylor_consistency`` / form            0.62    0.56 (0.59)
+a perturbed surface's ``_measure_triangles`` / its  2.5     2.26 (2.64)
+areas, M and S
+==================================================  ======  =================
 
-"Before" is the code whose ``_csr_pattern`` returned each triangle's nine
-pattern slots, from which the mesh took the six scatter keys in a second
-step.  Now ``_csr_pattern`` returns the keys themselves: 48 bytes per
-triangle in place of the slots' 36.  Its traced peak fell from 0.83 to
-0.82 MB (13.27 to 13.03 MB at level 6), so the ratio falls with the larger
-result; the other three calls are unchanged.  The assembly's bytes are the
+"Before" is the code whose mesh kept the (m, 3) unit normals of its
+triangles, which its measuring pass wrote; the assembly's and the form's
+bytes then counted them.  Now a mesh keeps none (only the lumped curvature
+reads them, formed on each read), so the pass's traced peak falls by their
+24 bytes per triangle: 0.86 to 0.74 MB for a perturbed level-4 surface, 11.3
+to 9.4 MB at level 6.  The assembly's ratio rises, since its peak loses the
+same bytes as its result; the budget stays.  The assembly's bytes are the
 unique buffers of M, S, the constraint rows, the lumped diagonal, and the
-pattern, areas and normals it leaves on the mesh.  A is built on its first
-use, not by the assembly, and the form's bytes add A's to the assembly's.
-At levels 5 and 6 the ratios are 2.09, 1.38, 3.49 and 0.51 to 0.49.  At
-level 3, whose 1280 triangles make a single block of the measuring pass,
-the assembly's is 1.90 and the check's 0.99.
+pattern and areas it leaves on the mesh.  A is built on its first use, not
+by the assembly, and the form's bytes add A's to the assembly's.  At levels
+5 and 6 the ratios are 2.09, 1.43, 3.49, 0.47 to 0.45 and 1.88 to 1.79.  At
+level 3, whose 1280 triangles make a single block of the measuring pass, the
+assembly's is 2.03, the check's 0.99 and the pass's 4.12.
 """
 import gc
 import tracemalloc
 
 import numpy as np
 
-from spheremem.mesh import _csr_pattern, build_icosphere
+from spheremem.mesh import _csr_pattern, _measure_triangles, build_icosphere
 from spheremem.model import ModelParams, assemble_quadratic_form
-from spheremem.oracle import taylor_consistency
+from spheremem.oracle import perturb, taylor_consistency
 
 LEVEL = 4
 
@@ -60,7 +63,7 @@ def held_bytes(*objects) -> int:
 def assembly_bytes(form) -> int:
     mesh = form.mesh
     return held_bytes(form.M, form.S, form.constraints, form.m_lumped,
-                      mesh.pattern, mesh.areas, mesh.normals)
+                      mesh.pattern, mesh.areas)
 
 
 def form_bytes(form) -> int:
@@ -108,4 +111,15 @@ def test_consistent_taylor_check_budget():
         form, u, 0.5, rho_list=(0.1, 0.05, 0.025, 0.0125), reconstruction="consistent"))
     assert report.status == "converged"
     assert "A" not in vars(form)
-    assert peak <= 0.66 * form_bytes(form)
+    assert peak <= 0.62 * form_bytes(form)
+
+
+def test_perturbed_surface_measure_budget():
+    # The pass keeps no triangle normals: its peak is the (m, 6) local
+    # stiffness values, the volume terms, its areas, M and S, and one block's
+    # temporaries.
+    sphere = build_icosphere(1.0, LEVEL)
+    surface = perturb(sphere, sphere.vertices[:, 2] ** 2 - 1.0 / 3.0, 0.1)
+    assert "pattern" in vars(surface)
+    measures, peak = traced_peak(lambda: _measure_triangles(surface))
+    assert peak <= 2.5 * held_bytes(measures.areas, measures.mass, measures.stiffness)

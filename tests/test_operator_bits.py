@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from spheremem.errors import SolverError
 from spheremem.fem import assemble_mass, assemble_stiffness, lumped_diagonal, mass_inverse_form
 from spheremem.mesh import (
     TriangleMesh,
@@ -19,6 +20,7 @@ from spheremem.mesh import (
     _measure_triangles,
     build_icosphere,
     mesh_stats,
+    vertex_normals,
 )
 from spheremem.model import ModelParams, _symmetrized, assemble_quadratic_form, constraint_rows
 from spheremem.oracle import perturb, taylor_consistency
@@ -64,11 +66,27 @@ def reference_pattern(triangles, n):
     return indptr, indices, keys.ravel(), pair_slot.astype(np.int32)
 
 
-def reference_measure(mesh):
+def reference_cross(mesh):
     p = mesh.vertices[mesh.triangles]
-    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    doubled = np.linalg.norm(cross, axis=1)
-    return 0.5 * doubled, cross / doubled[:, None]
+    return np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+
+
+def reference_measure(mesh):
+    """The triangle areas."""
+    return 0.5 * np.linalg.norm(reference_cross(mesh), axis=1)
+
+
+def reference_normals(mesh):
+    cross = reference_cross(mesh)
+    return cross / np.linalg.norm(cross, axis=1)[:, None]
+
+
+def reference_vertex_normals(mesh):
+    acc = np.zeros_like(mesh.vertices)
+    w = reference_normals(mesh) * reference_measure(mesh)[:, None]
+    for k in range(3):
+        np.add.at(acc, mesh.triangles[:, k], w)
+    return acc / np.linalg.norm(acc, axis=1)[:, None]
 
 
 def reference_scatter(mesh, local):
@@ -79,12 +97,12 @@ def reference_scatter(mesh, local):
 
 
 def reference_mass(mesh):
-    areas, _ = reference_measure(mesh)
+    areas = reference_measure(mesh)
     return reference_scatter(mesh, np.multiply.outer(areas, np.repeat([2.0, 1.0, 1.0], 3) / 12.0))
 
 
 def reference_stiffness(mesh):
-    areas, _ = reference_measure(mesh)
+    areas = reference_measure(mesh)
     p = mesh.vertices[mesh.triangles]
     e = (p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2])
     local = np.empty((mesh.num_triangles, 9))
@@ -107,9 +125,9 @@ def reference_form(mesh, params):
 
 
 def reference_stats(mesh):
-    areas, normals = reference_measure(mesh)
+    areas = reference_measure(mesh)
     p = mesh.vertices[mesh.triangles]
-    volume = np.sum(np.einsum("ij,ij->i", p.mean(axis=1), normals) * areas) / 3.0
+    volume = np.sum(np.einsum("ij,ij->i", p.mean(axis=1), reference_normals(mesh)) * areas) / 3.0
     h_max = np.max(np.linalg.norm(p[:, [1, 2, 0]] - p, axis=2))
     return float(h_max), float(np.sum(areas)), float(volume)
 
@@ -117,17 +135,14 @@ def reference_stats(mesh):
 def reference_helfrich(mesh, params, reconstruction):
     """Helfrich energy and volume of a surface from the plain M, S, measures,
     lumped diagonal and vertex normals, the three mass forms one at a time."""
-    areas, normals = reference_measure(mesh)
+    areas = reference_measure(mesh)
     S = reference_stiffness(mesh)
     rhs = S @ mesh.vertices
     if reconstruction == "lumped":
         mL = np.zeros(mesh.num_vertices)
-        acc = np.zeros_like(mesh.vertices)
         for k in range(3):
             np.add.at(mL, mesh.triangles[:, k], areas / 3.0)
-            np.add.at(acc, mesh.triangles[:, k], normals * areas[:, None])
-        nu = acc / np.linalg.norm(acc, axis=1)[:, None]
-        H = np.einsum("ij,ij->i", rhs / mL[:, None], nu)
+        H = np.einsum("ij,ij->i", rhs / mL[:, None], reference_vertex_normals(mesh))
         willmore = float(0.5 * (H * H) @ mL)
     else:
         M = reference_mass(mesh)
@@ -191,10 +206,23 @@ def test_pattern_and_measures_are_the_plain_expressions(name):
     assert len(got) == len(want) == 4
     for g, w in zip(got, want):
         assert_same_array(g, w)
-    for got, want in zip(_measure_triangles(mesh), reference_measure(mesh)):
-        assert_same_array(got, want)
+    assert_same_array(_measure_triangles(mesh).areas, reference_measure(mesh))
     stats = mesh_stats(mesh)
     assert (stats.h_max, stats.total_area, stats.enclosed_volume) == reference_stats(mesh)
+
+
+@pytest.mark.parametrize("name", list(SURFACES))
+def test_normals_are_the_plain_expressions(name):
+    # The mesh keeps no triangle normals; each read forms them anew, by the
+    # pass's expression, and the vertex normals sum them in one bincount per
+    # coordinate in the order of three np.add.at passes.
+    mesh = SURFACES[name]
+    normals = mesh.normals
+    assert not normals.flags.writeable
+    assert_same_array(normals, reference_normals(mesh))
+    # A vertex that no triangle uses (the open cap has some) has the normal 0/0.
+    with np.errstate(invalid="ignore"):
+        assert_same_array(vertex_normals(mesh), reference_vertex_normals(mesh))
 
 
 @pytest.mark.parametrize("name", list(SURFACES))
@@ -219,27 +247,33 @@ def test_quadratic_form_is_the_plain_expression(level, params):
     assert (pattern != pattern.T).nnz == 0
 
 
-@pytest.mark.parametrize("symmetric_pattern", [True, False])
-def test_symmetrized_is_the_sparse_sum(symmetric_pattern):
+def test_symmetrized_is_the_sparse_sum():
     rng = np.random.default_rng(12)
     X = sp.random(400, 400, density=0.02, format="csc", random_state=rng)
-    if symmetric_pattern:
-        pattern = (X + X.T).tocsc()
-        X = sp.csc_matrix((rng.standard_normal(pattern.nnz), pattern.indices, pattern.indptr),
-                          shape=X.shape)
-        # An exact cancellation, which the sparse sum drops.
-        X = X.tolil()
-        X[3, 7], X[7, 3] = 0.25, -0.25
-        X = X.tocsc()
+    pattern = (X + X.T).tocsc()
+    X = sp.csc_matrix((rng.standard_normal(pattern.nnz), pattern.indices, pattern.indptr),
+                      shape=X.shape)
+    # An exact cancellation, which the sparse sum drops.
+    X = X.tolil()
+    X[3, 7], X[7, 3] = 0.25, -0.25
+    X = X.tocsc()
     want = ((X + X.T) * 0.5).tocsr()
     assert_same_csr(_symmetrized(X.copy()), want)
 
 
+def test_symmetrized_rejects_an_unsymmetric_pattern():
+    rng = np.random.default_rng(12)
+    X = sp.random(400, 400, density=0.02, format="csc", random_state=rng)
+    assert ((X != 0) != (X.T != 0)).nnz > 0
+    with pytest.raises(SolverError, match="not symmetric"):
+        _symmetrized(X)
+
+
 @pytest.mark.parametrize("reconstruction", ["consistent", "lumped"])
 def test_taylor_check_is_the_plain_expression(reconstruction):
-    # Every surface's one pass (M, S, area, volume, and the areas and normals
-    # the lumped curvature reads) and the three mass forms sharing one CG
-    # workspace give the plain expressions' Lagrangians and residuals.
+    # Every surface's one pass (M, S, area, volume, and the areas the lumped
+    # curvature reads), the normals it forms and the three mass forms sharing
+    # one CG workspace give the plain expressions' Lagrangians and residuals.
     mesh = build_icosphere(1.0, 3)
     params = PARAMS[1]
     form = assemble_quadratic_form(mesh, params)

@@ -185,13 +185,18 @@ def test_taylor_measures_each_surface_once(params, monkeypatch):
 @pytest.mark.parametrize("reconstruction", ["lumped", "consistent"])
 def test_taylor_computes_each_triangle_geometry_once(params, monkeypatch, reconstruction):
     # One measurement per surface, the sphere's by the assembly: no operator or
-    # energy recomputes the areas and normals its mesh keeps.
+    # energy recomputes the areas its mesh keeps.  The triangle normals, which
+    # no mesh keeps, are formed once per surface by the lumped curvature's
+    # vertex normals and never by the consistent check.
     import spheremem.mesh as mesh_module
 
-    calls = []
+    calls, normals = [], []
     measure = mesh_module._measure_triangles
     monkeypatch.setattr(mesh_module, "_measure_triangles",
                         lambda mesh: calls.append(mesh) or measure(mesh))
+    form_normals = mesh_module._triangle_normals
+    monkeypatch.setattr(mesh_module, "_triangle_normals",
+                        lambda mesh: normals.append(mesh) or form_normals(mesh))
     mesh = build_icosphere(1.0, 2)
     form = assemble_quadratic_form(mesh, params)
     u = mesh.vertices[:, 0] * mesh.vertices[:, 1]
@@ -199,6 +204,10 @@ def test_taylor_computes_each_triangle_geometry_once(params, monkeypatch, recons
     taylor_consistency(form, u, mu=0.5, rho_list=rho_list, reconstruction=reconstruction)
     assert len(calls) == 1 + len(rho_list)
     assert len({id(m) for m in calls}) == len(calls)
+    if reconstruction == "consistent":
+        assert normals == []
+    else:
+        assert [id(m) for m in normals] == [id(m) for m in calls]
 
 
 def test_taylor_derives_one_pattern_per_connectivity(params, monkeypatch):
