@@ -285,63 +285,35 @@ def _orbits(generators, n: int) -> _Orbits:
     return _Orbits(images, table, held)
 
 
-def _gather_rows(csr: tuple, rows: np.ndarray) -> tuple:
-    """The CSR arrays ``(indptr, indices, data)`` of the rows ``rows`` of the
-    CSR arrays ``csr``, in that order."""
-    indptr, indices, data = csr
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    out = np.zeros(rows.size + 1, dtype=indptr.dtype)
-    np.cumsum(counts, out=out[1:])
-    flat = np.repeat(starts - out[:-1], counts) + np.arange(out[-1])
-    return out, indices[flat], data[flat]
-
-
-def _combine(op, columns: int, x: tuple, y: tuple) -> tuple:
-    """x + y or x - y of two CSR arrays with sorted rows, by SciPy's own
-    kernel ``op`` (``_sparsetools.csr_plus_csr`` or ``csr_minus_csr``) called
-    on the arrays: the sum or difference of the sparse matrices, entries that
-    come out exactly zero dropped, without building a matrix object."""
-    size = x[1].size + y[1].size
-    indptr = np.empty_like(x[0])
-    indices, data = np.empty(size, dtype=x[1].dtype), np.empty(size)
-    op(x[0].size - 1, columns, *x, *y, indptr, indices, data)
-    return indptr, indices[:indptr[-1]], data[:indptr[-1]]
-
-
-def _fold(A: sp.csr_matrix, orbits: _Orbits, order: np.ndarray, wanted) -> dict[int, tuple]:
+def _fold(A: sp.csr_matrix, orbits: _Orbits, order: np.ndarray, wanted
+          ) -> dict[int, sp.csc_matrix]:
     """The blocks ``wanted`` of Q^T A Q for the orthonormal basis Q of the
     orbits' block vectors, each over its orbits in the order ``order``
-    (:class:`_BlockBasis`), as CSC arrays ``(indptr, indices, data)`` by
-    character.  They are those of the group average of A, so a matrix
-    invariant only to roundoff is factored as its symmetrization.  Block s's
-    vector of orbit o is the sum over o's unknowns g^a r of chi_s(a) e_(g^a
-    r) / sqrt(|o|), and its entry (t, u) is sqrt(|t| |u|) / 4^G times the
-    sum over c of chi_s(c) S[r_t, g^c r_u], for S the group sum of A, the
-    sum of g A g^T over the group's 2^G elements g: row t of S holds, at
-    column y, the sum over a of A[g^a r_t, g^a y].
+    (:class:`_BlockBasis`), by character.  They are those of the group
+    average of A, so a matrix invariant only to roundoff is factored as its
+    symmetrization.  Block s's vector of orbit o is the sum over o's unknowns
+    g^a r of chi_s(a) e_(g^a r) / sqrt(|o|), and its entry (t, u) is
+    sqrt(|t| |u|) / 4^G times the sum over c of chi_s(c) S[r_t, g^c r_u],
+    for S the group sum of A, the sum of g A g^T over the group's 2^G
+    elements g: row t of S holds, at column y, the sum over a of A[g^a r_t,
+    g^a y].
 
-    It works on CSR arrays: row gathers whose column indices are relabelled,
-    SciPy's sparse sum, difference and transposition kernels, and one pass
-    of butterflies over c, whose last level forms only the wanted blocks.
-    Each block has the bits that the same sums of sparse matrices give."""
+    Each term of S is a sparse row gather whose column indices are
+    relabelled.  One transposition of S and butterflies over c, in sparse
+    sums and differences, follow; they keep every row sorted, so no block is
+    sorted, and the last level of butterflies forms only the wanted blocks."""
     images, size = orbits.images, orbits.table.shape[1]
     table = orbits.table[order]
-    k, n = table.shape[0], A.shape[0]
-    itype = np.promote_types(A.indptr.dtype, A.indices.dtype)
-    arrays = (A.indptr.astype(itype, copy=False), A.indices.astype(itype, copy=False), A.data)
     group_sum = None
     for a in range(size):
-        indptr, indices, data = _gather_rows(arrays, images[table[:, 0], a])
-        indices = images[indices, a].astype(itype)
-        _sparsetools.csr_sort_indices(k, indptr, indices, data)
-        group_sum = ((indptr, indices, data) if group_sum is None else
-                     _combine(_sparsetools.csr_plus_csr, n, group_sum, (indptr, indices, data)))
+        rows = A[images[table[:, 0], a]]
+        rows.indices = images[rows.indices, a].astype(rows.indices.dtype)
+        rows.has_sorted_indices = False
+        rows.sort_indices()
+        group_sum = rows if group_sum is None else group_sum + rows
     # S^T in CSR: row y, column t.
-    columns = (np.empty(n + 1, dtype=itype), np.empty_like(group_sum[1]),
-               np.empty_like(group_sum[2]))
-    _sparsetools.csr_tocsc(k, n, *group_sum, *columns)
-    sums = [_gather_rows(columns, table[:, c]) for c in range(size)]
+    columns = group_sum.T.tocsr()
+    sums = [columns[table[:, c]] for c in range(size)]
     h = 1
     while h < size:
         last = 2 * h == size
@@ -349,9 +321,9 @@ def _fold(A: sp.csr_matrix, orbits: _Orbits, order: np.ndarray, wanted) -> dict[
             if not lo & h:
                 x, y = sums[lo], sums[lo | h]
                 if not last or lo in wanted:
-                    sums[lo] = _combine(_sparsetools.csr_plus_csr, k, x, y)
+                    sums[lo] = x + y
                 if not last or lo | h in wanted:
-                    sums[lo | h] = _combine(_sparsetools.csr_minus_csr, k, x, y)
+                    sums[lo | h] = x - y
         h *= 2
     weight = np.sqrt(size / (table == table[:, :1]).sum(axis=1)) / size
     blocks = {}
@@ -359,12 +331,13 @@ def _fold(A: sp.csr_matrix, orbits: _Orbits, order: np.ndarray, wanted) -> dict[
         # The sum holds the block's transpose, over every orbit: its CSR
         # arrays, restricted to the block's orbits, are the block's CSC arrays.
         held = orbits.held[s, order]
-        indptr, indices, data = _gather_rows(sums[s], np.flatnonzero(held))
-        keep = held[indices]
-        indptr = np.r_[0, np.cumsum(keep)][indptr]
-        indices = (np.cumsum(held) - 1)[indices[keep]]
+        block = sums[s][held]
+        keep = held[block.indices]
+        indptr = np.r_[0, np.cumsum(keep)][block.indptr]
+        indices = (np.cumsum(held) - 1)[block.indices[keep]]
         w = weight[held]
-        blocks[s] = indptr, indices, data[keep] * w[indices] * np.repeat(w, np.diff(indptr))
+        data = block.data[keep] * w[indices] * np.repeat(w, np.diff(indptr))
+        blocks[s] = sp.csc_matrix((data, indices, indptr), shape=(w.size, w.size))
     return blocks
 
 
@@ -458,9 +431,7 @@ class _BlockBasis:
         self.inverse_scale = 1.0 / np.sqrt(orbit_size)
         # The first position of each unknown in the table: any will do, as all
         # hold the same value.
-        flat = self.table.ravel()
-        count = np.bincount(flat)
-        self.first = np.argsort(flat, kind="stable")[np.cumsum(count) - count]
+        self.first = np.unique(self.table.ravel(), return_index=True)[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Q^T x for x (n, ...)."""
@@ -619,12 +590,7 @@ class _PermutedLU:
         """Column j of b as a dense vector."""
         if b.ndim == 1:
             return b
-        if not sp.issparse(b):
-            return b[:, j]
-        column = np.zeros(b.shape[0])
-        part = slice(b.indptr[j], b.indptr[j + 1])
-        column[b.indices[part]] = b.data[part]
-        return column
+        return b[:, j].toarray().ravel() if sp.issparse(b) else b[:, j]
 
     def _forward(self, b: np.ndarray, z: np.ndarray) -> None:
         """z = T b."""
@@ -637,45 +603,6 @@ class _PermutedLU:
         n = self.basis.starts[-1]
         x[:n] = self.basis.inverse(z[:n])
         x[n:] = self.rows.T @ z[n:]
-
-
-def _saddle_arrays(block: tuple, Bs: np.ndarray, d: np.ndarray) -> tuple:
-    """The CSC arrays of [[H, Bs^T], [Bs, diag(d)]] for H the CSC arrays
-    ``block`` (h, h) with sorted columns and Bs dense (r, h); the zeros of Bs
-    and d are not stored.  Each column is sorted: H's or Bs's row entries,
-    then those below them."""
-    hp, hi, hd = block
-    h, r = hp.size - 1, Bs.shape[0]
-    nonzero = Bs != 0
-    upper = np.diff(hp)
-    counts = np.concatenate([upper + nonzero.sum(axis=0), nonzero.sum(axis=1) + (d != 0)])
-    indptr = np.zeros(h + r + 1, dtype=np.intc)
-    np.cumsum(counts, out=indptr[1:])
-    indices, data = np.empty(indptr[-1], dtype=np.intc), np.empty(indptr[-1])
-    slots = np.arange(hi.size) + np.repeat(indptr[:h] - hp[:-1], upper)
-    indices[slots], data[slots] = hi, hd
-    free = indptr[:h] + upper
-    for i in range(r):
-        cols = np.flatnonzero(nonzero[i])
-        indices[free[cols]], data[free[cols]] = h + i, Bs[i, cols]
-        free[cols] += 1
-        start = indptr[h + i]
-        indices[start:start + cols.size], data[start:start + cols.size] = cols, Bs[i, cols]
-        if d[i] != 0:
-            indices[start + cols.size], data[start + cols.size] = h + i, d[i]
-    return indptr, indices, data
-
-
-def _block_diagonal(blocks: list[tuple]) -> sp.csc_matrix:
-    """The CSC matrix of the block diagonal of square CSC arrays ``blocks``,
-    with SuperLU's C int indices."""
-    sizes = [indptr.size - 1 for indptr, _, _ in blocks]
-    offsets = np.cumsum([0] + sizes).astype(np.intc)
-    nnz = np.cumsum([0] + [indices.size for _, indices, _ in blocks]).astype(np.intc)
-    indptr = np.concatenate([[0]] + [block[0][1:] + start for block, start in zip(blocks, nnz)])
-    indices = np.concatenate([block[1] + offset for block, offset in zip(blocks, offsets)])
-    data = np.concatenate([block[2] for block in blocks])
-    return sp.csc_matrix((data, indices, indptr), shape=(offsets[-1],) * 2)
 
 
 #: Refinement steps a solve may take to meet ``BACKWARD_ERROR_BOUND``.
@@ -799,7 +726,9 @@ class SaddleSystem:
                 rep, power = cycle[0], np.arange(n)
                 mine = np.flatnonzero(chars == rep)
                 own = coef[basis.starts[rep]:basis.starts[rep + 1], mine]
-                blocks.append(_saddle_arrays(folded[rep], own.T, -c[mine]))
+                blocks.append(sp.bmat([[folded[rep], sp.csc_matrix(own)],
+                                       [sp.csc_matrix(own.T), sp.diags(-c[mine], format="csc")]],
+                                      format="csc"))
                 for p, member in enumerate(cycle):
                     at, chi = _carried(orbits, basis, power, rep, member)
                     theirs, flip = _carried_rows(coef, chars, c, at, chi, member, mine, own)
@@ -807,7 +736,7 @@ class SaddleSystem:
                     sign[p] += [chi, flip]
                     power = rho[power]
             try:
-                lus.append(spla.splu(_block_diagonal(blocks), permc_spec="NATURAL",
+                lus.append(spla.splu(sp.block_diag(blocks, format="csc"), permc_spec="NATURAL",
                                      diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)))
             except RuntimeError as exc:
                 raise SolverError(f"sparse LU of the saddle system failed: {exc}") from exc

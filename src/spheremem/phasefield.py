@@ -123,15 +123,10 @@ def state_products(state: PhaseState, form: QuadraticForm, C: sp.csr_matrix) -> 
 
 
 def energy(state: PhaseState, form: QuadraticForm, pf: PhaseFieldParams,
-           products: StateProducts | None = None):
-    """Total energy E(u, phi) and its per-term breakdown.
-
-    ``products`` are the state's :class:`StateProducts` when the caller has
-    formed them.
-    """
+           products: StateProducts):
+    """Total energy E(u, phi) and its per-term breakdown, from the state's
+    :class:`StateProducts` ``products``."""
     u, phi = state.u, state.phi
-    if products is None:
-        products = state_products(state, form, coupling_operator(form, pf))
     bending = 0.5 * float(u @ products.Au)
     cross = float(phi @ products.Cu)
     grad = pf.b * 0.5 * pf.epsilon * float(phi @ products.Sphi)
@@ -147,15 +142,9 @@ def energy(state: PhaseState, form: QuadraticForm, pf: PhaseFieldParams,
 
 
 def energy_gradient(state: PhaseState, form: QuadraticForm, pf: PhaseFieldParams,
-                    C: sp.csr_matrix | None = None, products: StateProducts | None = None):
-    """Gradients (dE/dphi, dE/du), the flow step's right-hand side.
-
-    ``C`` is ``coupling_operator(form, pf)`` when the caller has built it, and
-    ``products`` as in :func:`energy`.
-    """
-    C = coupling_operator(form, pf) if C is None else C
-    if products is None:
-        products = state_products(state, form, C)
+                    C: sp.csr_matrix, products: StateProducts):
+    """Gradients (dE/dphi, dE/du), the flow step's right-hand side; ``C`` is
+    ``coupling_operator(form, pf)`` and ``products`` as in :func:`energy`."""
     fp = potential_derivative(state.phi, pf, form.params)
     g_phi = products.Cu + pf.b * pf.epsilon * products.Sphi \
         + pf.b / pf.epsilon * form.m_lumped * fp
@@ -228,8 +217,8 @@ class FlowSolver:
     (b/eps) M_L W'(phi) in increment form, with the same multipliers, by one
     solve on the LU that is neither refined nor held to
     ``fem.BACKWARD_ERROR_BOUND``.  It evaluates the energy once, of the new
-    state; the caller passes the energy it starts from, and may pass its
-    products.  :func:`run_flow` keeps two solvers.
+    state; the caller passes the energy it starts from and its products.
+    :func:`run_flow` keeps two solvers.
 
     K is factored as a :class:`fem.SaddleSystem` with its five hard rows,
     split by the three mirrors (``mesh.mirror_maps``) of phi and of u
@@ -260,18 +249,15 @@ class FlowSolver:
         self.order = self.lu.order
         self.g = np.concatenate([[pf.alpha * form.area], np.zeros(4)])
 
-    def step(self, state: PhaseState, e_old: float, products: StateProducts | None = None
+    def step(self, state: PhaseState, e_old: float, products: StateProducts
              ) -> tuple[PhaseState, float, dict, StateProducts]:
         """One linearly-implicit step from ``state``, whose energy is ``e_old``
-        and whose :class:`StateProducts` are ``products`` when the caller has
-        formed them.
+        and whose :class:`StateProducts` are ``products``.
 
         Returns the new state with its energy, breakdown and products; raises
         :class:`StepRejectedError` when the energy rises or is not a number.
         """
         pf, form, n = self.pf, self.form, self.n
-        if products is None:
-            products = state_products(state, form, self.C)
         g_phi, g_u = energy_gradient(state, form, pf, self.C, products)
         # The constraint defect g - B x: the phi mean row, then the four u rows.
         defect = self.g - np.concatenate([products.c_phi[:1], products.c_u])

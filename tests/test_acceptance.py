@@ -18,12 +18,14 @@ from spheremem.oracle import taylor_consistency
 from spheremem.phasefield import (
     PhaseFieldParams,
     closed_form_multipliers,
+    coupling_operator,
     energy,
     energy_gradient,
     field_correlation,
     initial_state,
     potential_derivative,
     run_flow,
+    state_products,
 )
 from spheremem.points import (
     ConstraintSet,
@@ -306,14 +308,17 @@ def test_criterion_8_gradient_check():
     from spheremem.phasefield import PhaseState
 
     state = PhaseState(u=0.1 * rng.standard_normal(n), phi=0.3 * rng.standard_normal(n))
-    g_phi, g_u = energy_gradient(state, form, pf)
+    C = coupling_operator(form, pf)
+    g_phi, g_u = energy_gradient(state, form, pf, C, state_products(state, form, C))
     h = 1e-6
     worst = 0.0
     for _ in range(10):
         dphi = rng.standard_normal(n)
         du = rng.standard_normal(n)
-        ep, _ = energy(PhaseState(u=state.u + h * du, phi=state.phi + h * dphi), form, pf)
-        em, _ = energy(PhaseState(u=state.u - h * du, phi=state.phi - h * dphi), form, pf)
+        plus = PhaseState(u=state.u + h * du, phi=state.phi + h * dphi)
+        minus = PhaseState(u=state.u - h * du, phi=state.phi - h * dphi)
+        ep, _ = energy(plus, form, pf, state_products(plus, form, C))
+        em, _ = energy(minus, form, pf, state_products(minus, form, C))
         fd = (ep - em) / (2 * h)
         an = float(g_phi @ dphi + g_u @ du)
         worst = max(worst, abs(fd - an) / max(abs(an), 1e-14))

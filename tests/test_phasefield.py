@@ -30,6 +30,7 @@ from spheremem.phasefield import (
     potential_derivative,
     project_constraints,
     run_flow,
+    state_products,
     well_shift,
 )
 
@@ -116,13 +117,16 @@ def test_gradient_matches_finite_differences(form2):
     rng = np.random.default_rng(11)
     n = form2.mesh.num_vertices
     state = PhaseState(u=0.1 * rng.standard_normal(n), phi=0.3 * rng.standard_normal(n))
-    g_phi, g_u = energy_gradient(state, form2, pf)
+    C = coupling_operator(form2, pf)
+    g_phi, g_u = energy_gradient(state, form2, pf, C, state_products(state, form2, C))
     h = 1e-6
     for _ in range(5):
         dphi = rng.standard_normal(n)
         du = rng.standard_normal(n)
-        ep, _ = energy(PhaseState(u=state.u + h * du, phi=state.phi + h * dphi), form2, pf)
-        em, _ = energy(PhaseState(u=state.u - h * du, phi=state.phi - h * dphi), form2, pf)
+        plus = PhaseState(u=state.u + h * du, phi=state.phi + h * dphi)
+        minus = PhaseState(u=state.u - h * du, phi=state.phi - h * dphi)
+        ep, _ = energy(plus, form2, pf, state_products(plus, form2, C))
+        em, _ = energy(minus, form2, pf, state_products(minus, form2, C))
         fd = (ep - em) / (2 * h)
         an = float(g_phi @ dphi + g_u @ du)
         assert abs(fd - an) <= 1e-5 * max(1.0, abs(an))
@@ -131,7 +135,8 @@ def test_gradient_matches_finite_differences(form2):
 def test_energy_breakdown_sums(form2):
     pf = make_params()
     state = initial_state(form2, pf)
-    total, bd = energy(state, form2, pf)
+    total, bd = energy(state, form2, pf,
+                       state_products(state, form2, coupling_operator(form2, pf)))
     assert total == pytest.approx(sum(bd.values()), rel=1e-12)
 
 
@@ -180,12 +185,14 @@ def test_step_caches_the_new_energy(form2):
     pf = make_params()
     solver = FlowSolver(form2, pf, pf.tau)
     start = initial_state(form2, pf)
-    new, e_new, bd_new, products = solver.step(start, energy(start, form2, pf)[0])
-    e, bd = energy(new, form2, pf)
+    products = state_products(start, form2, solver.C)
+    new, e_new, bd_new, products = solver.step(start, energy(start, form2, pf, products)[0],
+                                               products)
+    e, bd = energy(new, form2, pf, state_products(new, form2, solver.C))
     assert e_new == e
     assert bd_new == bd
     # The returned products are the new state's.
-    expected = phasefield.state_products(new, form2, solver.C)
+    expected = state_products(new, form2, solver.C)
     for name in ("Au", "Cu", "Sphi", "c_phi", "c_u"):
         np.testing.assert_array_equal(getattr(products, name), getattr(expected, name))
 
@@ -227,11 +234,12 @@ def test_oversized_step_rejected(form2):
         PhaseState(u=np.zeros(n), phi=3.0 * rng.standard_normal(n)), form2, pf
     )
     solver = FlowSolver(form2, pf, pf.tau)
-    e = energy(state, form2, pf)[0]
+    products = state_products(state, form2, solver.C)
+    e = energy(state, form2, pf, products)[0]
     raised = False
     try:
         for _ in range(50):
-            state, e, _, _ = solver.step(state, e)
+            state, e, _, products = solver.step(state, e, products)
     except StepRejectedError as exc:
         raised = True
         assert exc.suggested_tau == pytest.approx(pf.tau / 2)
@@ -270,7 +278,7 @@ def test_rejecting_run_logs_fresh_energy_once_per_step(form2, monkeypatch):
     final, report = run_flow(initial_state(form2, pf), form2, pf)
     steps = report.accepted_steps + report.rejected_steps
     assert len(calls) == steps + 1
-    e, bd = energy(final, form2, pf)
+    e, bd = energy(final, form2, pf, state_products(final, form2, coupling_operator(form2, pf)))
     assert report.energies[-1] == e
     assert report.breakdowns[-1] == bd
     # Pinned to the bit (x86-64, NumPy 2.4.6, SciPy 1.17.1): any change to
@@ -444,7 +452,7 @@ def test_increment_step_is_the_position_form_step(form2, form3, monkeypatch, lev
 
     monkeypatch.setattr(phasefield, "energy_gradient", counting)
     # e_old = inf: the energy check is not under test here.
-    new, _, _, _ = solver.step(start, np.inf)
+    new, _, _, _ = solver.step(start, np.inf, state_products(start, form, solver.C))
     assert len(calls) == 1
     phi, u, lam_phi, lam_u = position_form_step(solver, start)
     scale = max(np.abs(phi).max(), np.abs(u).max())
@@ -482,7 +490,8 @@ def discrete_growth_rates(form, pf):
     x0 = np.concatenate([np.full(n, pf.alpha), np.zeros(n)])
 
     def gradient(x):
-        return np.concatenate(energy_gradient(PhaseState(u=x[n:], phi=x[:n]), form, pf, C))
+        state = PhaseState(u=x[n:], phi=x[:n])
+        return np.concatenate(energy_gradient(state, form, pf, C, state_products(state, form, C)))
 
     h = 1e-4
     J = np.empty((2 * n, 2 * n))
