@@ -33,6 +33,12 @@ the rotation: a SuperLU factor of the two blocks it fixes and one of the two
 right-hand side.  The points' A_C, split so, has 0.098 M, 0.62 M and 3.46 M
 L+U entries at levels 4-6, half what its eight blocks hold; the flow's step
 operator is split into its eight blocks in one factor, 0.51 M at level 4.
+Every K factored is symmetric, so SuperLU's transposed solve solves it as
+well as its plain one: an LU that receives one column of a right-hand side
+(the flow's step, and a point solve's first LU) takes the transposed solve,
+which is the faster for one column, and an LU that receives several (the
+3-cycles' LU, and every LU of a multi-column solve such as the points' G)
+the plain one, which is the faster for several.
 ``solve_saddle``, the tests' reference, factors the whole
 K by SuperLU's defaults instead.  The contract stops there: the phase-field
 flow's step solves (``phasefield.FlowSolver.step``) are one solve each on
@@ -416,8 +422,10 @@ class _BlockBasis:
     (:func:`_fold`), each block's orbits in the order ``order``: block s holds
     ``blocks[s]``, at ``starts[s]`` to ``starts[s + 1]`` of the numbering.  Q^T
     x takes each orbit's unknowns to its block coordinates by a Walsh-Hadamard
-    transform, scaled, and gathers them at ``slots`` of the (2^G, k) table of
-    character and orbit."""
+    transform, scaled by ``forward_scale``, and gathers them at ``slots`` of
+    the (2^G, k) table of character and orbit; Q y scatters y to the slots,
+    scaled by ``inverse_scale``, transforms back and reads each unknown at its
+    ``first`` position in the table (:class:`_PermutedLU`)."""
 
     def __init__(self, orbits: _Orbits, order: np.ndarray):
         self.order, self.table = order, np.ascontiguousarray(orbits.table.T)
@@ -434,25 +442,14 @@ class _BlockBasis:
         self.first = np.unique(self.table.ravel(), return_index=True)[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Q^T x for x (n, ...)."""
-        y = self._walsh_hadamard(x[self.table])[self.slots]
+        """Q^T x for x (n, ...).  The unnormalized Walsh-Hadamard transform of
+        each orbit is one product with the +-1 character table, each output
+        a sum of 2^G signed inputs."""
+        size = self.table.shape[0]
+        y = (self.characters @ x[self.table].reshape(size, -1)).reshape(-1, *x.shape[1:])
+        y = y[self.slots]
         y *= self.forward_scale.reshape(-1, *[1] * (x.ndim - 1))
         return y
-
-    def inverse(self, y: np.ndarray) -> np.ndarray:
-        """Q y for y (n, ...)."""
-        x = np.zeros((*self.table.shape, *y.shape[1:]))
-        x.reshape(-1, *y.shape[1:])[self.slots] = \
-            y * self.inverse_scale.reshape(-1, *[1] * (y.ndim - 1))
-        return self._walsh_hadamard(x)[self.first]
-
-    def _walsh_hadamard(self, y: np.ndarray) -> np.ndarray:
-        """The unnormalized Walsh-Hadamard transform of each orbit of y (2^G,
-        k, ...): y[s] -> the sum over a of chi_s(a) y[a], flattened to (2^G k,
-        ...).  It is one product with the +-1 character table, each output the
-        exact sum of 2^G signed inputs."""
-        size = y.shape[0]
-        return (self.characters @ y.reshape(size, -1)).reshape(-1, *y.shape[2:])
 
 
 def _character_cycles(count: int, rotated: bool) -> list[list[int]]:
@@ -552,11 +549,37 @@ class _PermutedLU:
     the same block up to a signed permutation, so a right-hand side b is
     solved as l columns, column p gathered from z at ``pulls[i][p]`` with
     the signs ``signs[i][p]``, and the solution goes back the same way.
+
+    The gathers are composed with T at construction.  z is the gather at the
+    block basis's slots of the Walsh-Hadamard transform of each orbit,
+    scaled, so column p is read from that transform, with the constraint
+    rows after it, at ``self.pulls[i][p]`` and multiplied by the sign times
+    the forward scale, ``self.forward_scales[i][p]``; its solution is written
+    back times the sign and the inverse scale, ``self.inverse_scales[i][p]``.
+    A sign is +-1, so these products have the bits of the scaling and the
+    signing done apart.
+
+    An LU that receives one column solves it by SuperLU's transposed solve
+    (``trans="T"``), which gathers where the plain one scatters; every K
+    factored is symmetric, so both solve it.  For one column the transposed
+    solve is the faster, for several the slower, so an LU that receives
+    several columns takes the plain one.  Times of one SuperLU solve (min of
+    15 x 100, one BLAS thread, x86-64, 2 cores), plain -> transposed: the
+    level-4 flow LU, one column, 0.58 -> 0.50 ms; A_C's LUs at level 5, three
+    columns, 0.66 -> 0.79 ms, twelve columns, 2.14 -> 3.19 ms.
     """
 
     def __init__(self, lus, pulls, signs, basis: _BlockBasis, rows: np.ndarray):
-        self.lus, self.pulls, self.signs = lus, pulls, signs
-        self.order, self.basis, self.rows = basis.order, basis, rows
+        self.lus, self.order, self.basis, self.rows = lus, basis.order, basis, rows
+        # Where each coordinate of z lies in the transform's table, the
+        # constraint rows after it, and its scales each way.
+        m = rows.shape[0]
+        at = np.concatenate([basis.slots, basis.table.size + np.arange(m)])
+        forward = np.concatenate([basis.forward_scale, np.ones(m)])
+        inverse = np.concatenate([basis.inverse_scale, np.ones(m)])
+        self.pulls = [at[pull] for pull in pulls]
+        self.forward_scales = [sign * forward[pull] for pull, sign in zip(pulls, signs)]
+        self.inverse_scales = [sign * inverse[pull] for pull, sign in zip(pulls, signs)]
 
     @property
     def nnz(self) -> int:
@@ -570,20 +593,30 @@ class _PermutedLU:
         solutions and x."""
         b = sp.csc_matrix(b) if sp.issparse(b) else np.asarray(b, dtype=float)
         k = 1 if b.ndim == 1 else b.shape[1]
+        basis, n = self.basis, self.basis.starts[-1]
+        # The transform of each orbit, (2^G, orbits), then the constraint rows.
+        work = np.empty(basis.table.size + self.rows.shape[0])
+        table, rows = work[:basis.table.size].reshape(basis.table.shape), work[basis.table.size:]
         rhs = [np.empty((pull.shape[1], pull.shape[0] * k), order="F") for pull in self.pulls]
-        z = np.empty(b.shape[0])
         for j in range(k):
-            self._forward(self._column(b, j), z)
-            for r, pull, sign in zip(rhs, self.pulls, self.signs):
-                np.multiply(z[pull].T, sign.T, out=r[:, j::k])
+            column = self._column(b, j)
+            np.matmul(basis.characters, column[basis.table], out=table)
+            np.matmul(self.rows, column[n:], out=rows)
+            for r, pull, scale in zip(rhs, self.pulls, self.forward_scales):
+                np.multiply(work[pull].T, scale.T, out=r[:, j::k])
         solutions = []
         for lu in self.lus:
-            solutions.append(lu.solve(rhs.pop(0)))      # each right-hand side freed once solved
+            r = rhs.pop(0)      # each right-hand side freed once solved
+            solutions.append(lu.solve(r, trans="T" if r.shape[1] == 1 else "N"))
+        # Only the gathered coordinates are written back; the rest stay zero.
+        work.fill(0.0)
         x = np.empty(b.shape)
         for j in range(k):
-            for solution, pull, sign in zip(solutions, self.pulls, self.signs):
-                z[pull] = sign * solution[:, j::k].T
-            self._inverse(z, x if b.ndim == 1 else x[:, j])
+            for solution, pull, scale in zip(solutions, self.pulls, self.inverse_scales):
+                work[pull] = solution[:, j::k].T * scale
+            column = x if b.ndim == 1 else x[:, j]
+            column[:n] = (basis.characters @ table).ravel()[basis.first]
+            column[n:] = self.rows.T @ rows
         return x
 
     def _column(self, b, j: int) -> np.ndarray:
@@ -591,18 +624,6 @@ class _PermutedLU:
         if b.ndim == 1:
             return b
         return b[:, j].toarray().ravel() if sp.issparse(b) else b[:, j]
-
-    def _forward(self, b: np.ndarray, z: np.ndarray) -> None:
-        """z = T b."""
-        n = self.basis.starts[-1]
-        z[:n] = self.basis.forward(b[:n])
-        z[n:] = self.rows @ b[n:]
-
-    def _inverse(self, z: np.ndarray, x: np.ndarray) -> None:
-        """x = T^T z."""
-        n = self.basis.starts[-1]
-        x[:n] = self.basis.inverse(z[:n])
-        x[n:] = self.rows.T @ z[n:]
 
 
 #: Refinement steps a solve may take to meet ``BACKWARD_ERROR_BOUND``.

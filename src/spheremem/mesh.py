@@ -536,8 +536,14 @@ def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
     """Area-weighted vertex normals, unit length.  Each vertex sums the
     area-weighted normals of its triangles in the order of the corners
     ``triangles.T.ravel()``, corner 0 of every triangle, then corner 1, then
-    corner 2: one ``np.bincount`` per coordinate."""
+    corner 2: one ``np.bincount`` per coordinate.  A vertex that no triangle
+    uses has no normal: :class:`MeshTopologyError` names how many there are
+    and the first."""
     corners = mesh.triangles.T.ravel()
+    unused = np.flatnonzero(np.bincount(corners, minlength=mesh.num_vertices) == 0)
+    if unused.size:
+        raise MeshTopologyError(f"{unused.size} vertices are in no triangle (the first is "
+                                f"vertex {unused[0]}); they have no normal")
     normals, areas = mesh.normals, mesh.areas
     acc = np.empty_like(mesh.vertices)
     for c in range(3):

@@ -309,7 +309,7 @@ def test_criterion_8_gradient_check():
 
     state = PhaseState(u=0.1 * rng.standard_normal(n), phi=0.3 * rng.standard_normal(n))
     C = coupling_operator(form, pf)
-    g_phi, g_u = energy_gradient(state, form, pf, C, state_products(state, form, C))
+    g_phi, g_u = energy_gradient(state, form, pf, state_products(state, form, C))
     h = 1e-6
     worst = 0.0
     for _ in range(10):

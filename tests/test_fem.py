@@ -527,6 +527,44 @@ def test_saddle_lu_takes_several_right_hand_sides(name, sparse):
                                    atol=1e-14 * np.abs(X).max())
 
 
+class _SolveSpy:
+    """A SuperLU factor whose solves record the columns and the ``trans`` of
+    each call."""
+
+    def __init__(self, lu):
+        self.lu, self.calls = lu, []
+
+    def solve(self, rhs, trans="N"):
+        self.calls.append((rhs.shape[1] if rhs.ndim == 2 else 1, trans))
+        return self.lu.solve(rhs, trans=trans)
+
+
+_SOLVE_CHOICES = {
+    # (LU, SuperLU calls of a 1-D right-hand side, of a three-column one)
+    "flow L3 eight blocks": (lambda: _flow_split(3, 1.0, 0.16)[0],
+                             [[(1, "T")]], [[(3, "N")]]),
+    "A_C L3 rotated": (lambda: _orthogonality_split(3)[0],
+                       [[(1, "T")], [(3, "N")]], [[(3, "N")], [(9, "N")]]),
+}
+
+
+@pytest.mark.parametrize("name", list(_SOLVE_CHOICES))
+def test_one_column_takes_the_transposed_solve(name):
+    # Every K factored is symmetric, so SuperLU's transposed solve solves it
+    # too: an LU that receives one column takes it (the faster with one
+    # column), one that receives several the plain solve (the faster then).
+    # The rotated A_C's 3-cycles receive three columns per right-hand side.
+    build, one, three = _SOLVE_CHOICES[name]
+    lu = build()
+    size = sum(pull.size for pull in lu.pulls)
+    b = np.random.default_rng(12).standard_normal((size, 3))
+    for rhs, calls in ((b[:, 0], one), (b, three), (sp.csc_matrix(b), three)):
+        lu.lus = spies = [_SolveSpy(factor) for factor in lu.lus]
+        lu.solve(rhs)
+        assert [spy.calls for spy in spies] == calls
+        lu.lus = [spy.lu for spy in spies]
+
+
 def _dense_block_basis(orbits, order, s):
     """Q_s, the orthonormal vectors of block s as columns over its orbits in
     the order ``order``: for orbit o with rows ``table[o]``, the sum over the
