@@ -563,10 +563,11 @@ class _PermutedLU:
     (``trans="T"``), which gathers where the plain one scatters; every K
     factored is symmetric, so both solve it.  For one column the transposed
     solve is the faster, for several the slower, so an LU that receives
-    several columns takes the plain one.  Times of one SuperLU solve (min of
-    15 x 100, one BLAS thread, x86-64, 2 cores), plain -> transposed: the
-    level-4 flow LU, one column, 0.58 -> 0.50 ms; A_C's LUs at level 5, three
-    columns, 0.66 -> 0.79 ms, twelve columns, 2.14 -> 3.19 ms.
+    several columns takes the plain one.  SuperLU's solve times, plain ->
+    transposed (min of 15 x 100 in two runs, one BLAS thread, x86-64, 2
+    cores): the level-4 flow LU, one column, 0.64 -> 0.57 ms; A_C's two LUs
+    at level 5, three right-hand sides (3 and 9 columns), 2.81 -> 3.85 ms,
+    twelve (12 and 36 columns), 9.73 -> 14.84 ms.
     """
 
     def __init__(self, lus, pulls, signs, basis: _BlockBasis, rows: np.ndarray):

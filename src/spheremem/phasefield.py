@@ -229,7 +229,7 @@ class FlowSolver:
     ``fem.BACKWARD_ERROR_BOUND``.  That solve has one column, so it is
     SuperLU's transposed solve: K is symmetric, and for one column the
     transposed solve, which gathers where the plain one scatters, is the
-    faster (0.50 against 0.58 ms at level 4).  It evaluates the energy once,
+    faster (0.57 against 0.64 ms at level 4).  It evaluates the energy once,
     of the new state; the caller passes the energy it starts from and its
     products.  The step's right-hand side is assembled in one array the
     solver keeps.  :func:`run_flow` keeps two solvers.
