@@ -33,12 +33,16 @@ the rotation: a SuperLU factor of the two blocks it fixes and one of the two
 right-hand side.  The points' A_C, split so, has 0.098 M, 0.62 M and 3.46 M
 L+U entries at levels 4-6, half what its eight blocks hold; the flow's step
 operator is split into its eight blocks in one factor, 0.51 M at level 4.
+Every row the split LU factors is hard: rows it cannot hold, such as the
+point rows, whose span the group does not map to itself, or rows with a
+compliance, are bordered onto it by their Schur complement
+(``BorderedLU``), the one code that does so.
 Every K factored is symmetric, so SuperLU's transposed solve solves it as
 well as its plain one: an LU that receives one column of a right-hand side
 (the flow's step, and a point solve's first LU) takes the transposed solve,
 which is the faster for one column, and an LU that receives several (the
-3-cycles' LU, and every LU of a multi-column solve such as the points' G)
-the plain one, which is the faster for several.
+3-cycles' LU, and every LU of a multi-column solve such as a bordered LU's
+G) the plain one, which is the faster for several.
 ``solve_saddle``, the tests' reference, factors the whole
 K by SuperLU's defaults instead.  The contract stops there: the phase-field
 flow's step solves (``phasefield.FlowSolver.step``) are one solve each on
@@ -373,19 +377,18 @@ def orbit_graph(A: sp.spmatrix, generators) -> sp.csr_matrix:
     return _orbit_graph(A, _orbits(generators, A.shape[0]))
 
 
-def _row_characters(coef: np.ndarray, starts: np.ndarray, c: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def _row_characters(coef: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An orthogonal change of the constraint rows, T (m, m), under which each
     row lies in one block, and the block of each new row.  ``coef`` (n, m)
     holds the rows' block coordinates, block s in rows ``starts[s]`` to
-    ``starts[s + 1]``, and c their compliances.
+    ``starts[s + 1]``.
 
     A row whose components in every other block are at most
-    ``CHARACTER_TOL_REL`` of its norm keeps itself.  The other rows of one
-    compliance are re-based together: their new rows in block s are the left
-    singular vectors of their block-s components above ``CHARACTER_TOL_REL``
-    of their norm (on the icosphere, nu_x and nu_z become nu . e2 and nu . e3
-    of the mirror normals).  Rows whose span the group does not map to itself,
+    ``CHARACTER_TOL_REL`` of its norm keeps itself.  The other rows are
+    re-based together: their new rows in block s are the left singular
+    vectors of their block-s components above ``CHARACTER_TOL_REL`` of their
+    norm (on the icosphere, nu_x and nu_z become nu . e2 and nu . e3 of the
+    mirror normals).  Rows whose span the group does not map to itself,
     or on which it does not act orthogonally, raise :class:`SolverError`."""
     m = coef.shape[1]
     norms = np.column_stack([np.linalg.norm(coef[start:end], axis=0)
@@ -395,25 +398,24 @@ def _row_characters(coef: np.ndarray, starts: np.ndarray, c: np.ndarray
     outside = np.sqrt(np.maximum(total ** 2 - norms[np.arange(m), char] ** 2, 0.0))
     pure = outside <= CHARACTER_TOL_REL * total
     T, chars = np.eye(m), char.copy()
-    for value in np.unique(c[~pure]):
-        rows = np.flatnonzero(~pure & (c == value))
-        scale = CHARACTER_TOL_REL * np.linalg.norm(total[rows])
-        basis, blocks = [], []
-        for s in range(starts.size - 1):
-            u, sigma, _ = np.linalg.svd(coef[starts[s]:starts[s + 1], rows].T, full_matrices=False)
-            rank = int(np.sum(sigma > scale))
-            basis.append(u[:, :rank].T)
-            blocks += [s] * rank
-        basis = np.vstack(basis)
-        if basis.shape[0] != rows.size:
-            raise SolverError(f"constraint rows {rows.tolist()} span no space that the "
-                              f"symmetry group maps to itself; the saddle system cannot be split")
-        if not np.abs(basis @ basis.T - np.eye(rows.size)).max() <= CHARACTER_TOL_REL:
-            raise SolverError(f"the symmetry group does not act orthogonally on constraint "
-                              f"rows {rows.tolist()}; the saddle system cannot be split")
-        T[rows] = 0.0
-        T[np.ix_(rows, rows)] = basis
-        chars[rows] = blocks
+    rows = np.flatnonzero(~pure)
+    scale = CHARACTER_TOL_REL * np.linalg.norm(total[rows])
+    basis, blocks = [], []
+    for s in range(starts.size - 1):
+        u, sigma, _ = np.linalg.svd(coef[starts[s]:starts[s + 1], rows].T, full_matrices=False)
+        rank = int(np.sum(sigma > scale))
+        basis.append(u[:, :rank].T)
+        blocks += [s] * rank
+    basis = np.vstack(basis)
+    if basis.shape[0] != rows.size:
+        raise SolverError(f"constraint rows {rows.tolist()} span no space that the "
+                          f"symmetry group maps to itself; the saddle system cannot be split")
+    if not np.abs(basis @ basis.T - np.eye(rows.size)).max(initial=0.0) <= CHARACTER_TOL_REL:
+        raise SolverError(f"the symmetry group does not act orthogonally on constraint "
+                          f"rows {rows.tolist()}; the saddle system cannot be split")
+    T[rows] = 0.0
+    T[np.ix_(rows, rows)] = basis
+    chars[rows] = blocks
     return T, chars
 
 
@@ -508,15 +510,15 @@ def _carried(orbits: _Orbits, basis: _BlockBasis, power: np.ndarray, rep: int, m
     return basis.starts[member] + position, basis.characters[member, element]
 
 
-def _carried_rows(coef: np.ndarray, chars: np.ndarray, c: np.ndarray, at: np.ndarray,
-                  chi: np.ndarray, member: int, mine: np.ndarray, own: np.ndarray
+def _carried_rows(coef: np.ndarray, chars: np.ndarray, at: np.ndarray, chi: np.ndarray,
+                  member: int, mine: np.ndarray, own: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Which new constraint row of block ``member`` the rotation carries onto
     each row ``mine`` of its representative, and with which sign: the member's
     rows of ``coef`` taken to the representative's coordinates (the positions
     ``at`` and signs ``chi`` of :func:`_carried`) must be those rows, ``own``,
-    up to sign and order, within ``CHARACTER_TOL_REL`` of their norms and at
-    the same compliances; else :class:`SolverError`."""
+    up to sign and order, within ``CHARACTER_TOL_REL`` of their norms; else
+    :class:`SolverError`."""
     theirs = np.flatnonzero(chars == member)
     if theirs.size != mine.size:
         raise SolverError(f"the rotation does not carry the {theirs.size} constraint rows of "
@@ -528,8 +530,7 @@ def _carried_rows(coef: np.ndarray, chars: np.ndarray, c: np.ndarray, at: np.nda
     flip = np.sign(cosines[np.arange(mine.size), match])
     if (np.unique(match).size != match.size
             or not np.all(np.linalg.norm(own - flip * mapped[:, match], axis=0)
-                          <= CHARACTER_TOL_REL * norms)
-            or not np.array_equal(c[theirs[match]], c[mine])):
+                          <= CHARACTER_TOL_REL * norms)):
         raise SolverError(f"the rotation does not carry the constraint rows of block {member} "
                           f"onto those of its cycle's representative")
     return theirs[match], flip
@@ -627,6 +628,29 @@ class _PermutedLU:
         return b[:, j].toarray().ravel() if sp.issparse(b) else b[:, j]
 
 
+class BorderedLU:
+    """The solve of K = [[K_0, R^T], [R, -diag(d)]], rows R (k, N) bordered
+    onto ``lu``, an LU of K_0 (N, N) such as :meth:`SaddleSystem.factor`
+    returns, by their Schur complement, at any compliance d >= 0 of the rows.
+    G = K_0^{-1} R^T, one multi-column solve of the sparse R^T, and the
+    k x k RG = R G are formed once and serve every d.  The points border
+    their rows R = [P, 0] onto A_C's split LU, and RG = P A_C^{-1} P^T is
+    the discrete Green's function at the attachment points."""
+
+    def __init__(self, lu: _PermutedLU, R: sp.csr_matrix):
+        self.lu, self.R, self.G = lu, R, lu.solve(R.T)
+        self.RG = R @ self.G
+
+    def solve(self, d: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """K^{-1} r up to roundoff: y = K_0^{-1} r_1, lam = (RG + diag d)^{-1}
+        (R y - r_2) and K^{-1} r = [y - G lam; lam]."""
+        N = self.G.shape[0]
+        # A right-hand side zero above the bordered rows needs no solve: y = 0.
+        y = self.lu.solve(r[:N]) if r[:N].any() else np.zeros(N)
+        lam = np.linalg.solve(self.RG + np.diag(d), self.R @ y - r[N:])
+        return np.concatenate([y - self.G @ lam, lam])
+
+
 #: Refinement steps a solve may take to meet ``BACKWARD_ERROR_BOUND``.
 MAX_REFINE = 4
 
@@ -647,8 +671,9 @@ class SaddleSystem:
     """The saddle matrix K(c) = [[A, B^T], [B, -diag(c)]] of a symmetric block
     A and constraint rows B, for a compliance c >= 0: row i of B is a hard
     constraint where c_i = 0 and a penalty of compliance c_i where c_i > 0.
-    It applies K and |K| from the blocks, factors K split by a symmetry
-    (:meth:`factor`) and refines solves against K (:meth:`solve`).
+    It applies K and |K| from the blocks, factors K(0), every row hard, split
+    by a symmetry (:meth:`factor`) and refines solves against K (:meth:`solve`),
+    such as those of rows bordered onto that LU (:class:`BorderedLU`).
     """
 
     def __init__(self, A: sp.spmatrix, B: sp.spmatrix):
@@ -665,14 +690,14 @@ class SaddleSystem:
             self._abs = abs(self.A), abs(self.B)
         return _saddle_product(*self._abs, c, x)
 
-    def factor(self, c: np.ndarray, generators, order: np.ndarray | None = None,
-               rotation=None) -> _PermutedLU:
-        """The LU of K(c) split by ``generators``, commuting involutions of the
-        unknowns of A under which K is invariant (on an icosphere, the three
-        maps of ``mesh.mirror_maps``; none gives the unsplit LU), and by an
-        optional ``rotation``, a permutation of the unknowns under which K is
-        invariant too and which conjugates generator j into generator j + 1
-        (mod G) (on an icosphere, ``mesh.rotation_map``).
+    def factor(self, generators, order: np.ndarray | None = None, rotation=None
+               ) -> _PermutedLU:
+        """The LU of K = K(0), every row of B hard, split by ``generators``,
+        commuting involutions of the unknowns of A under which K is invariant
+        (on an icosphere, the three maps of ``mesh.mirror_maps``; none gives
+        the unsplit LU), and by an optional ``rotation``, a permutation of the
+        unknowns under which K is invariant too and which conjugates generator
+        j into generator j + 1 (mod G) (on an icosphere, ``mesh.rotation_map``).
 
         The LU is that of T K T^T = blockdiag(K_0, ..., K_(2^G - 1)), of the
         same size as K, T orthogonal: the symmetry reduction of Bossavit
@@ -684,10 +709,12 @@ class SaddleSystem:
         so a K invariant only to roundoff is factored as its symmetrization.
         On the constraint rows, T is an orthogonal change of the rows of B
         under which each row lies in one block (:func:`_row_characters`), so
-        the multipliers are K's own once taken back; rows of different
-        compliance are never mixed, and rows whose span the group does not
-        preserve raise :class:`SolverError`.  Each block is a saddle matrix,
-        its rows of B after its orbits.  One order of the orbits, ``order`` or
+        the multipliers are K's own once taken back, and rows whose span the
+        group does not preserve raise :class:`SolverError`.  Each block is a
+        saddle matrix, its rows of B after its orbits, with no entries in its
+        (2, 2) part.  Rows that the LU cannot hold, such as rows whose span
+        the group does not preserve or rows with a compliance, are bordered
+        onto it by :class:`BorderedLU`.  One order of the orbits, ``order`` or
         the nested dissection of the orbit graph (:func:`orbit_graph`; a
         caller that factors several matrices of one pattern orders it once),
         serves every block.
@@ -735,9 +762,9 @@ class SaddleSystem:
             order = nested_dissection(_orbit_graph(self.A, orbits))
         basis = _BlockBasis(orbits, order)
         coef = basis.forward(self.B.toarray().T)
-        rows, chars = _row_characters(coef, basis.starts, c)
+        rows, chars = _row_characters(coef, basis.starts)
         by_block = np.argsort(chars, kind="stable")
-        rows, chars, c = rows[by_block], chars[by_block], c[by_block]
+        rows, chars = rows[by_block], chars[by_block]
         coef = coef @ rows.T
         cycles = _character_cycles(len(basis.blocks).bit_length() - 1, rotation is not None)
         folded = _fold(sp.csr_matrix(self.A), orbits, order, [cycle[0] for cycle in cycles])
@@ -749,11 +776,10 @@ class SaddleSystem:
                 mine = np.flatnonzero(chars == rep)
                 own = coef[basis.starts[rep]:basis.starts[rep + 1], mine]
                 blocks.append(sp.bmat([[folded[rep], sp.csc_matrix(own)],
-                                       [sp.csc_matrix(own.T), sp.diags(-c[mine], format="csc")]],
-                                      format="csc"))
+                                       [sp.csc_matrix(own.T), None]], format="csc"))
                 for p, member in enumerate(cycle):
                     at, chi = _carried(orbits, basis, power, rep, member)
-                    theirs, flip = _carried_rows(coef, chars, c, at, chi, member, mine, own)
+                    theirs, flip = _carried_rows(coef, chars, at, chi, member, mine, own)
                     pull[p] += [at, n + theirs]
                     sign[p] += [chi, flip]
                     power = rho[power]

@@ -259,7 +259,7 @@ class FlowSolver:
         B = sp.block_diag([form.constraints[:1], form.constraints])
         mirrors = mirror_maps(form.mesh)
         K = SaddleSystem(flow_operator(form, pf, self.C, self.tau), B)
-        self.lu = K.factor(np.zeros(5), np.hstack([mirrors, self.n + mirrors]), order)
+        self.lu = K.factor(np.hstack([mirrors, self.n + mirrors]), order)
         self.order = self.lu.order
         self.g = np.concatenate([[pf.alpha * form.area], np.zeros(4)])
         self._rhs = np.empty(2 * self.n + 5)

@@ -8,9 +8,10 @@ penalty (u(p_j) - Z_j)^2 / (2 delta), whose delta = 0 limit is the hard one.
 
 The systems of one form and constraint set differ only in the L x L point
 block -delta I, so they share one sparse factorization of the orthogonality
-block A_C = [[A, C^T], [C, 0]]; each delta is solved through the L x L Schur
-complement PG + delta I and refined against its whole saddle system.  A study
-of the hard problem and k penalties factors once.
+block A_C = [[A, C^T], [C, 0]], whose rows are all hard; the point rows are
+bordered onto it by their L x L Schur complement (``fem.BorderedLU``), and
+each delta is solved through that border and refined against its whole
+saddle system.  A study of the hard problem and k penalties factors once.
 """
 from __future__ import annotations
 
@@ -20,17 +21,28 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GeometryError, ParameterError, check_finite
-from .fem import PointLocator, SaddleSystem, _check_constraint_rank, h2_norm
+from .fem import BorderedLU, PointLocator, SaddleSystem, _check_constraint_rank, h2_norm
 from .mesh import mirror_maps, rotation_map
 from .model import QuadraticForm
 
 #: Points closer than this (relative to R) are rejected as duplicates.
 DUPLICATE_TOL = 1e-8
 
+#: The direction along which :class:`ConstraintSet` sweeps for coinciding
+#: points.  Points in one plane normal to it share one position along it, so
+#: it is normal to no mirror plane and to no plane of the presets' rings.
+SWEEP = np.array([1.0, np.sqrt(2.0), np.sqrt(3.0)]) / np.sqrt(6.0)
+
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Attachment points on the reference sphere with target heights."""
+    """Attachment points on the reference sphere with target heights.
+
+    Points i < j closer than ``DUPLICATE_TOL`` times the largest |p| coincide,
+    and the pair of the smallest i, with its nearest j, is reported.  Two such
+    points lie at most 2 tol apart along :data:`SWEEP` too, so only the points
+    k places apart in the order along it are measured, for k = 1, 2, ... while
+    any two are that close along it."""
 
     points: np.ndarray     # (L, 3), on the sphere
     heights: np.ndarray    # (L,)
@@ -38,17 +50,24 @@ class ConstraintSet:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         hts = np.atleast_1d(np.asarray(self.heights, dtype=float))
+        if pts.shape[1:] != (3,):
+            raise ParameterError(f"points must be (L, 3), got shape {np.shape(self.points)}")
         if pts.shape[0] != hts.shape[0]:
             raise ParameterError("heights and points length mismatch")
         check_finite(points=pts, heights=hts)
         if pts.shape[0] == 0:
             raise ParameterError("a constraint set needs at least one attachment point")
-        scale = float(np.max(np.linalg.norm(pts, axis=1)))
-        for i in range(pts.shape[0]):
-            d = np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
-            if d.size and np.min(d) < DUPLICATE_TOL * scale:
-                j = i + 1 + int(np.argmin(d))
-                raise ParameterError(f"attachment points {i} and {j} coincide")
+        tol = DUPLICATE_TOL * float(np.max(np.linalg.norm(pts, axis=1)))
+        along = pts @ SWEEP
+        order, close, k = np.argsort(along), [], 1
+        while np.any(along[order[k:]] - along[order[:-k]] <= 2.0 * tol):
+            i, j = np.sort([order[:-k], order[k:]], axis=0)
+            d = np.linalg.norm(pts[j] - pts[i], axis=1)
+            close += zip(i[d < tol], d[d < tol], j[d < tol])
+            k += 1
+        if close:
+            i, _, j = min(close)
+            raise ParameterError(f"attachment points {i} and {j} coincide")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "heights", hts)
 
@@ -96,14 +115,12 @@ class _PointSystem:
     (:meth:`fem.SaddleSystem.factor`; c0, c2 = nu_y and the nu . e2, nu . e3
     rows each lie in one block, and the rotation carries nu . e_j onto nu .
     e_(j+1); 0.098 M, 0.62 M and 3.46 M L+U entries at levels 4-6, half the
-    eight blocks' fill): the point rows are never factored, and the
-    refinement against the whole K(delta) answers for the split LU as for any
-    other.  G = A_C^{-1} [P^T; 0] takes one multi-column back-solve of the
-    sparse [P^T; 0], column by column through the split's change of basis,
-    and PG = P G_u is L x L.  A solve then
-    eliminates the point rows: y = A_C^{-1} r1, lam = (PG + delta I)^{-1}
-    (P y_u - r2), x = y - G lam.  A penalty's only hard rows are C, so only a
-    delta = 0 solve checks the rank of [C; P].
+    eight blocks' fill).  The LU factors the hard rows C only: the point rows
+    R = [P, 0] are bordered onto it by :class:`fem.BorderedLU` (``lu``),
+    whose L x L RG = P A_C^{-1} P^T serves every delta, and the refinement
+    against the whole K(delta) answers for the bordered solve as for any
+    other.  A penalty's only hard rows are C, so only a delta = 0 solve
+    checks the rank of [C; P].
     """
 
     def __init__(self, form: QuadraticForm, cs: ConstraintSet):
@@ -115,29 +132,20 @@ class _PointSystem:
             f"point {j} at {cs.points[j].tolist()}" for j in range(cs.num_points)
         ]
         _check_constraint_rank(form.constraints, self.labels[:4], np.zeros(4))
-        self.lu = SaddleSystem(form.A, form.constraints).factor(
-            np.zeros(4), mirror_maps(form.mesh), rotation=rotation_map(form.mesh))
-        n = form.mesh.num_vertices
-        self.G = self.lu.solve(sp.vstack([P.T, sp.csr_matrix((4, cs.num_points))]))
-        self.PG = P @ self.G[:n]
+        split = SaddleSystem(form.A, form.constraints).factor(
+            mirror_maps(form.mesh), rotation=rotation_map(form.mesh))
+        self.lu = BorderedLU(split, sp.hstack([P, sp.csr_matrix((cs.num_points, 4))], "csr"))
 
     def solve(self, delta: float, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(u, lam) with K(delta) [u; mu; lam] = [0; 0; g], refined against the
         whole K(delta) by :meth:`fem.SaddleSystem.solve`; lam holds the point
         multipliers."""
-        P, n, L = self.P, self.form.mesh.num_vertices, self.cs.num_points
+        n, L = self.form.mesh.num_vertices, self.cs.num_points
         c = np.r_[np.zeros(4), np.full(L, delta)]
         if delta == 0:
             _check_constraint_rank(self.system.B, self.labels, c)
-        schur = self.PG + delta * np.eye(L)
-
-        def inner(r):
-            # The first right-hand side is zero above the point rows: y = 0 needs no solve.
-            y = self.lu.solve(r[:n + 4]) if r[:n + 4].any() else np.zeros(n + 4)
-            lam = np.linalg.solve(schur, P @ y[:n] - r[n + 4:])
-            return np.concatenate([y - self.G @ lam, lam])
-
-        sol = self.system.solve(c, np.concatenate([np.zeros(n + 4), g]), inner)
+        sol = self.system.solve(c, np.concatenate([np.zeros(n + 4), g]),
+                                lambda r: self.lu.solve(c[4:], r))
         return sol[:n], sol[n + 4:]
 
     def equilibrium(self, delta: float) -> tuple[np.ndarray, SolveReport]:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from spheremem.errors import GeometryError, MeshTopologyError, RankDeficiencyError, SolverError
 from spheremem.fem import (
     BACKWARD_ERROR_BOUND,
+    BorderedLU,
     PointLocator,
     SaddleSystem,
     assemble_mass,
@@ -23,7 +24,8 @@ from spheremem.fem import (
     solve_saddle,
 )
 from spheremem import fem
-from spheremem.mesh import TriangleMesh, build_icosphere, mesh_stats, mirror_maps, rotation_map
+from spheremem.mesh import (TriangleMesh, build_icosphere, mesh_stats, mirror_maps, mirror_normals,
+                            rotation_map)
 from spheremem.model import ModelParams, assemble_quadratic_form
 from spheremem.oracle import perturb
 from spheremem.phasefield import FlowSolver, PhaseFieldParams, coupling_operator, flow_operator
@@ -306,7 +308,7 @@ def test_factor_saddle_orders_and_solves_any_graph(name):
     perm = nested_dissection(A)
     np.testing.assert_array_equal(np.sort(perm), np.arange(n))
     B = _unit_mean_row(n)
-    K, lu = _hard_saddle(A, B), SaddleSystem(A, B).factor(np.zeros(1), mirrors)
+    K, lu = _hard_saddle(A, B), SaddleSystem(A, B).factor(mirrors)
     rhs = np.random.default_rng(4).standard_normal(n + 1)
     x = lu.solve(rhs)
     np.testing.assert_allclose(K @ x, rhs, rtol=0, atol=1e-12 * np.abs(rhs).max())
@@ -318,7 +320,7 @@ def test_nested_dissection_fills_less_than_colamd():
     # minimum degree on K + K^T.
     form = assemble_quadratic_form(build_icosphere(1.0, 4), ModelParams(kappa=1.0, sigma=1.0, R=1.0))
     K = _hard_saddle(form.A, form.constraints)
-    lu = SaddleSystem(form.A, form.constraints).factor(np.zeros(4), [])
+    lu = SaddleSystem(form.A, form.constraints).factor([])
     for permc_spec, diag_pivot_thresh in (("COLAMD", 0.1), ("MMD_AT_PLUS_A", 0.0)):
         reference = spla.splu(K, permc_spec=permc_spec, diag_pivot_thresh=diag_pivot_thresh,
                               options=dict(SymmetricMode=True))
@@ -337,7 +339,7 @@ def _orthogonality_lu(level, rotated=False):
     mirrors and, if ``rotated``, by the rotation that cycles them."""
     form = assemble_quadratic_form(build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
     return SaddleSystem(form.A, form.constraints).factor(
-        np.zeros(4), mirror_maps(form.mesh), rotation=rotation_map(form.mesh) if rotated else None)
+        mirror_maps(form.mesh), rotation=rotation_map(form.mesh) if rotated else None)
 
 
 _SADDLE_LUS = {
@@ -383,7 +385,7 @@ def _flow_saddle(coupling):
     system = SaddleSystem(A, sp.block_diag([form.constraints[:1], form.constraints]))
     mirrors = mirror_maps(form.mesh)
     generators = np.hstack([mirrors, form.mesh.num_vertices + mirrors])
-    return system, np.zeros(5), system.factor(np.zeros(5), generators).solve
+    return system, np.zeros(5), system.factor(generators).solve
 
 
 _SADDLE_SYSTEMS = {
@@ -416,7 +418,7 @@ def _orthogonality_split(level):
     compliance, the refined solve of A_C through an LU, as the point solves
     take it, and the unknowns of A."""
     form = assemble_quadratic_form(build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
-    split = _PointSystem(form, ConstraintSet(icosahedron_points(), np.ones(12))).lu
+    split = _PointSystem(form, ConstraintSet(icosahedron_points(), np.ones(12))).lu.lu
     system = SaddleSystem(form.A, form.constraints)
     solve = lambda b: system.solve(np.zeros(4), b, split.solve)
     return split, system, np.zeros(4), solve, form.mesh.num_vertices
@@ -467,24 +469,29 @@ def test_split_lu_solves_as_the_whole_lu(name):
     (slice(0, 4), [0.0, 1e-3, 0.0, 2e-3], "antipodes"),
     (slice(0, 4), [0.0, 1e-3, 2e-3, 1e-3], "mirrors"),
     (slice(0, 1), [0.0], "rotation"), (slice(1, 4), [0.0, 0.0, 0.0], "rotation"),
-    (slice(0, 4), [2e-3, 1e-3, 1e-3, 1e-3], "rotation"),
+    (slice(0, 4), [0.0, 1e-3, 2e-3, 1e-3], "rotation"),
 ], ids=["even rows only", "odd rows only", "penalty rows", "penalty rows under mirrors",
         "even rows only under the rotation", "odd rows only under the rotation",
         "penalty rows under the rotation"])
 def test_split_lu_solves_any_rows_of_b(rows, compliance, split):
-    # Blocks without rows of B, rows re-based across blocks (nu_x and nu_z
-    # under the mirrors), and compliances on rows of several blocks: under the
-    # antipodal map alone every row lies in one block, under the mirrors the
-    # rows of one compliance must span a space they map to itself, and under
-    # the rotation too the rows it carries onto each other share a compliance.
+    # The split LU factors the hard rows: blocks without rows of B, and rows
+    # re-based across blocks (nu_x and nu_z under the mirrors).  The rows with
+    # a compliance are bordered onto it (BorderedLU; none for the hard cases),
+    # whether or not the group maps their span to itself: nu_x and nu_z at two
+    # compliances, and nu . e1 (nu_y) at another than nu . e2 and nu . e3
+    # under the rotation, which carries each onto the next.
     form = assemble_quadratic_form(build_icosphere(1.0, 2), ModelParams(1.0, 1.0, 1.0))
     A, B, c = (form.S + form.M).tocsr(), form.constraints[rows], np.array(compliance)
+    order = np.argsort(c > 0, kind="stable")    # the hard rows first
+    B, c = B[order], c[order]
+    hard = c == 0
     rhs = np.random.default_rng(10).standard_normal(A.shape[0] + B.shape[0])
-    system = SaddleSystem(A, B)
     generators = [_antipodes(2)] if split == "antipodes" else mirror_maps(form.mesh)
     rotation = rotation_map(form.mesh) if split == "rotation" else None
-    x = system.factor(c, generators, rotation=rotation).solve(rhs)
-    y = _reference_solve(system, c, rhs)
+    lu = SaddleSystem(A, B[hard]).factor(generators, rotation=rotation)
+    R = sp.hstack([B[~hard], sp.csr_matrix((B.shape[0] - hard.sum(), hard.sum()))], "csr")
+    x = BorderedLU(lu, R).solve(c[~hard], rhs)
+    y = _reference_solve(SaddleSystem(A, B), c, rhs)
     assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
 
 
@@ -493,7 +500,7 @@ def _unsplit_lu(level):
     the nested-dissection order of S + M; its system and compliance."""
     A = _mesh_operator(level)
     system = SaddleSystem(A, _unit_mean_row(A.shape[0]))
-    lu = system.factor(np.zeros(1), [])
+    lu = system.factor([])
     np.testing.assert_array_equal(lu.order, nested_dissection(A))
     return lu, system, np.zeros(1)
 
@@ -630,8 +637,8 @@ def test_split_lu_fills_less_than_the_whole_lu(build, level):
     # The flow's unknowns are phi and u: each map acts on both.
     first, second, third = np.hstack([mirrors + k * mirrors.shape[1]
                                       for k in range(n // mirrors.shape[1])])
-    fills = [system.factor(c, []).nnz, system.factor(c, [first[second[third]]]).nnz,
-             system.factor(c, [first, second, third]).nnz]
+    fills = [system.factor([]).nnz, system.factor([first[second[third]]]).nnz,
+             system.factor([first, second, third]).nnz]
     assert fills[0] > fills[1] > fills[2] >= split.nnz
 
 
@@ -642,10 +649,10 @@ def test_split_needs_even_or_odd_constraint_rows():
     C = form.constraints
     mixed = sp.vstack([C[1], C[0] + C[3]]).tocsr()     # odd, then even plus odd
     with pytest.raises(SolverError, match=r"constraint rows \[1\] span no space"):
-        SaddleSystem(form.A, mixed).factor(np.zeros(2), antipodes)
+        SaddleSystem(form.A, mixed).factor(antipodes)
     n = form.mesh.num_vertices
     with pytest.raises(SolverError, match="generator 0 is not an involution"):
-        SaddleSystem(form.A, C).factor(np.zeros(4), [np.roll(np.arange(n), 1)])
+        SaddleSystem(form.A, C).factor([np.roll(np.arange(n), 1)])
 
 
 def test_split_needs_commuting_involutions_and_an_invariant_row_span():
@@ -657,19 +664,15 @@ def test_split_needs_commuting_involutions_and_an_invariant_row_span():
     normal = np.array([-np.sin(0.4 * np.pi), np.cos(0.4 * np.pi), 0.0])
     tilted = vertex_permutation(mesh, np.eye(3) - 2.0 * np.outer(normal, normal))
     with pytest.raises(SolverError, match="generators 0 and 1 do not commute"):
-        SaddleSystem(form.A, C).factor(np.zeros(4), [mirrors[0], tilted])
+        SaddleSystem(form.A, C).factor([mirrors[0], tilted])
     # nu_x alone: the mirrors map it to nu . e3 - (nu . e2) combinations.
     with pytest.raises(SolverError, match="span no space"):
-        SaddleSystem(form.A, C[1]).factor(np.zeros(1), mirrors)
-    # nu_x and nu_z at two compliances: each alone spans no such space.
-    with pytest.raises(SolverError, match="span no space"):
-        SaddleSystem(form.A, C).factor(np.array([0.0, 1e-3, 0.0, 2e-3]), mirrors)
+        SaddleSystem(form.A, C[1]).factor(mirrors)
     # A row the group maps to itself, but not orthogonally: the swap of two
     # isolated unknowns, acting on rows e_1 and 2 e_1 + e_2.
     A = sp.identity(2, format="csr")
     with pytest.raises(SolverError, match="does not act orthogonally"):
-        SaddleSystem(A, sp.csr_matrix([[1.0, 0.0], [2.0, 1.0]])).factor(
-            np.array([1.0, 1.0]), [np.array([1, 0])])
+        SaddleSystem(A, sp.csr_matrix([[1.0, 0.0], [2.0, 1.0]])).factor([np.array([1, 0])])
 
 
 @pytest.mark.parametrize("level", [4, 5, 6])
@@ -719,16 +722,18 @@ def test_split_needs_a_rotation_that_cycles_the_generators_and_their_rows():
     C, mirrors, R = form.constraints, mirror_maps(mesh), rotation_map(mesh)
     system = SaddleSystem(form.A, C)
     with pytest.raises(SolverError, match="not a permutation"):
-        system.factor(np.zeros(4), mirrors, rotation=np.zeros_like(R))
+        system.factor(mirrors, rotation=np.zeros_like(R))
     # The inverse rotation conjugates mirror j into mirror j - 1.
     with pytest.raises(SolverError, match="does not conjugate generator 0 into generator 1"):
-        system.factor(np.zeros(4), mirrors, rotation=np.argsort(R))
+        system.factor(mirrors, rotation=np.argsort(R))
     # nu . e1 alone: block (-, +, +) has a row, the others of its cycle none.
     with pytest.raises(SolverError, match="the 0 constraint rows of block 2 onto the 1 "):
-        SaddleSystem(form.A, C[2]).factor(np.zeros(1), mirrors, rotation=R)
-    # nu . e1 (nu_y) at another compliance than nu . e2 and nu . e3.
-    with pytest.raises(SolverError, match="does not carry the constraint rows of block 2"):
-        system.factor(np.array([0.0, 1e-3, 2e-3, 1e-3]), mirrors, rotation=R)
+        SaddleSystem(form.A, C[2]).factor(mirrors, rotation=R)
+    # nu . e1, nu . e2 and 2 nu . e3: the rotation takes each nu . e_j to
+    # nu . e_(j+1), so the rows of its 3-cycle of blocks differ in norm.
+    rows = sp.csr_matrix(np.diag([1.0, 1.0, 2.0]) @ mirror_normals(mesh)) @ C[1:]
+    with pytest.raises(SolverError, match="does not carry the constraint rows of block"):
+        SaddleSystem(form.A, rows).factor(mirrors, rotation=R)
 
 
 def test_orbit_graph_is_the_folded_pattern():

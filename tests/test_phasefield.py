@@ -417,8 +417,8 @@ def test_flow_orders_its_operator_once(form3, monkeypatch):
     monkeypatch.setattr(fem, "nested_dissection",
                         lambda *args: orders.append(1) or order_of(*args))
     monkeypatch.setattr(fem.SaddleSystem, "factor",
-                        lambda self, c, generators, order=None:
-                        factored.append(order) or factor(self, c, generators, order))
+                        lambda self, generators, order=None:
+                        factored.append(order) or factor(self, generators, order))
     pf = coarsen_params(2)
     run_flow(initial_state(form3, pf), form3, pf)
     # The first solver's LU is ordered by fem; the others factor in its order.
