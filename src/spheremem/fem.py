@@ -447,9 +447,10 @@ class _BlockBasis:
         """Q^T x for x (n, ...).  The unnormalized Walsh-Hadamard transform of
         each orbit is one product with the +-1 character table, each output
         a sum of 2^G signed inputs."""
-        size = self.table.shape[0]
-        y = (self.characters @ x[self.table].reshape(size, -1)).reshape(-1, *x.shape[1:])
-        y = y[self.slots]
+        size, k = self.table.shape
+        # Sizes given, not inferred: x may have no columns (a B of no rows).
+        y = self.characters @ x[self.table].reshape(size, k * x[0].size)
+        y = y.reshape(size * k, *x.shape[1:])[self.slots]
         y *= self.forward_scale.reshape(-1, *[1] * (x.ndim - 1))
         return y
 

@@ -28,21 +28,10 @@ from .model import QuadraticForm
 #: Points closer than this (relative to R) are rejected as duplicates.
 DUPLICATE_TOL = 1e-8
 
-#: The direction along which :class:`ConstraintSet` sweeps for coinciding
-#: points.  Points in one plane normal to it share one position along it, so
-#: it is normal to no mirror plane and to no plane of the presets' rings.
-SWEEP = np.array([1.0, np.sqrt(2.0), np.sqrt(3.0)]) / np.sqrt(6.0)
-
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Attachment points on the reference sphere with target heights.
-
-    Points i < j closer than ``DUPLICATE_TOL`` times the largest |p| coincide,
-    and the pair of the smallest i, with its nearest j, is reported.  Two such
-    points lie at most 2 tol apart along :data:`SWEEP` too, so only the points
-    k places apart in the order along it are measured, for k = 1, 2, ... while
-    any two are that close along it."""
+    """Attachment points on the reference sphere with target heights."""
 
     points: np.ndarray     # (L, 3), on the sphere
     heights: np.ndarray    # (L,)
@@ -57,17 +46,12 @@ class ConstraintSet:
         check_finite(points=pts, heights=hts)
         if pts.shape[0] == 0:
             raise ParameterError("a constraint set needs at least one attachment point")
-        tol = DUPLICATE_TOL * float(np.max(np.linalg.norm(pts, axis=1)))
-        along = pts @ SWEEP
-        order, close, k = np.argsort(along), [], 1
-        while np.any(along[order[k:]] - along[order[:-k]] <= 2.0 * tol):
-            i, j = np.sort([order[:-k], order[k:]], axis=0)
-            d = np.linalg.norm(pts[j] - pts[i], axis=1)
-            close += zip(i[d < tol], d[d < tol], j[d < tol])
-            k += 1
-        if close:
-            i, _, j = min(close)
-            raise ParameterError(f"attachment points {i} and {j} coincide")
+        scale = float(np.max(np.linalg.norm(pts, axis=1)))
+        for i in range(pts.shape[0]):
+            d = np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
+            if d.size and np.min(d) < DUPLICATE_TOL * scale:
+                j = i + 1 + int(np.argmin(d))
+                raise ParameterError(f"attachment points {i} and {j} coincide")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "heights", hts)
 
@@ -144,8 +128,7 @@ class _PointSystem:
         c = np.r_[np.zeros(4), np.full(L, delta)]
         if delta == 0:
             _check_constraint_rank(self.system.B, self.labels, c)
-        sol = self.system.solve(c, np.concatenate([np.zeros(n + 4), g]),
-                                lambda r: self.lu.solve(c[4:], r))
+        sol = self.system.solve(c, np.r_[np.zeros(n + 4), g], lambda r: self.lu.solve(c[4:], r))
         return sol[:n], sol[n + 4:]
 
     def equilibrium(self, delta: float) -> tuple[np.ndarray, SolveReport]:

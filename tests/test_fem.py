@@ -469,17 +469,19 @@ def test_split_lu_solves_as_the_whole_lu(name):
     (slice(0, 4), [0.0, 1e-3, 0.0, 2e-3], "antipodes"),
     (slice(0, 4), [0.0, 1e-3, 2e-3, 1e-3], "mirrors"),
     (slice(0, 1), [0.0], "rotation"), (slice(1, 4), [0.0, 0.0, 0.0], "rotation"),
+    (slice(0, 4), [2e-3, 1e-3, 1e-3, 1e-3], "rotation"),
     (slice(0, 4), [0.0, 1e-3, 2e-3, 1e-3], "rotation"),
 ], ids=["even rows only", "odd rows only", "penalty rows", "penalty rows under mirrors",
         "even rows only under the rotation", "odd rows only under the rotation",
-        "penalty rows under the rotation"])
+        "penalty rows under the rotation", "hard and penalty rows under the rotation"])
 def test_split_lu_solves_any_rows_of_b(rows, compliance, split):
     # The split LU factors the hard rows: blocks without rows of B, and rows
     # re-based across blocks (nu_x and nu_z under the mirrors).  The rows with
     # a compliance are bordered onto it (BorderedLU; none for the hard cases),
     # whether or not the group maps their span to itself: nu_x and nu_z at two
     # compliances, and nu . e1 (nu_y) at another than nu . e2 and nu . e3
-    # under the rotation, which carries each onto the next.
+    # under the rotation, which carries each onto the next.  With every row
+    # compliant, the LU is that of A alone, with no rows of B.
     form = assemble_quadratic_form(build_icosphere(1.0, 2), ModelParams(1.0, 1.0, 1.0))
     A, B, c = (form.S + form.M).tocsr(), form.constraints[rows], np.array(compliance)
     order = np.argsort(c > 0, kind="stable")    # the hard rows first

@@ -34,28 +34,6 @@ def test_duplicate_points_rejected():
         ConstraintSet(points=pts, heights=np.array([1.0, 1.0]))
 
 
-def _first_coincidence(pts):
-    """The pair that a loop over the points reports: the smallest i with a
-    later point closer than DUPLICATE_TOL times the largest |p|, and its
-    nearest later j (the first on a tie); None if no two points coincide."""
-    tol = points.DUPLICATE_TOL * float(np.max(np.linalg.norm(pts, axis=1)))
-    for i in range(pts.shape[0]):
-        d = np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
-        if d.size and np.min(d) < tol:
-            return i, i + 1 + int(np.argmin(d))
-    return None
-
-
-def _coincidence(pts):
-    """The pair that ``ConstraintSet`` reports as coinciding, or None."""
-    try:
-        ConstraintSet(pts, np.ones(pts.shape[0]))
-    except ParameterError as exc:
-        return tuple(int(k) for k in re.fullmatch(r"attachment points (\d+) and (\d+) coincide",
-                                                  str(exc)).groups())
-    return None
-
-
 def test_coinciding_points_report_the_smallest_index_and_its_nearest_partner():
     # Near-duplicates of point 5 (0.5 tol away), of point 3 (0.4 and 0.2 tol
     # away) and of point 1 (1.5 tol away, so none): the pair reported is
@@ -63,19 +41,8 @@ def test_coinciding_points_report_the_smallest_index_and_its_nearest_partner():
     tol, pts = points.DUPLICATE_TOL, icosahedron_points()
     offsets = np.array([[0.5, 0.0, 0.0], [0.0, 0.4, 0.0], [0.0, 0.0, 0.2], [0.0, 1.5, 0.0]])
     pts = np.vstack([pts, pts[[5, 3, 3, 1]] + tol * offsets])
-    assert _first_coincidence(pts) == _coincidence(pts) == (3, 14)
-    # Random points with clusters of near-duplicates, up to 2 tol apart, and a
-    # ring of 400 points in one plane: the same pair as the loop, or none.
-    rng = np.random.default_rng(3)
-    theta = np.linspace(0.0, 2.0 * np.pi, 400, endpoint=False)
-    ring = np.column_stack([np.cos(theta), np.sin(theta), np.zeros(400)])
-    for base in [rng.standard_normal((300, 3)) for _ in range(6)] + [ring]:
-        base /= np.linalg.norm(base, axis=1, keepdims=True)
-        copies = rng.integers(0, base.shape[0], 20)
-        near = base[copies] + tol * rng.uniform(-1.2, 1.2, (20, 3))
-        pts = rng.permutation(np.vstack([base, near]))
-        assert _coincidence(pts) == _first_coincidence(pts)
-        assert _coincidence(base) is None
+    with pytest.raises(ParameterError, match=r"^attachment points 3 and 14 coincide$"):
+        ConstraintSet(pts, np.ones(pts.shape[0]))
 
 
 @pytest.mark.parametrize("shape", [(2, 4), (3, 2), (1, 4, 3)], ids=str)
