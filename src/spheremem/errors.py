@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit, and the parameter finiteness check."""
+"""Exception hierarchy shared across the toolkit, and the finiteness and shape checks."""
 import numpy as np
 
 
@@ -27,6 +27,15 @@ def check_finite(**values) -> None:
     for name, value in values.items():
         if value is not None and not np.all(np.isfinite(value)):
             raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def check_vector(n: int, **values) -> None:
+    """Raise :class:`ParameterError` for a value that is not a finite vector of
+    shape (n,), such as a field that is not one value per vertex."""
+    for name, value in values.items():
+        if np.shape(value) != (n,):
+            raise ParameterError(f"{name} must have shape ({n},), got shape {np.shape(value)}")
+    check_finite(**values)
 
 
 class RankDeficiencyError(SphereMemError):

@@ -26,13 +26,15 @@ planes (``mesh.mirror_maps``), which generate the group Z2^3, and
 ``SaddleSystem.factor`` takes its LU as that of its eight blocks, one per
 character of the group, each column pivoting on its diagonal in SuperLU's
 symmetric mode, in a nested-dissection order (``nested_dissection``) of the
-orbit graph.  Given the rotation that cycles the mirrors
-(``mesh.rotation_map``), it factors one block per cycle of the blocks under
-the rotation: a SuperLU factor of the two blocks it fixes and one of the two
-3-cycles' first blocks, which a solve takes with three columns per
-right-hand side.  The points' A_C, split so, has 0.098 M, 0.62 M and 3.46 M
-L+U entries at levels 4-6, half what its eight blocks hold; the flow's step
-operator is split into its eight blocks in one factor, 0.51 M at level 4.
+orbit graph.  The order is this module's own: every factorization takes it
+anew from its own matrix, and no caller passes one or reads it.  Given the
+rotation that cycles the mirrors (``mesh.rotation_map``), it factors one
+block per cycle of the blocks under the rotation: a SuperLU factor of the
+two blocks it fixes and one of the two 3-cycles' first blocks, which a solve
+takes with three columns per right-hand side.  The points' A_C, split so,
+has 0.098 M, 0.62 M and 3.46 M L+U entries at levels 4-6, half what its
+eight blocks hold; the flow's step operator is split into its eight blocks
+in one factor, 0.51 M at level 4.
 Every row the split LU factors is hard: rows it cannot hold, such as the
 point rows, whose span the group does not map to itself, or rows with a
 compliance, are bordered onto it by their Schur complement
@@ -352,11 +354,15 @@ def _fold(A: sp.csr_matrix, orbits: _Orbits, order: np.ndarray, wanted
 
 
 def _orbit_graph(A: sp.spmatrix, orbits: _Orbits) -> sp.csr_matrix:
-    """:func:`orbit_graph` for the orbits ``orbits``: F^T P F with sorted
-    indices, P the pattern of A (on A's own index arrays) and F the (n, k)
-    incidence of the unknowns on their k orbits.  Both hold float32 ones, half
-    the bytes of A's data; an entry of the product counts the entries of A
-    that join its two orbits, so none is zero."""
+    """The graph of A folded onto the orbits ``orbits`` (:func:`_orbits`), as
+    a sparse pattern: orbits o and u are joined where an entry of A, stored
+    zeros included, joins an unknown of one to an unknown of the other.
+    Every block of A lies in it, and :meth:`SaddleSystem.factor` orders them
+    all by it.  It is F^T P F with sorted indices, P the pattern of A (on A's
+    own index arrays) and F the (n, k) incidence of the unknowns on their k
+    orbits.  Both hold float32 ones, half the bytes of A's data; an entry of
+    the product counts the entries of A that join its two orbits, so none is
+    zero."""
     A = sp.csr_matrix(A)
     n, k = A.shape[0], orbits.table.shape[0]
     orbit_of = np.searchsorted(orbits.table[:, 0], orbits.images.min(axis=1))
@@ -366,15 +372,6 @@ def _orbit_graph(A: sp.spmatrix, orbits: _Orbits) -> sp.csr_matrix:
     graph = F.T.tocsr() @ (P @ F)
     graph.sort_indices()
     return graph
-
-
-def orbit_graph(A: sp.spmatrix, generators) -> sp.csr_matrix:
-    """The graph of A folded onto the orbits of ``generators``
-    (:func:`_orbits`), as a sparse pattern: orbits o and u are joined where
-    an entry of A, stored zeros included, joins an unknown of one to an
-    unknown of the other.  Every block of A lies in it, and
-    :meth:`SaddleSystem.factor` orders them all by it."""
-    return _orbit_graph(A, _orbits(generators, A.shape[0]))
 
 
 def _row_characters(coef: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -542,8 +539,8 @@ class _PermutedLU:
     several, dense or sparse).  T is orthogonal: on the unknowns of A it is
     Q^T of the block basis ``basis`` and on the constraint rows ``rows`` (m,
     m), so z = T b holds the blocks' coordinates in the order of ``basis``,
-    then the new rows, sorted by block.  ``order`` is the order of the orbits
-    used in every block.
+    then the new rows, sorted by block.  Every block numbers its orbits in
+    ``basis.order``.
 
     Each LU of ``lus`` factors the blocks of the representatives of the
     cycles of one length l (:meth:`SaddleSystem.factor`), each block's
@@ -573,7 +570,7 @@ class _PermutedLU:
     """
 
     def __init__(self, lus, pulls, signs, basis: _BlockBasis, rows: np.ndarray):
-        self.lus, self.order, self.basis, self.rows = lus, basis.order, basis, rows
+        self.lus, self.basis, self.rows = lus, basis, rows
         # Where each coordinate of z lies in the transform's table, the
         # constraint rows after it, and its scales each way.
         m = rows.shape[0]
@@ -691,8 +688,7 @@ class SaddleSystem:
             self._abs = abs(self.A), abs(self.B)
         return _saddle_product(*self._abs, c, x)
 
-    def factor(self, generators, order: np.ndarray | None = None, rotation=None
-               ) -> _PermutedLU:
+    def factor(self, generators, rotation=None) -> _PermutedLU:
         """The LU of K = K(0), every row of B hard, split by ``generators``,
         commuting involutions of the unknowns of A under which K is invariant
         (on an icosphere, the three maps of ``mesh.mirror_maps``; none gives
@@ -715,10 +711,10 @@ class SaddleSystem:
         saddle matrix, its rows of B after its orbits, with no entries in its
         (2, 2) part.  Rows that the LU cannot hold, such as rows whose span
         the group does not preserve or rows with a compliance, are bordered
-        onto it by :class:`BorderedLU`.  One order of the orbits, ``order`` or
-        the nested dissection of the orbit graph (:func:`orbit_graph`; a
-        caller that factors several matrices of one pattern orders it once),
-        serves every block.
+        onto it by :class:`BorderedLU`.  One order of the orbits serves every
+        block: the nested dissection of the orbit graph (:func:`_orbit_graph`),
+        which every call takes anew from A.  The LU keeps it only in its basis
+        (``lu.basis.order``).
 
         The rotation rho extends the reduction to the group generated with it,
         on the icosphere the order-24 group T_h.  It carries block s onto block
@@ -750,17 +746,15 @@ class SaddleSystem:
         the flow operator 1.62-1.85 M; by SuperLU's ``MMD_AT_PLUS_A``, 1.30 M,
         6.64 M and 38.1 M and 3.29 M.
 
-        Returns the LU, whose ``solve`` solves with K and whose ``order`` is
-        the order used; generators that are not commuting involutions, a
-        rotation that does not cycle them or does not carry a member's rows
-        onto its representative's, and a failed factorization raise
-        :class:`SolverError`.
+        Returns the LU, whose ``solve`` solves with K; generators that are
+        not commuting involutions, a rotation that does not cycle them or does
+        not carry a member's rows onto its representative's, and a failed
+        factorization raise :class:`SolverError`.
         """
         n = self.A.shape[0]
         orbits = _orbits(generators, n)
         rho = np.arange(n) if rotation is None else _check_rotation(rotation, orbits)
-        if order is None:
-            order = nested_dissection(_orbit_graph(self.A, orbits))
+        order = nested_dissection(_orbit_graph(self.A, orbits))
         basis = _BlockBasis(orbits, order)
         coef = basis.forward(self.B.toarray().T)
         rows, chars = _row_characters(coef, basis.starts)

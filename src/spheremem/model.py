@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ParameterError, SolverError, check_finite
+from .errors import ParameterError, SolverError, check_finite, check_vector
 from .fem import assemble_mass, assemble_stiffness, lumped_diagonal, mass_inverse_form
 from .mesh import TriangleMesh
 
@@ -166,6 +166,5 @@ def assemble_quadratic_form(mesh: TriangleMesh, params: ModelParams) -> Quadrati
 def quadratic_lagrangian(u: np.ndarray, mu: float, form: QuadraticForm) -> float:
     """L(u, mu) = 1/2 a(u,u) + mu (u, 1)."""
     u = np.asarray(u, dtype=float)
-    if u.shape[0] != form.mesh.num_vertices:
-        raise ParameterError("field length does not match mesh vertex count")
+    check_vector(form.mesh.num_vertices, u=u)
     return 0.5 * form.evaluate(u, u) + mu * form.c0(u)

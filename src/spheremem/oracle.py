@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, ParameterError, check_finite
+from .errors import GeometryError, ParameterError, check_finite, check_vector
 from .fem import assemble_mass, assemble_stiffness, lumped_diagonal, mass_inverse_form
 from .mesh import TriangleMesh, mesh_stats, vertex_normals
 from .model import ModelParams, QuadraticForm, quadratic_lagrangian
@@ -51,9 +51,8 @@ def perturb(mesh: TriangleMesh, u: np.ndarray, rho: float) -> TriangleMesh:
     if mesh.radius_hint is None:
         raise ParameterError("perturb requires a sphere mesh with radius_hint")
     u = np.asarray(u, dtype=float)
-    if u.shape[0] != mesh.num_vertices:
-        raise ParameterError("field length does not match mesh vertex count")
-    check_finite(u=u, rho=rho)
+    check_vector(mesh.num_vertices, u=u)
+    check_finite(rho=rho)
     R = mesh.radius_hint
     if abs(rho) * float(np.max(np.abs(u))) >= R:
         raise GeometryError("perturbation amplitude reaches the origin (rho*max|u| >= R)")
@@ -173,6 +172,7 @@ def taylor_consistency(
     params = form.params
     mesh = form.mesh
     u = np.asarray(u, dtype=float)
+    check_vector(mesh.num_vertices, u=u)
     if abs(form.c0(u)) > 1e-8 * form.area * float(np.max(np.abs(u)) + 1.0):
         raise ParameterError("taylor_consistency requires a mean-zero field (c0(u) = 0)")
     # The base sphere is the form's mesh, whose pass the assembly took: the S and

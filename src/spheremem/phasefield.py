@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ParameterError, SolverError, StepRejectedError, check_finite
+from .errors import ParameterError, SolverError, StepRejectedError, check_finite, check_vector
 from .fem import SaddleSystem, _matvec_into
 from .mesh import mesh_stats, mirror_maps
 from .model import ModelParams, QuadraticForm
@@ -239,14 +239,11 @@ class FlowSolver:
     (:meth:`fem.SaddleSystem.factor`): K is invariant under them, the
     phi-mean, u-mean and u.nu_y rows each lie in one block and the u.nu_x and
     u.nu_z rows are re-based onto two, so the LU is one SuperLU factor of K's
-    eight blocks, 0.51 M L+U entries at level 4 and 3.03 M at level 5.  It is
-    ordered in ``order``, an order of the orbit graph, or in the
-    nested-dissection order it takes of that graph when None; the order used
-    is kept as ``self.order``, so that the solvers of one flow share it.
+    eight blocks, 0.51 M L+U entries at level 4 and 3.03 M at level 5, in
+    the nested-dissection order that ``fem`` takes of its orbit graph.
     """
 
-    def __init__(self, form: QuadraticForm, pf: PhaseFieldParams, tau: float,
-                 order: np.ndarray | None = None):
+    def __init__(self, form: QuadraticForm, pf: PhaseFieldParams, tau: float):
         self.form = form
         self.pf = pf
         self.tau = float(tau)
@@ -259,8 +256,7 @@ class FlowSolver:
         B = sp.block_diag([form.constraints[:1], form.constraints])
         mirrors = mirror_maps(form.mesh)
         K = SaddleSystem(flow_operator(form, pf, self.C, self.tau), B)
-        self.lu = K.factor(np.hstack([mirrors, self.n + mirrors]), order)
-        self.order = self.lu.order
+        self.lu = K.factor(np.hstack([mirrors, self.n + mirrors]))
         self.g = np.concatenate([[pf.alpha * form.area], np.zeros(4)])
         self._rhs = np.empty(2 * self.n + 5)
 
@@ -325,8 +321,10 @@ def run_flow(
 ) -> tuple[PhaseState, FlowReport]:
     """Step until stationarity (||change||/tau < stat_tol) or t_end.
 
-    The initial state is projected onto the constraint set (with a warning)
-    when it violates the constraints, and the flow warns once when the
+    Fields of the initial state that are not one finite value per vertex
+    raise :class:`ParameterError` before anything is factored.  The initial
+    state is projected onto the constraint set (with a warning) when it
+    violates the constraints, and the flow warns once when the
     interface width epsilon is below 2 h_max of the mesh.  A step that raises
     the energy is rejected and tau halved: this energy check is the flow's
     only step-size safeguard.  When running to stationarity, tau grows by
@@ -342,11 +340,11 @@ def run_flow(
     recently used tau values are kept: a step at a kept tau (the tau a
     rejection falls back to, or the enlarged tau probed again after it)
     factors nothing.  The older kept solver is released before a new one is
-    factored, so no more than two factorizations are alive at a time.  The
-    first solver's LU takes its nested-dissection order from its
-    :class:`fem.SaddleSystem`; the others factor in it, as
-    :func:`flow_operator` has one pattern, and so one orbit graph, at every
-    tau.
+    factored, so no more than two factorizations are alive at a time.  Each
+    solver's LU is ordered by its :class:`fem.SaddleSystem`, which takes the
+    nested dissection of its operator's orbit graph anew; as
+    :func:`flow_operator` has one pattern at every tau, every solver of a
+    flow factors in one order.
 
     The energy is evaluated once for the initial state and then once per
     step by :meth:`FlowSolver.step`; the logged value of an accepted step
@@ -356,6 +354,7 @@ def run_flow(
     and the logged constraint residuals and the next step's gradient and
     constraint defect reuse them.
     """
+    check_vector(form.mesh.num_vertices, **{"initial u": initial.u, "initial phi": initial.phi})
     pf_res = constraint_residuals(initial, form, pf)
     state = initial
     if max(pf_res) > 1e-10:
@@ -372,13 +371,11 @@ def run_flow(
 
     def solver_for(tau: float) -> FlowSolver:
         # Most recently used last; the older one goes before a third is built.
-        # A new solver factors in a kept one's order; the first finds none kept.
         solver = kept.pop(tau, None)
         if solver is None:
-            order = next(iter(kept.values())).order if kept else None
             if len(kept) == 2:
                 del kept[next(iter(kept))]
-            solver = FlowSolver(form, pf, tau, order)
+            solver = FlowSolver(form, pf, tau)
         kept[tau] = solver
         return solver
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GeometryError, ParameterError, check_finite
+from .errors import GeometryError, ParameterError, check_finite, check_vector
 from .fem import BorderedLU, PointLocator, SaddleSystem, _check_constraint_rank, h2_norm
 from .mesh import mirror_maps, rotation_map
 from .model import QuadraticForm
@@ -41,9 +41,8 @@ class ConstraintSet:
         hts = np.atleast_1d(np.asarray(self.heights, dtype=float))
         if pts.shape[1:] != (3,):
             raise ParameterError(f"points must be (L, 3), got shape {np.shape(self.points)}")
-        if pts.shape[0] != hts.shape[0]:
-            raise ParameterError("heights and points length mismatch")
-        check_finite(points=pts, heights=hts)
+        check_vector(pts.shape[0], heights=hts)
+        check_finite(points=pts)
         if pts.shape[0] == 0:
             raise ParameterError("a constraint set needs at least one attachment point")
         scale = float(np.max(np.linalg.norm(pts, axis=1)))

@@ -20,7 +20,6 @@ from spheremem.fem import (
     lumped_diagonal,
     mass_inverse_form,
     nested_dissection,
-    orbit_graph,
     solve_saddle,
 )
 from spheremem import fem
@@ -503,7 +502,7 @@ def _unsplit_lu(level):
     A = _mesh_operator(level)
     system = SaddleSystem(A, _unit_mean_row(A.shape[0]))
     lu = system.factor([])
-    np.testing.assert_array_equal(lu.order, nested_dissection(A))
+    np.testing.assert_array_equal(lu.basis.order, nested_dissection(A))
     return lu, system, np.zeros(1)
 
 
@@ -613,7 +612,7 @@ def test_fold_is_the_blocks_of_the_orbit_basis(operator, rotated):
     # 2.1 eps for the flow operator).
     A, generators, wanted = _fold_case(operator, rotated)
     orbits = fem._orbits(generators, A.shape[0])
-    order = nested_dissection(orbit_graph(A, generators))
+    order = nested_dissection(fem._orbit_graph(A, orbits))
     blocks = fem._fold(A, orbits, order, wanted)
     assert sorted(blocks) == sorted(wanted) == ([0, 1, 3, 7] if rotated else list(range(8)))
     dense = A.toarray()
@@ -750,7 +749,7 @@ def test_orbit_graph_is_the_folded_pattern():
     fold = sp.csr_matrix((np.ones(n), (np.arange(n), np.searchsorted(orbits, rep))),
                          shape=(n, orbits.size))
     folded = (fold.T @ abs(form.A) @ fold).tocsr()
-    graph = orbit_graph(form.A, mirrors)
+    graph = fem._orbit_graph(form.A, fem._orbits(mirrors, n))
     assert graph.shape == (orbits.size, orbits.size)
     assert ((graph != 0) != (folded != 0)).nnz == 0
 

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from spheremem.errors import GeometryError, ParameterError
 from spheremem.mesh import build_icosphere, mesh_stats
-from spheremem.model import ModelParams, assemble_quadratic_form
+from spheremem.model import ModelParams, assemble_quadratic_form, quadratic_lagrangian
 from spheremem.oracle import (
     discrete_mean_curvature,
     energies,
@@ -100,6 +102,26 @@ def test_taylor_requires_mean_zero(params):
     form = assemble_quadratic_form(mesh, params)
     with pytest.raises(ParameterError):
         taylor_consistency(form, np.ones(mesh.num_vertices), mu=0.0)
+
+
+_FIELD_CALLS = {
+    "taylor lumped": lambda form, u: taylor_consistency(form, u, mu=0.0),
+    "taylor consistent": lambda form, u: taylor_consistency(form, u, mu=0.0,
+                                                            reconstruction="consistent"),
+    "perturb": lambda form, u: perturb(form.mesh, u, rho=0.1),
+    "quadratic_lagrangian": lambda form, u: quadratic_lagrangian(u, 0.0, form),
+}
+
+
+@pytest.mark.parametrize("call", list(_FIELD_CALLS))
+@pytest.mark.parametrize("shape", [(161,), (163,), (162, 1)], ids=str)
+def test_field_of_the_wrong_shape_rejected(params, shape, call):
+    # One value per vertex of the level-2 sphere (162), checked before any
+    # product with the field: the Taylor check's mean-zero check takes one.
+    form = assemble_quadratic_form(build_icosphere(1.0, 2), params)
+    match = re.escape(f"u must have shape (162,), got shape {shape}")
+    with pytest.raises(ParameterError, match=match):
+        _FIELD_CALLS[call](form, np.zeros(shape))
 
 
 def test_taylor_residual_cubic_consistent(params):

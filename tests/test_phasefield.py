@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from spheremem import fem, phasefield
 from spheremem.errors import ParameterError, SolverError, StepRejectedError
-from spheremem.fem import nested_dissection, orbit_graph
+from spheremem.fem import nested_dissection
 from spheremem.mesh import build_icosphere, mirror_maps
 from spheremem.model import ModelParams, assemble_quadratic_form
 from spheremem.phasefield import (
@@ -394,37 +394,64 @@ def test_flow_factors_once_per_distinct_tau(form3, monkeypatch):
 
 
 @pytest.mark.parametrize("level", [2, 3, 4])
-@pytest.mark.parametrize("coupling", [0.0, 1.0, 5.0, 10.0])
+@pytest.mark.parametrize("coupling", [-10.0, -5.0, -1.0, 0.0, 1.0, 5.0, 10.0])
 def test_flow_operator_order_is_the_order_at_every_tau(form2, form3, level, coupling):
-    # The order a flow takes from its first LU is the one each tau's operator,
-    # folded onto the orbits of the three mirrors of phi and of u, had.
+    # Each tau's LU is ordered by the nested dissection of its own operator,
+    # folded onto the orbits of the three mirrors of phi and of u; that order
+    # is the first tau's at every tau, so the flow's bits do not depend on
+    # which tau is ordered.  The couplings are those of the lambda-sweep preset.
     form = {2: form2, 3: form3}.get(level) or assemble_quadratic_form(
         build_icosphere(1.0, level), ModelParams(1.0, 1.0, 1.0))
     pf = replace(coarsen_params(0), coupling=coupling)
-    order = FlowSolver(form, pf, pf.tau).order
+    order = FlowSolver(form, pf, pf.tau).lu.basis.order
     C = coupling_operator(form, pf)
     mirrors = mirror_maps(form.mesh)
-    generators = np.hstack([mirrors, form.mesh.num_vertices + mirrors])
+    n = form.mesh.num_vertices
+    orbits = fem._orbits(np.hstack([mirrors, n + mirrors]), 2 * n)
     for tau in 0.01 * 2.0 ** np.arange(-4, 9):
-        graph = orbit_graph(flow_operator(form, pf, C, tau), generators)
+        graph = fem._orbit_graph(flow_operator(form, pf, C, tau), orbits)
         np.testing.assert_array_equal(nested_dissection(graph), order)
 
 
-def test_flow_orders_its_operator_once(form3, monkeypatch):
-    orders, factored = [], []
-    order_of = fem.nested_dissection
-    factor = fem.SaddleSystem.factor
-    monkeypatch.setattr(fem, "nested_dissection",
-                        lambda *args: orders.append(1) or order_of(*args))
-    monkeypatch.setattr(fem.SaddleSystem, "factor",
-                        lambda self, generators, order=None:
-                        factored.append(order) or factor(self, generators, order))
+def test_each_flow_factorization_orders_its_own_operator(form3, monkeypatch):
+    # No order is handed from one tau's solver to the next: every
+    # SaddleSystem.factor call of a flow takes one nested dissection, and no
+    # dissection is taken outside a factorization.
+    orders_per_factor = []
+    order_of, factor = fem.nested_dissection, fem.SaddleSystem.factor
+
+    def counted_order(*args):
+        orders_per_factor[-1] += 1
+        return order_of(*args)
+
+    def counted_factor(self, *args, **kwargs):
+        orders_per_factor.append(0)
+        return factor(self, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "nested_dissection", counted_order)
+    monkeypatch.setattr(fem.SaddleSystem, "factor", counted_factor)
     pf = coarsen_params(2)
     run_flow(initial_state(form3, pf), form3, pf)
-    # The first solver's LU is ordered by fem; the others factor in its order.
-    assert len(orders) == 1 and len(factored) > 1
-    assert factored[0] is None
-    assert all(np.array_equal(order, factored[1]) for order in factored[1:])
+    assert len(orders_per_factor) > 1
+    assert orders_per_factor == [1] * len(orders_per_factor)
+
+
+@pytest.mark.parametrize("field, spoil, match", [
+    ("u", lambda x: x[:-1], r"initial u must have shape \(642,\), got shape \(641,\)"),
+    ("phi", lambda x: x[:, None], r"initial phi must have shape \(642,\), got shape \(642, 1\)"),
+    ("phi", lambda x: np.where(np.arange(x.size) == 7, np.nan, x), "initial phi must be finite"),
+    ("u", lambda x: np.where(np.arange(x.size) == 7, np.inf, x), "initial u must be finite"),
+], ids=["u-short", "phi-column", "phi-nan", "u-inf"])
+def test_run_flow_rejects_a_bad_initial_state_before_factoring(form3, monkeypatch, field, spoil,
+                                                               match):
+    # The constraint residuals need one value per vertex, and a non-finite
+    # field would be factored and stepped before the step's own check.
+    monkeypatch.setattr(fem.SaddleSystem, "factor", lambda *a, **k: pytest.fail("factored"))
+    pf = coarsen_params(0)
+    state = initial_state(form3, pf)
+    bad = replace(state, **{field: spoil(getattr(state, field))})
+    with pytest.raises(ParameterError, match=match):
+        run_flow(bad, form3, pf)
 
 
 def position_form_step(solver, state):

@@ -53,6 +53,15 @@ def test_points_that_are_not_triples_rejected(shape):
         ConstraintSet(np.ones(shape), np.ones(shape[0]))
 
 
+@pytest.mark.parametrize("shape", [(12, 1), (11,), (13,)], ids=str)
+def test_heights_that_are_not_one_per_point_rejected(shape):
+    # (12, 1) heights have the points' length but not their shape; the
+    # saddle solve needs one height per point row.
+    match = re.escape(f"heights must have shape (12,), got shape {shape}")
+    with pytest.raises(ParameterError, match=match):
+        ConstraintSet(icosahedron_points(), np.ones(shape))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("where", ["points", "heights"])
 def test_non_finite_constraint_set_rejected(where, bad):
