@@ -179,13 +179,12 @@ def _write_solution(run: Run, mesh, u: np.ndarray, stem: str):
 
 
 def _write_flow_table(run: Run, name: str, report):
-    """A flow's energy history: one row per state, the initial one first."""
-    rows = ((t, e, bd["bending"], bd["coupling"], bd["interface_gradient"], bd["potential"], *cr)
-            for t, e, bd, cr in zip(report.times, report.energies, report.breakdowns,
-                                    report.constraint_residuals))
+    """A flow's energy history: its report's records, one row per state, the
+    initial one first."""
     run.write_table(name, "t [time],energy [energy],bending [energy],coupling [energy],"
                     "interface_gradient [energy],potential [energy],"
-                    "phi_mean_residual [1],u_mean_residual [1],u_normal_residual [1]", rows)
+                    "phi_mean_residual [1],u_mean_residual [1],u_normal_residual [1]",
+                    report.records)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -319,7 +318,7 @@ def cmd_phase_flow(run: Run, mesh: TriangleMesh, form: QuadraticForm):
     lam_phi, lam_u = closed_form_multipliers(final, form, pf)
     print(f"steps: {report.accepted_steps} (rejected {report.rejected_steps}), "
           f"converged: {report.converged}")
-    print(f"final energy: {report.energies[-1]:.10g}")
+    print(f"final energy: {report.records[-1].energy:.10g}")
     print(f"multipliers lambda_phi={final.lambda_phi:.6g} (closed {lam_phi:.6g}), "
           f"lambda_u={final.lambda_u:.6g} (closed {lam_u:.6g})")
 
@@ -340,7 +339,7 @@ def cmd_lambda_sweep(run: Run, mesh: TriangleMesh, form: QuadraticForm):
         pf = _phase_params(run.cfg, coupling=lam)
         final, report = run_flow(initial_state(form, pf), form, pf)
         corr = field_correlation(final.u, final.phi, form, pf)
-        rows.append((lam, report.energies[-1], corr,
+        rows.append((lam, report.records[-1].energy, corr,
                      float(np.max(np.abs(final.u))), report.accepted_steps,
                      report.converged))
         write_vtk(run.out(f"sweep_lambda_{lam:+g}.vtk"), mesh,

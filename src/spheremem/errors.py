@@ -51,13 +51,14 @@ class SolverError(SphereMemError):
 
 
 class StepRejectedError(SphereMemError):
-    """Gradient-flow step rejected because the energy increased."""
+    """Gradient-flow step rejected because the energy increased (or is not a
+    number); it carries the energies before and after the step, and the flow
+    that caught it picks the tau to retry with."""
 
-    def __init__(self, message, energy_before=None, energy_after=None, suggested_tau=None):
+    def __init__(self, message, energy_before=None, energy_after=None):
         super().__init__(message)
         self.energy_before = energy_before
         self.energy_after = energy_after
-        self.suggested_tau = suggested_tau
 
 
 class ConfigError(SphereMemError):

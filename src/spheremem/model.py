@@ -81,6 +81,9 @@ class QuadraticForm:
         return _bending_operator(self.params, self.M, self.S, self.m_lumped)
 
     def evaluate(self, u: np.ndarray, v: np.ndarray) -> float:
+        """a(u,v), lumped reconstruction; fields that are not one finite value
+        per vertex raise :class:`ParameterError`."""
+        check_vector(self.mesh.num_vertices, u=u, v=v)
         return float(u @ (self.A @ v))
 
     def c0(self, u: np.ndarray) -> float:
@@ -91,8 +94,10 @@ class QuadraticForm:
         biharmonic part (S u)^T M^{-1} (S u) is ``fem.mass_inverse_form``.
 
         Evaluation-only alternative for convergence comparisons; the sparse
-        operator ``A`` always uses the lumped reconstruction.
+        operator ``A`` always uses the lumped reconstruction.  A field that is
+        not one finite value per vertex raises :class:`ParameterError`.
         """
+        check_vector(self.mesh.num_vertices, u=u)
         p = self.params
         R2 = p.R**2
         su = self.S @ u
@@ -166,5 +171,4 @@ def assemble_quadratic_form(mesh: TriangleMesh, params: ModelParams) -> Quadrati
 def quadratic_lagrangian(u: np.ndarray, mu: float, form: QuadraticForm) -> float:
     """L(u, mu) = 1/2 a(u,u) + mu (u, 1)."""
     u = np.asarray(u, dtype=float)
-    check_vector(form.mesh.num_vertices, u=u)
     return 0.5 * form.evaluate(u, u) + mu * form.c0(u)

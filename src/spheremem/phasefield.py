@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -133,22 +134,17 @@ def state_products(state: PhaseState, form: QuadraticForm, C: sp.csr_matrix) -> 
 
 
 def energy(state: PhaseState, form: QuadraticForm, pf: PhaseFieldParams,
-           products: StateProducts):
-    """Total energy E(u, phi) and its per-term breakdown, from the state's
-    :class:`StateProducts` ``products``."""
+           products: StateProducts) -> tuple[float, float, float, float, float]:
+    """``(total, bending, coupling, interface_gradient, potential)``: the
+    energy E(u, phi) and its four terms, the energy columns of a
+    :class:`FlowRecord` in order, from the state's :class:`StateProducts`
+    ``products``."""
     u, phi = state.u, state.phi
     bending = 0.5 * float(u @ products.Au)
     cross = float(phi @ products.Cu)
     grad = pf.b * 0.5 * pf.epsilon * float(phi @ products.Sphi)
     well = pf.b / pf.epsilon * float(form.m_lumped @ potential(phi, pf, form.params))
-    total = bending + cross + grad + well
-    breakdown = {
-        "bending": bending,
-        "coupling": cross,
-        "interface_gradient": grad,
-        "potential": well,
-    }
-    return total, breakdown
+    return bending + cross + grad + well, bending, cross, grad, well
 
 
 def energy_gradient(state: PhaseState, form: QuadraticForm, pf: PhaseFieldParams,
@@ -261,12 +257,14 @@ class FlowSolver:
         self._rhs = np.empty(2 * self.n + 5)
 
     def step(self, state: PhaseState, e_old: float, products: StateProducts
-             ) -> tuple[PhaseState, float, dict, StateProducts]:
-        """One linearly-implicit step from ``state``, whose energy is ``e_old``
-        and whose :class:`StateProducts` are ``products``.
+             ) -> tuple[PhaseState, tuple[float, float, float, float, float], StateProducts]:
+        """One linearly-implicit step of this solver's tau from ``state``, whose
+        energy is ``e_old`` and whose :class:`StateProducts` are ``products``.
 
-        Returns the new state with its energy, breakdown and products; raises
-        :class:`StepRejectedError` when the energy rises or is not a number.
+        Returns the new state, its :func:`energy` terms and its products;
+        raises :class:`StepRejectedError`, with the two energies, when the
+        energy rises or is not a number.  What tau to retry with is
+        :func:`run_flow`'s decision.
         """
         pf, form, n = self.pf, self.form, self.n
         g_phi, g_u = energy_gradient(state, form, pf, products)
@@ -284,23 +282,37 @@ class FlowSolver:
                          t=state.t + self.tau,
                          lambda_phi=float(sol[2 * n]), lambda_u=float(sol[2 * n + 1]))
         new_products = state_products(new, form, self.C)
-        e_new, breakdown = energy(new, form, pf, new_products)
+        terms = energy(new, form, pf, new_products)
+        e_new = terms[0]
         if not e_new <= e_old + 1e-8 * abs(e_old):
-            raise StepRejectedError(
-                f"energy increased {e_old:.12g} -> {e_new:.12g}; "
-                f"retry with tau = {self.tau / 2:.3g}",
-                energy_before=e_old, energy_after=e_new,
-                suggested_tau=self.tau / 2,
-            )
-        return new, e_new, breakdown, new_products
+            raise StepRejectedError(f"energy increased {e_old:.12g} -> {e_new:.12g}",
+                                    energy_before=e_old, energy_after=e_new)
+        return new, terms, new_products
+
+
+class FlowRecord(NamedTuple):
+    """One logged state of a flow: the nine columns of ``flow_energy.csv`` in
+    order, its time, its :func:`energy` terms and its
+    :func:`constraint_residuals`."""
+
+    t: float
+    energy: float
+    bending: float
+    coupling: float
+    interface_gradient: float
+    potential: float
+    phi_mean_residual: float
+    u_mean_residual: float
+    u_normal_residual: float
 
 
 @dataclass
 class FlowReport:
-    times: list[float]
-    energies: list[float]
-    breakdowns: list[dict]
-    constraint_residuals: list[tuple[float, float, float]]
+    """What :func:`run_flow` logs: one :class:`FlowRecord` per logged state,
+    the initial state first, then one per accepted step; the step counts; and
+    how the flow ended."""
+
+    records: list[FlowRecord]
     accepted_steps: int
     rejected_steps: int
     final_tau: float             # tau of the schedule, not of a t_end landing step
@@ -326,15 +338,17 @@ def run_flow(
     state is projected onto the constraint set (with a warning) when it
     violates the constraints, and the flow warns once when the
     interface width epsilon is below 2 h_max of the mesh.  A step that raises
-    the energy is rejected and tau halved: this energy check is the flow's
-    only step-size safeguard.  When running to stationarity, tau grows by
+    the energy is rejected (:class:`StepRejectedError`) and retried at half
+    its tau: this energy check is the flow's only step-size safeguard, and
+    this function alone sets tau.  When running to stationarity, tau grows by
     :data:`TAU_GROWTH` every :data:`GROW_EVERY` accepted steps, up to half the
     last rejected tau, a cap that doubles after ten growth periods without a
     rejection: late-stage coarsening is exponentially slow in physical time,
     and the energy check keeps the enlarged steps dissipative.  A ``t_end``
     run whose next step would pass ``t_end`` shortens that step to
-    ``t_end - t``, so it ends at ``t_end`` to roundoff.  Every accepted step
-    is logged in the report.
+    ``t_end - t``, so it ends at ``t_end`` to roundoff; a rejected landing
+    step is retried at half its shortened tau.  The report holds one
+    :class:`FlowRecord` for the initial state and one per accepted step.
 
     Each tau has its own :class:`FlowSolver`, and the solvers of the two most
     recently used tau values are kept: a step at a kept tau (the tau a
@@ -347,12 +361,12 @@ def run_flow(
     flow factors in one order.
 
     The energy is evaluated once for the initial state and then once per
-    step by :meth:`FlowSolver.step`; the logged value of an accepted step
-    is the one the step computed for its dissipation check, and it is the
-    ``e_old`` of the next step.  Likewise each state's :class:`StateProducts`
-    are formed once: the step that makes the state forms them for its energy,
-    and the logged constraint residuals and the next step's gradient and
-    constraint defect reuse them.
+    step by :meth:`FlowSolver.step`; the logged terms of an accepted step
+    are the ones the step computed for its dissipation check, and the last
+    record's energy is the ``e_old`` of the next step.  Likewise each state's
+    :class:`StateProducts` are formed once: the step that makes the state
+    forms them for its energy, and the logged constraint residuals and the
+    next step's gradient and constraint defect reuse them.
     """
     check_vector(form.mesh.num_vertices, **{"initial u": initial.u, "initial phi": initial.phi})
     pf_res = constraint_residuals(initial, form, pf)
@@ -383,11 +397,9 @@ def run_flow(
     stepper = solver_for(tau)
     mass = form.m_lumped
     work = np.empty(mass.size)     # the stationarity's squared differences
-    times, energies_log, breakdowns, residuals = [], [], [], []
     products = state_products(state, form, stepper.C)
-    e, bd = energy(state, form, pf, products)
-    times.append(state.t); energies_log.append(e); breakdowns.append(bd)
-    residuals.append(constraint_residuals(state, form, pf, products))
+    records = [FlowRecord(state.t, *energy(state, form, pf, products),
+                          *constraint_residuals(state, form, pf, products))]
     rejected = 0
     consecutive = 0
     accepted = 0
@@ -405,7 +417,7 @@ def run_flow(
                 step_tau = pf.t_end - state.t
         stepper = solver_for(step_tau)
         try:
-            new, e_new, bd, new_products = stepper.step(state, e, products)
+            new, terms, new_products = stepper.step(state, records[-1].energy, products)
         except StepRejectedError as exc:
             rejected += 1
             consecutive += 1
@@ -414,8 +426,8 @@ def run_flow(
                     f"aborting after {consecutive} consecutive rejected steps "
                     f"(last energies {exc.energy_before!r} -> {exc.energy_after!r})"
                 ) from exc
+            tau = step_tau / 2
             # Don't regrow straight back to a step size that was rejected.
-            tau = exc.suggested_tau
             tau_cap = min(tau_cap, tau)
             since_grow = 0
             since_reject = 0
@@ -425,10 +437,10 @@ def run_flow(
         diff = np.sqrt(float(mass @ np.square(np.subtract(new.phi, state.phi, out=work), out=work))
                        + float(mass @ np.square(np.subtract(new.u, state.u, out=work), out=work)))
         stationarity = diff / step_tau
-        state, e, products = new, e_new, new_products
+        state, products = new, new_products
         accepted += 1
-        times.append(state.t); energies_log.append(e); breakdowns.append(bd)
-        residuals.append(constraint_residuals(state, form, pf, products))
+        records.append(FlowRecord(state.t, *terms,
+                                  *constraint_residuals(state, form, pf, products)))
         if pf.stat_tol is not None and stationarity < pf.stat_tol:
             converged = True
             break
@@ -443,10 +455,7 @@ def run_flow(
                 tau_cap = TAU_GROWTH * tau_cap
                 since_reject = 0
     report = FlowReport(
-        times=times,
-        energies=energies_log,
-        breakdowns=breakdowns,
-        constraint_residuals=residuals,
+        records=records,
         accepted_steps=accepted,
         rejected_steps=rejected,
         final_tau=tau,

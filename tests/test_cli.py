@@ -581,3 +581,7 @@ dir = {}
     assert main(["phase-flow", "--config", str(cfg)]) == 0
     history = (tmp_path / "sweep" / "sweep_lambda_+1_energy.csv").read_bytes()
     assert history == (tmp_path / "flow" / "flow_energy.csv").read_bytes()
+    # Recorded byte for byte (x86-64, NumPy 2.4.6, SciPy 1.17.1, one BLAS
+    # thread): any change to the table's columns, their order, their format
+    # or the flow's arithmetic shows here.
+    assert history == (Path(__file__).parent / "data" / "flow_energy_l2.csv").read_bytes()

@@ -110,6 +110,8 @@ _FIELD_CALLS = {
                                                             reconstruction="consistent"),
     "perturb": lambda form, u: perturb(form.mesh, u, rho=0.1),
     "quadratic_lagrangian": lambda form, u: quadratic_lagrangian(u, 0.0, form),
+    "evaluate": lambda form, u: form.evaluate(u, u),
+    "evaluate_consistent": lambda form, u: form.evaluate_consistent(u),
 }
 
 

@@ -125,8 +125,8 @@ def test_gradient_matches_finite_differences(form2):
         du = rng.standard_normal(n)
         plus = PhaseState(u=state.u + h * du, phi=state.phi + h * dphi)
         minus = PhaseState(u=state.u - h * du, phi=state.phi - h * dphi)
-        ep, _ = energy(plus, form2, pf, state_products(plus, form2, C))
-        em, _ = energy(minus, form2, pf, state_products(minus, form2, C))
+        ep = energy(plus, form2, pf, state_products(plus, form2, C))[0]
+        em = energy(minus, form2, pf, state_products(minus, form2, C))[0]
         fd = (ep - em) / (2 * h)
         an = float(g_phi @ dphi + g_u @ du)
         assert abs(fd - an) <= 1e-5 * max(1.0, abs(an))
@@ -135,9 +135,10 @@ def test_gradient_matches_finite_differences(form2):
 def test_energy_breakdown_sums(form2):
     pf = make_params()
     state = initial_state(form2, pf)
-    total, bd = energy(state, form2, pf,
-                       state_products(state, form2, coupling_operator(form2, pf)))
-    assert total == pytest.approx(sum(bd.values()), rel=1e-12)
+    total, *terms = energy(state, form2, pf,
+                           state_products(state, form2, coupling_operator(form2, pf)))
+    assert len(terms) == 4
+    assert total == pytest.approx(sum(terms), rel=1e-12)
 
 
 def test_initial_state_satisfies_constraints(form3):
@@ -186,11 +187,8 @@ def test_step_caches_the_new_energy(form2):
     solver = FlowSolver(form2, pf, pf.tau)
     start = initial_state(form2, pf)
     products = state_products(start, form2, solver.C)
-    new, e_new, bd_new, products = solver.step(start, energy(start, form2, pf, products)[0],
-                                               products)
-    e, bd = energy(new, form2, pf, state_products(new, form2, solver.C))
-    assert e_new == e
-    assert bd_new == bd
+    new, terms, products = solver.step(start, energy(start, form2, pf, products)[0], products)
+    assert terms == energy(new, form2, pf, state_products(new, form2, solver.C))
     # The returned products are the new state's.
     expected = state_products(new, form2, solver.C)
     for name in ("Au", "Cu", "Cphi", "Sphi", "c_phi", "c_u"):
@@ -200,9 +198,10 @@ def test_step_caches_the_new_energy(form2):
 def test_flow_conserves_and_dissipates(form3):
     pf = make_params(coupling=-2.0, t_end=0.2, stat_tol=None)
     final, report = run_flow(initial_state(form3, pf), form3, pf)
-    E = np.array(report.energies)
+    E = np.array([r.energy for r in report.records])
     assert np.all(np.diff(E) <= 1e-8 * np.abs(E[:-1]))
-    assert max(max(r) for r in report.constraint_residuals) <= 1e-10
+    # The last three columns of a record are its constraint residuals.
+    assert max(max(r[-3:]) for r in report.records) <= 1e-10
     assert report.rejected_steps == 0
 
 
@@ -239,10 +238,11 @@ def test_oversized_step_rejected(form2):
     raised = False
     try:
         for _ in range(50):
-            state, e, _, products = solver.step(state, e, products)
+            state, terms, products = solver.step(state, e, products)
+            e = terms[0]
     except StepRejectedError as exc:
         raised = True
-        assert exc.suggested_tau == pytest.approx(pf.tau / 2)
+        assert exc.energy_before == e
     assert raised
 
 
@@ -261,7 +261,7 @@ def test_run_flow_recovers_from_rejection(form2):
     final, report = run_flow(initial_state(form2, pf), form2, pf)
     assert report.rejected_steps > 0
     assert report.final_tau < pf.tau
-    E = np.array(report.energies)
+    E = np.array([r.energy for r in report.records])
     assert np.all(np.diff(E) <= 1e-8 * np.abs(E[:-1]))
 
 
@@ -278,13 +278,13 @@ def test_rejecting_run_logs_fresh_energy_once_per_step(form2, monkeypatch):
     final, report = run_flow(initial_state(form2, pf), form2, pf)
     steps = report.accepted_steps + report.rejected_steps
     assert len(calls) == steps + 1
-    e, bd = energy(final, form2, pf, state_products(final, form2, coupling_operator(form2, pf)))
-    assert report.energies[-1] == e
-    assert report.breakdowns[-1] == bd
+    last = report.records[-1]
+    assert last[1:6] == energy(final, form2, pf,
+                               state_products(final, form2, coupling_operator(form2, pf)))
     # Pinned to the bit (x86-64, NumPy 2.4.6, SciPy 1.17.1): any change to
     # the flow's arithmetic shows here.
     assert (report.accepted_steps, report.rejected_steps) == (622, 9)
-    assert repr(report.energies[-1]) == "9.51247819432256"
+    assert repr(last.energy) == "9.51247819432256"
 
 
 def test_run_flow_projects_a_start_off_the_constraints(form2):
@@ -295,7 +295,7 @@ def test_run_flow_projects_a_start_off_the_constraints(form2):
     assert max(constraint_residuals(start, form2, pf)) > 1e-10
     with pytest.warns(UserWarning, match="initial state violates constraints"):
         _, report = run_flow(start, form2, pf)
-    assert max(report.constraint_residuals[0]) <= 1e-10
+    assert max(report.records[0][-3:]) <= 1e-10
 
 
 def test_run_flow_aborts_after_max_rejections(form2, monkeypatch):
@@ -304,7 +304,7 @@ def test_run_flow_aborts_after_max_rejections(form2, monkeypatch):
     def reject(self, state, e_old, products=None):
         taus.append(self.tau)
         raise StepRejectedError("energy increased", energy_before=e_old,
-                                energy_after=e_old + 1.0, suggested_tau=self.tau / 2)
+                                energy_after=e_old + 1.0)
 
     monkeypatch.setattr(FlowSolver, "step", reject)
     pf = make_params()
@@ -314,13 +314,23 @@ def test_run_flow_aborts_after_max_rejections(form2, monkeypatch):
     assert taus == [pf.tau / 2**k for k in range(phasefield.MAX_REJECTIONS + 1)]
 
 
-@pytest.mark.parametrize("t_end, tau", [(0.05, 0.02), (0.1, 0.03)])
-def test_t_end_run_lands_on_t_end(form2, t_end, tau):
-    pf = make_params(t_end=t_end, tau=tau, stat_tol=None)
+@pytest.mark.parametrize("t_end, tau, noise_amplitude", [
+    (0.05, 0.02, 0.1), (0.1, 0.03, 0.1),
+    # The tau and noise of test_run_flow_recovers_from_rejection: the first
+    # step is a landing step, and it is rejected and halved until it holds.
+    (0.5, 5.0, 3.0),
+], ids=["0.05-0.02", "0.1-0.03", "0.5-5.0-rejecting"])
+def test_t_end_run_lands_on_t_end(form2, t_end, tau, noise_amplitude):
+    pf = make_params(t_end=t_end, tau=tau, stat_tol=None, noise_amplitude=noise_amplitude)
     final, report = run_flow(initial_state(form2, pf), form2, pf)
     assert abs(final.t - t_end) <= 1e-12
-    assert report.times[-1] == final.t
-    assert report.final_tau == tau
+    assert report.records[-1].t == final.t
+    if tau < t_end:
+        assert report.rejected_steps == 0
+        assert report.final_tau == tau
+    else:
+        assert report.rejected_steps > 0
+        assert report.final_tau == t_end / 2**report.rejected_steps
 
 
 def test_multipliers_at_stationarity(form3):
@@ -358,7 +368,7 @@ def test_flow_reproduces_recorded_trajectory(form3, seed, accepted, rejected, fi
     _, report = run_flow(initial_state(form3, pf), form3, pf)
     assert report.converged
     assert (report.accepted_steps, report.rejected_steps) == (accepted, rejected)
-    assert report.energies[-1] == pytest.approx(final_energy, rel=1e-8)
+    assert report.records[-1].energy == pytest.approx(final_energy, rel=1e-8)
 
 
 def test_flow_factors_once_per_distinct_tau(form3, monkeypatch):
@@ -479,7 +489,7 @@ def test_increment_step_is_the_position_form_step(form2, form3, monkeypatch, lev
 
     monkeypatch.setattr(phasefield, "energy_gradient", counting)
     # e_old = inf: the energy check is not under test here.
-    new, _, _, _ = solver.step(start, np.inf, state_products(start, form, solver.C))
+    new, _, _ = solver.step(start, np.inf, state_products(start, form, solver.C))
     assert len(calls) == 1
     phi, u, lam_phi, lam_u = position_form_step(solver, start)
     scale = max(np.abs(phi).max(), np.abs(u).max())
